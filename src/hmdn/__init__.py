@@ -18,7 +18,7 @@ from .mdn import (
     sample,
     train,
 )
-from .numcore import Matrix, Rng, gaussian_sample, log_sum_exp, matmul
+from .numcore import Rng, gaussian_sample, log_sum_exp
 from .pipeline import (
     HmdnEstimate,
     HmdnPipeline,
@@ -32,7 +32,6 @@ __all__ = [
     "GradWorkspace",
     "HmdnEstimate",
     "HmdnPipeline",
-    "Matrix",
     "MdnConfig",
     "MdnModel",
     "MixtureParams",
@@ -45,7 +44,6 @@ __all__ = [
     "head_gradients",
     "log_density",
     "log_sum_exp",
-    "matmul",
     "mixture_at",
     "nll",
     "predict",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dataio, evaluate, mdn, pipeline, plots, scenario
 from .errors import DomainError, NumericError, ParseError, SchemaError, ShapeError
-from .numcore import Rng
+from .numcore import Rng, fmt17
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,73 +33,87 @@ class UsageError(ValueError):
     """Bad flag/argument combination; maps to exit code 2."""
 
 
-_SIMULATE_DEFAULTS = {
-    "scene": None,
-    "out_dir": None,
-    "n_train": 100,
-    "n_test": 50,
-    "seed": 0,
-    "measurement_noise": False,
-    "augment": None,
-    "train_fraction": 0.8,
+def _opt(flag: str, default=None, **parse_kwargs):
+    """One option of one command: its flag, its built-in default, and how
+    argparse reads it. The option's dest, which is also its config-file key,
+    is the flag without the leading dashes and with '-' as '_'."""
+    return flag, default, parse_kwargs
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+_SWITCH = {"action": "store_const", "const": True}
+
+# every option of every command, in --help order; --config is added to each
+_OPTIONS = {
+    "simulate": (
+        _opt("--scene", help="scene JSON (default: bundled paper room)"),
+        _opt("--out-dir"),
+        _opt("--n-train", 100, type=int),
+        _opt("--n-test", 50, type=int),
+        _opt("--seed", 0, type=int),
+        _opt("--measurement-noise", False, **_SWITCH),
+        _opt("--augment", help="real fingerprint CSV to augment with simulated lux"),
+        _opt("--train-fraction", 0.8, type=float),
+    ),
+    "train": (
+        _opt("--which", choices=("g1", "g2")),
+        _opt("--data"),
+        _opt("--model-out"),
+        _opt("--log-out"),
+        _opt("--seed", 0, type=int),
+        _opt("--normalize", "zero_one", choices=("zero_one", "powed")),
+        _opt("--components", type=int),  # g1 -> 5, g2 -> 3 unless given
+        _opt("--hidden", "64,64", help="comma-separated hidden widths, empty for affine"),
+        _opt("--activation", "tanh", choices=("tanh", "relu")),
+        _opt("--optimizer", "adam", choices=("adam", "sgd")),
+        _opt("--learning-rate", 1e-3, type=float),
+        _opt("--epochs", 2000, type=int),
+        _opt("--batch-size", 64, type=int),
+        _opt("--sigma-floor", 1e-3, type=float),
+        _opt("--lux-columns"),
+        _opt("--lux-transform", "log", choices=("identity", "log")),
+        _opt("--input-dim", type=int),
+        _opt("--target-dim", type=int),
+    ),
+    "predict": (
+        _opt("--g1"),
+        _opt("--g2"),
+        _opt("--data"),
+        _opt("--scene"),
+        _opt("--out-dir"),
+        _opt("--records", "0,1,2", help="'all' or comma-separated record indices"),
+        _opt("--conditions", "all", help="'all' or comma-separated condition names"),
+        _opt("--m", 100, type=int),
+        _opt("--n", 20, type=int),
+        _opt("--seed", 0, type=int),
+        _opt("--normalize", "zero_one", choices=("zero_one", "powed")),
+        _opt("--lux-transform", "log", choices=("identity", "log")),
+        _opt("--weighted", False, **_SWITCH),
+        _opt("--no-plots", False, **_SWITCH),
+    ),
+    "evaluate": (
+        _opt("--g1"),
+        _opt("--g2"),
+        _opt("--data"),
+        _opt("--out-dir"),
+        _opt("--conditions", "all"),
+        _opt("--m", 100, type=int),
+        _opt("--n", 20, type=int),
+        _opt("--seed", 0, type=int),
+        _opt("--normalize", "zero_one", choices=("zero_one", "powed")),
+        _opt("--lux-transform", "log", choices=("identity", "log")),
+        _opt("--bootstrap", 10_000, type=int),
+        _opt("--from-dump"),
+    ),
 }
 
-_TRAIN_DEFAULTS = {
-    "which": None,
-    "data": None,
-    "model_out": None,
-    "log_out": None,
-    "seed": 0,
-    "normalize": "zero_one",
-    "components": None,  # g1 -> 5, g2 -> 3 unless given
-    "hidden": "64,64",
-    "activation": "tanh",
-    "optimizer": "adam",
-    "learning_rate": 1e-3,
-    "epochs": 2000,
-    "batch_size": 64,
-    "sigma_floor": 1e-3,
-    "lux_columns": None,
-    "lux_transform": "log",
-    "input_dim": None,
-    "target_dim": None,
-}
 
-_PREDICT_DEFAULTS = {
-    "g1": None,
-    "g2": None,
-    "data": None,
-    "scene": None,
-    "out_dir": None,
-    "records": "0,1,2",
-    "conditions": "all",
-    "m": 100,
-    "n": 20,
-    "seed": 0,
-    "normalize": "zero_one",
-    "lux_transform": "log",
-    "weighted": False,
-    "no_plots": False,
-}
-
-_EVALUATE_DEFAULTS = {
-    "g1": None,
-    "g2": None,
-    "data": None,
-    "out_dir": None,
-    "conditions": "all",
-    "m": 100,
-    "n": 20,
-    "seed": 0,
-    "normalize": "zero_one",
-    "lux_transform": "log",
-    "bootstrap": 10_000,
-    "from_dump": None,
-}
-
-
-def _merge_options(defaults: dict, args: argparse.Namespace) -> dict:
+def _merge_options(command: str, args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
+    defaults = {_dest(flag): default for flag, default, _ in _OPTIONS[command]}
     opts = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -190,7 +204,7 @@ def _dataset_extra_columns(ds: scenario.SimulatedDataset) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    opts = _merge_options(_SIMULATE_DEFAULTS, args)
+    opts = _merge_options("simulate", args)
     _require(opts, "out_dir")
     scene = _load_scene(opts)
     out = _out_dir(opts)
@@ -224,7 +238,7 @@ def _simulate_augment(opts, scene, out, master: Rng, noise: bool) -> int:
     mapped, lux, lux_noisy = scenario.augment_with_illuminance(table.coords, scene, rng)
 
     def fmt_col(values):
-        return tuple(format(float(v), ".17g") for v in values)
+        return tuple(fmt17(v) for v in values)
 
     metadata = dict(table.metadata)
     metadata["ORIG_" + table.schema.x_column] = fmt_col(table.coords[:, 0])
@@ -275,7 +289,7 @@ def _training_pairs(table, which: str, opts):
 
 
 def cmd_train(args) -> int:
-    opts = _merge_options(_TRAIN_DEFAULTS, args)
+    opts = _merge_options("train", args)
     _require(opts, "which", "data", "model_out")
     which = opts["which"]
     if which not in ("g1", "g2"):
@@ -320,7 +334,7 @@ def cmd_train(args) -> int:
     with open(log_out, "w", encoding="utf-8") as fh:
         fh.write("epoch,nll\n")
         for i, v in enumerate(model.training_log, start=1):
-            fh.write(f"{i},{format(v, '.17g')}\n")
+            fh.write(f"{i},{fmt17(v)}\n")
     print(f"{which}: trained {len(model.training_log)} epochs -> {model_out}")
     print(f"final nll {format(model.training_log[-1], '.6g')}")
     return EXIT_OK
@@ -358,7 +372,7 @@ def _parse_records(spec: str, n_records: int):
 
 
 def cmd_predict(args) -> int:
-    opts = _merge_options(_PREDICT_DEFAULTS, args)
+    opts = _merge_options("predict", args)
     _require(opts, "g1", "g2", "data", "out_dir")
     table, pipe, features, lux = _prediction_inputs(opts)
     record_ids = _parse_records(opts["records"], table.n_records)
@@ -390,7 +404,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    opts = _merge_options(_EVALUATE_DEFAULTS, args)
+    opts = _merge_options("evaluate", args)
     _require(opts, "out_dir")
     out = _out_dir(opts)
     n_boot = int(opts["bootstrap"])
@@ -419,73 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    for name, func, help_text in (
+        ("simulate", cmd_simulate, "generate synthetic train/test fingerprint datasets"),
+        ("train", cmd_train, "train one of the two networks"),
+        ("predict", cmd_predict, "dump candidate clouds, selections, and plots"),
+        ("evaluate", cmd_evaluate, "error metrics: baseline vs hierarchical"),
+    ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file of options (flags override it)")
         p.set_defaults(func=func)
-        return p
-
-    p = add("simulate", cmd_simulate, "generate synthetic train/test fingerprint datasets")
-    p.add_argument("--scene", help="scene JSON (default: bundled paper room)")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--n-train", dest="n_train", type=int)
-    p.add_argument("--n-test", dest="n_test", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument(
-        "--measurement-noise", dest="measurement_noise", action="store_const", const=True
-    )
-    p.add_argument("--augment", help="real fingerprint CSV to augment with simulated lux")
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-
-    p = add("train", cmd_train, "train one of the two networks")
-    p.add_argument("--which", choices=("g1", "g2"))
-    p.add_argument("--data")
-    p.add_argument("--model-out", dest="model_out")
-    p.add_argument("--log-out", dest="log_out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--normalize", choices=("zero_one", "powed"))
-    p.add_argument("--components", type=int)
-    p.add_argument("--hidden", help="comma-separated hidden widths, empty for affine")
-    p.add_argument("--activation", choices=("tanh", "relu"))
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--sigma-floor", dest="sigma_floor", type=float)
-    p.add_argument("--lux-columns", dest="lux_columns")
-    p.add_argument("--lux-transform", dest="lux_transform", choices=("identity", "log"))
-    p.add_argument("--input-dim", dest="input_dim", type=int)
-    p.add_argument("--target-dim", dest="target_dim", type=int)
-
-    p = add("predict", cmd_predict, "dump candidate clouds, selections, and plots")
-    p.add_argument("--g1")
-    p.add_argument("--g2")
-    p.add_argument("--data")
-    p.add_argument("--scene")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--records", help="'all' or comma-separated record indices")
-    p.add_argument("--conditions", help="'all' or comma-separated condition names")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--normalize", choices=("zero_one", "powed"))
-    p.add_argument("--lux-transform", dest="lux_transform", choices=("identity", "log"))
-    p.add_argument("--weighted", action="store_const", const=True)
-    p.add_argument("--no-plots", dest="no_plots", action="store_const", const=True)
-
-    p = add("evaluate", cmd_evaluate, "error metrics: baseline vs hierarchical")
-    p.add_argument("--g1")
-    p.add_argument("--g2")
-    p.add_argument("--data")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--conditions")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--normalize", choices=("zero_one", "powed"))
-    p.add_argument("--lux-transform", dest="lux_transform", choices=("identity", "log"))
-    p.add_argument("--bootstrap", type=int)
-    p.add_argument("--from-dump", dest="from_dump")
+        for flag, _, parse_kwargs in _OPTIONS[name]:
+            p.add_argument(flag, **parse_kwargs)
 
     return parser
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParseError, SchemaError, ShapeError
 from .mdn import MdnConfig, MdnModel
-from .numcore import Matrix, Rng
+from .numcore import Rng, fmt17
 
 NOT_DETECTED = 100.0
 RSSI_FLOOR = -104.0
@@ -264,10 +264,6 @@ def split(table: FingerprintTable, spec: SplitSpec):
 # --- dataset CSV export (mirrors the import schema) ---
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_dataset_csv(path, wap_names, rssi, coords, extra=None, schema=None) -> None:
     """Write records as a fingerprint CSV; extra columns (e.g. LUX_<condition>)
     are appended after the coordinate columns in the given order."""
@@ -281,9 +277,9 @@ def write_dataset_csv(path, wap_names, rssi, coords, extra=None, schema=None) ->
         writer.writerow(header)
         extra_cols = [np.asarray(v, dtype=np.float64) for v in extra.values()]
         for i in range(rssi.shape[0]):
-            row = [_fmt(v) for v in rssi[i]]
-            row += [_fmt(coords[i, 0]), _fmt(coords[i, 1])]
-            row += [_fmt(col[i]) for col in extra_cols]
+            row = [fmt17(v) for v in rssi[i]]
+            row += [fmt17(coords[i, 0]), fmt17(coords[i, 1])]
+            row += [fmt17(col[i]) for col in extra_cols]
             writer.writerow(row)
 
 
@@ -294,8 +290,8 @@ def table_to_csv(table: FingerprintTable, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for i in range(table.n_records):
-            row = [_fmt(v) for v in table.rssi[i]]
-            row += [_fmt(table.coords[i, 0]), _fmt(table.coords[i, 1])]
+            row = [fmt17(v) for v in table.rssi[i]]
+            row += [fmt17(table.coords[i, 0]), fmt17(table.coords[i, 1])]
             row += [table.metadata[c][i] for c in table.metadata]
             writer.writerow(row)
 
@@ -311,27 +307,36 @@ def save_model(model: MdnModel, path) -> None:
     for name in _CONFIG_INT_FIELDS:
         lines.append(f"{name} = {getattr(cfg, name)}")
     for name in _CONFIG_FLOAT_FIELDS:
-        lines.append(f"{name} = {_fmt(getattr(cfg, name))}")
+        lines.append(f"{name} = {fmt17(getattr(cfg, name))}")
     for name in _CONFIG_STR_FIELDS:
         lines.append(f"{name} = {getattr(cfg, name)}")
     lines.append("hidden_layers = " + " ".join(str(h) for h in cfg.hidden_layers))
     lines.append("[standardize]")
-    lines.append("mean = " + " ".join(_fmt(v) for v in model.input_mean))
-    lines.append("std = " + " ".join(_fmt(v) for v in model.input_std))
+    lines.append("mean = " + " ".join(fmt17(v) for v in model.input_mean))
+    lines.append("std = " + " ".join(fmt17(v) for v in model.input_std))
     lines.append("[weights]")
     for i, w in enumerate(model.weights):
-        lines.append(f"matrix {i} {w.rows} {w.cols}")
-        a = w.array
-        for r in range(w.rows):
-            lines.append(" ".join(_fmt(v) for v in a[r]))
+        lines.append(f"matrix {i} {w.shape[0]} {w.shape[1]}")
+        lines.extend(" ".join(fmt17(v) for v in row) for row in w)
     lines.append("[training_log]")
-    lines.append("nll = " + " ".join(_fmt(v) for v in model.training_log))
+    lines.append("nll = " + " ".join(fmt17(v) for v in model.training_log))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _numbers(path, lineno: int, text: str) -> list:
+    try:
+        return [float(t) for t in text.split()]
+    except ValueError:
+        raise ParseError(f"{path}, line {lineno}: expected numbers, got {text!r}") from None
+
+
 def load_model(path) -> MdnModel:
-    """Reload a model file; bit-exact inverse of save_model."""
+    """Reload a model file; bit-exact inverse of save_model.
+
+    A missing field raises SchemaError; a malformed or truncated line raises
+    ParseError naming the path and line number.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _MODEL_FORMAT:
@@ -339,50 +344,71 @@ def load_model(path) -> MdnModel:
 
     sections: dict = {}
     current = None
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
         if ln.startswith("["):
             current = ln.strip("[]")
             sections[current] = []
         else:
-            sections.setdefault(current, []).append(ln)
+            sections.setdefault(current, []).append((lineno, ln))
 
     def parse_kv(section):
+        """key -> (line number, value text) for the ``key = value`` lines."""
         out = {}
-        for ln in sections.get(section, []):
+        for lineno, ln in sections.get(section, []):
             key, _, value = ln.partition(" = ")
-            out[key] = value
+            out[key] = (lineno, value)
         return out
 
-    raw = parse_kv("config")
+    raw = {key: value for key, (_, value) in parse_kv("config").items()}
     try:
         kwargs = {name: int(raw[name]) for name in _CONFIG_INT_FIELDS}
         kwargs |= {name: float(raw[name]) for name in _CONFIG_FLOAT_FIELDS}
         kwargs |= {name: raw[name] for name in _CONFIG_STR_FIELDS}
         kwargs["hidden_layers"] = tuple(int(t) for t in raw["hidden_layers"].split())
+        config = MdnConfig(**kwargs)
     except KeyError as missing:
         raise SchemaError(f"{path}: config missing field {missing}") from None
-    config = MdnConfig(**kwargs)
+    except ValueError as err:
+        raise ParseError(f"{path}: bad [config] section: {err}") from None
 
     std_kv = parse_kv("standardize")
-    mean = np.array([float(v) for v in std_kv["mean"].split()])
-    std = np.array([float(v) for v in std_kv["std"].split()])
+    for name in ("mean", "std"):
+        if name not in std_kv:
+            raise SchemaError(f"{path}: standardize missing field {name!r}")
+    mean = _numbers(path, *std_kv["mean"])
+    std = _numbers(path, *std_kv["std"])
 
     weights = []
     w_lines = sections.get("weights", [])
     i = 0
     while i < len(w_lines):
-        tag, _idx, rows, cols = w_lines[i].split()
-        if tag != "matrix":
-            raise ParseError(f"{path}: expected a matrix header, got {w_lines[i]!r}")
-        rows, cols = int(rows), int(cols)
-        block = [[float(v) for v in w_lines[i + 1 + r].split()] for r in range(rows)]
-        weights.append(Matrix(np.array(block).reshape(rows, cols)))
+        lineno, header = w_lines[i]
+        parts = header.split()
+        if len(parts) != 4 or parts[0] != "matrix" or not all(p.isdecimal() for p in parts[2:]):
+            raise ParseError(
+                f"{path}, line {lineno}: expected 'matrix <index> <rows> <cols>', got {header!r}"
+            )
+        rows, cols = int(parts[2]), int(parts[3])
+        block = w_lines[i + 1 : i + 1 + rows]
+        if len(block) < rows:
+            raise ParseError(
+                f"{path}, line {lineno}: matrix declares {rows} rows, file has {len(block)}"
+            )
+        matrix = np.empty((rows, cols))
+        for r, (row_lineno, text) in enumerate(block):
+            row = _numbers(path, row_lineno, text)
+            if len(row) != cols:
+                raise ParseError(
+                    f"{path}, line {row_lineno}: expected {cols} values, got {len(row)}"
+                )
+            matrix[r] = row
+        weights.append(matrix)
         i += 1 + rows
 
-    log_kv = parse_kv("training_log")
-    training_log = tuple(float(v) for v in log_kv.get("nll", "").split())
+    log_lineno, log_text = parse_kv("training_log").get("nll", (0, ""))
+    training_log = tuple(_numbers(path, log_lineno, log_text))
 
     return MdnModel(
         config=config,

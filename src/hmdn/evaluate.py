@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import Rng
+from .numcore import Rng, fmt17
 from .pipeline import parse_predictions
 
 
@@ -139,19 +139,15 @@ def format_metrics_table(metrics) -> str:
 
 def write_metrics_csv(metrics, path) -> None:
     """Machine-readable export: one row per (condition, method)."""
-
-    def fmt(x: float) -> str:
-        return format(float(x), ".17g")
-
     lines = ["condition,method,n_records,mean_error,median_error,improvement_pct,ci_low,ci_high"]
     for m in metrics:
         lines.append(
-            f"{m.condition},baseline,{m.n_records},{fmt(m.baseline_mean)},"
-            f"{fmt(m.baseline_median)},,,"
+            f"{m.condition},baseline,{m.n_records},{fmt17(m.baseline_mean)},"
+            f"{fmt17(m.baseline_median)},,,"
         )
         lines.append(
-            f"{m.condition},hmdn,{m.n_records},{fmt(m.hmdn_mean)},{fmt(m.hmdn_median)},"
-            f"{fmt(m.improvement_pct)},{fmt(m.ci_low)},{fmt(m.ci_high)}"
+            f"{m.condition},hmdn,{m.n_records},{fmt17(m.hmdn_mean)},{fmt17(m.hmdn_median)},"
+            f"{fmt17(m.improvement_pct)},{fmt17(m.ci_low)},{fmt17(m.ci_high)}"
         )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
-from .numcore import Matrix, Rng, log_sum_exp_rows
+from .errors import DomainError, NumericError, ShapeError
+from .numcore import Rng, log_sum_exp_rows
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -34,6 +34,11 @@ _STD_FLOOR = 1e-12
 
 # training stops early when the best epoch NLL has not improved in this many epochs
 _PATIENCE = 50
+
+
+def _check_sigma_floor(sigma_floor: float) -> None:
+    if not sigma_floor > 0.0:
+        raise ValueError(f"sigma_floor must be > 0, got {sigma_floor}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,7 @@ class MdnConfig:
             raise ValueError("input_dim and target_dim must be >= 1")
         if self.n_components < 1:
             raise ValueError(f"n_components must be >= 1, got {self.n_components}")
-        if not self.sigma_floor > 0.0:
-            raise ValueError(f"sigma_floor must be > 0, got {self.sigma_floor}")
+        _check_sigma_floor(self.sigma_floor)
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 1:
@@ -131,10 +135,12 @@ class GradWorkspace:
 class MdnModel:
     """Trained (or hand-built) network: immutable weights plus input scaling.
 
-    ``weights`` alternates weight and bias matrices per affine layer:
+    ``weights`` alternates weight and bias arrays per affine layer:
     ``[W0, b0, W1, b1, ...]`` with W of shape (fan_in, fan_out) and b of
-    shape (1, fan_out). Inputs are standardized per feature with the stored
-    statistics before the first layer.
+    shape (1, fan_out). Construction copies each into a read-only
+    C-contiguous float64 ndarray and rejects non-finite entries. Inputs are
+    standardized per feature with the stored statistics before the first
+    layer; the means must be finite and the deviations finite and positive.
     """
 
     config: MdnConfig
@@ -149,22 +155,31 @@ class MdnModel:
             raise ShapeError(
                 f"expected {2 * len(dims)} weight matrices for this config, got {len(self.weights)}"
             )
+        weights = tuple(np.array(w, dtype=np.float64, order="C") for w in self.weights)
         for i, (fan_in, fan_out) in enumerate(dims):
-            w, b = self.weights[2 * i], self.weights[2 * i + 1]
-            if (w.rows, w.cols) != (fan_in, fan_out) or (b.rows, b.cols) != (1, fan_out):
+            w, b = weights[2 * i], weights[2 * i + 1]
+            if w.shape != (fan_in, fan_out) or b.shape != (1, fan_out):
                 raise ShapeError(
-                    f"layer {i}: expected {fan_in}x{fan_out} weights and 1x{fan_out} bias, "
-                    f"got {w.rows}x{w.cols} and {b.rows}x{b.cols}"
+                    f"layer {i}: expected ({fan_in}, {fan_out}) weights and (1, {fan_out}) bias, "
+                    f"got {w.shape} and {b.shape}"
                 )
+        for w in weights:
+            if not np.isfinite(w).all():
+                raise NumericError("weight entries must all be finite")
+            w.flags.writeable = False
         mean = np.array(self.input_mean, dtype=np.float64)
         std = np.array(self.input_std, dtype=np.float64)
         if mean.shape != (self.config.input_dim,) or std.shape != (self.config.input_dim,):
             raise ShapeError("standardization statistics must have length input_dim")
+        if not np.isfinite(mean).all():
+            raise DomainError("standardization means must all be finite")
+        if not (np.isfinite(std).all() and (std > 0.0).all()):
+            raise DomainError("standardization deviations must all be finite and > 0")
         mean.flags.writeable = False
         std.flags.writeable = False
         object.__setattr__(self, "input_mean", mean)
         object.__setattr__(self, "input_std", std)
-        object.__setattr__(self, "weights", tuple(self.weights))
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "training_log", tuple(float(v) for v in self.training_log))
 
 
@@ -208,14 +223,10 @@ def _forward_arrays(activation: str, weights, mean, std, X: np.ndarray, keep_hid
     return (H, pre_acts, acts) if keep_hidden else H
 
 
-def _weight_arrays(model: MdnModel) -> list:
-    return [w.array for w in model.weights]
-
-
 def _forward_batch(model: MdnModel, X: np.ndarray, keep_hidden: bool = False):
     return _forward_arrays(
         model.config.hidden_activation,
-        _weight_arrays(model),
+        model.weights,
         model.input_mean,
         model.input_std,
         X,
@@ -239,30 +250,83 @@ def forward(model: MdnModel, x) -> Activations:
     return Activations(a_pi=a_pi[0], a_sigma=a_sigma[0], a_mu=a_mu[0])
 
 
+# --- the mixture head, batched: one row per sample, (B, K) per quantity ---
+
+
+def _mixture_transform(a_pi, a_sigma, sigma_floor: float):
+    """Log mixing weights (log-softmax of a_pi), deviations exp(a_sigma)
+    clamped below at sigma_floor, and the mask of clamped deviations."""
+    log_pi = a_pi - log_sum_exp_rows(a_pi)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw_sigma = np.exp(a_sigma)
+        return log_pi, np.maximum(raw_sigma, sigma_floor), raw_sigma <= sigma_floor
+
+
+def _log_terms(log_pi, sigma, mu, Y):
+    """ln(pi_k) + ln N(y | mu_k, sigma_k^2 I) per sample and component,
+    returned with the squared distances |y - mu_k|^2."""
+    D = Y.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = Y[:, None, :] - mu                      # (B, K, D)
+        quad = np.sum(diff * diff, axis=2)             # (B, K)
+        log_norm = -0.5 * D * _LOG_2PI - D * np.log(sigma) - quad / (2.0 * sigma**2)
+        return quad, log_pi + log_norm
+
+
+def _head_terms(a_pi, a_sigma, mu, Y, sigma_floor: float):
+    log_pi, sigma, floored = _mixture_transform(a_pi, a_sigma, sigma_floor)
+    quad, log_terms = _log_terms(log_pi, sigma, mu, Y)
+    log_p = log_sum_exp_rows(log_terms)            # (B,)
+    return log_pi, sigma, floored, mu, quad, log_terms, log_p
+
+
+def _batch_loss_terms(config: MdnConfig, A: np.ndarray, Y: np.ndarray):
+    a_pi, a_sigma, mu = _split_output(A, config.n_components, config.target_dim)
+    return _head_terms(a_pi, a_sigma, mu, Y, config.sigma_floor)
+
+
+def _output_derivatives(Y, log_pi, sigma, floored, mu, quad, log_terms, log_p):
+    """Derivatives of the batch-mean NLL wrt the output activations
+    (docs/gradients.md), plus the responsibilities gamma:
+
+    gamma_k = pi_k N_k / sum_l pi_l N_l
+    dE/da_pi_k    = (pi_k - gamma_k) / B
+    dE/da_sigma_k = gamma_k (D - |y - mu_k|^2 / sigma_k^2) / B   (0 where floored)
+    dE/da_mu_ki   = gamma_k (mu_ki - y_i) / (sigma_k^2 B)
+    """
+    B, D = Y.shape
+    # a diverged batch (log_p = -inf) produces NaN here; the caller aborts on
+    # the non-finite loss, so the gradient values never get used
+    with np.errstate(invalid="ignore"):
+        gamma = np.exp(log_terms - log_p[:, None])     # (B, K)
+        inv_var = 1.0 / (sigma * sigma)
+        d_a_pi = (np.exp(log_pi) - gamma) / B
+        d_a_sigma = gamma * (D - quad * inv_var) * (~floored) / B
+        d_a_mu = (gamma * inv_var / B)[:, :, None] * (mu - Y[:, None, :])
+    return gamma, d_a_pi, d_a_sigma, d_a_mu
+
+
+# --- single-sample API: B=1 calls into the batched head ---
+
+
+def _activation_rows(a: Activations):
+    return (
+        np.asarray(a.a_pi, dtype=np.float64).reshape(1, -1),
+        np.asarray(a.a_sigma, dtype=np.float64).reshape(1, -1),
+        np.asarray(a.a_mu, dtype=np.float64)[None],
+    )
+
+
 def activations_to_params(a: Activations, sigma_floor: float) -> MixtureParams:
     """Transform raw activations to mixture parameters.
 
     pi is the softmax of a_pi computed via a log-sum-exp shift; sigma is
     exp(a_sigma) clamped below at sigma_floor; means pass through.
     """
-    if not sigma_floor > 0.0:
-        raise ValueError(f"sigma_floor must be > 0, got {sigma_floor}")
-    a_pi = np.asarray(a.a_pi, dtype=np.float64).reshape(1, -1)
-    log_pi = a_pi - log_sum_exp_rows(a_pi)
-    with np.errstate(over="ignore"):
-        sigma = np.maximum(np.exp(np.asarray(a.a_sigma, dtype=np.float64)), sigma_floor)
-    return MixtureParams(pi=np.exp(log_pi[0]), sigma=sigma, mu=np.asarray(a.a_mu, dtype=np.float64))
-
-
-def _log_density_components(params: MixtureParams, y: np.ndarray) -> np.ndarray:
-    """ln(pi_k) + ln N(y | mu_k, sigma_k^2 I) per component."""
-    D = params.dim
-    diff = y - params.mu
-    quad = np.sum(diff * diff, axis=1)
-    log_norm = -0.5 * D * _LOG_2PI - D * np.log(params.sigma) - quad / (2.0 * params.sigma**2)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(params.pi)
-    return log_pi + log_norm
+    _check_sigma_floor(sigma_floor)
+    a_pi, a_sigma, mu = _activation_rows(a)
+    log_pi, sigma, _ = _mixture_transform(a_pi, a_sigma, sigma_floor)
+    return MixtureParams(pi=np.exp(log_pi[0]), sigma=sigma[0], mu=mu[0])
 
 
 def log_density(params: MixtureParams, y) -> float:
@@ -270,13 +334,26 @@ def log_density(params: MixtureParams, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (params.dim,):
         raise ShapeError(f"y has shape {y.shape}, mixture is {params.dim}-dimensional")
-    terms = _log_density_components(params, y)
-    return float(log_sum_exp_rows(terms.reshape(1, -1))[0])
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(params.pi)
+    _, log_terms = _log_terms(log_pi[None], params.sigma[None], params.mu[None], y[None])
+    return float(log_sum_exp_rows(log_terms)[0])
 
 
 def density(params: MixtureParams, y) -> float:
     """Mixture density at y: sum_k pi_k N(y | mu_k, sigma_k^2 I)."""
     return math.exp(log_density(params, y))
+
+
+def head_gradients(a: Activations, y, sigma_floor: float) -> GradWorkspace:
+    """Loss derivatives at the output layer for a single (activations, target),
+    with the responsibilities gamma: the batch formulas at B=1 (derived in
+    docs/gradients.md)."""
+    _check_sigma_floor(sigma_floor)
+    Y = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    terms = _head_terms(*_activation_rows(a), Y, sigma_floor)
+    gamma, d_a_pi, d_a_sigma, d_a_mu = _output_derivatives(Y, *terms)
+    return GradWorkspace(gamma=gamma[0], d_a_pi=d_a_pi[0], d_a_sigma=d_a_sigma[0], d_a_mu=d_a_mu[0])
 
 
 def _as_xy(batch, input_dim: int, target_dim: int):
@@ -306,52 +383,12 @@ def _as_xy(batch, input_dim: int, target_dim: int):
     return X, Y
 
 
-def _batch_loss_terms(config: MdnConfig, A: np.ndarray, Y: np.ndarray):
-    K, D = config.n_components, config.target_dim
-    a_pi, a_sigma, mu = _split_output(A, K, D)
-    log_pi = a_pi - log_sum_exp_rows(a_pi)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw_sigma = np.exp(a_sigma)
-        sigma = np.maximum(raw_sigma, config.sigma_floor)
-        floored = raw_sigma <= config.sigma_floor
-        diff = Y[:, None, :] - mu                      # (B, K, D)
-        quad = np.sum(diff * diff, axis=2)             # (B, K)
-        log_norm = -0.5 * D * _LOG_2PI - D * np.log(sigma) - quad / (2.0 * sigma**2)
-        log_terms = log_pi + log_norm
-    log_p = log_sum_exp_rows(log_terms)            # (B,)
-    return log_pi, sigma, floored, mu, quad, log_terms, log_p
-
-
 def nll(model: MdnModel, batch) -> float:
     """Mean negative log-likelihood of the batch under the model."""
     X, Y = _as_xy(batch, model.config.input_dim, model.config.target_dim)
     A = _forward_batch(model, X)
     *_, log_p = _batch_loss_terms(model.config, A, Y)
     return float(-np.mean(log_p))
-
-
-def head_gradients(a: Activations, y, sigma_floor: float) -> GradWorkspace:
-    """Loss derivatives at the output layer for a single (activations, target).
-
-    gamma_k = pi_k N_k / sum_l pi_l N_l
-    dE/da_pi_k    = pi_k - gamma_k
-    dE/da_sigma_k = gamma_k (D - |y - mu_k|^2 / sigma_k^2)   (0 where floored)
-    dE/da_mu_ki   = gamma_k (mu_ki - y_i) / sigma_k^2
-    """
-    params = activations_to_params(a, sigma_floor)
-    y = np.asarray(y, dtype=np.float64)
-    D = params.dim
-    terms = _log_density_components(params, y)
-    log_p = log_sum_exp_rows(terms.reshape(1, -1))[0]
-    gamma = np.exp(terms - log_p)
-    diff = params.mu - y
-    quad = np.sum(diff * diff, axis=1)
-    with np.errstate(over="ignore"):
-        active = np.exp(np.asarray(a.a_sigma, dtype=np.float64)) > sigma_floor
-    d_a_pi = params.pi - gamma
-    d_a_sigma = gamma * (D - quad / params.sigma**2) * active
-    d_a_mu = (gamma / params.sigma**2)[:, None] * diff
-    return GradWorkspace(gamma=gamma, d_a_pi=d_a_pi, d_a_sigma=d_a_sigma, d_a_mu=d_a_mu)
 
 
 def _backward_arrays(config: MdnConfig, weights, mean, std, X: np.ndarray, Y: np.ndarray):
@@ -361,16 +398,8 @@ def _backward_arrays(config: MdnConfig, weights, mean, std, X: np.ndarray, Y: np
     A, pre_acts, acts = _forward_arrays(
         config.hidden_activation, weights, mean, std, X, keep_hidden=True
     )
-    log_pi, sigma, floored, mu, quad, log_terms, log_p = _batch_loss_terms(config, A, Y)
-
-    # a diverged batch (log_p = -inf) produces NaN here; the caller aborts on
-    # the non-finite loss, so the gradient values never get used
-    with np.errstate(invalid="ignore"):
-        gamma = np.exp(log_terms - log_p[:, None])     # (B, K)
-        inv_var = 1.0 / (sigma * sigma)
-        d_a_pi = (np.exp(log_pi) - gamma) / B
-        d_a_sigma = gamma * (D - quad * inv_var) * (~floored) / B
-        d_a_mu = (gamma * inv_var / B)[:, :, None] * (mu - Y[:, None, :])
+    terms = _batch_loss_terms(config, A, Y)
+    _, d_a_pi, d_a_sigma, d_a_mu = _output_derivatives(Y, *terms)
     dA = np.concatenate([d_a_pi, d_a_sigma, d_a_mu.reshape(B, K * D)], axis=1)
 
     _, act_grad = _activation_fn(config.hidden_activation)
@@ -382,14 +411,14 @@ def _backward_arrays(config: MdnConfig, weights, mean, std, X: np.ndarray, Y: np
         if i > 0:
             dH = dA @ weights[2 * i].T
             dA = dH * act_grad(pre_acts[i - 1], acts[i])
-    return float(-np.mean(log_p)), grads
+    return float(-np.mean(terms[-1])), grads
 
 
 def gradients(model: MdnModel, batch) -> list:
     """Exact gradient of ``nll`` wrt every weight matrix, in weights order."""
     X, Y = _as_xy(batch, model.config.input_dim, model.config.target_dim)
     _, grads = _backward_arrays(
-        model.config, _weight_arrays(model), model.input_mean, model.input_std, X, Y
+        model.config, model.weights, model.input_mean, model.input_std, X, Y
     )
     return grads
 
@@ -478,7 +507,7 @@ def train(dataset, config: MdnConfig) -> MdnModel:
 
     return MdnModel(
         config=config,
-        weights=tuple(Matrix(w) for w in weights),
+        weights=tuple(weights),
         input_mean=mean,
         input_std=std,
         training_log=tuple(log),

@@ -1,4 +1,5 @@
-"""Dense numeric substrate: matrices, a portable seeded RNG, stable reductions.
+"""Dense numeric substrate: a portable seeded RNG, stable reductions, and the
+exact float text format.
 
 Everything is 64-bit float. The RNG is splitmix64 (Steele, Lea & Flood's
 mixing function over a Weyl sequence with increment 0x9E3779B97F4A7C15),
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 
 # splitmix64 constants
 _GAMMA = 0x9E3779B97F4A7C15
@@ -122,6 +123,12 @@ class Rng:
         return Rng(mix64(mix64(self.seed) ^ _fnv1a(label.encode("utf-8"))))
 
 
+def fmt17(x) -> str:
+    """A float as text with 17 significant digits, so parsing it back is
+    bit-exact; every text artifact writes its floats through this."""
+    return format(float(x), ".17g")
+
+
 def gaussian_sample(rng: Rng, mu, sigma: float) -> np.ndarray:
     """Draw one point from an isotropic Gaussian: ``mu_i + sigma * z_i``."""
     if not sigma > 0.0:
@@ -132,83 +139,12 @@ def gaussian_sample(rng: Rng, mu, sigma: float) -> np.ndarray:
     return mu + sigma * rng.normals(mu.shape[0])
 
 
-class Matrix:
-    """Immutable row-major float64 matrix.
-
-    A thin value wrapper over a read-only ndarray: construction and every
-    public operation verify that all entries are finite. Safe to share
-    across threads.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, data):
-        a = np.array(data, dtype=np.float64, order="C")
-        if a.ndim == 1:
-            a = a.reshape(1, -1)
-        if a.ndim != 2:
-            raise ShapeError(f"matrix data must be 2-dimensional, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise NumericError("matrix entries must all be finite")
-        a.flags.writeable = False
-        self._a = a
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(np.zeros((rows, cols)))
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
-
-    @property
-    def data(self) -> tuple:
-        """Entries flattened row-major."""
-        return tuple(self._a.ravel())
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only ndarray view (no copy)."""
-        return self._a
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self._a.shape == other._a.shape and bool(np.all(self._a == other._a))
-
-    def __hash__(self):
-        return hash((self._a.shape, self.data))
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product; raises ShapeError naming both shapes."""
-    if a.cols != b.rows:
-        raise ShapeError(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}: "
-            f"inner dimensions {a.cols} != {b.rows}"
-        )
-    return Matrix(a.array @ b.array)
-
-
 def log_sum_exp(v) -> float:
     """ln sum(exp(v_i)) computed by shifting by max(v); exact for length 1."""
     a = np.asarray(v, dtype=np.float64)
     if a.ndim != 1 or a.shape[0] == 0:
         raise ValueError(f"log_sum_exp needs a non-empty vector, got shape {a.shape}")
-    if a.shape[0] == 1:
-        return float(a[0])
-    m = float(np.max(a))
-    if not np.isfinite(m):
-        # all -inf stays -inf; a +inf or NaN propagates
-        return m if not np.isnan(m) else float("nan")
-    return m + math.log(float(np.sum(np.exp(a - m))))
+    return float(log_sum_exp_rows(a.reshape(1, -1))[0])
 
 
 def log_sum_exp_rows(a: np.ndarray) -> np.ndarray:

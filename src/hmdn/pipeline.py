@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .mdn import MdnModel, _batch_loss_terms, _forward_batch, mixture_at, sample
-from .numcore import Rng
+from .numcore import Rng, fmt17
 
 
 @dataclass(frozen=True)
@@ -225,12 +225,8 @@ class PredictionRecord:
     hmdn: HmdnEstimate
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _fmt_vec(v) -> str:
-    return " ".join(_fmt(x) for x in np.asarray(v).ravel())
+    return " ".join(fmt17(x) for x in np.asarray(v).ravel())
 
 
 def write_predictions(path, records, master_seed: int, m: int, n: int) -> None:
@@ -261,7 +257,7 @@ def write_predictions(path, records, master_seed: int, m: int, n: int) -> None:
         for i in ordered:
             lines.append(
                 f"hmdn {rid} {cond} candidate {i} {_fmt_vec(est.candidates[i])} "
-                f"score={_fmt(est.scores[i])} selected={1 if i in sel else 0}"
+                f"score={fmt17(est.scores[i])} selected={1 if i in sel else 0}"
             )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -290,3 +291,58 @@ class TestDeterminism:
         pipeline_run(a)
         pipeline_run(b)
         assert file_hashes(a) == file_hashes(b)
+
+
+class TestDocs:
+    def test_cli_md_flag_tables_match_parsers(self):
+        doc = (Path(__file__).resolve().parent.parent / "docs" / "cli.md").read_text()
+        sections = re.split(r"^## hmdn (\w+)$", doc, flags=re.M)
+        documented = {
+            name: {
+                flag
+                for row in body.splitlines()
+                if row.startswith("| `")
+                for flag in re.findall(r"`(--[\w-]+)`", row.split("|")[1])
+            }
+            for name, body in zip(sections[1::2], sections[2::2])
+        }
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        declared = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help", "--config"}
+            for name, p in sub.choices.items()
+        }
+        assert documented == declared
+
+
+class TestMalformedModel:
+    def evaluate(self, workspace, g1_path, out):
+        return run(
+            "evaluate", "--g1", g1_path, "--g2", workspace / "g2.model",
+            "--data", workspace / "test.csv", "--out-dir", out,
+            "--conditions", "sunny", "--m", 5, "--n", 2, "--seed", 1, "--bootstrap", 10,
+        )
+
+    def test_non_finite_std_exits_data_error(self, workspace, tmp_path, capsys):
+        lines = (workspace / "g1.model").read_text().splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("std = "))
+        lines[i] = "std = " + " ".join(["nan"] * len(lines[i].split()[2:]))
+        bad = tmp_path / "g1.model"
+        bad.write_text("\n".join(lines) + "\n")
+        assert self.evaluate(workspace, bad, tmp_path / "eval") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_truncated_or_incomplete_model_never_crashes(self, workspace, tmp_path, capsys):
+        lines = (workspace / "g1.model").read_text().splitlines(keepends=True)
+        variants = [lines[:k] for k in range(len(lines))]
+        variants.append([ln for ln in lines if not ln.startswith("std = ")])
+        bad = tmp_path / "g1.model"
+        for k, variant in enumerate(variants):
+            bad.write_text("".join(variant))
+            code = self.evaluate(workspace, bad, tmp_path / "eval")
+            err = capsys.readouterr().err
+            assert code in (0, 3), f"variant {k}: exit {code}, stderr {err!r}"
+            assert "Traceback" not in err
+            if code == 3:
+                assert err.startswith("error: "), f"variant {k}: {err!r}"
+        assert code == 3  # the model without its std line

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -225,7 +227,7 @@ class TestModelPersistence:
         assert np.array_equal(back.input_std, model.input_std)
         assert back.training_log == model.training_log
         for a, b in zip(model.weights, back.weights):
-            assert np.array_equal(a.array, b.array)
+            assert np.array_equal(a, b)
 
     def test_save_is_idempotent_bytes(self, tmp_path):
         model = self.train_tiny()
@@ -239,3 +241,29 @@ class TestModelPersistence:
         p.write_text("not a model\n")
         with pytest.raises(SchemaError):
             load_model(p)
+
+    def test_malformed_weights_name_path_and_line(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(self.train_tiny(), path)
+        lines = path.read_text().splitlines()
+        header = lines.index("[weights]") + 1  # "matrix 0 2 6"
+        row = header + 1
+        bad = tmp_path / "bad.txt"
+        for edit, line_no in (
+            (lambda ls: ls[: row + 1], header + 1),  # block cut after one of two rows
+            (lambda ls: ls[:row] + [ls[row] + " 0.5"] + ls[row + 1 :], row + 1),
+            (lambda ls: ls[:header] + ["matrix 0 2 x"] + ls[header + 1 :], header + 1),
+            (lambda ls: ls[:row] + ["0.5 nan? 1 2 3 4"] + ls[row + 1 :], row + 1),
+        ):
+            bad.write_text("\n".join(edit(list(lines))) + "\n")
+            with pytest.raises(ParseError, match=rf"{re.escape(str(bad))}, line {line_no}:"):
+                load_model(bad)
+
+    def test_missing_standardization_rejected(self, tmp_path):
+        path, bad = tmp_path / "model.txt", tmp_path / "bad.txt"
+        save_model(self.train_tiny(), path)
+        for name in ("mean", "std"):
+            kept = [ln for ln in path.read_text().splitlines() if not ln.startswith(f"{name} = ")]
+            bad.write_text("\n".join(kept) + "\n")
+            with pytest.raises(SchemaError, match=f"'{name}'"):
+                load_model(bad)

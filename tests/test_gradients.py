@@ -106,7 +106,7 @@ class TestWeightGradients:
         gs = gradients(model, batch)
         assert len(gs) == len(model.weights)
         for g, w in zip(gs, model.weights):
-            assert g.shape == (w.rows, w.cols)
+            assert g.shape == w.shape
 
     def test_empty_batch_rejected(self):
         model = make_random_model(1)

@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from hmdn.errors import ShapeError
-from hmdn.mdn import Activations, MdnConfig, activations_to_params, forward, identity_model
-from hmdn.numcore import Matrix, Rng
+from hmdn.errors import DomainError, NumericError, ShapeError
+from hmdn.mdn import (
+    Activations,
+    MdnConfig,
+    MdnModel,
+    activations_to_params,
+    forward,
+    identity_model,
+)
+from hmdn.numcore import Rng
 
 from util import make_random_model
 
@@ -14,9 +21,62 @@ def zero_model(input_dim=2, hidden=(3,), K=2, D=2):
     cfg = MdnConfig(input_dim=input_dim, target_dim=D, n_components=K, hidden_layers=hidden)
     ws = []
     for fan_in, fan_out in cfg.layer_dims():
-        ws.append(Matrix.zeros(fan_in, fan_out))
-        ws.append(Matrix.zeros(1, fan_out))
+        ws.append(np.zeros((fan_in, fan_out)))
+        ws.append(np.zeros((1, fan_out)))
     return identity_model(cfg, ws)
+
+
+def with_standardization(model, mean, std):
+    return MdnModel(config=model.config, weights=model.weights, input_mean=mean, input_std=std)
+
+
+class TestMdnModel:
+    def test_rejects_non_finite_weights(self):
+        m = zero_model()
+        for bad in (float("nan"), float("inf")):
+            ws = [w.copy() for w in m.weights]
+            ws[2][0, 1] = bad
+            with pytest.raises(NumericError):
+                identity_model(m.config, ws)
+
+    def test_weights_read_only(self):
+        m = zero_model()
+        for w in m.weights:
+            with pytest.raises(ValueError):
+                w[0, 0] = 5.0
+
+    def test_weights_stored_as_c_contiguous_float64_copies(self):
+        cfg = zero_model().config
+        source = []
+        for fan_in, fan_out in cfg.layer_dims():
+            source.append(np.asfortranarray(np.ones((fan_in, fan_out), dtype=np.float32)))
+            source.append(np.ones((1, fan_out), dtype=np.float32))
+        m = identity_model(cfg, source)
+        source[0][0, 0] = 7.0
+        for w in m.weights:
+            assert w.dtype == np.float64 and w.flags.c_contiguous
+            assert np.all(w == 1.0)
+
+    def test_shape_mismatch_names_both_shapes(self):
+        m = zero_model()
+        ws = list(m.weights)
+        ws[0] = np.zeros((1, 3))
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(1, 3\)"):
+            identity_model(m.config, ws)
+
+    def test_rejects_bad_standardization(self):
+        m = zero_model()
+        nan, inf = float("nan"), float("inf")
+        for mean, std in (
+            ([nan, 0.0], [1.0, 1.0]),
+            ([0.0, -inf], [1.0, 1.0]),
+            ([0.0, 0.0], [nan, 1.0]),
+            ([0.0, 0.0], [1.0, inf]),
+            ([0.0, 0.0], [1.0, 0.0]),
+            ([0.0, 0.0], [-1.0, 1.0]),
+        ):
+            with pytest.raises(DomainError):
+                with_standardization(m, mean, std)
 
 
 class TestForward:
@@ -34,7 +94,7 @@ class TestForward:
         b0 = [[0.1, -0.2]]
         w1 = [[1.0, 0.0, -1.0, 2.0], [0.5, -0.5, 0.25, 0.0]]
         b1 = [[0.0, 0.1, 0.2, 0.3]]
-        m = identity_model(cfg, [Matrix(w0), Matrix(b0), Matrix(w1), Matrix(b1)])
+        m = identity_model(cfg, [w0, b0, w1, b1])
         x = [0.3, -0.6]
 
         h = [

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hmdn.errors import NumericError, ShapeError
-from hmdn.numcore import Matrix, Rng, gaussian_sample, log_sum_exp, matmul
+from hmdn.errors import ShapeError
+from hmdn.numcore import Rng, gaussian_sample, log_sum_exp
 
 _M64 = (1 << 64) - 1
 
@@ -20,66 +20,6 @@ def reference_splitmix64(seed, n):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
         out.append(z ^ (z >> 31))
     return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = Matrix([[1.5, -2.0, 3.0], [0.0, 4.0, 5.5], [7.0, 8.0, -9.0]])
-        eye = Matrix(np.eye(3))
-        assert matmul(eye, a) == a
-        assert matmul(a, eye) == a
-
-    def test_hand_checked_2x2(self):
-        a = Matrix([[1.0, 2.0], [3.0, 4.0]])
-        b = Matrix([[0.0], [1.0]])
-        assert matmul(a, b) == Matrix([[2.0], [4.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = Rng(7)
-        a = rng.uniform(35).reshape(5, 7)
-        b = rng.uniform(21).reshape(7, 3)
-        want = np.zeros((5, 3))
-        for i in range(5):
-            for j in range(3):
-                for k in range(7):
-                    want[i, j] += a[i, k] * b[k, j]
-        got = matmul(Matrix(a), Matrix(b)).array
-        assert np.allclose(got, want, rtol=1e-12, atol=0)
-
-    def test_associativity_on_random_triples(self):
-        rng = Rng(123)
-        for _ in range(20):
-            a = Matrix(rng.uniform(12).reshape(3, 4) - 0.5)
-            b = Matrix(rng.uniform(8).reshape(4, 2) - 0.5)
-            c = Matrix(rng.uniform(10).reshape(2, 5) - 0.5)
-            left = matmul(matmul(a, b), c).array
-            right = matmul(a, matmul(b, c)).array
-            assert np.allclose(left, right, rtol=1e-9)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"2x3.*1x3"):
-            matmul(Matrix(np.zeros((2, 3))), Matrix(np.zeros((1, 3))))
-        with pytest.raises(ShapeError) as err:
-            matmul(Matrix(np.zeros((2, 3))), Matrix(np.zeros((4, 5))))
-        assert "2x3" in str(err.value) and "4x5" in str(err.value)
-
-
-class TestMatrix:
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericError):
-            Matrix([[1.0, float("nan")]])
-        with pytest.raises(NumericError):
-            Matrix([[float("inf")]])
-
-    def test_immutable(self):
-        m = Matrix([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            m.array[0, 0] = 5.0
-
-    def test_row_major_data(self):
-        m = Matrix([[1.0, 2.0], [3.0, 4.0]])
-        assert m.data == (1.0, 2.0, 3.0, 4.0)
-        assert (m.rows, m.cols) == (2, 2)
 
 
 class TestLogSumExp:

@@ -5,7 +5,7 @@ import pytest
 
 from hmdn.errors import ShapeError
 from hmdn.mdn import MdnConfig, density, identity_model, mixture_at
-from hmdn.numcore import Matrix, Rng
+from hmdn.numcore import Rng
 from hmdn.pipeline import (
     HmdnPipeline,
     baseline_samples,
@@ -22,23 +22,23 @@ from hmdn.pipeline import (
 def bimodal_g1(mode_a=(2.0, 5.0), mode_b=(15.0, 5.0), spread=0.3):
     """Input-independent two-mode mixture over the plane (affine head, zero weights)."""
     cfg = MdnConfig(input_dim=1, target_dim=2, n_components=2, hidden_layers=())
-    w = Matrix.zeros(1, cfg.output_width)
-    b = Matrix([[0.0, 0.0, math.log(spread), math.log(spread), *mode_a, *mode_b]])
+    w = np.zeros((1, cfg.output_width))
+    b = np.array([[0.0, 0.0, math.log(spread), math.log(spread), *mode_a, *mode_b]])
     return identity_model(cfg, [w, b])
 
 
 def linear_g2(sigma=1.0):
     """K=1 head whose mean is the candidate's first coordinate: z ~ N(x, sigma^2)."""
     cfg = MdnConfig(input_dim=2, target_dim=1, n_components=1, hidden_layers=())
-    w = Matrix([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    b = Matrix([[0.0, math.log(sigma), 0.0]])
+    w = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    b = np.array([[0.0, math.log(sigma), 0.0]])
     return identity_model(cfg, [w, b])
 
 
 def constant_g2():
     """Scores every candidate identically (zero weights everywhere)."""
     cfg = MdnConfig(input_dim=2, target_dim=1, n_components=1, hidden_layers=())
-    return identity_model(cfg, [Matrix.zeros(2, 3), Matrix([[0.0, 0.0, 0.0]])])
+    return identity_model(cfg, [np.zeros((2, 3)), np.array([[0.0, 0.0, 0.0]])])
 
 
 class TestScoreCandidates:
@@ -164,7 +164,7 @@ class TestPredictBaseline:
     def test_single_component_clt(self):
         cfg = MdnConfig(input_dim=1, target_dim=2, n_components=1, hidden_layers=())
         g1 = identity_model(
-            cfg, [Matrix.zeros(1, cfg.output_width), Matrix([[0.0, math.log(1.0), 3.0, -2.0]])]
+            cfg, [np.zeros((1, cfg.output_width)), np.array([[0.0, math.log(1.0), 3.0, -2.0]])]
         )
         m = 2000
         est = predict_baseline(g1, [0.0], Rng(21), m)

@@ -86,7 +86,7 @@ class TestTrainMechanics:
         m2 = train((X, Y), cfg)
         assert m1.training_log == m2.training_log
         for w1, w2 in zip(m1.weights, m2.weights):
-            assert np.array_equal(w1.array, w2.array)
+            assert np.array_equal(w1, w2)
         from hmdn.dataio import save_model
 
         p1, p2 = tmp_path / "m1", tmp_path / "m2"
@@ -99,7 +99,7 @@ class TestTrainMechanics:
         base = dict(input_dim=1, target_dim=1, n_components=2, hidden_layers=(8,), epochs=5)
         m1 = train((X, Y), MdnConfig(**base, seed=1))
         m2 = train((X, Y), MdnConfig(**base, seed=2))
-        assert not np.array_equal(m1.weights[0].array, m2.weights[0].array)
+        assert not np.array_equal(m1.weights[0], m2.weights[0])
 
     def test_divergence_aborts_naming_epoch_and_batch(self):
         X, Y = constant_dataset(n=200)

@@ -4,7 +4,7 @@ finite-difference gradient oracle."""
 import numpy as np
 
 from hmdn.mdn import MdnConfig, MdnModel, nll
-from hmdn.numcore import Matrix, Rng
+from hmdn.numcore import Rng
 
 
 def make_random_model(
@@ -31,8 +31,8 @@ def make_random_model(
     rng = Rng(seed)
     ws = []
     for fan_in, fan_out in cfg.layer_dims():
-        ws.append(Matrix(((rng.uniform(fan_in * fan_out) * 2 - 1) * weight_scale).reshape(fan_in, fan_out)))
-        ws.append(Matrix(((rng.uniform(fan_out) * 2 - 1) * weight_scale).reshape(1, fan_out)))
+        ws.append(((rng.uniform(fan_in * fan_out) * 2 - 1) * weight_scale).reshape(fan_in, fan_out))
+        ws.append(((rng.uniform(fan_out) * 2 - 1) * weight_scale).reshape(1, fan_out))
     if random_standardize:
         mean = rng.uniform(input_dim) * 4 - 2
         std = rng.uniform(input_dim) * 1.5 + 0.5
@@ -51,7 +51,7 @@ def random_batch(rng: Rng, model: MdnModel, size):
 def with_weights(model: MdnModel, arrays):
     return MdnModel(
         config=model.config,
-        weights=tuple(Matrix(a) for a in arrays),
+        weights=tuple(arrays),
         input_mean=model.input_mean,
         input_std=model.input_std,
     )
@@ -59,7 +59,7 @@ def with_weights(model: MdnModel, arrays):
 
 def finite_diff_grads(model: MdnModel, batch, h=1e-5):
     """Central finite differences of nll wrt every weight entry (oracle)."""
-    arrays = [w.array.copy() for w in model.weights]
+    arrays = [w.copy() for w in model.weights]
     out = []
     for wi in range(len(arrays)):
         g = np.zeros_like(arrays[wi])
