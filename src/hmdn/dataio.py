@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ShapeError
+from .errors import DomainError, NumericError, ParseError, SchemaError, ShapeError
 from .mdn import MdnConfig, MdnModel
 from .numcore import Rng, fmt17
 
@@ -335,7 +335,10 @@ def load_model(path) -> MdnModel:
     """Reload a model file; bit-exact inverse of save_model.
 
     A missing field raises SchemaError; a malformed or truncated line raises
-    ParseError naming the path and line number.
+    ParseError naming the path and line number. Weights or statistics the
+    model rejects raise SchemaError (a missing or mis-sized matrix) or
+    ParseError (a non-finite weight, a bad standardization value), naming
+    the path.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -410,10 +413,15 @@ def load_model(path) -> MdnModel:
     log_lineno, log_text = parse_kv("training_log").get("nll", (0, ""))
     training_log = tuple(_numbers(path, log_lineno, log_text))
 
-    return MdnModel(
-        config=config,
-        weights=tuple(weights),
-        input_mean=mean,
-        input_std=std,
-        training_log=training_log,
-    )
+    try:
+        return MdnModel(
+            config=config,
+            weights=tuple(weights),
+            input_mean=mean,
+            input_std=std,
+            training_log=training_log,
+        )
+    except ShapeError as err:
+        raise SchemaError(f"{path}: {err}") from None
+    except (DomainError, NumericError) as err:
+        raise ParseError(f"{path}: {err}") from None

@@ -193,49 +193,93 @@ def identity_model(config: MdnConfig, weights) -> MdnModel:
     )
 
 
-def _activation_fn(name: str):
-    if name == "tanh":
-        return np.tanh, lambda pre, act: 1.0 - act * act
-    return (lambda a: np.maximum(a, 0.0)), (lambda pre, act: (pre > 0.0).astype(np.float64))
-
-
-def _forward_arrays(activation: str, weights, mean, std, X: np.ndarray, keep_hidden: bool = False):
-    """Affine stack on standardized inputs; returns output activations.
-
-    With ``keep_hidden`` also returns the per-layer pre-activations and
-    activations needed by backpropagation (activations[0] is the
-    standardized input). ``weights`` is a flat sequence of ndarrays
-    ``[W0, b0, W1, b1, ...]``.
-    """
-    act, _ = _activation_fn(activation)
-    H = (X - mean) / std
-    pre_acts, acts = [], [H]
-    n_layers = len(weights) // 2
-    for i in range(n_layers):
-        A = H @ weights[2 * i] + weights[2 * i + 1]
-        if i < n_layers - 1:
-            H = act(A)
-            if keep_hidden:
-                pre_acts.append(A)
-                acts.append(H)
-        else:
-            H = A  # output layer stays affine
-    return (H, pre_acts, acts) if keep_hidden else H
-
-
-def _forward_batch(model: MdnModel, X: np.ndarray, keep_hidden: bool = False):
-    return _forward_arrays(
-        model.config.hidden_activation,
-        model.weights,
-        model.input_mean,
-        model.input_std,
-        X,
-        keep_hidden,
-    )
+def _layer_views(flat: np.ndarray, dims) -> list:
+    """Views ``[W0, b0, W1, b1, ...]`` into one flat buffer, laid out in that
+    order (the model-file weight order), each array row-major."""
+    views, start = [], 0
+    for fan_in, fan_out in dims:
+        for rows in (fan_in, 1):
+            views.append(flat[start : start + rows * fan_out].reshape(rows, fan_out))
+            start += rows * fan_out
+    return views
 
 
 def _split_output(A: np.ndarray, K: int, D: int):
     return A[:, :K], A[:, K : 2 * K], A[:, 2 * K :].reshape(A.shape[0], K, D)
+
+
+class _HeadBuffers:
+    """Output buffers of the mixture-head kernels for B rows, K components
+    and D target dimensions. ``_HeadBuffers()`` holds none: every field is
+    None and the kernels allocate their results instead."""
+
+    __slots__ = (
+        "scratch", "log_pi", "sigma", "floored", "free", "diff", "quad", "var",
+        "log_terms", "log_p", "gamma", "coef",
+    )
+
+    def __init__(self, B=None, K=None, D=None):
+        def buf(*shape, dtype=np.float64):
+            return None if B is None else np.empty(shape, dtype=dtype)
+
+        self.scratch = buf(B, K)
+        self.log_pi = buf(B, K)
+        self.sigma = buf(B, K)
+        self.floored = buf(B, K, dtype=bool)
+        self.free = buf(B, K, dtype=bool)
+        self.diff = buf(B, K, D)
+        self.quad = buf(B, K)
+        self.var = buf(B, K)
+        self.log_terms = buf(B, K)
+        self.log_p = buf(B)
+        self.gamma = buf(B, K)
+        self.coef = buf(B, K)
+
+
+_UNBUFFERED = _HeadBuffers()
+
+
+class _Workspace:
+    """Buffers for one forward and backward pass over B rows, built once per
+    batch size that occurs and reused: the gathered inputs and targets,
+    every layer's output (``acts``; the last is the output activations A),
+    every layer's error signal dE/d(pre-activation) (``deltas``; the last
+    is dE/dA) and the head buffers."""
+
+    def __init__(self, config: MdnConfig, B: int):
+        K, D = config.n_components, config.target_dim
+        widths = [*config.hidden_layers, config.output_width]
+        self.x = np.empty((B, config.input_dim))
+        self.y = np.empty((B, D))
+        self.acts = [np.empty((B, w)) for w in widths]
+        self.deltas = [np.empty((B, w)) for w in widths]
+        self.head = _HeadBuffers(B, K, D)
+
+
+def _standardize(model: MdnModel, X: np.ndarray, out=None) -> np.ndarray:
+    H = np.subtract(X, model.input_mean, out=out)
+    H /= model.input_std
+    return H
+
+
+def _forward(activation: str, weights, H: np.ndarray, acts=None) -> np.ndarray:
+    """Affine stack on standardized inputs H; returns the output activations.
+
+    ``weights`` is a flat sequence of ndarrays ``[W0, b0, W1, b1, ...]``.
+    Layer i writes its output into ``acts[i]``; without ``acts`` each layer
+    allocates its own.
+    """
+    n_layers = len(weights) // 2
+    acts = acts or [None] * n_layers
+    for i in range(n_layers):
+        H = np.matmul(H, weights[2 * i], out=acts[i])
+        H += weights[2 * i + 1]
+        if i < n_layers - 1:  # the output layer stays affine
+            if activation == "tanh":
+                np.tanh(H, out=H)
+            else:
+                np.maximum(H, 0.0, out=H)
+    return H
 
 
 def forward(model: MdnModel, x) -> Activations:
@@ -245,65 +289,91 @@ def forward(model: MdnModel, x) -> Activations:
         raise ShapeError(
             f"input has shape {x.shape}, model expects ({model.config.input_dim},)"
         )
-    A = _forward_batch(model, x.reshape(1, -1))
+    A = _forward(
+        model.config.hidden_activation, model.weights, _standardize(model, x.reshape(1, -1))
+    )
     a_pi, a_sigma, a_mu = _split_output(A, model.config.n_components, model.config.target_dim)
     return Activations(a_pi=a_pi[0], a_sigma=a_sigma[0], a_mu=a_mu[0])
 
 
 # --- the mixture head, batched: one row per sample, (B, K) per quantity ---
+#
+# The kernels write into a _HeadBuffers (or allocate, given _UNBUFFERED).
+# Overflow, invalid operations and the log of zero are expected here on
+# diverging weights or far-out inputs and surface as non-finite losses or
+# scores, which the callers check; every public entry point runs them under
+# one np.errstate(all="ignore").
 
 
-def _mixture_transform(a_pi, a_sigma, sigma_floor: float):
+def _mixture_transform(a_pi, a_sigma, sigma_floor: float, buf=_UNBUFFERED):
     """Log mixing weights (log-softmax of a_pi), deviations exp(a_sigma)
     clamped below at sigma_floor, and the mask of clamped deviations."""
-    log_pi = a_pi - log_sum_exp_rows(a_pi)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw_sigma = np.exp(a_sigma)
-        return log_pi, np.maximum(raw_sigma, sigma_floor), raw_sigma <= sigma_floor
+    # log_p is free until the mixture log-density is written there
+    lse = log_sum_exp_rows(a_pi, out=buf.log_p, scratch=buf.scratch)
+    log_pi = np.subtract(a_pi, lse[:, None], out=buf.log_pi)
+    raw_sigma = np.exp(a_sigma, out=buf.sigma)
+    floored = np.less_equal(raw_sigma, sigma_floor, out=buf.floored)
+    return log_pi, np.maximum(raw_sigma, sigma_floor, out=raw_sigma), floored
 
 
-def _log_terms(log_pi, sigma, mu, Y):
+def _log_terms(log_pi, sigma, mu, Y, buf=_UNBUFFERED):
     """ln(pi_k) + ln N(y | mu_k, sigma_k^2 I) per sample and component,
-    returned with the squared distances |y - mu_k|^2."""
+    returned with the squared distances |y - mu_k|^2 and the variances."""
     D = Y.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = Y[:, None, :] - mu                      # (B, K, D)
-        quad = np.sum(diff * diff, axis=2)             # (B, K)
-        log_norm = -0.5 * D * _LOG_2PI - D * np.log(sigma) - quad / (2.0 * sigma**2)
-        return quad, log_pi + log_norm
+    sq = np.subtract(Y[:, None, :], mu, out=buf.diff)       # (B, K, D)
+    sq *= sq
+    quad = np.add.reduce(sq, axis=2, out=buf.quad)          # (B, K)
+    var = np.multiply(sigma, sigma, out=buf.var)
+    terms = np.log(sigma, out=buf.log_terms)
+    terms *= D
+    np.subtract(-0.5 * D * _LOG_2PI, terms, out=terms)
+    scaled = np.multiply(var, 2.0, out=buf.scratch)
+    terms -= np.divide(quad, scaled, out=scaled)
+    terms += log_pi
+    return quad, var, terms
 
 
-def _head_terms(a_pi, a_sigma, mu, Y, sigma_floor: float):
-    log_pi, sigma, floored = _mixture_transform(a_pi, a_sigma, sigma_floor)
-    quad, log_terms = _log_terms(log_pi, sigma, mu, Y)
-    log_p = log_sum_exp_rows(log_terms)            # (B,)
-    return log_pi, sigma, floored, mu, quad, log_terms, log_p
+def _head_terms(A: np.ndarray, Y: np.ndarray, K: int, sigma_floor: float, buf=_UNBUFFERED):
+    """Mixture terms of a batch of output activations A for K components:
+    (log_pi, floored, mu, quad, var, log_terms, log_p), log_p the
+    per-sample log-density."""
+    a_pi, a_sigma, mu = _split_output(A, K, Y.shape[1])
+    log_pi, sigma, floored = _mixture_transform(a_pi, a_sigma, sigma_floor, buf)
+    quad, var, log_terms = _log_terms(log_pi, sigma, mu, Y, buf)
+    log_p = log_sum_exp_rows(log_terms, out=buf.log_p, scratch=buf.scratch)
+    return log_pi, floored, mu, quad, var, log_terms, log_p
 
 
-def _batch_loss_terms(config: MdnConfig, A: np.ndarray, Y: np.ndarray):
-    a_pi, a_sigma, mu = _split_output(A, config.n_components, config.target_dim)
-    return _head_terms(a_pi, a_sigma, mu, Y, config.sigma_floor)
-
-
-def _output_derivatives(Y, log_pi, sigma, floored, mu, quad, log_terms, log_p):
+def _output_derivatives(Y, log_pi, floored, mu, quad, var, log_terms, log_p, dA, buf=_UNBUFFERED):
     """Derivatives of the batch-mean NLL wrt the output activations
-    (docs/gradients.md), plus the responsibilities gamma:
+    (docs/gradients.md), written into the [d_a_pi | d_a_sigma | d_a_mu]
+    slices of dA, plus the responsibilities gamma, which are returned:
 
     gamma_k = pi_k N_k / sum_l pi_l N_l
     dE/da_pi_k    = (pi_k - gamma_k) / B
     dE/da_sigma_k = gamma_k (D - |y - mu_k|^2 / sigma_k^2) / B   (0 where floored)
     dE/da_mu_ki   = gamma_k (mu_ki - y_i) / (sigma_k^2 B)
+
+    A diverged batch (log_p = -inf) produces NaN here; the caller aborts on
+    the non-finite loss, so the gradient values never get used.
     """
     B, D = Y.shape
-    # a diverged batch (log_p = -inf) produces NaN here; the caller aborts on
-    # the non-finite loss, so the gradient values never get used
-    with np.errstate(invalid="ignore"):
-        gamma = np.exp(log_terms - log_p[:, None])     # (B, K)
-        inv_var = 1.0 / (sigma * sigma)
-        d_a_pi = (np.exp(log_pi) - gamma) / B
-        d_a_sigma = gamma * (D - quad * inv_var) * (~floored) / B
-        d_a_mu = (gamma * inv_var / B)[:, :, None] * (mu - Y[:, None, :])
-    return gamma, d_a_pi, d_a_sigma, d_a_mu
+    d_a_pi, d_a_sigma, d_a_mu = _split_output(dA, log_pi.shape[1], D)
+    gamma = np.subtract(log_terms, log_p[:, None], out=buf.gamma)
+    np.exp(gamma, out=gamma)                                # (B, K)
+    inv_var = np.divide(1.0, var, out=buf.var)
+    np.exp(log_pi, out=d_a_pi)
+    d_a_pi -= gamma
+    d_a_pi /= B
+    np.multiply(quad, inv_var, out=d_a_sigma)
+    np.subtract(D, d_a_sigma, out=d_a_sigma)
+    d_a_sigma *= gamma
+    d_a_sigma *= np.logical_not(floored, out=buf.free)
+    d_a_sigma /= B
+    coef = np.multiply(gamma, inv_var, out=buf.coef)
+    coef /= B
+    np.multiply(coef[:, :, None], np.subtract(mu, Y[:, None, :], out=buf.diff), out=d_a_mu)
+    return gamma
 
 
 # --- single-sample API: B=1 calls into the batched head ---
@@ -325,7 +395,8 @@ def activations_to_params(a: Activations, sigma_floor: float) -> MixtureParams:
     """
     _check_sigma_floor(sigma_floor)
     a_pi, a_sigma, mu = _activation_rows(a)
-    log_pi, sigma, _ = _mixture_transform(a_pi, a_sigma, sigma_floor)
+    with np.errstate(all="ignore"):
+        log_pi, sigma, _ = _mixture_transform(a_pi, a_sigma, sigma_floor)
     return MixtureParams(pi=np.exp(log_pi[0]), sigma=sigma[0], mu=mu[0])
 
 
@@ -334,10 +405,10 @@ def log_density(params: MixtureParams, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (params.dim,):
         raise ShapeError(f"y has shape {y.shape}, mixture is {params.dim}-dimensional")
-    with np.errstate(divide="ignore"):
+    with np.errstate(all="ignore"):
         log_pi = np.log(params.pi)
-    _, log_terms = _log_terms(log_pi[None], params.sigma[None], params.mu[None], y[None])
-    return float(log_sum_exp_rows(log_terms)[0])
+        *_, log_terms = _log_terms(log_pi[None], params.sigma[None], params.mu[None], y[None])
+        return float(log_sum_exp_rows(log_terms)[0])
 
 
 def density(params: MixtureParams, y) -> float:
@@ -351,8 +422,13 @@ def head_gradients(a: Activations, y, sigma_floor: float) -> GradWorkspace:
     docs/gradients.md)."""
     _check_sigma_floor(sigma_floor)
     Y = np.asarray(y, dtype=np.float64).reshape(1, -1)
-    terms = _head_terms(*_activation_rows(a), Y, sigma_floor)
-    gamma, d_a_pi, d_a_sigma, d_a_mu = _output_derivatives(Y, *terms)
+    a_pi, a_sigma, a_mu = _activation_rows(a)
+    K = a_pi.shape[1]
+    A = np.concatenate([a_pi, a_sigma, a_mu.reshape(1, -1)], axis=1)
+    dA = np.empty_like(A)
+    with np.errstate(all="ignore"):
+        gamma = _output_derivatives(Y, *_head_terms(A, Y, K, sigma_floor), dA)
+    d_a_pi, d_a_sigma, d_a_mu = _split_output(dA, K, Y.shape[1])
     return GradWorkspace(gamma=gamma[0], d_a_pi=d_a_pi[0], d_a_sigma=d_a_sigma[0], d_a_mu=d_a_mu[0])
 
 
@@ -383,43 +459,58 @@ def _as_xy(batch, input_dim: int, target_dim: int):
     return X, Y
 
 
+def _log_p(config: MdnConfig, weights, H, Y, ws=None) -> np.ndarray:
+    """Per-sample log-density ln p(y | x) for standardized inputs H, in the
+    buffers of ``ws`` when given."""
+    acts, head = (ws.acts, ws.head) if ws else (None, _UNBUFFERED)
+    A = _forward(config.hidden_activation, weights, H, acts)
+    return _head_terms(A, Y, config.n_components, config.sigma_floor, head)[-1]
+
+
+def _log_likelihoods(model: MdnModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """ln p(y_i | x_i) under the model for each row of the 2-D arrays X, Y."""
+    with np.errstate(all="ignore"):
+        return _log_p(model.config, model.weights, _standardize(model, X), Y)
+
+
 def nll(model: MdnModel, batch) -> float:
     """Mean negative log-likelihood of the batch under the model."""
     X, Y = _as_xy(batch, model.config.input_dim, model.config.target_dim)
-    A = _forward_batch(model, X)
-    *_, log_p = _batch_loss_terms(model.config, A, Y)
-    return float(-np.mean(log_p))
+    return float(-np.mean(_log_likelihoods(model, X, Y)))
 
 
-def _backward_arrays(config: MdnConfig, weights, mean, std, X: np.ndarray, Y: np.ndarray):
-    """Mean NLL over the batch and its gradient wrt every weight array."""
-    K, D = config.n_components, config.target_dim
-    B = X.shape[0]
-    A, pre_acts, acts = _forward_arrays(
-        config.hidden_activation, weights, mean, std, X, keep_hidden=True
-    )
-    terms = _batch_loss_terms(config, A, Y)
-    _, d_a_pi, d_a_sigma, d_a_mu = _output_derivatives(Y, *terms)
-    dA = np.concatenate([d_a_pi, d_a_sigma, d_a_mu.reshape(B, K * D)], axis=1)
-
-    _, act_grad = _activation_fn(config.hidden_activation)
-    n_layers = len(weights) // 2
-    grads: list = [None] * (2 * n_layers)
-    for i in range(n_layers - 1, -1, -1):
-        grads[2 * i] = acts[i].T @ dA
-        grads[2 * i + 1] = np.sum(dA, axis=0, keepdims=True)
+def _backward(config: MdnConfig, weights, H, Y, ws: _Workspace, grads) -> float:
+    """Mean NLL over the batch (standardized inputs H, targets Y; B rows,
+    the size ``ws`` was built for); its gradient wrt every weight array is
+    written into ``grads``. Overwrites the hidden activations in ``ws``."""
+    A = _forward(config.hidden_activation, weights, H, ws.acts)
+    terms = _head_terms(A, Y, config.n_components, config.sigma_floor, ws.head)
+    _output_derivatives(Y, *terms, ws.deltas[-1], ws.head)
+    for i in range(len(ws.deltas) - 1, -1, -1):
+        delta = ws.deltas[i]
+        inputs = ws.acts[i - 1] if i > 0 else H
+        np.matmul(inputs.T, delta, out=grads[2 * i])
+        np.add.reduce(delta, axis=0, out=grads[2 * i + 1][0])
         if i > 0:
-            dH = dA @ weights[2 * i].T
-            dA = dH * act_grad(pre_acts[i - 1], acts[i])
-    return float(-np.mean(terms[-1])), grads
+            d_hidden = np.matmul(delta, weights[2 * i].T, out=ws.deltas[i - 1])
+            # activation derivative from the layer's output, in place:
+            # tanh' = 1 - tanh^2; relu' = 1 where the output is > 0
+            if config.hidden_activation == "tanh":
+                np.multiply(inputs, inputs, out=inputs)
+                np.subtract(1.0, inputs, out=inputs)
+            else:
+                np.greater(inputs, 0.0, out=inputs)
+            d_hidden *= inputs
+    return float(-np.mean(terms[-1]))
 
 
 def gradients(model: MdnModel, batch) -> list:
     """Exact gradient of ``nll`` wrt every weight matrix, in weights order."""
     X, Y = _as_xy(batch, model.config.input_dim, model.config.target_dim)
-    _, grads = _backward_arrays(
-        model.config, model.weights, model.input_mean, model.input_std, X, Y
-    )
+    ws = _Workspace(model.config, X.shape[0])
+    grads = _layer_views(np.empty(sum(w.size for w in model.weights)), model.config.layer_dims())
+    with np.errstate(all="ignore"):
+        _backward(model.config, model.weights, _standardize(model, X, out=ws.x), Y, ws, grads)
     return grads
 
 
@@ -451,6 +542,11 @@ def train(dataset, config: MdnConfig) -> MdnModel:
     per-epoch log records the full-dataset mean NLL evaluated after each
     epoch's updates. Raises NumericError (naming epoch and batch) if the
     loss becomes non-finite.
+
+    Weights, gradients and the Adam moments each live in one flat buffer
+    (per-layer views in weights order), so an optimizer step is one
+    elementwise update; forward and backward passes write into a workspace
+    built once per batch size that occurs.
     """
     X, Y = _as_xy(dataset, config.input_dim, config.target_dim)
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
@@ -460,50 +556,68 @@ def train(dataset, config: MdnConfig) -> MdnModel:
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std < _STD_FLOOR, 1.0, std)
+    H = (X - mean) / std
 
     rng = Rng(config.seed)
-    weights = _init_weights(config, Y, rng.spawn("init"))
+    w_flat = np.concatenate([w.ravel() for w in _init_weights(config, Y, rng.spawn("init"))])
     rng_shuffle = rng.spawn("shuffle")
-
-    adam_m = [np.zeros_like(w) for w in weights]
-    adam_v = [np.zeros_like(w) for w in weights]
+    dims = config.layer_dims()
+    weights = _layer_views(w_flat, dims)
+    g_flat = np.empty_like(w_flat)
+    grads = _layer_views(g_flat, dims)
+    adam_m, adam_v = np.zeros_like(w_flat), np.zeros_like(w_flat)
+    upd, scratch = np.empty_like(w_flat), np.empty_like(w_flat)
     step = 0
     lr, b1, b2, eps = config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps
 
+    workspaces: dict = {}
+    full = _Workspace(config, n)
     log: list = []
     best = math.inf
     best_epoch = 0
-    for epoch in range(1, config.epochs + 1):
-        order = rng_shuffle.permutation(n)
-        for bi, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start : start + config.batch_size]
-            loss, grads = _backward_arrays(config, weights, mean, std, X[idx], Y[idx])
-            if not math.isfinite(loss):
-                raise NumericError(
-                    f"training aborted: non-finite NLL at epoch {epoch}, batch {bi + 1}"
-                )
-            step += 1
-            if config.optimizer == "adam":
-                c1 = 1.0 - b1**step
-                c2 = 1.0 - b2**step
-                for w, g, m, v in zip(weights, grads, adam_m, adam_v):
-                    m *= b1
-                    m += (1.0 - b1) * g
-                    v *= b2
-                    v += (1.0 - b2) * g * g
-                    w -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-            else:
-                for w, g in zip(weights, grads):
-                    w -= lr * g
-        A = _forward_arrays(config.hidden_activation, weights, mean, std, X)
-        *_, log_p = _batch_loss_terms(config, A, Y)
-        epoch_nll = float(-np.mean(log_p))
-        log.append(epoch_nll)
-        if epoch_nll < best:
-            best = epoch_nll
-            best_epoch = epoch
-        elif epoch - best_epoch >= _PATIENCE:
-            break
+    with np.errstate(all="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = rng_shuffle.permutation(n)
+            for bi, start in enumerate(range(0, n, config.batch_size)):
+                idx = order[start : start + config.batch_size]
+                ws = workspaces.get(idx.shape[0])
+                if ws is None:
+                    ws = workspaces[idx.shape[0]] = _Workspace(config, idx.shape[0])
+                np.take(H, idx, axis=0, out=ws.x)
+                np.take(Y, idx, axis=0, out=ws.y)
+                loss = _backward(config, weights, ws.x, ws.y, ws, grads)
+                if not math.isfinite(loss):
+                    raise NumericError(
+                        f"training aborted: non-finite NLL at epoch {epoch}, batch {bi + 1}"
+                    )
+                step += 1
+                # one elementwise pass over the flat buffers; each element
+                # keeps the operation order of docs/numerics.md
+                if config.optimizer == "adam":
+                    c1 = 1.0 - b1**step
+                    c2 = 1.0 - b2**step
+                    adam_m *= b1
+                    adam_m += np.multiply(1.0 - b1, g_flat, out=upd)
+                    adam_v *= b2
+                    np.multiply(1.0 - b2, g_flat, out=upd)
+                    upd *= g_flat
+                    adam_v += upd
+                    np.divide(adam_m, c1, out=upd)
+                    upd *= lr
+                    np.divide(adam_v, c2, out=scratch)
+                    np.sqrt(scratch, out=scratch)
+                    scratch += eps
+                    upd /= scratch
+                    w_flat -= upd
+                else:
+                    w_flat -= np.multiply(lr, g_flat, out=upd)
+            epoch_nll = float(-np.mean(_log_p(config, weights, H, Y, full)))
+            log.append(epoch_nll)
+            if epoch_nll < best:
+                best = epoch_nll
+                best_epoch = epoch
+            elif epoch - best_epoch >= _PATIENCE:
+                break
 
     return MdnModel(
         config=config,

@@ -144,15 +144,23 @@ def log_sum_exp(v) -> float:
     a = np.asarray(v, dtype=np.float64)
     if a.ndim != 1 or a.shape[0] == 0:
         raise ValueError(f"log_sum_exp needs a non-empty vector, got shape {a.shape}")
-    return float(log_sum_exp_rows(a.reshape(1, -1))[0])
+    with np.errstate(divide="ignore"):
+        return float(log_sum_exp_rows(a.reshape(1, -1))[0])
 
 
-def log_sum_exp_rows(a: np.ndarray) -> np.ndarray:
+def log_sum_exp_rows(a: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Row-wise log-sum-exp for a 2-D array (vector path used by batched code).
 
-    Rows that are entirely -inf yield -inf (log of zero mass), not an error.
+    Rows that are entirely -inf yield -inf (log of zero mass), not an error;
+    that takes the log of zero, so callers run under
+    ``np.errstate(divide="ignore")``. ``out`` (one entry per row) receives
+    the result and ``scratch`` (the shape of ``a``) is overwritten; either
+    is allocated when omitted.
     """
-    m = np.max(a, axis=1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return (m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True))).ravel()
+    m = np.maximum.reduce(a, axis=1, out=out)
+    np.copyto(m, 0.0, where=~np.isfinite(m))
+    shifted = np.subtract(a, m[:, None], out=scratch)
+    np.exp(shifted, out=shifted)
+    total = np.add.reduce(shifted, axis=1)
+    m += np.log(total, out=total)
+    return m

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .mdn import MdnModel, _batch_loss_terms, _forward_batch, mixture_at, sample
+from .mdn import MdnModel, _log_likelihoods, mixture_at, sample
 from .numcore import Rng, fmt17
 
 
@@ -87,10 +87,7 @@ def score_candidates(g2: MdnModel, candidates, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (g2.config.target_dim,):
         raise ShapeError(f"z has shape {z.shape}, g2 targets are {g2.config.target_dim}-dimensional")
-    A = _forward_batch(g2, C)
-    Z = np.broadcast_to(z, (C.shape[0], z.shape[0]))
-    *_, log_p = _batch_loss_terms(g2.config, A, Z)
-    return log_p
+    return _log_likelihoods(g2, C, np.broadcast_to(z, (C.shape[0], z.shape[0])))
 
 
 def select_top(scores, n: int):

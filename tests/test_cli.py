@@ -331,6 +331,19 @@ class TestMalformedModel:
         assert self.evaluate(workspace, bad, tmp_path / "eval") == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
+
+    def test_non_finite_weight_exits_data_error(self, workspace, tmp_path, capsys):
+        # a NaN read from a file is a data error (3); 4 is left to diverged training
+        lines = (workspace / "g1.model").read_text().splitlines()
+        row = lines.index("[weights]") + 2  # first row of the first matrix
+        lines[row] = "nan " + lines[row].split(" ", 1)[1]
+        bad = tmp_path / "g1.model"
+        bad.write_text("\n".join(lines) + "\n")
+        assert self.evaluate(workspace, bad, tmp_path / "eval") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
 
     def test_truncated_or_incomplete_model_never_crashes(self, workspace, tmp_path, capsys):
         lines = (workspace / "g1.model").read_text().splitlines(keepends=True)

@@ -267,3 +267,20 @@ class TestModelPersistence:
             bad.write_text("\n".join(kept) + "\n")
             with pytest.raises(SchemaError, match=f"'{name}'"):
                 load_model(bad)
+
+    def test_values_the_model_rejects_name_the_path(self, tmp_path):
+        path, bad = tmp_path / "model.txt", tmp_path / "bad.txt"
+        save_model(self.train_tiny(), path)
+        lines = path.read_text().splitlines()
+        header = lines.index("[weights]") + 1  # "matrix 0 2 6"
+        std = next(i for i, ln in enumerate(lines) if ln.startswith("std = "))
+        last_matrix = max(i for i, ln in enumerate(lines) if ln.startswith("matrix "))
+        for edit, error in (
+            (lambda ls: ls[: header + 1] + ["nan " + ls[header + 1].split(" ", 1)[1]] + ls[header + 2 :],
+             ParseError),
+            (lambda ls: ls[:std] + ["std = 0 1"] + ls[std + 1 :], ParseError),
+            (lambda ls: ls[:last_matrix] + ls[last_matrix + 2 :], SchemaError),  # last bias dropped
+        ):
+            bad.write_text("\n".join(edit(list(lines))) + "\n")
+            with pytest.raises(error, match=rf"^{re.escape(str(bad))}: "):
+                load_model(bad)

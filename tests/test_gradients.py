@@ -4,7 +4,13 @@ import pytest
 from hmdn.mdn import Activations, head_gradients, gradients, nll
 from hmdn.numcore import Rng
 
-from util import finite_diff_grads, grads_close, make_random_model, random_batch
+from util import (
+    finite_diff_grads,
+    grads_close,
+    make_random_model,
+    random_batch,
+    reference_gradients,
+)
 
 
 class TestHeadGradients:
@@ -107,6 +113,31 @@ class TestWeightGradients:
         assert len(gs) == len(model.weights)
         for g, w in zip(gs, model.weights):
             assert g.shape == w.shape
+
+    def test_bit_identical_to_reference_backward(self):
+        rng = Rng(80)
+        for seed, kwargs in enumerate((
+            dict(),
+            dict(n_components=3, target_dim=1, hidden=()),
+            dict(n_components=2, target_dim=2, hidden=(5, 3), activation="relu"),
+            dict(n_components=4, target_dim=2, hidden=(4,), sigma_floor=1.0),
+            dict(input_dim=3, n_components=5, target_dim=3, hidden=(6, 6), random_standardize=True),
+        )):
+            model = make_random_model(700 + seed, **kwargs)
+            for size in (1, 7):
+                batch = random_batch(rng, model, size)
+                for got, want in zip(gradients(model, batch), reference_gradients(model, batch)):
+                    assert got.tobytes() == want.tobytes()
+
+    def test_consecutive_calls_return_independent_arrays(self):
+        model = make_random_model(67, hidden=(4, 4))
+        rng = Rng(7)
+        first = gradients(model, random_batch(rng, model, 5))
+        kept = [g.copy() for g in first]
+        second = gradients(model, random_batch(rng, model, 5))
+        for g, k in zip(first, kept):
+            assert np.array_equal(g, k)
+            assert not any(np.shares_memory(g, h) for h in second)
 
     def test_empty_batch_rejected(self):
         model = make_random_model(1)

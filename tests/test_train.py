@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hmdn import mdn
 from hmdn.errors import NumericError
 from hmdn.mdn import MdnConfig, mixture_at, nll, sample, train
 from hmdn.numcore import Rng
+
+from util import reference_train
 
 
 def sinusoid_dataset(n, seed):
@@ -137,3 +140,71 @@ class TestTrainMechanics:
         cfg = MdnConfig(input_dim=1, target_dim=1, n_components=1, epochs=1)
         with pytest.raises(ValueError):
             train([], cfg)
+
+
+def assert_same_as_reference(dataset, cfg):
+    got, want = train(dataset, cfg), reference_train(dataset, cfg)
+    assert got.training_log == want.training_log
+    for a, b in zip((*got.weights, got.input_mean, got.input_std),
+                    (*want.weights, want.input_mean, want.input_std)):
+        assert a.tobytes() == b.tobytes()
+    return got
+
+
+def two_input_dataset(n, target_dim, seed):
+    rng = Rng(seed)
+    X = (rng.uniform(2 * n) * 4 - 2).reshape(n, 2)
+    Y = np.sin(X[:, :1] * np.arange(1, target_dim + 1)) + 0.1 * rng.normals(n * target_dim).reshape(n, -1)
+    return X, Y
+
+
+class TestMatchesReferenceLoop:
+    """The flat-buffer training step against the per-array loop in tests/util.py."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("hidden", [(), (8, 8)])
+    @pytest.mark.parametrize("target_dim", [1, 2])
+    def test_bit_identical_models(self, activation, optimizer, hidden, target_dim):
+        # n = 150 with batches of 64: two full batches and a 22-row tail
+        cfg = MdnConfig(
+            input_dim=2, target_dim=target_dim, n_components=3, hidden_layers=hidden,
+            hidden_activation=activation, optimizer=optimizer, learning_rate=1e-2,
+            epochs=8, batch_size=64, seed=4,
+        )
+        assert_same_as_reference(two_input_dataset(150, target_dim, 17), cfg)
+
+    def test_bit_identical_with_active_sigma_floor(self):
+        # a floor above the pooled target spread clamps every deviation at first
+        cfg = MdnConfig(
+            input_dim=2, target_dim=2, n_components=3, hidden_layers=(8,),
+            sigma_floor=2.0, epochs=8, seed=6,
+        )
+        model = assert_same_as_reference(two_input_dataset(150, 2, 18), cfg)
+        assert np.any(mixture_at(model, [0.3, -0.2]).sigma == 2.0)
+
+    def test_bit_identical_when_stopping_early(self):
+        X, Y = constant_dataset(n=100)
+        cfg = MdnConfig(
+            input_dim=1, target_dim=1, n_components=2, hidden_layers=(4,),
+            learning_rate=1e-30, epochs=400, seed=2,
+        )
+        model = assert_same_as_reference((X, Y), cfg)
+        assert len(model.training_log) == 51
+
+    def test_model_does_not_share_training_buffers(self, monkeypatch):
+        flats = []
+
+        def recording(flat, dims):
+            flats.append(flat)
+            return layer_views(flat, dims)
+
+        layer_views = mdn._layer_views
+        monkeypatch.setattr(mdn, "_layer_views", recording)
+        X, Y = two_input_dataset(150, 1, 19)
+        model = train((X, Y), MdnConfig(input_dim=2, target_dim=1, n_components=2,
+                                         hidden_layers=(4,), epochs=2, seed=1))
+        assert len(flats) == 2  # weights and gradients
+        for a in (*model.weights, model.input_mean, model.input_std):
+            assert not any(np.shares_memory(a, flat) for flat in flats)
+            assert not np.shares_memory(a, X)

@@ -1,9 +1,12 @@
-"""Shared helpers for the test suite: random model builders and the
-finite-difference gradient oracle."""
+"""Shared helpers for the test suite: random model builders, the
+finite-difference gradient oracle and the reference training loop."""
+
+import math
 
 import numpy as np
 
-from hmdn.mdn import MdnConfig, MdnModel, nll
+from hmdn.errors import NumericError
+from hmdn.mdn import _PATIENCE, _STD_FLOOR, MdnConfig, MdnModel, _init_weights, nll
 from hmdn.numcore import Rng
 
 
@@ -85,3 +88,150 @@ def grads_close(analytic, numeric, rel=1e-4, abs_tol=1e-7):
         if not np.all((diff <= abs_tol) | (diff <= rel * scale)):
             return False
     return True
+
+
+# --- reference training loop --------------------------------------------------
+# The training step as written before weights, gradients and Adam moments
+# moved into flat buffers with preallocated per-batch-size workspaces: fresh
+# arrays per batch, a per-array Adam update and standardization per batch.
+# The optimized mdn.train and mdn.gradients must match it bit for bit.
+
+
+def _reference_log_sum_exp_rows(a):
+    m = np.max(a, axis=1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return (m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True))).ravel()
+
+
+def _reference_forward(activation, weights, mean, std, X, keep_hidden=False):
+    if activation == "tanh":
+        act = np.tanh
+    else:
+        def act(a):
+            return np.maximum(a, 0.0)
+    H = (X - mean) / std
+    pre_acts, acts = [], [H]
+    n_layers = len(weights) // 2
+    for i in range(n_layers):
+        A = H @ weights[2 * i] + weights[2 * i + 1]
+        if i < n_layers - 1:
+            H = act(A)
+            if keep_hidden:
+                pre_acts.append(A)
+                acts.append(H)
+        else:
+            H = A
+    return (H, pre_acts, acts) if keep_hidden else H
+
+
+def _reference_loss_terms(config, A, Y):
+    K, D = config.n_components, config.target_dim
+    a_pi, a_sigma, mu = A[:, :K], A[:, K : 2 * K], A[:, 2 * K :].reshape(A.shape[0], K, D)
+    log_pi = a_pi - _reference_log_sum_exp_rows(a_pi)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw_sigma = np.exp(a_sigma)
+        sigma = np.maximum(raw_sigma, config.sigma_floor)
+        floored = raw_sigma <= config.sigma_floor
+        diff = Y[:, None, :] - mu
+        quad = np.sum(diff * diff, axis=2)
+        log_norm = -0.5 * D * math.log(2.0 * math.pi) - D * np.log(sigma) - quad / (2.0 * sigma**2)
+        log_terms = log_pi + log_norm
+    log_p = _reference_log_sum_exp_rows(log_terms)
+    return log_pi, sigma, floored, mu, quad, log_terms, log_p
+
+
+def _reference_backward(config, weights, mean, std, X, Y):
+    K, D = config.n_components, config.target_dim
+    B = X.shape[0]
+    A, pre_acts, acts = _reference_forward(
+        config.hidden_activation, weights, mean, std, X, keep_hidden=True
+    )
+    log_pi, sigma, floored, mu, quad, log_terms, log_p = _reference_loss_terms(config, A, Y)
+    with np.errstate(invalid="ignore"):
+        gamma = np.exp(log_terms - log_p[:, None])
+        inv_var = 1.0 / (sigma * sigma)
+        d_a_pi = (np.exp(log_pi) - gamma) / B
+        d_a_sigma = gamma * (D - quad * inv_var) * (~floored) / B
+        d_a_mu = (gamma * inv_var / B)[:, :, None] * (mu - Y[:, None, :])
+    dA = np.concatenate([d_a_pi, d_a_sigma, d_a_mu.reshape(B, K * D)], axis=1)
+    n_layers = len(weights) // 2
+    grads = [None] * (2 * n_layers)
+    for i in range(n_layers - 1, -1, -1):
+        grads[2 * i] = acts[i].T @ dA
+        grads[2 * i + 1] = np.sum(dA, axis=0, keepdims=True)
+        if i > 0:
+            dH = dA @ weights[2 * i].T
+            if config.hidden_activation == "tanh":
+                dA = dH * (1.0 - acts[i] * acts[i])
+            else:
+                dA = dH * (pre_acts[i - 1] > 0.0).astype(np.float64)
+    return float(-np.mean(log_p)), grads
+
+
+def reference_gradients(model, batch):
+    X, Y = (np.asarray(a, dtype=np.float64) for a in batch)
+    _, grads = _reference_backward(
+        model.config, model.weights, model.input_mean, model.input_std, X, Y
+    )
+    return grads
+
+
+def reference_train(dataset, config):
+    X, Y = (np.asarray(a, dtype=np.float64) for a in dataset)
+    n = X.shape[0]
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std = np.where(std < _STD_FLOOR, 1.0, std)
+
+    rng = Rng(config.seed)
+    weights = _init_weights(config, Y, rng.spawn("init"))
+    rng_shuffle = rng.spawn("shuffle")
+
+    adam_m = [np.zeros_like(w) for w in weights]
+    adam_v = [np.zeros_like(w) for w in weights]
+    step = 0
+    lr, b1, b2, eps = config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps
+
+    log = []
+    best = math.inf
+    best_epoch = 0
+    for epoch in range(1, config.epochs + 1):
+        order = rng_shuffle.permutation(n)
+        for bi, start in enumerate(range(0, n, config.batch_size)):
+            idx = order[start : start + config.batch_size]
+            loss, grads = _reference_backward(config, weights, mean, std, X[idx], Y[idx])
+            if not math.isfinite(loss):
+                raise NumericError(
+                    f"training aborted: non-finite NLL at epoch {epoch}, batch {bi + 1}"
+                )
+            step += 1
+            if config.optimizer == "adam":
+                c1 = 1.0 - b1**step
+                c2 = 1.0 - b2**step
+                for w, g, m, v in zip(weights, grads, adam_m, adam_v):
+                    m *= b1
+                    m += (1.0 - b1) * g
+                    v *= b2
+                    v += (1.0 - b2) * g * g
+                    w -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            else:
+                for w, g in zip(weights, grads):
+                    w -= lr * g
+        A = _reference_forward(config.hidden_activation, weights, mean, std, X)
+        *_, log_p = _reference_loss_terms(config, A, Y)
+        epoch_nll = float(-np.mean(log_p))
+        log.append(epoch_nll)
+        if epoch_nll < best:
+            best = epoch_nll
+            best_epoch = epoch
+        elif epoch - best_epoch >= _PATIENCE:
+            break
+
+    return MdnModel(
+        config=config,
+        weights=tuple(weights),
+        input_mean=mean,
+        input_std=std,
+        training_log=tuple(log),
+    )
