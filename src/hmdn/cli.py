@@ -406,8 +406,10 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     opts = _merge_options("evaluate", args)
     _require(opts, "out_dir")
-    out = _out_dir(opts)
     n_boot = int(opts["bootstrap"])
+    if n_boot < 1:
+        raise UsageError("--bootstrap must be >= 1")
+    out = _out_dir(opts)
 
     if opts["from_dump"]:
         metrics = evaluate.metrics_from_dump(opts["from_dump"], n_boot)

@@ -123,10 +123,15 @@ class Rng:
         return Rng(mix64(mix64(self.seed) ^ _fnv1a(label.encode("utf-8"))))
 
 
+# 17 significant digits, so parsing a float back is bit-exact; every float
+# in every text artifact is written with this spec, through fmt17 or a
+# %-template built from it
+FLOAT_SPEC = "%.17g"
+
+
 def fmt17(x) -> str:
-    """A float as text with 17 significant digits, so parsing it back is
-    bit-exact; every text artifact writes its floats through this."""
-    return format(float(x), ".17g")
+    """A float as text in ``FLOAT_SPEC``."""
+    return FLOAT_SPEC % float(x)
 
 
 def gaussian_sample(rng: Rng, mu, sigma: float) -> np.ndarray:

@@ -12,13 +12,14 @@ underflow in the tails, and only rank order matters for selection.
 from __future__ import annotations
 
 import warnings
+from itertools import islice
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ParseError, SchemaError, ShapeError
 from .mdn import MdnModel, _log_likelihoods, mixture_at, sample
-from .numcore import Rng, fmt17
+from .numcore import FLOAT_SPEC, Rng
 
 
 @dataclass(frozen=True)
@@ -222,12 +223,44 @@ class PredictionRecord:
     hmdn: HmdnEstimate
 
 
-def _fmt_vec(v) -> str:
-    return " ".join(fmt17(x) for x in np.asarray(v).ravel())
+def _vec(k: int) -> str:
+    """%-template for k space-separated floats."""
+    return " ".join([FLOAT_SPEC] * k)
+
+
+def _render_record(r: PredictionRecord) -> str:
+    """One record's block of dump lines. Each line is one %-template over
+    ``.tolist()`` values, so every float goes through ``FLOAT_SPEC``."""
+    head = f"{r.record_id} {r.condition}".replace("%", "%%")
+    est = r.hmdn
+    truth, z = np.ravel(r.truth).tolist(), np.ravel(r.z).tolist()
+    base, hest = np.ravel(r.baseline_estimate).tolist(), np.ravel(est.estimate).tolist()
+    samples = np.asarray(r.baseline_samples)
+    lines = [
+        f"record {head} truth {_vec(len(truth))} z {_vec(len(z))}\n" % (*truth, *z),
+        f"baseline {head} estimate {_vec(len(base))}\n" % tuple(base),
+    ]
+    line = f"baseline {head} sample %d {_vec(samples.shape[1])}\n"
+    lines += [line % (i, *s) for i, s in enumerate(samples.tolist())]
+    fallback = 1 if est.underflow_fallback else 0
+    lines.append(f"hmdn {head} estimate {_vec(len(hest))} fallback={fallback}\n" % tuple(hest))
+    # selected block first, then the rest, each in stable descending-score order
+    order = np.argsort(-est.scores, kind="stable")
+    chosen = np.zeros(order.shape[0], dtype=bool)
+    chosen[np.asarray(est.selected_indices, dtype=np.intp)] = True
+    chosen = chosen[order]
+    coords = _vec(est.candidates.shape[1])
+    for flag, idx in ((1, order[chosen]), (0, order[~chosen])):
+        line = f"hmdn {head} candidate %d {coords} score={FLOAT_SPEC} selected={flag}\n"
+        lines += [
+            line % (i, *c, s)
+            for i, c, s in zip(idx.tolist(), est.candidates[idx].tolist(), est.scores[idx].tolist())
+        ]
+    return "".join(lines)
 
 
 def write_predictions(path, records, master_seed: int, m: int, n: int) -> None:
-    """Write prediction records to a dump file.
+    """Write prediction records to a dump file, one record block at a time.
 
     Per (record, condition): one ``record`` line with truth coordinates and
     the observed z, one ``baseline estimate`` line, M ``baseline sample``
@@ -236,99 +269,185 @@ def write_predictions(path, records, master_seed: int, m: int, n: int) -> None:
     scores descending (ties by candidate index), then the rest, also
     descending.
     """
-    lines = [_DUMP_HEADER, f"# master_seed {master_seed}", f"# m {m} n {n}"]
-    for r in records:
-        rid, cond = r.record_id, r.condition
-        lines.append(f"record {rid} {cond} truth {_fmt_vec(r.truth)} z {_fmt_vec(r.z)}")
-        lines.append(f"baseline {rid} {cond} estimate {_fmt_vec(r.baseline_estimate)}")
-        for i, s in enumerate(r.baseline_samples):
-            lines.append(f"baseline {rid} {cond} sample {i} {_fmt_vec(s)}")
-        est = r.hmdn
-        lines.append(
-            f"hmdn {rid} {cond} estimate {_fmt_vec(est.estimate)} "
-            f"fallback={1 if est.underflow_fallback else 0}"
-        )
-        sel = set(int(i) for i in est.selected_indices)
-        order = np.argsort(-est.scores, kind="stable")
-        ordered = [i for i in order if i in sel] + [i for i in order if i not in sel]
-        for i in ordered:
-            lines.append(
-                f"hmdn {rid} {cond} candidate {i} {_fmt_vec(est.candidates[i])} "
-                f"score={fmt17(est.scores[i])} selected={1 if i in sel else 0}"
-            )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{_DUMP_HEADER}\n# master_seed {master_seed}\n# m {m} n {n}\n")
+        for r in records:
+            fh.write(_render_record(r))
+
+
+def _header_fields(line: str) -> dict:
+    """Key/value pairs of one ``# key value ...`` dump header line."""
+    parts = line[1:].split()
+    if len(parts) < 2 or len(parts) % 2:
+        return {}
+    return dict(zip(parts[0::2], parts[1::2]))
+
+
+def dump_metadata(path) -> dict:
+    """Key/value header lines (# key value ...) of a predictions dump."""
+    meta: dict = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln in fh:
+            if not ln.startswith("#"):
+                break
+            meta.update(_header_fields(ln))
+    return meta
+
+
+def _block_sizes(path, meta: dict):
+    """(m, n) from the dump header: candidates and selected per record."""
+    try:
+        m, n = int(meta["m"]), int(meta["n"])
+    except (KeyError, ValueError):
+        m = n = 0
+    if not 1 <= n <= m:
+        raise SchemaError(
+            f"{path}: dump header needs '# m <candidates> n <selected>' with 1 <= n <= m, "
+            f"got m={meta.get('m')!r} n={meta.get('n')!r}"
+        )
+    return m, n
+
+
+def _read_block(path, start: int, parts, lines, m: int, n: int):
+    """Parse one record block: ``parts`` is its split ``record`` line (line
+    ``start`` of the file) and its other 2m + 2 lines are pulled from
+    ``lines``, an iterator of split lines. Returns the record and the split
+    line after the block (None at the end of the file).
+
+    The layout is fixed, so every line's number follows from its offset in
+    the block. Lines are checked a section at a time, and each section's
+    coordinates are converted by one numpy call (numpy parses float text
+    exactly as ``float`` does); only a section that fails is walked line by
+    line to name the offending line.
+    """
+    offset = 0
+
+    def coordinates(rows, cut: slice, first: int) -> np.ndarray:
+        nonlocal offset
+        try:
+            values = np.array([p[cut] for p in rows], dtype=np.float64)
+        except ValueError:
+            for offset, p in enumerate(rows, start=first):
+                list(map(float, p[cut]))
+            raise
+        bad = ~np.isfinite(values).all(axis=1)
+        if bad.any():
+            offset = first + int(np.argmax(bad))
+            raise ValueError("non-finite coordinate")
+        return values
+
+    try:
+        zi = parts.index("z", 5) if "z" in parts[5:] else 0
+        if parts[3:4] != ["truth"] or not 4 < zi < len(parts) - 1:
+            raise ValueError("expected 'record <id> <condition> truth <coords> z <values>'")
+        rid, cond = parts[1], parts[2]
+        record_id, dim = int(rid), zi - 4
+        head = coordinates([parts[4:zi] + parts[zi + 1 :]], slice(None), 0)
+        sections = []
+        # (first offset, lines, kind, field, fields per line, coordinate fields)
+        for first, count, kind, field, width, cut in (
+            (1, 1, "baseline", "estimate", 4 + dim, slice(4, None)),
+            (2, m, "baseline", "sample", 5 + dim, slice(5, None)),
+            (m + 2, 1, "hmdn", "estimate", 5 + dim, slice(4, -1)),
+            (m + 3, m, "hmdn", "candidate", 7 + dim, slice(5, -2)),
+        ):
+            rows = list(islice(lines, count))
+            for offset, p in enumerate(rows, start=first):
+                if (len(p) != width or p[0] != kind or p[1] != rid or p[2] != cond
+                        or p[3] != field):
+                    raise ValueError(
+                        f"expected a '{kind} {rid} {cond} {field}' line of {width} fields"
+                    )
+            if len(rows) < count:
+                offset = first + len(rows)
+                raise ValueError(
+                    f"end of file inside the block of record {rid} {cond} (line {start})"
+                )
+            sections.append((rows, coordinates(rows, cut, first)))
+        offset = 2 * m + 3
+        after = next(lines, None)
+        if after is not None and after[0:1] != ["record"]:
+            raise ValueError("expected a 'record' line")
+
+        (_, base), (sample_rows, samples), ((flags,), hmdn), (cand_rows, cands) = sections
+        for offset, p in enumerate(sample_rows, start=2):
+            if p[4] != str(offset - 2):
+                raise ValueError(f"expected baseline sample {offset - 2}, got {p[4]!r}")
+        offset = m + 2
+        if flags[-1] not in ("fallback=0", "fallback=1"):
+            raise ValueError(f"expected fallback=<0|1>, got {flags[-1]!r}")
+        fallback = flags[-1] == "fallback=1"
+        index, scores = [], []
+        for offset, p in enumerate(cand_rows, start=m + 3):
+            if not p[-2].startswith("score=") or p[-1] not in ("selected=0", "selected=1"):
+                raise ValueError(
+                    f"expected 'score=<log density> selected=<0|1>', got {p[-2]} {p[-1]}"
+                )
+            index.append(int(p[4]))
+            scores.append(float(p[-2][6:]))
+        offset = 0
+        index = np.array(index)
+        order = np.argsort(index, kind="stable")
+        if not np.array_equal(index[order], np.arange(m)):
+            raise ValueError(f"record {rid} {cond}: candidate indices are not 0..{m - 1}")
+        selected = index[np.array([p[-1] == "selected=1" for p in cand_rows])]
+        if selected.shape[0] != (m if fallback else n):
+            raise ValueError(
+                f"record {rid} {cond}: {selected.shape[0]} candidates selected, "
+                f"expected {m if fallback else n}"
+            )
+    except ValueError as err:
+        raise ParseError(f"{path}: line {start + offset}: {err}") from None
+
+    est = HmdnEstimate(
+        estimate=hmdn[0],
+        candidates=cands[order],
+        scores=np.array(scores)[order],
+        selected_indices=selected,
+        underflow_fallback=fallback,
+    )
+    record = PredictionRecord(
+        record_id=record_id,
+        condition=cond,
+        truth=head[0, :dim],
+        z=head[0, dim:],
+        baseline_samples=samples,
+        baseline_estimate=base[0],
+        hmdn=est,
+    )
+    return record, after
 
 
 def parse_predictions(path) -> list:
-    """Re-read a dump file into PredictionRecord values."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != _DUMP_HEADER:
-        raise ValueError(f"{path}: not a predictions dump (missing header)")
+    """Re-read a dump file into PredictionRecord values, streaming it.
 
-    records = []
-    current: dict | None = None
-
-    def close(cur):
-        if cur is None:
-            return
-        cand = sorted(cur["candidates"], key=lambda t: t[0])
-        candidates = np.array([c[1] for c in cand])
-        scores = np.array([c[2] for c in cand])
-        selected = np.array([c[0] for c in cur["candidates"] if c[3]], dtype=int)
-        est = HmdnEstimate(
-            estimate=np.array(cur["hmdn_estimate"]),
-            candidates=candidates,
-            scores=scores,
-            selected_indices=selected,
-            underflow_fallback=cur["fallback"],
-        )
-        records.append(
-            PredictionRecord(
-                record_id=cur["rid"],
-                condition=cur["cond"],
-                truth=np.array(cur["truth"]),
-                z=np.array(cur["z"]),
-                baseline_samples=np.array(cur["baseline_samples"]),
-                baseline_estimate=np.array(cur["baseline_estimate"]),
-                hmdn=est,
-            )
-        )
-
-    for ln in lines:
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        kind = parts[0]
-        if kind == "record":
-            close(current)
-            zi = parts.index("z")
-            current = {
-                "rid": int(parts[1]),
-                "cond": parts[2],
-                "truth": [float(v) for v in parts[4:zi]],
-                "z": [float(v) for v in parts[zi + 1 :]],
-                "baseline_samples": [],
-                "baseline_estimate": None,
-                "hmdn_estimate": None,
-                "fallback": False,
-                "candidates": [],
-            }
-        elif kind == "baseline" and parts[3] == "estimate":
-            current["baseline_estimate"] = [float(v) for v in parts[4:]]
-        elif kind == "baseline" and parts[3] == "sample":
-            current["baseline_samples"].append([float(v) for v in parts[5:]])
-        elif kind == "hmdn" and parts[3] == "estimate":
-            current["fallback"] = parts[-1] == "fallback=1"
-            current["hmdn_estimate"] = [float(v) for v in parts[4:-1]]
-        elif kind == "hmdn" and parts[3] == "candidate":
-            idx = int(parts[4])
-            score = float(parts[-2].split("=", 1)[1])
-            selected = parts[-1] == "selected=1"
-            coords = [float(v) for v in parts[5:-2]]
-            current["candidates"].append((idx, coords, score, selected))
-        else:
-            raise ValueError(f"{path}: unrecognized dump line: {ln!r}")
-    close(current)
+    The file must be laid out exactly as ``write_predictions`` writes it:
+    the header, with ``m`` and ``n``, then one or more record blocks, each
+    with its lines in the documented order, m baseline samples and m
+    candidates (indices 0..m-1), finite coordinates of one dimension, and
+    n selected candidates (all m on a fallback record). A missing header
+    or unusable ``m``/``n`` raises SchemaError; any other deviation raises
+    ParseError naming the path and line.
+    """
+    records, meta, lineno = [], {}, 1
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if fh.readline().rstrip("\n") != _DUMP_HEADER:
+                raise SchemaError(f"{path}: line 1: not a predictions dump (no {_DUMP_HEADER!r})")
+            for lineno, ln in enumerate(fh, start=2):
+                if not ln.startswith("#"):
+                    break
+                meta.update(_header_fields(ln))
+            else:
+                raise ParseError(f"{path}: line {lineno + 1}: no record lines after the header")
+            m, n = _block_sizes(path, meta)
+            parts, lines = ln.split(), map(str.split, fh)
+            if parts[0:1] != ["record"]:
+                raise ParseError(f"{path}: line {lineno}: expected a 'record' line")
+            while parts is not None:
+                record, parts = _read_block(path, lineno, parts, lines, m, n)
+                records.append(record)
+                lineno += 2 * m + 3
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
     return records

@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmdn import cli, dataio, evaluate
+from hmdn import cli, dataio, evaluate, pipeline
 from hmdn.mdn import nll
 from hmdn.pipeline import parse_predictions
+
+from util import make_dump_records
 
 
 def run(*argv):
@@ -359,3 +361,48 @@ class TestMalformedModel:
             if code == 3:
                 assert err.startswith("error: "), f"variant {k}: {err!r}"
         assert code == 3  # the model without its std line
+
+
+class TestMalformedDump:
+    """evaluate --from-dump on a cut or corrupted dump: exit 3, one line."""
+
+    @pytest.fixture()
+    def lines(self, tmp_path):
+        path = tmp_path / "good.txt"
+        pipeline.write_predictions(path, make_dump_records(3, 2, m=4, n=2), 55, m=4, n=2)
+        return path.read_text().splitlines(keepends=True)
+
+    def reeval(self, tmp_path, capsys, lines, *flags):
+        path = tmp_path / "bad.txt"
+        path.write_text("".join(lines))
+        code = run("evaluate", "--from-dump", path, "--out-dir", tmp_path / "eval", *flags)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (lambda ls: ls[:3] + [ls[4]] + ls[3:], "line 4: expected a 'record' line"),
+            (lambda ls: ls[:9], "line 10: end of file inside the block of record 0"),
+            (lambda ls: ls[:12], "line 13: end of file inside the block of record 0"),
+            (lambda ls: ls[:3], "line 4: no record lines after the header"),
+            (lambda ls: ["condition,method\n"] + ls[3:], "line 1: not a predictions dump"),
+            (lambda ls: ls[:1] + ls[2:], "needs a '# master_seed <0..2^64-1>' line"),
+        ],
+    )
+    def test_exits_data_error_naming_file_and_line(self, tmp_path, capsys, lines, cut, message):
+        code, err = self.reeval(tmp_path, capsys, cut(lines), "--bootstrap", 20)
+        assert code == 3
+        assert err.startswith(f"error: {tmp_path / 'bad.txt'}: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+    def test_good_dump_still_evaluates(self, tmp_path, capsys, lines):
+        code, err = self.reeval(tmp_path, capsys, lines, "--bootstrap", 20)
+        assert code == 0 and err == ""
+        assert len((tmp_path / "eval" / "metrics.csv").read_text().splitlines()) == 1 + 2 * 2
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_bootstrap_below_one_is_a_usage_error(self, tmp_path, capsys, lines, count):
+        code, err = self.reeval(tmp_path, capsys, lines, "--bootstrap", count)
+        assert code == 2
+        assert err == "error: --bootstrap must be >= 1\n"

@@ -1,15 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hmdn.errors import SchemaError
 from hmdn.evaluate import (
+    _row_medians,
     bootstrap_improvement,
     compute_metrics,
     format_metrics_table,
+    metrics_from_dump,
     paired_errors,
     write_metrics_csv,
 )
 from hmdn.numcore import Rng
-from hmdn.pipeline import HmdnEstimate, PredictionRecord
+from hmdn.pipeline import HmdnEstimate, PredictionRecord, write_predictions
+
+from util import make_dump_records, reference_bootstrap_improvement
 
 
 def make_record(rid, cond, truth, base_est, hmdn_est):
@@ -83,3 +90,54 @@ class TestMetrics:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 2 * len(metrics)
         assert lines[0].startswith("condition,method,")
+
+
+class TestStreamingBootstrap:
+    """Resamples drawn in blocks give the one-matrix interval bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 47, 48, 1111])
+    @pytest.mark.parametrize("n_resamples", [1, 57, 10_000])
+    def test_matches_one_matrix_reference(self, n, n_resamples):
+        rng = Rng(1000 + n)
+        b = rng.uniform(n) * 4.0
+        # rounded errors give ties, which the medians must break the same way
+        h = np.round(rng.uniform(n) * 6.0) / 2.0
+        got = bootstrap_improvement(b, h, Rng(n_resamples), n_resamples)
+        want = reference_bootstrap_improvement(b, h, Rng(n_resamples), n_resamples)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_peak_memory_is_bounded(self):
+        rng = Rng(4)
+        b, h = rng.uniform(1111) * 4.0, rng.uniform(1111) * 3.0
+        tracemalloc.start()
+        try:
+            bootstrap_improvement(b, h, Rng(5), 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # one 10,000 x 1,111 draw held 339 MB
+
+    @pytest.mark.parametrize("n_resamples", [0, -5])
+    def test_rejects_fewer_than_one_resample(self, n_resamples):
+        with pytest.raises(ValueError, match="n_resamples >= 1"):
+            bootstrap_improvement(np.ones(3), np.ones(3), Rng(0), n_resamples)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 301])
+    def test_row_medians_match_np_median(self, n):
+        rng = Rng(n)
+        a = np.round(rng.uniform(20 * n) * 8.0).reshape(20, n)
+        a[3, n // 2] = np.nan
+        a[5, 0] = np.inf
+        want = np.median(a, axis=1)
+        assert _row_medians(a.copy()).tobytes() == want.tobytes()
+
+
+class TestMetricsFromDump:
+    def test_missing_master_seed_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "dump.txt"
+        write_predictions(path, make_dump_records(2, 2, m=4, n=2), master_seed=5, m=4, n=2)
+        assert len(metrics_from_dump(path, n_resamples=20)) == 2
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + "".join(lines[2:]))
+        with pytest.raises(SchemaError, match="master_seed"):
+            metrics_from_dump(path, n_resamples=20)

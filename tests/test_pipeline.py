@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hmdn.errors import ShapeError
+from hmdn.errors import ParseError, SchemaError, ShapeError
 from hmdn.mdn import MdnConfig, density, identity_model, mixture_at
 from hmdn.numcore import Rng
 from hmdn.pipeline import (
+    HmdnEstimate,
     HmdnPipeline,
     baseline_samples,
     parse_predictions,
@@ -17,6 +19,8 @@ from hmdn.pipeline import (
     select_top,
     write_predictions,
 )
+
+from util import make_dump_records, reference_write_predictions
 
 
 def bimodal_g1(mode_a=(2.0, 5.0), mode_b=(15.0, 5.0), spread=0.3):
@@ -239,3 +243,112 @@ class TestPredictionDump:
             by_record.setdefault(rid, []).append(s)
         for scores in by_record.values():
             assert scores == sorted(scores, reverse=True)
+
+
+class TestDumpMatchesReferenceWriter:
+    """The record-by-record writer against the one-list writer it replaced."""
+
+    def assert_same_bytes(self, tmp_path, records, m, n):
+        write_predictions(tmp_path / "new.txt", records, master_seed=9, m=m, n=n)
+        reference_write_predictions(tmp_path / "ref.txt", records, master_seed=9, m=m, n=n)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_random_pipelines(self, tmp_path, dim, weighted):
+        records = make_dump_records(20 + dim, dim, m=12, n=4, count=3, weighted=weighted)
+        self.assert_same_bytes(tmp_path, records, 12, 4)
+
+    def test_fallback_and_tied_scores(self, tmp_path):
+        records = make_dump_records(31, 2, m=6, n=3, count=3)
+        fallback_scores = np.full(6, -np.inf)
+        tied_scores = np.array([-1.0, 0.5, -1.0, 0.5, 0.5, -np.inf])
+        rebuilt = []
+        for r, scores in zip(records, (fallback_scores, tied_scores, None)):
+            if scores is not None:
+                idx, fallback = select_top(scores, 3)
+                est = HmdnEstimate(
+                    estimate=r.hmdn.candidates[idx].mean(axis=0),
+                    candidates=r.hmdn.candidates,
+                    scores=scores,
+                    selected_indices=idx,
+                    underflow_fallback=fallback,
+                )
+                r = dataclasses.replace(r, hmdn=est)
+            rebuilt.append(r)
+        assert rebuilt[0].hmdn.underflow_fallback
+        self.assert_same_bytes(tmp_path, rebuilt, 6, 3)
+        back = parse_predictions(tmp_path / "new.txt")
+        assert back[0].hmdn.underflow_fallback and back[0].hmdn.selected_indices.shape == (6,)
+        assert np.array_equal(back[1].hmdn.scores, tied_scores)
+
+    def test_condition_with_percent_sign(self, tmp_path):
+        records = [dataclasses.replace(r, condition="50%dim") for r in make_dump_records(5, 2, 4, 2)]
+        self.assert_same_bytes(tmp_path, records, 4, 2)
+
+
+class TestDumpRejectsMalformedFiles:
+    """Each way a dump can be cut or corrupted names the file and the line."""
+
+    @pytest.fixture()
+    def lines(self, tmp_path):
+        path = tmp_path / "good.txt"
+        write_predictions(path, make_dump_records(3, 2, m=4, n=2), master_seed=55, m=4, n=2)
+        return path.read_text().splitlines(keepends=True)
+
+    def check(self, tmp_path, lines, error, line, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("".join(lines))
+        with pytest.raises(error) as info:
+            parse_predictions(path)
+        text = str(info.value)
+        assert text.startswith(f"{path}: "), text
+        if line is not None:
+            assert f": line {line}: " in text, text
+        assert message in text, text
+
+    def test_layout_of_the_good_file(self, lines):
+        # header (3) + 2 blocks of record, estimate, 4 samples, estimate, 4 candidates
+        assert len(lines) == 3 + 2 * 11
+        assert lines[3].startswith("record 0 ") and lines[14].startswith("record 1 ")
+
+    def test_line_before_first_record(self, tmp_path, lines):
+        bad = lines[:3] + [lines[4]] + lines[3:]
+        self.check(tmp_path, bad, ParseError, 4, "expected a 'record' line")
+
+    def test_truncated_before_hmdn_estimate(self, tmp_path, lines):
+        self.check(tmp_path, lines[:9], ParseError, 10, "end of file inside the block of record 0")
+
+    def test_truncated_mid_candidates(self, tmp_path, lines):
+        self.check(tmp_path, lines[:12], ParseError, 13, "end of file inside the block of record 0")
+
+    def test_dropped_or_reordered_sample_lines(self, tmp_path, lines):
+        # one sample short: the fourth sample slot (line 9) holds the hmdn estimate
+        bad = lines[:6] + lines[7:]
+        self.check(tmp_path, bad, ParseError, 9, "expected a 'baseline 0 sunny sample' line")
+        bad = lines[:5] + [lines[6], lines[5]] + lines[7:]
+        self.check(tmp_path, bad, ParseError, 6, "expected baseline sample 0, got '1'")
+
+    def test_header_only(self, tmp_path, lines):
+        self.check(tmp_path, lines[:3], ParseError, 4, "no record lines after the header")
+
+    def test_not_a_dump(self, tmp_path):
+        self.check(tmp_path, ["WAP001,LONGITUDE,LATITUDE\n", "-50,1,2\n"], SchemaError, 1,
+                   "not a predictions dump")
+        self.check(tmp_path, [], SchemaError, 1, "not a predictions dump")
+
+    def test_header_without_m_and_n(self, tmp_path, lines):
+        self.check(tmp_path, lines[:2] + lines[3:], SchemaError, None, "'# m <candidates> n <selected>'")
+
+    def test_non_numeric_and_non_finite_coordinates(self, tmp_path, lines):
+        bad = lines.copy()
+        bad[5] = bad[5].rsplit(" ", 1)[0] + " x\n"
+        self.check(tmp_path, bad, ParseError, 6, "could not convert string to float: 'x'")
+        bad = lines.copy()
+        bad[16] = bad[16].rsplit(" ", 1)[0] + " nan\n"
+        self.check(tmp_path, bad, ParseError, 17, "non-finite coordinate")
+
+    def test_wrong_selected_count(self, tmp_path, lines):
+        bad = lines.copy()
+        bad[10] = bad[10].replace("selected=1", "selected=0")
+        self.check(tmp_path, bad, ParseError, 4, "1 candidates selected, expected 2")

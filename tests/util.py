@@ -1,5 +1,6 @@
-"""Shared helpers for the test suite: random model builders, the
-finite-difference gradient oracle and the reference training loop."""
+"""Shared helpers for the test suite: random model and record builders,
+the finite-difference gradient oracle, the reference training loop and the
+reference bootstrap and dump writer."""
 
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 from hmdn.errors import NumericError
 from hmdn.mdn import _PATIENCE, _STD_FLOOR, MdnConfig, MdnModel, _init_weights, nll
 from hmdn.numcore import Rng
+from hmdn.pipeline import HmdnPipeline, PredictionRecord, baseline_samples, predict
 
 
 def make_random_model(
@@ -235,3 +237,81 @@ def reference_train(dataset, config):
         input_std=std,
         training_log=tuple(log),
     )
+
+
+# --- reference output path -----------------------------------------------------
+# The paired bootstrap and the dump writer as written before they streamed:
+# one n_resamples x n uniform matrix with np.median per row, and a dump
+# built as one list of lines with a set lookup per candidate. The streaming
+# versions must match them bit for bit and byte for byte.
+
+
+def reference_bootstrap_improvement(b_err, h_err, rng: Rng, n_resamples: int = 10_000):
+    n = b_err.shape[0]
+    u = rng.uniform(n_resamples * n).reshape(n_resamples, n)
+    idx = np.minimum((u * n).astype(int), n - 1)
+    b_med = np.median(b_err[idx], axis=1)
+    h_med = np.median(h_err[idx], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pct = 100.0 * (b_med - h_med) / b_med
+    pct = np.where(b_med > 0, pct, 0.0)
+    lo, hi = np.percentile(pct, [2.5, 97.5])
+    return float(lo), float(hi)
+
+
+def make_dump_records(seed, dim, m, n, count=2, weighted=False):
+    """Records from a pipeline of random models: g1 maps 2 inputs to
+    ``dim`` coordinates, g2 maps those to one observable."""
+    g1 = make_random_model(seed, input_dim=2, target_dim=dim, hidden=(4,))
+    g2 = make_random_model(seed + 1, input_dim=dim, target_dim=1, hidden=(4,))
+    pipe = HmdnPipeline(g1=g1, g2=g2, n_candidates=m, n_selected=n)
+    rng = Rng(seed)
+    records = []
+    for rid in range(count):
+        x = rng.uniform(2) * 2 - 1
+        z = rng.uniform(1) * 2 - 1
+        est = predict(pipe, x, z, rng.spawn("candidates", rid), weighted=weighted)
+        cloud = baseline_samples(g1, x, rng.spawn("baseline", rid), m)
+        records.append(
+            PredictionRecord(
+                record_id=rid,
+                condition=("sunny", "cloudy")[rid % 2],
+                truth=rng.uniform(dim) * 10,
+                z=z,
+                baseline_samples=cloud,
+                baseline_estimate=cloud.mean(axis=0),
+                hmdn=est,
+            )
+        )
+    return records
+
+
+def _reference_fmt_vec(v) -> str:
+    return " ".join(format(float(x), ".17g") for x in np.asarray(v).ravel())
+
+
+def reference_write_predictions(path, records, master_seed: int, m: int, n: int) -> None:
+    lines = ["# hmdn-predictions v1", f"# master_seed {master_seed}", f"# m {m} n {n}"]
+    for r in records:
+        rid, cond = r.record_id, r.condition
+        lines.append(
+            f"record {rid} {cond} truth {_reference_fmt_vec(r.truth)} z {_reference_fmt_vec(r.z)}"
+        )
+        lines.append(f"baseline {rid} {cond} estimate {_reference_fmt_vec(r.baseline_estimate)}")
+        for i, s in enumerate(r.baseline_samples):
+            lines.append(f"baseline {rid} {cond} sample {i} {_reference_fmt_vec(s)}")
+        est = r.hmdn
+        lines.append(
+            f"hmdn {rid} {cond} estimate {_reference_fmt_vec(est.estimate)} "
+            f"fallback={1 if est.underflow_fallback else 0}"
+        )
+        sel = set(int(i) for i in est.selected_indices)
+        order = np.argsort(-est.scores, kind="stable")
+        ordered = [i for i in order if i in sel] + [i for i in order if i not in sel]
+        for i in ordered:
+            lines.append(
+                f"hmdn {rid} {cond} candidate {i} {_reference_fmt_vec(est.candidates[i])} "
+                f"score={format(float(est.scores[i]), '.17g')} selected={1 if i in sel else 0}"
+            )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
