@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError
-from .numcore import Rng, log_sum_exp_rows
+from .numcore import Rng, log_sum_exp_rows, normals_from, u64_rows, uniforms_from
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -266,6 +266,7 @@ def _forward(activation: str, weights, H: np.ndarray, acts=None) -> np.ndarray:
     """Affine stack on standardized inputs H; returns the output activations.
 
     ``weights`` is a flat sequence of ndarrays ``[W0, b0, W1, b1, ...]``.
+    A stacked H, (R, B, fan_in), runs as R separate B-row products.
     Layer i writes its output into ``acts[i]``; without ``acts`` each layer
     allocates its own.
     """
@@ -461,14 +462,18 @@ def _as_xy(batch, input_dim: int, target_dim: int):
 
 def _log_p(config: MdnConfig, weights, H, Y, ws=None) -> np.ndarray:
     """Per-sample log-density ln p(y | x) for standardized inputs H, in the
-    buffers of ``ws`` when given."""
+    buffers of ``ws`` when given. H may be stacked, (R, B, input_dim): each
+    of its R blocks goes through the layers as its own B-row product, and
+    Y then holds the R*B targets as rows."""
     acts, head = (ws.acts, ws.head) if ws else (None, _UNBUFFERED)
     A = _forward(config.hidden_activation, weights, H, acts)
+    A = A.reshape(-1, A.shape[-1])
     return _head_terms(A, Y, config.n_components, config.sigma_floor, head)[-1]
 
 
 def _log_likelihoods(model: MdnModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """ln p(y_i | x_i) under the model for each row of the 2-D arrays X, Y."""
+    """ln p(y_i | x_i) under the model for each row of X (2-D, or stacked
+    as in ``_log_p``) and of the 2-D Y."""
     with np.errstate(all="ignore"):
         return _log_p(model.config, model.weights, _standardize(model, X), Y)
 
@@ -628,6 +633,48 @@ def train(dataset, config: MdnConfig) -> MdnModel:
     )
 
 
+def _mixtures(model: MdnModel, X) -> tuple:
+    """Mixture parameters at each of the R inputs X (R, input_dim), as rows:
+    pi (R, K), sigma (R, K), mu (R, K, D).
+
+    Each input goes through the layers as its own one-row product (a
+    stacked matmul), so row r is bit for bit the mixture at X[r] alone: BLAS
+    picks its kernel by the row count, and a single R-row product can round
+    differently.
+    """
+    cfg = model.config
+    if X.shape[1:] != (cfg.input_dim,):
+        raise ShapeError(f"input has shape {X.shape[1:]}, model expects ({cfg.input_dim},)")
+    with np.errstate(all="ignore"):
+        H = _standardize(model, X[:, None, :])
+        A = _forward(cfg.hidden_activation, model.weights, H).reshape(X.shape[0], -1)
+        a_pi, a_sigma, mu = _split_output(A, cfg.n_components, cfg.target_dim)
+        log_pi, sigma, _ = _mixture_transform(a_pi, a_sigma, cfg.sigma_floor)
+        return np.exp(log_pi, out=log_pi), sigma, mu
+
+
+def _draw(pi, sigma, mu, m: int, rngs) -> np.ndarray:
+    """``m`` draws from each of R mixtures given as rows (pi (R, K), sigma
+    (R, K), mu (R, K, D)), row i from the stream of ``rngs[i]``; (R, m, D).
+
+    Stream layout per row: m uniforms for the component choices, then m*D
+    normals row-major. The component is the smallest k with u < cumsum(pi)[k]
+    (cumulative-sum inversion with strict inequality), clamped to K - 1.
+    """
+    R, K, D = mu.shape
+    words = u64_rows(rngs, m + 2 * ((m * D + 1) // 2))
+    u = uniforms_from(words[:, :m])
+    z = normals_from(words[:, m:], m * D).reshape(R, m, D)
+    cum = np.cumsum(pi, axis=1)
+    # searchsorted(cum, u, side="right") clamped to K - 1, row-wise: since
+    # cum never decreases, that is the count of its first K - 1 entries <= u
+    k = np.zeros((R, m), dtype=np.intp)
+    for j in range(K - 1):
+        k += cum[:, j, None] <= u
+    rows = np.arange(R)[:, None]
+    return mu[rows, k] + sigma[rows, k][:, :, None] * z
+
+
 def sample(params: MixtureParams, m: int, rng: Rng) -> np.ndarray:
     """Ancestral sampling: component index by cumulative-sum inversion with
     strict inequality, then an isotropic Gaussian draw. Stream layout: m
@@ -635,13 +682,10 @@ def sample(params: MixtureParams, m: int, rng: Rng) -> np.ndarray:
     """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
-    cum = np.cumsum(params.pi)
-    u = np.atleast_1d(rng.uniform(m))
-    k = np.minimum(np.searchsorted(cum, u, side="right"), params.n_components - 1)
-    z = rng.normals(m * params.dim).reshape(m, params.dim)
-    return params.mu[k] + params.sigma[k][:, None] * z
+    return _draw(params.pi[None], params.sigma[None], params.mu[None], m, [rng])[0]
 
 
 def mixture_at(model: MdnModel, x) -> MixtureParams:
-    """forward + activations_to_params in one call."""
-    return activations_to_params(forward(model, x), model.config.sigma_floor)
+    """The mixture at one input: forward + activations_to_params."""
+    pi, sigma, mu = _mixtures(model, np.asarray(x, dtype=np.float64)[None])
+    return MixtureParams(pi=pi[0], sigma=sigma[0], mu=mu[0])

@@ -75,18 +75,15 @@ class Rng:
         """``n`` raw words as a uint64 array; identical to ``n`` scalar calls."""
         if n < 0:
             raise ValueError(f"block size must be >= 0, got {n}")
-        counters = self.seed + (self._count + 1 + np.arange(n, dtype=np.uint64)) * np.uint64(_GAMMA)
+        words = splitmix64(self.seed, self._count, n)
         self._count += n
-        z = counters
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        return words
 
     def uniform(self, n: int | None = None):
         """Uniforms on [0, 1): ``(word >> 11) * 2^-53``. Scalar when n is None."""
         if n is None:
             return (self.next_u64() >> 11) * _INV_2_53
-        return ((self.u64_block(n) >> np.uint64(11))).astype(np.float64) * _INV_2_53
+        return uniforms_from(self.u64_block(n))
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normals via Box-Muller.
@@ -96,16 +93,7 @@ class Rng:
         """
         if n < 0:
             raise ValueError(f"count must be >= 0, got {n}")
-        pairs = (n + 1) // 2
-        words = self.u64_block(2 * pairs)
-        u1 = ((words[0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _INV_2_53
-        u2 = ((words[1::2] >> np.uint64(11))).astype(np.float64) * _INV_2_53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        return normals_from(self.u64_block(2 * ((n + 1) // 2)), n)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n): stable argsort of n uniforms."""
@@ -121,6 +109,57 @@ class Rng:
             raise ValueError("spawn needs at least one tag")
         label = "/".join(str(t) for t in tags)
         return Rng(mix64(mix64(self.seed) ^ _fnv1a(label.encode("utf-8"))))
+
+
+def splitmix64(seeds, counts, n: int) -> np.ndarray:
+    """Words ``count + 1 .. count + n`` of the splitmix64 stream of each seed,
+    shape ``seeds.shape + (n,)``: one seed and count (0-d) or arrays of them.
+
+    The words are built in place in the result, with one scratch array for
+    the shifts; wrap-around mod 2^64 is uint64 arithmetic.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)[..., None]
+    counts = np.asarray(counts, dtype=np.uint64)[..., None]
+    z = np.add(counts, np.arange(1, n + 1, dtype=np.uint64))
+    z *= np.uint64(_GAMMA)
+    z += seeds
+    t = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=t)
+        z *= np.uint64(mult)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
+
+
+def u64_rows(rngs, n: int) -> np.ndarray:
+    """Row i is ``rngs[i].u64_block(n)``, and each generator advances as that
+    call would; all rows come from one ``splitmix64`` call."""
+    words = splitmix64([g.seed for g in rngs], [g._count for g in rngs], n)
+    for g in rngs:
+        g._count += n
+    return words
+
+
+def uniforms_from(words: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1) from raw words, ``(word >> 11) * 2^-53``; shifts
+    ``words`` in place."""
+    u = np.right_shift(words, np.uint64(11), out=words).astype(np.float64)
+    u *= _INV_2_53
+    return u
+
+
+def normals_from(words: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` Box-Muller normals along the last axis of ``words``
+    (an even count): pairs ``(w1, w2)`` give ``sqrt(-2 ln u1) * (cos, sin)(2 pi u2)``
+    interleaved, with ``u1`` mapped into (0, 1] so the logarithm is finite."""
+    u1 = ((words[..., 0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _INV_2_53
+    u2 = (words[..., 1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * math.pi) * u2
+    out = np.empty(words.shape)
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out[..., :n]
 
 
 # 17 significant digits, so parsing a float back is bit-exact; every float

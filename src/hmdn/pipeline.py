@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, SchemaError, ShapeError
-from .mdn import MdnModel, _log_likelihoods, mixture_at, sample
+from .mdn import MdnModel, _draw, _log_likelihoods, _mixtures, mixture_at, sample
 from .numcore import FLOAT_SPEC, Rng
 
 
@@ -72,6 +72,11 @@ class HmdnEstimate:
         return self.scores[self.selected_indices]
 
 
+def _check_z(g2: MdnModel, z: np.ndarray) -> None:
+    if z.shape != (g2.config.target_dim,):
+        raise ShapeError(f"z has shape {z.shape}, g2 targets are {g2.config.target_dim}-dimensional")
+
+
 def score_candidates(g2: MdnModel, candidates, z) -> np.ndarray:
     """Log-density each candidate assigns to the observation z under g2.
 
@@ -86,9 +91,20 @@ def score_candidates(g2: MdnModel, candidates, z) -> np.ndarray:
             f"candidates have dimension {C.shape[1]}, g2 expects {g2.config.input_dim}"
         )
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (g2.config.target_dim,):
-        raise ShapeError(f"z has shape {z.shape}, g2 targets are {g2.config.target_dim}-dimensional")
+    _check_z(g2, z)
     return _log_likelihoods(g2, C, np.broadcast_to(z, (C.shape[0], z.shape[0])))
+
+
+def _rank(S: np.ndarray):
+    """Row-wise order of the scores S (R, M), best first with ties broken by
+    index ascending (a stable argsort), and the mask of rows without a
+    finite score."""
+    return np.argsort(-S, axis=1, kind="stable"), ~np.isfinite(S).any(axis=1)
+
+
+def _selected(order: np.ndarray, fallback, n: int) -> np.ndarray:
+    """The n best indices of one ranked row, or every index on fallback."""
+    return np.arange(order.shape[0]) if fallback else order[:n]
 
 
 def select_top(scores, n: int):
@@ -101,10 +117,36 @@ def select_top(scores, n: int):
     scores = np.asarray(scores, dtype=np.float64)
     if not 1 <= n <= scores.shape[0]:
         raise ValueError(f"need 1 <= n <= {scores.shape[0]}, got {n}")
-    if not np.isfinite(scores).any():
-        return np.arange(scores.shape[0]), True
-    order = np.argsort(-scores, kind="stable")
-    return order[:n], False
+    order, fallback = _rank(scores[None])
+    return _selected(order[0], fallback[0], n), bool(fallback[0])
+
+
+def _predict_rows(pipeline: HmdnPipeline, mix, z: np.ndarray, rngs, weighted: bool):
+    """Sample, score, select and average for R records at once.
+
+    ``mix`` holds the records' g1 mixtures as rows (pi, sigma, mu), ``z``
+    their observations (R, dz) and ``rngs`` their candidate streams. Each
+    record's M candidates go through g2 as their own M-row product (a
+    stacked matmul), and every reduction runs within a record's row, so a
+    record comes out bit for bit as when predicted alone. Returns the
+    candidates (R, M, D), scores (R, M), the ranked order of each row (R, M),
+    the fallback mask (R,) and the estimates (R, D).
+    """
+    M, N = pipeline.n_candidates, pipeline.n_selected
+    C = _draw(*mix, M, rngs)
+    S = _log_likelihoods(pipeline.g2, C, np.repeat(z, M, axis=0)).reshape(C.shape[:2])
+    order, fallback = _rank(S)
+    top = order[:, :N]
+    chosen = np.take_along_axis(C, top[:, :, None], axis=1)
+    if weighted:
+        s = np.take_along_axis(S, top, axis=1)
+        with np.errstate(invalid="ignore"):  # fallback rows, replaced below
+            w = np.exp(s - np.max(s, axis=1, keepdims=True))
+            est = (chosen * (w / w.sum(axis=1, keepdims=True))[:, :, None]).sum(axis=1)
+    else:
+        est = chosen.mean(axis=1)
+    est[fallback] = C[fallback].mean(axis=1)
+    return C, S, order, fallback, est
 
 
 def predict(pipeline: HmdnPipeline, x, z, rng: Rng, weighted: bool = False) -> HmdnEstimate:
@@ -114,30 +156,23 @@ def predict(pipeline: HmdnPipeline, x, z, rng: Rng, weighted: bool = False) -> H
     the selected candidates instead of the plain mean (an extension; the
     default plain mean is the reference behavior).
     """
-    params = mixture_at(pipeline.g1, x)
-    candidates = sample(params, pipeline.n_candidates, rng)
-    scores = score_candidates(pipeline.g2, candidates, z)
-    idx, fallback = select_top(scores, pipeline.n_selected)
-    chosen = candidates[idx]
-    if fallback:
+    mix = _mixtures(pipeline.g1, np.asarray(x, dtype=np.float64)[None])
+    z = np.asarray(z, dtype=np.float64)
+    _check_z(pipeline.g2, z)
+    C, S, order, fallback, est = _predict_rows(pipeline, mix, z[None], [rng], weighted)
+    if fallback[0]:
         warnings.warn(
             "all candidate scores are non-finite; falling back to the mean "
             "of all candidates",
             RuntimeWarning,
             stacklevel=2,
         )
-        estimate = candidates.mean(axis=0)
-    elif weighted:
-        w = np.exp(scores[idx] - np.max(scores[idx]))
-        estimate = (chosen * (w / w.sum())[:, None]).sum(axis=0)
-    else:
-        estimate = chosen.mean(axis=0)
     return HmdnEstimate(
-        estimate=estimate,
-        candidates=candidates,
-        scores=scores,
-        selected_indices=idx,
-        underflow_fallback=fallback,
+        estimate=est[0],
+        candidates=C[0],
+        scores=S[0],
+        selected_indices=_selected(order[0], fallback[0], pipeline.n_selected),
+        underflow_fallback=bool(fallback[0]),
         weighted=weighted,
     )
 
@@ -168,6 +203,10 @@ def prediction_rngs(master_seed: int, condition: str, record_id: int):
     )
 
 
+# candidate rows one block of records sends through g2 together
+_BLOCK_ROWS = 4096
+
+
 def run_predictions(
     pipeline: HmdnPipeline,
     features: np.ndarray,
@@ -181,26 +220,64 @@ def run_predictions(
 
     ``features`` are g1-ready inputs (already normalized), ``truths`` the
     matching coordinates, ``lux_by_condition`` maps condition name to the
-    per-record observed illumination.
+    per-record observed illumination. Records come out condition by
+    condition, in ``record_ids`` order, each owning its arrays and equal to
+    what ``predict`` and ``baseline_samples`` give for it alone.
+
+    The g1 mixtures are computed once per call; each condition then runs
+    blocks of ``max(1, 4096 // M)`` records through ``_predict_rows``, which
+    bounds the working memory whatever the record count. Predictions that
+    fell back to the mean of all candidates are reported with one
+    RuntimeWarning per condition.
     """
+    ids = [int(rid) for rid in record_ids]
+    if not ids:
+        return []
+    M, N = pipeline.n_candidates, pipeline.n_selected
+    _check_z(pipeline.g2, np.zeros(1))  # each record observes one value
+    mix = _mixtures(pipeline.g1, np.asarray(features, dtype=np.float64)[ids])
+    block = max(1, _BLOCK_ROWS // M)
     records = []
     for cond in lux_by_condition:
         lux = np.asarray(lux_by_condition[cond], dtype=np.float64)
-        for rid in record_ids:
-            rid = int(rid)
-            rng_cand, rng_base = prediction_rngs(master_seed, cond, rid)
-            est = predict(pipeline, features[rid], [lux[rid]], rng_cand, weighted=weighted)
-            cloud = baseline_samples(pipeline.g1, features[rid], rng_base, pipeline.n_candidates)
-            records.append(
-                PredictionRecord(
-                    record_id=rid,
-                    condition=cond,
-                    truth=np.asarray(truths[rid], dtype=np.float64),
-                    z=np.array([lux[rid]]),
-                    baseline_samples=cloud,
-                    baseline_estimate=cloud.mean(axis=0),
-                    hmdn=est,
+        fell_back = 0
+        for start in range(0, len(ids), block):
+            part = ids[start : start + block]
+            part_mix = [a[start : start + block] for a in mix]
+            rngs = [prediction_rngs(master_seed, cond, rid) for rid in part]
+            z = lux[part].reshape(-1, 1)
+            C, S, order, fallback, est = _predict_rows(
+                pipeline, part_mix, z, [r[0] for r in rngs], weighted
+            )
+            clouds = _draw(*part_mix, M, [r[1] for r in rngs])
+            cloud_means = clouds.mean(axis=1)
+            fell_back += int(np.count_nonzero(fallback))
+            for i, rid in enumerate(part):
+                hmdn = HmdnEstimate(
+                    estimate=est[i].copy(),
+                    candidates=C[i].copy(),
+                    scores=S[i].copy(),
+                    selected_indices=_selected(order[i], fallback[i], N).copy(),
+                    underflow_fallback=bool(fallback[i]),
+                    weighted=weighted,
                 )
+                records.append(
+                    PredictionRecord(
+                        record_id=rid,
+                        condition=cond,
+                        truth=np.array(truths[rid], dtype=np.float64),
+                        z=z[i].copy(),
+                        baseline_samples=clouds[i].copy(),
+                        baseline_estimate=cloud_means[i].copy(),
+                        hmdn=hmdn,
+                    )
+                )
+        if fell_back:
+            warnings.warn(
+                f"{fell_back} of {len(ids)} predictions under {cond} fell back to the "
+                "mean of all candidates",
+                RuntimeWarning,
+                stacklevel=2,
             )
     return records
 

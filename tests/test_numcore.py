@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from hmdn.errors import ShapeError
-from hmdn.numcore import Rng, gaussian_sample, log_sum_exp
+from hmdn.numcore import (
+    Rng,
+    gaussian_sample,
+    log_sum_exp,
+    normals_from,
+    splitmix64,
+    u64_rows,
+    uniforms_from,
+)
+
+from util import reference_normals, reference_uniform
 
 _M64 = (1 << 64) - 1
 
@@ -72,6 +82,39 @@ class TestRng:
         assert [int(x) for x in block] == scalars
         # streams stay aligned afterwards
         assert a.next_u64() == b.next_u64()
+
+    def test_multi_seed_words_equal_per_generator_streams(self):
+        seeds, counts = [0, 1, 42, 2**64 - 1, 987654321], [0, 3, 17, 5, 1]
+
+        def advanced(seed, count):
+            g = Rng(seed)
+            g.u64_block(count)
+            return g
+
+        gens = [advanced(s, c) for s, c in zip(seeds, counts)]
+        # 7 uniforms, then 13 normals from 7 Box-Muller pairs
+        words = u64_rows(gens, 21)
+        assert np.array_equal(words, splitmix64(seeds, counts, 21))
+        for seed, count, row in zip(seeds, counts, words):
+            assert [int(w) for w in row] == reference_splitmix64(seed, count + 21)[count:]
+        u, z = uniforms_from(words[:, :7]), normals_from(words[:, 7:], 13)
+        for i, (seed, count) in enumerate(zip(seeds, counts)):
+            g = advanced(seed, count)
+            assert u[i].tobytes() == g.uniform(7).tobytes()
+            assert z[i].tobytes() == g.normals(13).tobytes()
+            assert gens[i].next_u64() == g.next_u64()
+
+    def test_one_seed_block_is_one_row(self):
+        assert np.array_equal(splitmix64(7, 2, 9), splitmix64([7], [2], 9)[0])
+        assert splitmix64(7, 2, 0).shape == (0,)
+
+    def test_uniform_and_normals_match_reference_transcription(self):
+        for seed in (0, 5, 2**64 - 1):
+            for n in (1, 2, 7, 64, 1001):
+                a, b = Rng(seed), Rng(seed)
+                assert a.uniform(n).tobytes() == reference_uniform(b, n).tobytes()
+                assert a.normals(n).tobytes() == reference_normals(b, n).tobytes()
+                assert a.next_u64() == b.next_u64()
 
     def test_uniform_in_unit_interval(self):
         u = Rng(3).uniform(10000)

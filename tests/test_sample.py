@@ -4,6 +4,8 @@ import pytest
 from hmdn.mdn import MixtureParams, sample
 from hmdn.numcore import Rng
 
+from util import reference_sample
+
 
 class TestSample:
     def test_single_component_clt_bound(self):
@@ -49,3 +51,18 @@ class TestSample:
         p = MixtureParams(pi=np.array([1.0]), sigma=np.array([1.0]), mu=np.zeros((1, 1)))
         with pytest.raises(ValueError):
             sample(p, 0, Rng(1))
+
+    def test_bit_identical_to_reference_sampler(self):
+        rng = Rng(404)
+        for k in range(1, 6):
+            for d in (1, 2, 3):
+                pi = rng.uniform(k)
+                if k > 1:
+                    pi[k // 2] = 0.0  # a component that must never be chosen
+                pi /= pi.sum()
+                mu = rng.uniform(k * d).reshape(k, d)
+                p = MixtureParams(pi=pi, sigma=rng.uniform(k) + 0.1, mu=mu)
+                for m in (1, 2, 7, 100):
+                    a, b = Rng(50 + m), Rng(50 + m)
+                    assert sample(p, m, a).tobytes() == reference_sample(p, m, b).tobytes()
+                    assert a.next_u64() == b.next_u64()

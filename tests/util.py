@@ -1,15 +1,32 @@
 """Shared helpers for the test suite: random model and record builders,
-the finite-difference gradient oracle, the reference training loop and the
-reference bootstrap and dump writer."""
+the finite-difference gradient oracle, the reference training loop, the
+reference bootstrap and dump writer, and the reference prediction loop."""
 
 import math
+import warnings
 
 import numpy as np
 
 from hmdn.errors import NumericError
-from hmdn.mdn import _PATIENCE, _STD_FLOOR, MdnConfig, MdnModel, _init_weights, nll
+from hmdn.mdn import (
+    _PATIENCE,
+    _STD_FLOOR,
+    MdnConfig,
+    MdnModel,
+    _init_weights,
+    activations_to_params,
+    forward,
+    nll,
+)
 from hmdn.numcore import Rng
-from hmdn.pipeline import HmdnPipeline, PredictionRecord, baseline_samples, predict
+from hmdn.pipeline import (
+    HmdnEstimate,
+    HmdnPipeline,
+    PredictionRecord,
+    baseline_samples,
+    predict,
+    prediction_rngs,
+)
 
 
 def make_random_model(
@@ -315,3 +332,130 @@ def reference_write_predictions(path, records, master_seed: int, m: int, n: int)
             )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# --- reference prediction path --------------------------------------------------
+# Prediction as written before records were predicted in blocks: per
+# (record, condition), a one-row g1 forward for each of the two clouds, a
+# sampler drawing its uniforms and normals from the generator through the
+# old u64_block, one g2 forward over the M candidates, a 1-D stable argsort
+# and a RuntimeWarning per fallback record. The block kernel must match it
+# bit for bit.
+
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def reference_u64_block(rng: Rng, n):
+    counters = rng.seed + (rng._count + 1 + np.arange(n, dtype=np.uint64)) * np.uint64(_GAMMA)
+    rng._count += n
+    z = counters
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def reference_uniform(rng: Rng, n):
+    return ((reference_u64_block(rng, n) >> np.uint64(11))).astype(np.float64) * 2.0**-53
+
+
+def reference_normals(rng: Rng, n):
+    pairs = (n + 1) // 2
+    words = reference_u64_block(rng, 2 * pairs)
+    u1 = ((words[0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+    u2 = ((words[1::2] >> np.uint64(11))).astype(np.float64) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * math.pi) * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:n]
+
+
+def reference_sample(params, m, rng: Rng):
+    cum = np.cumsum(params.pi)
+    u = np.atleast_1d(reference_uniform(rng, m))
+    k = np.minimum(np.searchsorted(cum, u, side="right"), params.n_components - 1)
+    z = reference_normals(rng, m * params.dim).reshape(m, params.dim)
+    return params.mu[k] + params.sigma[k][:, None] * z
+
+
+def reference_mixture_at(model: MdnModel, x):
+    return activations_to_params(forward(model, x), model.config.sigma_floor)
+
+
+def reference_score_candidates(g2: MdnModel, candidates, z):
+    A = _reference_forward(
+        g2.config.hidden_activation, g2.weights, g2.input_mean, g2.input_std, candidates
+    )
+    Y = np.broadcast_to(np.asarray(z, dtype=np.float64), (candidates.shape[0], len(z)))
+    *_, log_p = _reference_loss_terms(g2.config, A, Y)
+    return log_p
+
+
+def reference_select_top(scores, n):
+    if not np.isfinite(scores).any():
+        return np.arange(scores.shape[0]), True
+    order = np.argsort(-scores, kind="stable")
+    return order[:n], False
+
+
+def reference_predict(pipeline, x, z, rng: Rng, weighted=False):
+    params = reference_mixture_at(pipeline.g1, x)
+    candidates = reference_sample(params, pipeline.n_candidates, rng)
+    scores = reference_score_candidates(pipeline.g2, candidates, z)
+    idx, fallback = reference_select_top(scores, pipeline.n_selected)
+    chosen = candidates[idx]
+    if fallback:
+        warnings.warn(
+            "all candidate scores are non-finite; falling back to the mean "
+            "of all candidates",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        estimate = candidates.mean(axis=0)
+    elif weighted:
+        w = np.exp(scores[idx] - np.max(scores[idx]))
+        estimate = (chosen * (w / w.sum())[:, None]).sum(axis=0)
+    else:
+        estimate = chosen.mean(axis=0)
+    return HmdnEstimate(
+        estimate=estimate,
+        candidates=candidates,
+        scores=scores,
+        selected_indices=idx,
+        underflow_fallback=fallback,
+        weighted=weighted,
+    )
+
+
+def reference_baseline_samples(g1, x, rng: Rng, m):
+    return reference_sample(reference_mixture_at(g1, x), m, rng)
+
+
+def reference_run_predictions(
+    pipeline, features, truths, lux_by_condition, record_ids, master_seed, weighted=False
+):
+    records = []
+    for cond in lux_by_condition:
+        lux = np.asarray(lux_by_condition[cond], dtype=np.float64)
+        for rid in record_ids:
+            rid = int(rid)
+            rng_cand, rng_base = prediction_rngs(master_seed, cond, rid)
+            est = reference_predict(
+                pipeline, features[rid], [lux[rid]], rng_cand, weighted=weighted
+            )
+            cloud = reference_baseline_samples(
+                pipeline.g1, features[rid], rng_base, pipeline.n_candidates
+            )
+            records.append(
+                PredictionRecord(
+                    record_id=rid,
+                    condition=cond,
+                    truth=np.asarray(truths[rid], dtype=np.float64),
+                    z=np.array([lux[rid]]),
+                    baseline_samples=cloud,
+                    baseline_estimate=cloud.mean(axis=0),
+                    hmdn=est,
+                )
+            )
+    return records
