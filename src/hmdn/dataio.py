@@ -112,7 +112,8 @@ def load_csv(path, schema: ColumnSchema | None = None) -> FingerprintTable:
 
     Raises SchemaError naming any missing declared column, and ParseError
     with 1-based data-row number and column name for cells that fail to
-    parse or fall outside [rssi_min, rssi_max] without being the sentinel.
+    parse, WAP cells outside [rssi_min, rssi_max] that are not the
+    sentinel, and coordinates that are not finite.
     """
     schema = schema or ColumnSchema()
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -172,7 +173,15 @@ def load_csv(path, schema: ColumnSchema | None = None) -> FingerprintTable:
                     )
                 values.append(v)
             rssi_rows.append(values)
-            coord_rows.append([cell(x_idx, schema.x_column), cell(y_idx, schema.y_column)])
+            xy = []
+            for c, i in ((schema.x_column, x_idx), (schema.y_column, y_idx)):
+                v = cell(i, c)
+                if not math.isfinite(v):
+                    raise ParseError(
+                        f"{path}: row {row_no}, column {c!r}: coordinate {v} is not finite"
+                    )
+                xy.append(v)
+            coord_rows.append(xy)
             for c in meta_cols:
                 metadata[c].append(row[col_index[c]])
 
@@ -189,7 +198,7 @@ def load_csv(path, schema: ColumnSchema | None = None) -> FingerprintTable:
 
 @dataclass(frozen=True)
 class NormalizedRssi:
-    """Feature matrix plus the mapping needed to invert detected values.
+    """Feature matrix of a fingerprint table.
 
     zero_one maps detected dBm affinely onto (0, 1] with the zero point one
     dB below the detection floor, so the weakest detectable signal stays
@@ -198,15 +207,6 @@ class NormalizedRssi:
     """
 
     features: np.ndarray
-    mode: str
-    zero_point: float
-    beta: float = 1.0
-
-    def inverse_detected(self, values) -> np.ndarray:
-        v = np.asarray(values, dtype=np.float64)
-        if self.mode == "powed":
-            v = v ** (1.0 / self.beta)
-        return v * (-self.zero_point) + self.zero_point
 
 
 def normalize_rssi(table: FingerprintTable, mode: str = "zero_one") -> NormalizedRssi:
@@ -217,28 +217,23 @@ def normalize_rssi(table: FingerprintTable, mode: str = "zero_one") -> Normalize
     detected = table.detected_mask()
     scaled = (table.rssi - zero_point) / (-zero_point)
     feats = np.where(detected, scaled, 0.0)
-    beta = 1.0
     if mode == "powed":
-        beta = POWED_BETA
-        feats = feats**beta
-    return NormalizedRssi(features=feats, mode=mode, zero_point=zero_point, beta=beta)
+        feats = feats**POWED_BETA
+    return NormalizedRssi(features=feats)
 
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """How to divide a table: fraction, seed, and ordering strategy."""
+    """How to divide a table: the train fraction and the shuffle seed."""
 
     train_fraction: float
     seed: int = 0
-    strategy: str = "random"
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(
                 f"train_fraction must be strictly inside (0, 1), got {self.train_fraction}"
             )
-        if self.strategy not in ("random", "by_record_order"):
-            raise ValueError(f"strategy must be random or by_record_order, got {self.strategy!r}")
 
 
 def split(table: FingerprintTable, spec: SplitSpec):
@@ -252,10 +247,7 @@ def split(table: FingerprintTable, spec: SplitSpec):
         raise ValueError("cannot split an empty table")
     n_train = int(math.floor(n * spec.train_fraction + 0.5))
     n_train = min(max(n_train, 0), n)
-    if spec.strategy == "random":
-        order = Rng(spec.seed).spawn("split").permutation(n)
-    else:
-        order = np.arange(n)
+    order = Rng(spec.seed).spawn("split").permutation(n)
     train_idx = np.sort(order[:n_train])
     test_idx = np.sort(order[n_train:])
     return table.take(train_idx), table.take(test_idx)

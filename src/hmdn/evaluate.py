@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .numcore import Rng, fmt17
-from .pipeline import dump_metadata, parse_predictions
+from . import pipeline
 
 
 @dataclass(frozen=True)
@@ -27,21 +27,22 @@ class ConditionMetrics:
     ci_high: float
 
 
-def _euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum((a - b) ** 2, axis=-1))
-
-
 def paired_errors(records) -> dict:
-    """condition -> (baseline errors, hmdn errors), paired record-by-record."""
+    """condition -> (baseline errors, hmdn errors), paired record-by-record:
+    the Euclidean distances of the two estimates to the truth, computed
+    for all of a condition's records at once (each sum runs over one
+    record's coordinates, so every error is the per-record value)."""
     buckets: dict = {}
     for r in records:
-        b = float(_euclidean(np.asarray(r.baseline_estimate), np.asarray(r.truth)))
-        h = float(_euclidean(np.asarray(r.hmdn.estimate), np.asarray(r.truth)))
-        buckets.setdefault(r.condition, []).append((b, h))
-    return {
-        cond: (np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
-        for cond, pairs in buckets.items()
-    }
+        buckets.setdefault(r.condition, []).append(r)
+    out = {}
+    for cond, rs in buckets.items():
+        truth = np.array([r.truth for r in rs], dtype=np.float64)
+        out[cond] = tuple(
+            np.sqrt(np.sum((np.array(est, dtype=np.float64) - truth) ** 2, axis=-1))
+            for est in ([r.baseline_estimate for r in rs], [r.hmdn.estimate for r in rs])
+        )
+    return out
 
 
 def _improvement_pct(b_median, h_median):
@@ -139,9 +140,9 @@ def metrics_from_dump(path, n_resamples: int = 10_000) -> list:
     intervals match a live evaluation over the same records; a header
     without a valid ``master_seed`` raises SchemaError.
     """
-    records = parse_predictions(path)
+    records = pipeline.parse_predictions(path)
     try:
-        seed = int(dump_metadata(path)["master_seed"])
+        seed = int(pipeline.dump_metadata(path)["master_seed"])
     except (KeyError, ValueError):
         seed = -1
     if not 0 <= seed < 2**64:

@@ -36,11 +36,6 @@ _STD_FLOOR = 1e-12
 _PATIENCE = 50
 
 
-def _check_sigma_floor(sigma_floor: float) -> None:
-    if not sigma_floor > 0.0:
-        raise ValueError(f"sigma_floor must be > 0, got {sigma_floor}")
-
-
 @dataclass(frozen=True)
 class MdnConfig:
     """Architecture and training hyperparameters for one MDN.
@@ -70,7 +65,8 @@ class MdnConfig:
             raise ValueError("input_dim and target_dim must be >= 1")
         if self.n_components < 1:
             raise ValueError(f"n_components must be >= 1, got {self.n_components}")
-        _check_sigma_floor(self.sigma_floor)
+        if not self.sigma_floor > 0.0:
+            raise ValueError(f"sigma_floor must be > 0, got {self.sigma_floor}")
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 1:
@@ -96,15 +92,6 @@ class MdnConfig:
 
 
 @dataclass(frozen=True)
-class Activations:
-    """Raw output-layer values for one input, split into the three groups."""
-
-    a_pi: np.ndarray     # (K,)
-    a_sigma: np.ndarray  # (K,)
-    a_mu: np.ndarray     # (K, D)
-
-
-@dataclass(frozen=True)
 class MixtureParams:
     """Mixture description at one input: weights sum to one, sigma >= floor."""
 
@@ -119,16 +106,6 @@ class MixtureParams:
     @property
     def dim(self) -> int:
         return self.mu.shape[1]
-
-
-@dataclass(frozen=True)
-class GradWorkspace:
-    """Per-sample loss derivatives at the output layer, plus responsibilities."""
-
-    gamma: np.ndarray      # (K,) posterior responsibilities
-    d_a_pi: np.ndarray     # (K,)
-    d_a_sigma: np.ndarray  # (K,)
-    d_a_mu: np.ndarray     # (K, D)
 
 
 @dataclass(frozen=True)
@@ -283,20 +260,6 @@ def _forward(activation: str, weights, H: np.ndarray, acts=None) -> np.ndarray:
     return H
 
 
-def forward(model: MdnModel, x) -> Activations:
-    """Output activations for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.config.input_dim,):
-        raise ShapeError(
-            f"input has shape {x.shape}, model expects ({model.config.input_dim},)"
-        )
-    A = _forward(
-        model.config.hidden_activation, model.weights, _standardize(model, x.reshape(1, -1))
-    )
-    a_pi, a_sigma, a_mu = _split_output(A, model.config.n_components, model.config.target_dim)
-    return Activations(a_pi=a_pi[0], a_sigma=a_sigma[0], a_mu=a_mu[0])
-
-
 # --- the mixture head, batched: one row per sample, (B, K) per quantity ---
 #
 # The kernels write into a _HeadBuffers (or allocate, given _UNBUFFERED).
@@ -377,32 +340,9 @@ def _output_derivatives(Y, log_pi, floored, mu, quad, var, log_terms, log_p, dA,
     return gamma
 
 
-# --- single-sample API: B=1 calls into the batched head ---
-
-
-def _activation_rows(a: Activations):
-    return (
-        np.asarray(a.a_pi, dtype=np.float64).reshape(1, -1),
-        np.asarray(a.a_sigma, dtype=np.float64).reshape(1, -1),
-        np.asarray(a.a_mu, dtype=np.float64)[None],
-    )
-
-
-def activations_to_params(a: Activations, sigma_floor: float) -> MixtureParams:
-    """Transform raw activations to mixture parameters.
-
-    pi is the softmax of a_pi computed via a log-sum-exp shift; sigma is
-    exp(a_sigma) clamped below at sigma_floor; means pass through.
-    """
-    _check_sigma_floor(sigma_floor)
-    a_pi, a_sigma, mu = _activation_rows(a)
-    with np.errstate(all="ignore"):
-        log_pi, sigma, _ = _mixture_transform(a_pi, a_sigma, sigma_floor)
-    return MixtureParams(pi=np.exp(log_pi[0]), sigma=sigma[0], mu=mu[0])
-
-
 def log_density(params: MixtureParams, y) -> float:
-    """ln of the mixture density at y, evaluated fully in log space."""
+    """ln of the density at y of a mixture such as ``mixture_at`` returns,
+    evaluated fully in log space."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (params.dim,):
         raise ShapeError(f"y has shape {y.shape}, mixture is {params.dim}-dimensional")
@@ -417,38 +357,14 @@ def density(params: MixtureParams, y) -> float:
     return math.exp(log_density(params, y))
 
 
-def head_gradients(a: Activations, y, sigma_floor: float) -> GradWorkspace:
-    """Loss derivatives at the output layer for a single (activations, target),
-    with the responsibilities gamma: the batch formulas at B=1 (derived in
-    docs/gradients.md)."""
-    _check_sigma_floor(sigma_floor)
-    Y = np.asarray(y, dtype=np.float64).reshape(1, -1)
-    a_pi, a_sigma, a_mu = _activation_rows(a)
-    K = a_pi.shape[1]
-    A = np.concatenate([a_pi, a_sigma, a_mu.reshape(1, -1)], axis=1)
-    dA = np.empty_like(A)
-    with np.errstate(all="ignore"):
-        gamma = _output_derivatives(Y, *_head_terms(A, Y, K, sigma_floor), dA)
-    d_a_pi, d_a_sigma, d_a_mu = _split_output(dA, K, Y.shape[1])
-    return GradWorkspace(gamma=gamma[0], d_a_pi=d_a_pi[0], d_a_sigma=d_a_sigma[0], d_a_mu=d_a_mu[0])
-
-
 def _as_xy(batch, input_dim: int, target_dim: int):
-    """Normalize a batch (pairs, or an (X, Y) tuple of arrays) to 2-D arrays."""
-    if (
-        isinstance(batch, tuple)
-        and len(batch) == 2
-        and isinstance(batch[0], np.ndarray)
-        and batch[0].ndim == 2
-    ):
-        X = np.asarray(batch[0], dtype=np.float64)
-        Y = np.asarray(batch[1], dtype=np.float64)
-    else:
-        pairs = list(batch)
-        if not pairs:
-            raise ValueError("batch must be non-empty")
-        X = np.array([np.asarray(x, dtype=np.float64).ravel() for x, _ in pairs])
-        Y = np.array([np.asarray(y, dtype=np.float64).ravel() for _, y in pairs])
+    """A batch as its (X, Y) pair of 2-D float64 arrays, one row per sample,
+    checked against the model's input and target dimensions."""
+    if not (isinstance(batch, tuple) and len(batch) == 2):
+        raise ValueError("batch must be an (X, Y) pair of 2-D arrays")
+    X, Y = (np.asarray(a, dtype=np.float64) for a in batch)
+    if X.ndim != 2 or Y.ndim != 2:
+        raise ShapeError(f"batch arrays must be 2-D, got shapes {X.shape} and {Y.shape}")
     if X.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     if X.shape[1] != input_dim:
@@ -686,6 +602,8 @@ def sample(params: MixtureParams, m: int, rng: Rng) -> np.ndarray:
 
 
 def mixture_at(model: MdnModel, x) -> MixtureParams:
-    """The mixture at one input: forward + activations_to_params."""
+    """The mixture at one input: pi the softmax of the mixing activations,
+    sigma exp of the deviation activations clamped below at the sigma
+    floor, and the mean activations as mu."""
     pi, sigma, mu = _mixtures(model, np.asarray(x, dtype=np.float64)[None])
     return MixtureParams(pi=pi[0], sigma=sigma[0], mu=mu[0])

@@ -13,8 +13,6 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError
-
 # splitmix64 constants
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -173,25 +171,6 @@ def fmt17(x) -> str:
     return FLOAT_SPEC % float(x)
 
 
-def gaussian_sample(rng: Rng, mu, sigma: float) -> np.ndarray:
-    """Draw one point from an isotropic Gaussian: ``mu_i + sigma * z_i``."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    mu = np.asarray(mu, dtype=np.float64)
-    if mu.ndim != 1:
-        raise ShapeError(f"mu must be a vector, got shape {mu.shape}")
-    return mu + sigma * rng.normals(mu.shape[0])
-
-
-def log_sum_exp(v) -> float:
-    """ln sum(exp(v_i)) computed by shifting by max(v); exact for length 1."""
-    a = np.asarray(v, dtype=np.float64)
-    if a.ndim != 1 or a.shape[0] == 0:
-        raise ValueError(f"log_sum_exp needs a non-empty vector, got shape {a.shape}")
-    with np.errstate(divide="ignore"):
-        return float(log_sum_exp_rows(a.reshape(1, -1))[0])
-
-
 def log_sum_exp_rows(a: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Row-wise log-sum-exp for a 2-D array (vector path used by batched code).
 
@@ -199,7 +178,8 @@ def log_sum_exp_rows(a: np.ndarray, out=None, scratch=None) -> np.ndarray:
     that takes the log of zero, so callers run under
     ``np.errstate(divide="ignore")``. ``out`` (one entry per row) receives
     the result and ``scratch`` (the shape of ``a``) is overwritten; either
-    is allocated when omitted.
+    is allocated when omitted. A row of zero length has no maximum and
+    raises ValueError.
     """
     m = np.maximum.reduce(a, axis=1, out=out)
     np.copyto(m, 0.0, where=~np.isfinite(m))

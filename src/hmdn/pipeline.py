@@ -67,32 +67,10 @@ class HmdnEstimate:
     def selected(self) -> np.ndarray:
         return self.candidates[self.selected_indices]
 
-    @property
-    def selected_scores(self) -> np.ndarray:
-        return self.scores[self.selected_indices]
-
 
 def _check_z(g2: MdnModel, z: np.ndarray) -> None:
     if z.shape != (g2.config.target_dim,):
         raise ShapeError(f"z has shape {z.shape}, g2 targets are {g2.config.target_dim}-dimensional")
-
-
-def score_candidates(g2: MdnModel, candidates, z) -> np.ndarray:
-    """Log-density each candidate assigns to the observation z under g2.
-
-    Up to an additive constant this is the log-posterior over candidates,
-    so ranking by it is ranking by posterior probability.
-    """
-    C = np.asarray(candidates, dtype=np.float64)
-    if C.ndim == 1:
-        C = C.reshape(1, -1)
-    if C.shape[1] != g2.config.input_dim:
-        raise ShapeError(
-            f"candidates have dimension {C.shape[1]}, g2 expects {g2.config.input_dim}"
-        )
-    z = np.asarray(z, dtype=np.float64)
-    _check_z(g2, z)
-    return _log_likelihoods(g2, C, np.broadcast_to(z, (C.shape[0], z.shape[0])))
 
 
 def _rank(S: np.ndarray):
@@ -105,20 +83,6 @@ def _rank(S: np.ndarray):
 def _selected(order: np.ndarray, fallback, n: int) -> np.ndarray:
     """The n best indices of one ranked row, or every index on fallback."""
     return np.arange(order.shape[0]) if fallback else order[:n]
-
-
-def select_top(scores, n: int):
-    """Indices of the n best scores, ties broken by index ascending.
-
-    Returns ``(indices, fallback)``; fallback is True when every score is
-    non-finite, in which case all indices are returned so the caller can
-    average over the whole candidate set.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if not 1 <= n <= scores.shape[0]:
-        raise ValueError(f"need 1 <= n <= {scores.shape[0]}, got {n}")
-    order, fallback = _rank(scores[None])
-    return _selected(order[0], fallback[0], n), bool(fallback[0])
 
 
 def _predict_rows(pipeline: HmdnPipeline, mix, z: np.ndarray, rngs, weighted: bool):
@@ -180,11 +144,6 @@ def predict(pipeline: HmdnPipeline, x, z, rng: Rng, weighted: bool = False) -> H
 def baseline_samples(g1: MdnModel, x, rng: Rng, m: int) -> np.ndarray:
     """The m-point candidate cloud drawn from g1 alone."""
     return sample(mixture_at(g1, x), m, rng)
-
-
-def predict_baseline(g1: MdnModel, x, rng: Rng, m: int) -> np.ndarray:
-    """Mean of m draws from g1(x): the estimate that ignores the second feature."""
-    return baseline_samples(g1, x, rng, m).mean(axis=0)
 
 
 def prediction_rngs(master_seed: int, condition: str, record_id: int):
@@ -352,23 +311,26 @@ def write_predictions(path, records, master_seed: int, m: int, n: int) -> None:
             fh.write(_render_record(r))
 
 
-def _header_fields(line: str) -> dict:
-    """Key/value pairs of one ``# key value ...`` dump header line."""
-    parts = line[1:].split()
-    if len(parts) < 2 or len(parts) % 2:
-        return {}
-    return dict(zip(parts[0::2], parts[1::2]))
+def _read_header(fh, start: int = 1):
+    """Read the ``# key value ...`` lines at the current position of an open
+    dump, line ``start`` of the file. Returns the key/value pairs of those
+    with an even number of fields, the first line after them (None at the
+    end of the file) and its number."""
+    meta: dict = {}
+    lineno = start - 1
+    for lineno, ln in enumerate(fh, start=start):
+        if not ln.startswith("#"):
+            return meta, ln, lineno
+        parts = ln[1:].split()
+        if len(parts) % 2 == 0:
+            meta.update(zip(parts[0::2], parts[1::2]))
+    return meta, None, lineno + 1
 
 
 def dump_metadata(path) -> dict:
     """Key/value header lines (# key value ...) of a predictions dump."""
-    meta: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            if not ln.startswith("#"):
-                break
-            meta.update(_header_fields(ln))
-    return meta
+        return _read_header(fh)[0]
 
 
 def _block_sizes(path, meta: dict):
@@ -506,17 +468,14 @@ def parse_predictions(path) -> list:
     or unusable ``m``/``n`` raises SchemaError; any other deviation raises
     ParseError naming the path and line.
     """
-    records, meta, lineno = [], {}, 1
+    records = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().rstrip("\n") != _DUMP_HEADER:
                 raise SchemaError(f"{path}: line 1: not a predictions dump (no {_DUMP_HEADER!r})")
-            for lineno, ln in enumerate(fh, start=2):
-                if not ln.startswith("#"):
-                    break
-                meta.update(_header_fields(ln))
-            else:
-                raise ParseError(f"{path}: line {lineno + 1}: no record lines after the header")
+            meta, ln, lineno = _read_header(fh, start=2)
+            if ln is None:
+                raise ParseError(f"{path}: line {lineno}: no record lines after the header")
             m, n = _block_sizes(path, meta)
             parts, lines = ln.split(), map(str.split, fh)
             if parts[0:1] != ["record"]:

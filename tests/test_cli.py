@@ -169,7 +169,7 @@ class TestPredict:
             "--data", workspace / "test.csv", "--out-dir", out,
             "--records", "0", "--conditions", "sunny", "--seed", 3, "--no-plots",
         ) == 0
-        meta = evaluate.dump_metadata(out / "predictions.txt")
+        meta = pipeline.dump_metadata(out / "predictions.txt")
         assert meta["m"] == "100" and meta["n"] == "20"
         assert not list(out.glob("*.svg"))
 
@@ -314,6 +314,46 @@ class TestDocs:
             for name, p in sub.choices.items()
         }
         assert documented == declared
+
+
+class TestNonFiniteCoordinates:
+    """A fingerprint CSV whose coordinate cell is nan or inf is a data error."""
+
+    def with_bad_coordinate(self, source, bad, column, value):
+        lines = source.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[1].split(",")
+        cells[header.index(column)] = value
+        lines[1] = ",".join(cells)
+        bad.write_text("\n".join(lines) + "\n")
+
+    def check(self, capsys, code, bad, column):
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert str(bad) in err and "row 1" in err and repr(column) in err
+
+    def test_nan_test_coordinate_rejected_by_evaluate(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "test.csv"
+        self.with_bad_coordinate(workspace / "test.csv", bad, "LONGITUDE", "nan")
+        code = run(
+            "evaluate", "--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
+            "--data", bad, "--out-dir", tmp_path / "eval",
+            "--conditions", "sunny", "--m", 5, "--n", 2, "--seed", 1, "--bootstrap", 10,
+        )
+        self.check(capsys, code, bad, "LONGITUDE")
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+    def test_inf_train_coordinate_rejected_by_train(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "train.csv"
+        self.with_bad_coordinate(workspace / "train.csv", bad, "LATITUDE", "inf")
+        code = run(
+            "train", "--which", "g1", "--data", bad, "--model-out", tmp_path / "g1.model",
+            "--seed", 5, "--hidden", "4", "--epochs", 1,
+        )
+        self.check(capsys, code, bad, "LATITUDE")
+        assert not (tmp_path / "g1.model").exists()
 
 
 class TestMalformedModel:

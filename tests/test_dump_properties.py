@@ -19,11 +19,10 @@ from hmdn.pipeline import (
     PredictionRecord,
     _render_record,
     parse_predictions,
-    select_top,
     write_predictions,
 )
 
-from util import make_dump_records, reference_write_predictions
+from util import make_dump_records, reference_select_top, reference_write_predictions
 
 # fixed example sequence and no example database: the suite stays
 # deterministic and writes nothing into the working directory
@@ -78,7 +77,7 @@ score = st.one_of(st.sampled_from([-math.inf, math.nan, 0.0, -1.5]), finite)
 @st.composite
 def dump_records(draw):
     """(records, m, n): 1-3 records of one dimension with the selection
-    select_top makes, ties and all-non-finite (fallback) scores included."""
+    prediction makes, ties and all-non-finite (fallback) scores included."""
     dim, m = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     n = draw(st.integers(1, m))
     records = []
@@ -87,7 +86,7 @@ def dump_records(draw):
             return np.array(draw(st.lists(finite, min_size=rows * dim, max_size=rows * dim)))
 
         scores = np.array(draw(st.lists(score, min_size=m, max_size=m)))
-        selected, fallback = select_top(scores, n)
+        selected, fallback = reference_select_top(scores, n)
         samples = coords(m).reshape(m, dim)
         est = HmdnEstimate(
             estimate=coords(1),

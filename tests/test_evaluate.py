@@ -50,6 +50,24 @@ class TestMetrics:
         assert b.tolist() == [5.0, 0.0]
         assert h.tolist() == [1.0, 0.0]
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_paired_errors_bit_identical_to_per_record_distances(self, dim):
+        rng = Rng(60 + dim)
+        records = []
+        for rid in range(200):
+            truth, base, hmdn = ((rng.uniform(dim) * 2 - 1) * 10.0 ** (rid % 7 - 3)
+                                 for _ in range(3))
+            records.append(make_record(rid, ("sunny", "cloudy")[rid % 2], truth, base, hmdn))
+        errs = paired_errors(records)
+        for cond, (b, h) in errs.items():
+            rs = [r for r in records if r.condition == cond]
+            want_b = np.array([float(np.sqrt(np.sum((r.baseline_estimate - r.truth) ** 2)))
+                               for r in rs])
+            want_h = np.array([float(np.sqrt(np.sum((r.hmdn.estimate - r.truth) ** 2)))
+                               for r in rs])
+            assert b.tobytes() == want_b.tobytes()
+            assert h.tobytes() == want_h.tobytes()
+
     def test_constant_errors_give_degenerate_interval(self):
         # every resample of constant arrays has the same medians, so the
         # interval collapses onto the exact improvement

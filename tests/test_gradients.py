@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from hmdn.mdn import Activations, head_gradients, gradients, nll
+from hmdn.errors import ShapeError
+from hmdn.mdn import gradients, mixture_at, nll
 from hmdn.numcore import Rng
 
 from util import (
+    affine_model,
     finite_diff_grads,
     grads_close,
     make_random_model,
@@ -13,55 +15,58 @@ from util import (
 )
 
 
+def head_gradients(a_pi, a_sigma, a_mu, y, sigma_floor=1e-3):
+    """Loss derivatives at the output layer for one sample with the given
+    output activations, and the responsibilities: the output-bias gradient
+    of ``gradients`` at B=1 on an affine model that spells out the
+    activations, split as [d_a_pi | d_a_sigma | d_a_mu], with
+    gamma = pi - d_a_pi. Returns (gamma, d_a_pi, d_a_sigma, d_a_mu)."""
+    model = affine_model(a_pi, a_sigma, a_mu, sigma_floor)
+    K, D = model.config.n_components, model.config.target_dim
+    x = np.zeros((1, 1))
+    d_a = gradients(model, (x, np.asarray(y, dtype=np.float64).reshape(1, D)))[-1][0]
+    d_a_pi = d_a[:K]
+    gamma = mixture_at(model, x[0]).pi - d_a_pi
+    return gamma, d_a_pi, d_a[K : 2 * K], d_a[2 * K :].reshape(K, D)
+
+
 class TestHeadGradients:
     def test_single_component_at_mean(self):
         # y exactly at the only component's mean: mu gradient vanishes,
         # sigma gradient equals D * gamma = D, pi gradient is zero
         for D in (1, 2, 3):
-            a = Activations(
-                a_pi=np.array([0.3]),
-                a_sigma=np.array([0.2]),
-                a_mu=np.linspace(-1, 1, D).reshape(1, D),
-            )
-            ws = head_gradients(a, a.a_mu[0], sigma_floor=1e-3)
-            assert ws.gamma[0] == pytest.approx(1.0, abs=1e-15)
-            assert np.allclose(ws.d_a_mu, 0.0, atol=1e-15)
-            assert ws.d_a_sigma[0] == pytest.approx(float(D), rel=1e-12)
-            assert ws.d_a_pi[0] == pytest.approx(0.0, abs=1e-15)
+            a_mu = np.linspace(-1, 1, D).reshape(1, D)
+            gamma, d_a_pi, d_a_sigma, d_a_mu = head_gradients([0.3], [0.2], a_mu, a_mu[0])
+            assert gamma[0] == pytest.approx(1.0, abs=1e-15)
+            assert np.allclose(d_a_mu, 0.0, atol=1e-15)
+            assert d_a_sigma[0] == pytest.approx(float(D), rel=1e-12)
+            assert d_a_pi[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_equal_components_share_responsibility(self):
         for K in (2, 3, 5):
-            a = Activations(
-                a_pi=np.zeros(K),
-                a_sigma=np.zeros(K),
-                a_mu=np.tile([0.5, -0.5], (K, 1)),
-            )
-            ws = head_gradients(a, [0.1, 0.2], sigma_floor=1e-3)
-            assert ws.gamma == pytest.approx([1.0 / K] * K, rel=1e-12)
+            gamma, *_ = head_gradients(np.zeros(K), np.zeros(K), np.tile([0.5, -0.5], (K, 1)),
+                                       [0.1, 0.2])
+            assert gamma == pytest.approx([1.0 / K] * K, rel=1e-12)
 
     def test_responsibilities_sum_to_one(self):
         rng = Rng(500)
         for _ in range(100):
             K = 1 + int(rng.uniform() * 5)
             D = 1 + int(rng.uniform() * 3)
-            a = Activations(
-                a_pi=rng.uniform(K) * 6 - 3,
-                a_sigma=rng.uniform(K) * 2 - 1,
-                a_mu=(rng.uniform(K * D) * 4 - 2).reshape(K, D),
+            gamma, *_ = head_gradients(
+                rng.uniform(K) * 6 - 3,
+                rng.uniform(K) * 2 - 1,
+                (rng.uniform(K * D) * 4 - 2).reshape(K, D),
+                rng.uniform(D) * 4 - 2,
             )
-            ws = head_gradients(a, rng.uniform(D) * 4 - 2, sigma_floor=1e-3)
-            assert ws.gamma.sum() == pytest.approx(1.0, abs=1e-9)
-            assert np.all(ws.gamma >= 0.0)
+            assert gamma.sum() == pytest.approx(1.0, abs=1e-9)
+            assert np.all(gamma >= 0.0)
 
     def test_floored_sigma_has_zero_gradient(self):
-        a = Activations(
-            a_pi=np.zeros(2),
-            a_sigma=np.array([-30.0, 0.0]),
-            a_mu=np.zeros((2, 1)),
-        )
-        ws = head_gradients(a, [0.4], sigma_floor=1e-3)
-        assert ws.d_a_sigma[0] == 0.0
-        assert ws.d_a_sigma[1] != 0.0
+        _, _, d_a_sigma, _ = head_gradients(np.zeros(2), np.array([-30.0, 0.0]), np.zeros((2, 1)),
+                                            [0.4])
+        assert d_a_sigma[0] == 0.0
+        assert d_a_sigma[1] != 0.0
 
 
 class TestWeightGradients:
@@ -141,7 +146,16 @@ class TestWeightGradients:
 
     def test_empty_batch_rejected(self):
         model = make_random_model(1)
+        empty = (np.zeros((0, 2)), np.zeros((0, 2)))
         with pytest.raises(ValueError):
-            gradients(model, [])
+            gradients(model, empty)
         with pytest.raises(ValueError):
-            nll(model, [])
+            nll(model, empty)
+
+    def test_batch_must_be_an_xy_pair_of_2d_arrays(self):
+        model = make_random_model(1)
+        x, y = np.zeros(2), np.zeros(2)
+        with pytest.raises(ValueError, match=r"\(X, Y\) pair"):
+            nll(model, [(x, y)])
+        with pytest.raises(ShapeError, match="2-D"):
+            gradients(model, (x, y))

@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 
 from hmdn.errors import DomainError, NumericError, ShapeError
-from hmdn.mdn import (
-    Activations,
-    MdnConfig,
-    MdnModel,
-    activations_to_params,
-    forward,
-    identity_model,
-)
+from hmdn.mdn import MdnConfig, MdnModel, identity_model, mixture_at
 from hmdn.numcore import Rng
 
-from util import make_random_model
+from util import affine_model, make_random_model
 
 
 def zero_model(input_dim=2, hidden=(3,), K=2, D=2):
@@ -80,15 +73,18 @@ class TestMdnModel:
 
 
 class TestForward:
+    """The layers as seen through ``mixture_at``: mu is a_mu, and sigma is
+    exp(a_sigma) wherever that lies above the floor."""
+
     def test_all_zero_weights_give_zero_activations(self):
         m = zero_model()
-        a = forward(m, [0.7, -1.3])
-        assert np.all(a.a_pi == 0.0)
-        assert np.all(a.a_sigma == 0.0)
-        assert np.all(a.a_mu == 0.0)
+        p = mixture_at(m, [0.7, -1.3])
+        assert np.all(p.pi == p.pi[0])
+        assert np.all(p.sigma == 1.0)
+        assert np.all(p.mu == 0.0)
 
     def test_hand_computed_single_hidden_layer(self):
-        # 2 -> 2 tanh -> 4 outputs (K=1, D=2)
+        # 2 -> 2 tanh -> 4 outputs (K=1, D=2): a_pi, a_sigma, a_mu
         cfg = MdnConfig(input_dim=2, target_dim=2, n_components=1, hidden_layers=(2,))
         w0 = [[0.5, -0.25], [1.0, 0.75]]
         b0 = [[0.1, -0.2]]
@@ -101,71 +97,67 @@ class TestForward:
             math.tanh(0.3 * 0.5 + (-0.6) * 1.0 + 0.1),
             math.tanh(0.3 * -0.25 + (-0.6) * 0.75 - 0.2),
         ]
-        want = [
-            h[0] * 1.0 + h[1] * 0.5 + 0.0,
-            h[0] * 0.0 + h[1] * -0.5 + 0.1,
-            h[0] * -1.0 + h[1] * 0.25 + 0.2,
-            h[0] * 2.0 + h[1] * 0.0 + 0.3,
-        ]
-        a = forward(m, x)
-        got = [a.a_pi[0], a.a_sigma[0], a.a_mu[0, 0], a.a_mu[0, 1]]
-        assert got == pytest.approx(want, rel=1e-14)
+        a_sigma = h[0] * 0.0 + h[1] * -0.5 + 0.1
+        a_mu = [h[0] * -1.0 + h[1] * 0.25 + 0.2, h[0] * 2.0 + h[1] * 0.0 + 0.3]
+        p = mixture_at(m, x)
+        assert p.pi[0] == 1.0
+        assert p.sigma[0] == pytest.approx(math.exp(a_sigma), rel=1e-14)
+        assert list(p.mu[0]) == pytest.approx(a_mu, rel=1e-14)
 
     def test_deterministic(self):
         m = make_random_model(5)
         x = [0.2, 0.9]
-        a1, a2 = forward(m, x), forward(m, x)
-        assert np.array_equal(a1.a_pi, a2.a_pi)
-        assert np.array_equal(a1.a_sigma, a2.a_sigma)
-        assert np.array_equal(a1.a_mu, a2.a_mu)
+        p1, p2 = mixture_at(m, x), mixture_at(m, x)
+        assert np.array_equal(p1.pi, p2.pi)
+        assert np.array_equal(p1.sigma, p2.sigma)
+        assert np.array_equal(p1.mu, p2.mu)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            forward(make_random_model(1), [1.0, 2.0, 3.0])
+            mixture_at(make_random_model(1), [1.0, 2.0, 3.0])
 
     def test_standardization_applied(self):
         m = make_random_model(9, random_standardize=True)
         # feeding the stored mean must equal feeding zeros to an unstandardized twin
-        a1 = forward(m, m.input_mean)
+        p1 = mixture_at(m, m.input_mean)
         twin = make_random_model(9, random_standardize=False)
-        a2 = forward(twin, np.zeros(2))
-        assert np.allclose(a1.a_mu, a2.a_mu, atol=1e-12)
+        p2 = mixture_at(twin, np.zeros(2))
+        assert np.allclose(p1.mu, p2.mu, atol=1e-12)
 
     def test_relu_hidden(self):
         m = make_random_model(12, activation="relu")
-        a = forward(m, [0.4, -0.8])
-        assert np.all(np.isfinite(a.a_pi))
+        p = mixture_at(m, [0.4, -0.8])
+        assert np.all(np.isfinite(p.pi))
 
 
 class TestActivationsToParams:
+    """The mixture transform, on affine models whose bias is the activations."""
+
     def test_uniform_pi_for_equal_activations(self):
-        a = Activations(a_pi=np.zeros(3), a_sigma=np.zeros(3), a_mu=np.zeros((3, 1)))
-        p = activations_to_params(a, 1e-3)
+        p = mixture_at(affine_model(np.zeros(3), np.zeros(3), np.zeros((3, 1))), [0.0])
         assert p.pi == pytest.approx([1 / 3] * 3, rel=1e-12)
 
     def test_exp_zero_is_unit_sigma(self):
-        a = Activations(a_pi=np.zeros(2), a_sigma=np.zeros(2), a_mu=np.zeros((2, 1)))
-        p = activations_to_params(a, 1e-3)
+        p = mixture_at(affine_model(np.zeros(2), np.zeros(2), np.zeros((2, 1))), [0.0])
         assert np.all(p.sigma == 1.0)
 
     def test_extreme_pi_no_overflow(self):
-        a = Activations(a_pi=np.array([1000.0, 0.0]), a_sigma=np.zeros(2), a_mu=np.zeros((2, 1)))
-        p = activations_to_params(a, 1e-3)
+        m = affine_model(np.array([1000.0, 0.0]), np.zeros(2), np.zeros((2, 1)))
+        p = mixture_at(m, [0.0])
         # high-precision reference: softmax([1000, 0]) = [1, e^-1000] / (1 + e^-1000)
         assert p.pi[0] == pytest.approx(1.0, abs=1e-15)
         assert p.pi[1] == pytest.approx(0.0, abs=1e-300)
         assert np.all(np.isfinite(p.pi))
 
     def test_sigma_floor_applied(self):
-        a = Activations(a_pi=np.zeros(2), a_sigma=np.array([-50.0, 0.5]), a_mu=np.zeros((2, 1)))
-        p = activations_to_params(a, 1e-3)
+        m = affine_model(np.zeros(2), np.array([-50.0, 0.5]), np.zeros((2, 1)), sigma_floor=1e-3)
+        p = mixture_at(m, [0.0])
         assert p.sigma[0] == 1e-3
         assert p.sigma[1] == pytest.approx(math.exp(0.5), rel=1e-15)
 
     def test_mu_identity(self):
         mu = np.array([[1.5, -2.5], [0.25, 9.0]])
-        a = Activations(a_pi=np.zeros(2), a_sigma=np.zeros(2), a_mu=mu)
-        p = activations_to_params(a, 1e-3)
+        p = mixture_at(affine_model(np.zeros(2), np.zeros(2), mu), [0.0])
         assert np.array_equal(p.mu, mu)
 
     def test_softmax_shift_invariance(self):
@@ -173,10 +165,8 @@ class TestActivationsToParams:
         for _ in range(50):
             a_pi = rng.uniform(4) * 20 - 10
             c = rng.uniform() * 100 - 50
-            base = Activations(a_pi=a_pi, a_sigma=np.zeros(4), a_mu=np.zeros((4, 1)))
-            shifted = Activations(a_pi=a_pi + c, a_sigma=np.zeros(4), a_mu=np.zeros((4, 1)))
-            p0 = activations_to_params(base, 1e-3)
-            p1 = activations_to_params(shifted, 1e-3)
+            p0 = mixture_at(affine_model(a_pi, np.zeros(4), np.zeros((4, 1))), [0.0])
+            p1 = mixture_at(affine_model(a_pi + c, np.zeros(4), np.zeros((4, 1))), [0.0])
             assert np.allclose(p0.pi, p1.pi, atol=1e-12)
 
 
@@ -186,7 +176,7 @@ class TestMixtureConstraints:
         rng = Rng(101)
         for _ in range(500):
             x = rng.uniform(3) * 10 - 5
-            p = activations_to_params(forward(m, x), m.config.sigma_floor)
+            p = mixture_at(m, x)
             assert abs(p.pi.sum() - 1.0) <= 1e-9
             assert np.all(p.pi >= 0.0) and np.all(p.pi <= 1.0)
             assert np.all(p.sigma >= m.config.sigma_floor)

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hmdn.errors import ShapeError
+from hmdn.mdn import MixtureParams, sample
 from hmdn.numcore import (
     Rng,
-    gaussian_sample,
-    log_sum_exp,
+    log_sum_exp_rows,
     normals_from,
     splitmix64,
     u64_rows,
@@ -30,6 +29,12 @@ def reference_splitmix64(seed, n):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
         out.append(z ^ (z >> 31))
     return out
+
+
+def log_sum_exp(v) -> float:
+    """log_sum_exp_rows of v as a single row."""
+    with np.errstate(divide="ignore"):
+        return float(log_sum_exp_rows(np.asarray(v, dtype=np.float64).reshape(1, -1))[0])
 
 
 class TestLogSumExp:
@@ -58,7 +63,7 @@ class TestLogSumExp:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            log_sum_exp([])
+            log_sum_exp_rows(np.empty((1, 0)))
 
 
 class TestRng:
@@ -148,23 +153,25 @@ class TestRng:
 
 
 class TestGaussianSample:
+    """Draws from one isotropic Gaussian: ``sample`` of a one-component mixture."""
+
+    @staticmethod
+    def gaussian(mu, sigma):
+        mu = np.asarray(mu, dtype=np.float64)
+        return MixtureParams(pi=np.array([1.0]), sigma=np.array([sigma]), mu=mu[None])
+
     def test_tiny_sigma_collapses_to_mu(self):
         mu = np.array([1.0, -2.0, 3.0])
-        s = gaussian_sample(Rng(1), mu, 1e-300)
+        s = sample(self.gaussian(mu, 1e-300), 1, Rng(1))[0]
         assert np.allclose(s, mu, atol=1e-290)
-
-    def test_nonpositive_sigma_rejected(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                gaussian_sample(Rng(1), [0.0], bad)
 
     def test_monte_carlo_moments(self):
         r = Rng(31415)
-        draws = np.concatenate([gaussian_sample(r, np.zeros(1000), 1.0) for _ in range(100)])
+        draws = np.concatenate([sample(self.gaussian([0.0], 1.0), 1000, r) for _ in range(100)])
         assert abs(draws.mean()) < 0.02
         assert 0.98 < draws.std() < 1.02
 
     def test_fixed_seed_identical_draws(self):
-        a = gaussian_sample(Rng(55), [1.0, 2.0], 0.5)
-        b = gaussian_sample(Rng(55), [1.0, 2.0], 0.5)
+        a = sample(self.gaussian([1.0, 2.0], 0.5), 1, Rng(55))
+        b = sample(self.gaussian([1.0, 2.0], 0.5), 1, Rng(55))
         assert np.array_equal(a, b)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hmdn.errors import ParseError, SchemaError, ShapeError
-from hmdn.mdn import MdnConfig, density, identity_model, mixture_at
+from hmdn.mdn import MdnConfig, density, identity_model, mixture_at, nll
 from hmdn.numcore import Rng
 from hmdn.pipeline import (
     HmdnEstimate,
@@ -13,22 +13,21 @@ from hmdn.pipeline import (
     baseline_samples,
     parse_predictions,
     predict,
-    predict_baseline,
     PredictionRecord,
-    score_candidates,
-    select_top,
     write_predictions,
 )
 
-from util import make_dump_records, reference_write_predictions
+from util import (
+    affine_model,
+    make_dump_records,
+    reference_select_top,
+    reference_write_predictions,
+)
 
 
-def bimodal_g1(mode_a=(2.0, 5.0), mode_b=(15.0, 5.0), spread=0.3):
+def bimodal_g1(mode_a=(2.0, 5.0), mode_b=(15.0, 5.0), spread=0.3, sigma_floor=1e-3):
     """Input-independent two-mode mixture over the plane (affine head, zero weights)."""
-    cfg = MdnConfig(input_dim=1, target_dim=2, n_components=2, hidden_layers=())
-    w = np.zeros((1, cfg.output_width))
-    b = np.array([[0.0, 0.0, math.log(spread), math.log(spread), *mode_a, *mode_b]])
-    return identity_model(cfg, [w, b])
+    return affine_model(np.zeros(2), np.full(2, math.log(spread)), [mode_a, mode_b], sigma_floor)
 
 
 def linear_g2(sigma=1.0):
@@ -45,52 +44,91 @@ def constant_g2():
     return identity_model(cfg, [np.zeros((2, 3)), np.array([[0.0, 0.0, 0.0]])])
 
 
+def point_modes_g1():
+    """Two modes with a spread far below one ulp of their coordinates:
+    every candidate lands exactly on one of them."""
+    return bimodal_g1(spread=1e-300, sigma_floor=1e-300)
+
+
+def planar_g2():
+    """K=1, unit-sigma head over a 2-D observation whose mean is (the
+    candidate's first coordinate, 0): the second observed coordinate adds
+    the same term to every candidate's score."""
+    cfg = MdnConfig(input_dim=2, target_dim=2, n_components=1, hidden_layers=())
+    w = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    return identity_model(cfg, [w, np.zeros((1, 4))])
+
+
+def score(g2, candidate, z) -> float:
+    """The score of one candidate: -nll of g2 on that one row."""
+    return -nll(g2, (np.array([candidate], dtype=float), np.array([z], dtype=float)))
+
+
 class TestScoreCandidates:
+    """Candidate scores, as ``predict`` computes them and as -nll on one row."""
+
     def test_identical_candidates_identical_scores(self):
-        g2 = linear_g2()
-        s = score_candidates(g2, [[3.0, 4.0], [3.0, 4.0]], [2.0])
-        assert s[0] == s[1]
+        pipe = HmdnPipeline(g1=point_modes_g1(), g2=linear_g2(), n_candidates=40, n_selected=5)
+        est = predict(pipe, [0.0], [2.0], Rng(12))
+        at_a = est.candidates[:, 0] == 2.0
+        assert at_a.any() and (~at_a).any()
+        assert np.all(est.candidates[at_a] == est.candidates[at_a][0])
+        assert np.all(est.scores[at_a] == est.scores[at_a][0])
+        assert np.all(est.scores[~at_a] == est.scores[~at_a][0])
 
     def test_candidate_near_observation_scores_higher(self):
         g2 = linear_g2()
-        s = score_candidates(g2, [[2.0, 5.0], [15.0, 5.0]], [2.0])
-        assert s[0] > s[1]
+        assert score(g2, [2.0, 5.0], [2.0]) > score(g2, [15.0, 5.0], [2.0])
 
     def test_matches_density_op_per_candidate(self):
-        g2 = linear_g2(sigma=0.8)
-        rng = Rng(3)
-        cands = (rng.uniform(20) * 10).reshape(10, 2)
+        pipe = HmdnPipeline(g1=bimodal_g1(spread=2.0), g2=linear_g2(sigma=0.8),
+                            n_candidates=10, n_selected=3)
         z = [4.2]
-        scores = score_candidates(g2, cands, z)
-        for c, s in zip(cands, scores):
-            want = math.log(density(mixture_at(g2, c), z))
+        est = predict(pipe, [0.0], z, Rng(3))
+        for c, s in zip(est.candidates, est.scores):
+            want = math.log(density(mixture_at(pipe.g2, c), z))
             assert s == pytest.approx(want, rel=1e-12)
+            assert s == pytest.approx(score(pipe.g2, c, z), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            score_candidates(linear_g2(), [[1.0, 2.0, 3.0]], [0.0])
+            score(linear_g2(), [1.0, 2.0, 3.0], [0.0])
         with pytest.raises(ShapeError):
-            score_candidates(linear_g2(), [[1.0, 2.0]], [0.0, 1.0])
+            score(linear_g2(), [1.0, 2.0], [0.0, 1.0])
+        pipe = HmdnPipeline(g1=bimodal_g1(), g2=linear_g2())
+        with pytest.raises(ShapeError):
+            predict(pipe, [0.0], [0.0, 1.0], Rng(1))
 
 
 class TestSelectTop:
+    """Selection inside ``predict``: the N best scores, ties by index."""
+
     def test_shift_invariance(self):
+        # a second observed coordinate shifts every score by the same amount
+        pipe = HmdnPipeline(g1=bimodal_g1(spread=3.0), g2=planar_g2(), n_candidates=30,
+                            n_selected=7)
         rng = Rng(9)
-        for _ in range(50):
-            scores = rng.uniform(30) * 100 - 50
-            c = rng.uniform() * 1000
-            base, _ = select_top(scores, 7)
-            shifted, _ = select_top(scores + c, 7)
-            assert set(base) == set(shifted)
+        for t in range(50):
+            c = rng.uniform() * 30
+            base = predict(pipe, [0.0], [2.0, 0.0], Rng(300 + t))
+            shifted = predict(pipe, [0.0], [2.0, c], Rng(300 + t))
+            assert np.array_equal(base.candidates, shifted.candidates)
+            assert set(base.selected_indices) == set(shifted.selected_indices)
 
     def test_ties_broken_by_index(self):
-        idx, fb = select_top([1.0, 2.0, 1.0, 2.0, 0.5], 3)
-        assert list(idx) == [1, 3, 0]
-        assert not fb
+        pipe = HmdnPipeline(g1=point_modes_g1(), g2=linear_g2(), n_candidates=10, n_selected=6)
+        est = predict(pipe, [0.0], [2.0], Rng(1))
+        at_a = np.flatnonzero(est.candidates[:, 0] == 2.0)
+        at_b = np.flatnonzero(est.candidates[:, 0] != 2.0)
+        assert 0 < at_a.shape[0] < 6  # the selection runs into the tied second mode
+        assert list(est.selected_indices) == [*at_a, *at_b][:6]
+        assert not est.underflow_fallback
 
     def test_all_non_finite_falls_back(self):
-        idx, fb = select_top([-math.inf] * 5, 2)
-        assert fb and list(idx) == [0, 1, 2, 3, 4]
+        pipe = HmdnPipeline(g1=bimodal_g1(), g2=linear_g2(), n_candidates=5, n_selected=2)
+        with pytest.warns(RuntimeWarning):
+            est = predict(pipe, [0.0], [math.inf], Rng(4))
+        assert est.underflow_fallback and list(est.selected_indices) == [0, 1, 2, 3, 4]
 
 
 class TestPredict:
@@ -120,7 +158,7 @@ class TestPredict:
         assert est.selected_indices.shape == (20,)
         assert len(set(est.selected_indices.tolist())) == 20
         unselected = np.setdiff1d(np.arange(100), est.selected_indices)
-        assert est.selected_scores.min() >= est.scores[unselected].max()
+        assert est.scores[est.selected_indices].min() >= est.scores[unselected].max()
 
     def test_estimate_in_convex_hull_of_selected(self):
         est = predict(self.pipe, [0.0], [2.0], Rng(42))
@@ -149,7 +187,7 @@ class TestPredict:
         diffs = []
         for t in range(200):
             h = predict(pipe, [0.0], [0.0], Rng(1000 + t))
-            b = predict_baseline(pipe.g1, [0.0], Rng(5000 + t), 100)
+            b = baseline_samples(pipe.g1, [0.0], Rng(5000 + t), 100).mean(axis=0)
             diffs.append(h.estimate - b)
         mean_diff = np.mean(diffs, axis=0)
         # per-coordinate variance of the two-mode cloud, then a 4-sigma bound
@@ -171,20 +209,21 @@ class TestPredictBaseline:
             cfg, [np.zeros((1, cfg.output_width)), np.array([[0.0, math.log(1.0), 3.0, -2.0]])]
         )
         m = 2000
-        est = predict_baseline(g1, [0.0], Rng(21), m)
+        est = baseline_samples(g1, [0.0], Rng(21), m).mean(axis=0)
         bound = 4.0 / math.sqrt(m)
         assert abs(est[0] - 3.0) <= bound and abs(est[1] + 2.0) <= bound
 
     def test_m_one_is_single_sample(self):
         g1 = bimodal_g1()
-        est = predict_baseline(g1, [0.0], Rng(33), 1)
+        est = baseline_samples(g1, [0.0], Rng(33), 1).mean(axis=0)
         s = baseline_samples(g1, [0.0], Rng(33), 1)
         assert np.array_equal(est, s[0])
 
     def test_deterministic(self):
         g1 = bimodal_g1()
         assert np.array_equal(
-            predict_baseline(g1, [0.0], Rng(3), 50), predict_baseline(g1, [0.0], Rng(3), 50)
+            baseline_samples(g1, [0.0], Rng(3), 50).mean(axis=0),
+            baseline_samples(g1, [0.0], Rng(3), 50).mean(axis=0),
         )
 
 
@@ -266,7 +305,7 @@ class TestDumpMatchesReferenceWriter:
         rebuilt = []
         for r, scores in zip(records, (fallback_scores, tied_scores, None)):
             if scores is not None:
-                idx, fallback = select_top(scores, 3)
+                idx, fallback = reference_select_top(scores, 3)
                 est = HmdnEstimate(
                     estimate=r.hmdn.candidates[idx].mean(axis=0),
                     candidates=r.hmdn.candidates,

@@ -11,7 +11,6 @@ from hmdn.pipeline import (
     HmdnPipeline,
     baseline_samples,
     predict,
-    predict_baseline,
     run_predictions,
     write_predictions,
 )
@@ -138,9 +137,9 @@ class TestMatchesReferenceLoop:
 
 
 class TestSingleRecordCalls:
-    """predict, baseline_samples and predict_baseline are one-record calls
-    into the block kernel; they keep the per-record results and advance
-    their generator as the per-record sampler did."""
+    """predict and baseline_samples are one-record calls into the block
+    kernel; they keep the per-record results and advance their generator as
+    the per-record sampler did."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -162,7 +161,7 @@ class TestSingleRecordCalls:
                 assert a.next_u64() == b.next_u64()
                 assert same_bits(baseline_samples(pipe.g1, x, a, 13),
                                  reference_baseline_samples(pipe.g1, x, b, 13))
-                assert same_bits(predict_baseline(pipe.g1, x, a, 7),
+                assert same_bits(baseline_samples(pipe.g1, x, a, 7).mean(axis=0),
                                  reference_baseline_samples(pipe.g1, x, b, 7).mean(axis=0))
                 assert a.next_u64() == b.next_u64()
 

@@ -139,7 +139,7 @@ class TestTrainMechanics:
     def test_empty_dataset_rejected(self):
         cfg = MdnConfig(input_dim=1, target_dim=1, n_components=1, epochs=1)
         with pytest.raises(ValueError):
-            train([], cfg)
+            train((np.zeros((0, 1)), np.zeros((0, 1))), cfg)
 
 
 def assert_same_as_reference(dataset, cfg):

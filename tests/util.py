@@ -13,9 +13,9 @@ from hmdn.mdn import (
     _STD_FLOOR,
     MdnConfig,
     MdnModel,
+    MixtureParams,
     _init_weights,
-    activations_to_params,
-    forward,
+    identity_model,
     nll,
 )
 from hmdn.numcore import Rng
@@ -62,6 +62,18 @@ def make_random_model(
         mean = np.zeros(input_dim)
         std = np.ones(input_dim)
     return MdnModel(config=cfg, weights=tuple(ws), input_mean=mean, input_std=std)
+
+
+def affine_model(a_pi, a_sigma, a_mu, sigma_floor=1e-3):
+    """One-input affine (no hidden layer) model whose zero weights and bias
+    spell out the output activations: a_pi (K,), a_sigma (K,) and a_mu
+    (K, D) at every input."""
+    a_mu = np.asarray(a_mu, dtype=np.float64)
+    K, D = a_mu.shape
+    cfg = MdnConfig(input_dim=1, target_dim=D, n_components=K, hidden_layers=(),
+                    sigma_floor=sigma_floor)
+    bias = np.concatenate([np.ravel(a_pi), np.ravel(a_sigma), a_mu.ravel()]).reshape(1, -1)
+    return identity_model(cfg, [np.zeros((1, cfg.output_width)), bias])
 
 
 def random_batch(rng: Rng, model: MdnModel, size):
@@ -380,7 +392,16 @@ def reference_sample(params, m, rng: Rng):
 
 
 def reference_mixture_at(model: MdnModel, x):
-    return activations_to_params(forward(model, x), model.config.sigma_floor)
+    cfg = model.config
+    K, D = cfg.n_components, cfg.target_dim
+    X = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    A = _reference_forward(cfg.hidden_activation, model.weights, model.input_mean,
+                           model.input_std, X)[0]
+    a_pi, a_sigma = A[:K], A[K : 2 * K]
+    log_pi = a_pi - _reference_log_sum_exp_rows(a_pi[None])[0]
+    with np.errstate(over="ignore"):
+        sigma = np.maximum(np.exp(a_sigma), cfg.sigma_floor)
+    return MixtureParams(pi=np.exp(log_pi), sigma=sigma, mu=A[2 * K :].reshape(K, D))
 
 
 def reference_score_candidates(g2: MdnModel, candidates, z):
