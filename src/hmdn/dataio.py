@@ -11,14 +11,16 @@ Model files are a versioned plain-text format with every float printed to
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, NumericError, ParseError, SchemaError, ShapeError
 from .mdn import MdnConfig, MdnModel
-from .numcore import Rng, fmt17
+from .numcore import FLOAT_SPEC, Rng, fmt17
 
 NOT_DETECTED = 100.0
 RSSI_FLOOR = -104.0
@@ -110,90 +112,176 @@ class FingerprintTable:
 def load_csv(path, schema: ColumnSchema | None = None) -> FingerprintTable:
     """Parse a fingerprint CSV.
 
-    Raises SchemaError naming any missing declared column, and ParseError
-    with 1-based data-row number and column name for cells that fail to
-    parse, WAP cells outside [rssi_min, rssi_max] that are not the
-    sentinel, and coordinates that are not finite.
+    Raises SchemaError naming a missing declared column or a column named
+    twice in the header, and ParseError naming the path: with the line of
+    the first byte that is not UTF-8, and with the 1-based data-row number
+    and column name for cells that fail to parse, WAP cells outside
+    [rssi_min, rssi_max] that are not the sentinel, and coordinates and
+    ``LUX_*``/``LUXN_*`` cells that are not finite numbers.
     """
     schema = schema or ColumnSchema()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row") from None
+    text = _read_utf8(path)
+    rows = csv.reader(m.group() for m in _LINE.finditer(text))
+    header = next(rows, None)
+    if header is None:
+        raise SchemaError(f"{path}: empty file, expected a header row")
+    names = set()
+    for c in header:
+        if c in names:
+            raise SchemaError(f"{path}: column {c!r} appears more than once in the header")
+        names.add(c)
 
-        if schema.wap_columns is not None:
-            wap_names = list(schema.wap_columns)
-            missing = [c for c in wap_names if c not in header]
-            if missing:
-                raise SchemaError(f"{path}: missing WAP column {missing[0]!r}")
-        else:
-            wap_names = [c for c in header if c.startswith(schema.wap_prefix)]
-            if not wap_names:
-                raise SchemaError(
-                    f"{path}: no columns start with WAP prefix {schema.wap_prefix!r}"
-                )
-        for col in (schema.x_column, schema.y_column):
-            if col not in header:
-                raise SchemaError(f"{path}: missing column {col!r}")
+    if schema.wap_columns is not None:
+        wap_names = list(schema.wap_columns)
+        missing = [c for c in wap_names if c not in names]
+        if missing:
+            raise SchemaError(f"{path}: missing WAP column {missing[0]!r}")
+    else:
+        wap_names = [c for c in header if c.startswith(schema.wap_prefix)]
+        if not wap_names:
+            raise SchemaError(
+                f"{path}: no columns start with WAP prefix {schema.wap_prefix!r}"
+            )
+    coord_cols = (schema.x_column, schema.y_column)
+    for col in coord_cols:
+        if col not in names:
+            raise SchemaError(f"{path}: missing column {col!r}")
 
-        col_index = {c: i for i, c in enumerate(header)}
-        wap_idx = [col_index[c] for c in wap_names]
-        x_idx, y_idx = col_index[schema.x_column], col_index[schema.y_column]
-        meta_cols = [
-            c
-            for c in header
-            if c not in wap_names and c not in (schema.x_column, schema.y_column)
-        ]
+    ingested = {*wap_names, *coord_cols}
+    meta_cols = [c for c in header if c not in ingested]
+    # WAP cells, then the cells that must be finite numbers, in check order
+    numeric = [(c, None) for c in wap_names] + [(c, "coordinate") for c in coord_cols]
+    numeric += [(c, "illuminance") for c in meta_cols if c.startswith(("LUX_", "LUXN_"))]
+    col_index = {c: i for i, c in enumerate(header)}
+    layout = _Layout(
+        n_cells=len(header),
+        numeric=[(c, col_index[c], noun) for c, noun in numeric],
+        meta=[col_index[c] for c in meta_cols],
+        n_waps=len(wap_names),
+    )
+    parsed = _parse_block(text, layout, schema)
+    if parsed is None:
+        parsed = _parse_rows(path, rows, layout, schema)
+    values, meta = parsed
+    if not len(values):
+        raise SchemaError(f"{path}: no data rows")
+    n = layout.n_waps
+    return FingerprintTable(
+        wap_names=tuple(wap_names),
+        rssi=values[:, :n].copy(),
+        coords=values[:, n : n + 2].copy(),
+        metadata={c: tuple(col) for c, col in zip(meta_cols, meta)},
+        schema=schema,
+    )
 
-        rssi_rows, coord_rows = [], []
-        metadata: dict = {c: [] for c in meta_cols}
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
+
+# one line as a file opened with newline="" yields it: up to LF, CR or CRLF
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+\Z")
+
+
+def _read_utf8(path) -> str:
+    """The whole file as UTF-8 text, line endings as they are."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ParseError(f"{path}: line {line}: not UTF-8 text ({err.reason})") from None
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where load_csv finds the fields of a data row: the numeric cells as
+    (column, index, noun) triples, the ``n_waps`` WAP cells first (noun
+    None) and then the cells that must be finite, and the indices of the
+    metadata cells."""
+
+    n_cells: int
+    numeric: list
+    meta: list
+    n_waps: int
+
+
+# characters np.loadtxt skips as whitespace around a number and float() rejects
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_block(text: str, layout: _Layout, schema: ColumnSchema):
+    """(values, metadata columns) of the data rows in one numpy pass, or
+    None when the rows need the per-cell walk.
+
+    The pass applies when csv.reader would split the file at every comma
+    and line end: no quote, no NUL and no CR outside a CRLF pair. It gives
+    up on a row of the wrong width, a cell np.loadtxt cannot parse (or
+    would parse where float() fails) and any value the checks reject.
+    np.loadtxt converts decimal text with the routine float() uses, so
+    the values are bit-identical.
+    """
+    if any(ch in text for ch in '"\0' + _LOADTXT_ONLY_SPACE):
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    lines = text.split("\n")[1:]
+    if lines and not lines[-1]:
+        lines.pop()
+    commas = layout.n_cells - 1
+    if not lines or any(not ln or ln.count(",") != commas for ln in lines):
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", usecols=[i for _, i, _ in layout.numeric],
+                            comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    rssi = values[:, : layout.n_waps]
+    in_range = (rssi >= schema.rssi_min) & (rssi <= schema.rssi_max)
+    if (
+        values.shape[0] != len(lines)
+        or not np.all(in_range | (rssi == schema.sentinel))
+        or not np.all(np.isfinite(values[:, layout.n_waps :]))
+    ):
+        return None
+    meta = []
+    if layout.meta:
+        # split off only the tail of each line that holds metadata cells
+        n = layout.n_cells
+        tails = [ln.rsplit(",", n - min(layout.meta)) for ln in lines]
+        meta = [[cells[i - n] for cells in tails] for i in layout.meta]
+    return values, meta
+
+
+def _parse_rows(path, rows, layout: _Layout, schema: ColumnSchema):
+    """(values, metadata columns) of the csv rows, one cell at a time; the
+    first bad cell raises ParseError naming its row and column."""
+    values, meta = [], [[] for _ in layout.meta]
+    for row_no, row in enumerate(rows, start=1):
+        if len(row) != layout.n_cells:
+            raise ParseError(
+                f"{path}: row {row_no} has {len(row)} cells, header has {layout.n_cells}"
+            )
+        row_values = []
+        for c, i, noun in layout.numeric:
+            try:
+                v = float(row[i])
+            except ValueError:
                 raise ParseError(
-                    f"{path}: row {row_no} has {len(row)} cells, header has {len(header)}"
-                )
-
-            def cell(idx, col):
-                try:
-                    return float(row[idx])
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: cannot parse row {row_no}, column {col!r}: {row[idx]!r}"
-                    ) from None
-
-            values = []
-            for c, i in zip(wap_names, wap_idx):
-                v = cell(i, c)
+                    f"{path}: cannot parse row {row_no}, column {c!r}: {row[i]!r}"
+                ) from None
+            if noun is None:
                 if v != schema.sentinel and not (schema.rssi_min <= v <= schema.rssi_max):
                     raise ParseError(
                         f"{path}: row {row_no}, column {c!r}: value {v} outside "
                         f"[{schema.rssi_min}, {schema.rssi_max}] and not the sentinel"
                     )
-                values.append(v)
-            rssi_rows.append(values)
-            xy = []
-            for c, i in ((schema.x_column, x_idx), (schema.y_column, y_idx)):
-                v = cell(i, c)
-                if not math.isfinite(v):
-                    raise ParseError(
-                        f"{path}: row {row_no}, column {c!r}: coordinate {v} is not finite"
-                    )
-                xy.append(v)
-            coord_rows.append(xy)
-            for c in meta_cols:
-                metadata[c].append(row[col_index[c]])
-
-    if not rssi_rows:
-        raise SchemaError(f"{path}: no data rows")
-    return FingerprintTable(
-        wap_names=tuple(wap_names),
-        rssi=np.array(rssi_rows),
-        coords=np.array(coord_rows),
-        metadata={k: tuple(v) for k, v in metadata.items()},
-        schema=schema,
-    )
+            elif not math.isfinite(v):
+                raise ParseError(f"{path}: row {row_no}, column {c!r}: {noun} {v} is not finite")
+            row_values.append(v)
+        values.append(row_values)
+        for col, i in zip(meta, layout.meta):
+            col.append(row[i])
+    return np.array(values), meta
 
 
 @dataclass(frozen=True)
@@ -261,31 +349,42 @@ def write_dataset_csv(path, wap_names, rssi, coords, extra=None, schema=None) ->
     are appended after the coordinate columns in the given order."""
     schema = schema or ColumnSchema()
     extra = extra or {}
-    rssi = np.asarray(rssi, dtype=np.float64)
-    coords = np.asarray(coords, dtype=np.float64)
     header = [*wap_names, schema.x_column, schema.y_column, *extra.keys()]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        extra_cols = [np.asarray(v, dtype=np.float64) for v in extra.values()]
-        for i in range(rssi.shape[0]):
-            row = [fmt17(v) for v in rssi[i]]
-            row += [fmt17(coords[i, 0]), fmt17(coords[i, 1])]
-            row += [fmt17(col[i]) for col in extra_cols]
-            writer.writerow(row)
+    columns = [rssi, coords, *extra.values()]
+    _write_csv(path, header, np.column_stack([np.asarray(c, dtype=np.float64) for c in columns]))
 
 
 def table_to_csv(table: FingerprintTable, path) -> None:
     """Export a loaded table; numeric round-trip through load_csv is exact."""
     header = [*table.wap_names, table.schema.x_column, table.schema.y_column, *table.metadata]
+    values = np.hstack([table.rssi, table.coords])
+    _write_csv(path, header, values, list(table.metadata.values()))
+
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _csv_cell(text: str) -> str:
+    """A text cell as csv.writer (QUOTE_MINIMAL, LF line ends) writes it:
+    a cell with a comma, quote, CR or LF goes through csv.writer itself."""
+    if not _NEEDS_QUOTES.search(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
+
+
+def _write_csv(path, header, values: np.ndarray, text_columns=()) -> None:
+    """The one CSV row renderer: each row is its floats through one
+    ``FLOAT_SPEC`` template over ``.tolist()`` values, then its cell of each
+    text column, the same bytes csv.writer writes for ``fmt17`` cells. Rows
+    become Python floats one at a time, which keeps memory at one row."""
+    template = ",".join([FLOAT_SPEC] * values.shape[1])
+    text_columns = [[_csv_cell(s) for s in col] for col in text_columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(table.n_records):
-            row = [fmt17(v) for v in table.rssi[i]]
-            row += [fmt17(table.coords[i, 0]), fmt17(table.coords[i, 1])]
-            row += [table.metadata[c][i] for c in table.metadata]
-            writer.writerow(row)
+        fh.write(",".join(map(_csv_cell, header)) + "\n")
+        for row, *cells in zip(values, *text_columns):
+            fh.write(",".join([template % tuple(row.tolist()), *cells]) + "\n")
 
 
 # --- model persistence ---

@@ -356,6 +356,41 @@ class TestNonFiniteCoordinates:
         assert not (tmp_path / "g1.model").exists()
 
 
+class TestMalformedCsv:
+    """A test CSV with a non-finite LUX cell or bytes that are not UTF-8 is
+    a data error naming the file, not a silent fallback or a usage error."""
+
+    def evaluate(self, workspace, data, out):
+        return run(
+            "evaluate", "--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
+            "--data", data, "--out-dir", out,
+            "--conditions", "sunny", "--m", 5, "--n", 2, "--seed", 1, "--bootstrap", 10,
+        )
+
+    def check(self, capsys, code, *fragments):
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert all(f in err for f in fragments), err
+
+    def test_nan_lux_cell_rejected_by_evaluate(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "test.csv"
+        TestNonFiniteCoordinates().with_bad_coordinate(workspace / "test.csv", bad,
+                                                       "LUX_sunny", "nan")
+        code = self.evaluate(workspace, bad, tmp_path / "eval")
+        self.check(capsys, code, str(bad), "row 1", "'LUX_sunny'")
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+    def test_non_utf8_file_rejected_by_evaluate(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "test.csv"
+        lines = (workspace / "test.csv").read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b",", b",\xe9", 1)
+        bad.write_bytes(b"\n".join(lines))
+        code = self.evaluate(workspace, bad, tmp_path / "eval")
+        self.check(capsys, code, str(bad), "line 3", "not UTF-8")
+
+
 class TestMalformedModel:
     def evaluate(self, workspace, g1_path, out):
         return run(

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from hmdn import dataio
 from hmdn.dataio import (
     ColumnSchema,
     NOT_DETECTED,
@@ -19,6 +20,8 @@ from hmdn.dataio import (
 from hmdn.errors import ParseError, SchemaError
 from hmdn.mdn import MdnConfig, train
 from hmdn.numcore import Rng
+
+from util import load_outcome, reference_load_csv
 
 
 FIXTURE = """WAP001,WAP002,WAP003,WAP004,LONGITUDE,LATITUDE,NOTE
@@ -98,6 +101,125 @@ class TestLoadCsv:
         assert table.n_waps == 2
         # undeclared WAP columns ride along as metadata
         assert "WAP001" in table.metadata
+
+
+def wide_csv(n_rows=30, n_waps=520, seed=8) -> str:
+    """A UJIIndoorLoc-layout file: sparse integer dBm, projected coordinates
+    with six decimals, then integer metadata columns."""
+    rng = Rng(seed)
+    dbm = np.rint(rng.uniform(n_rows * n_waps) * -104).reshape(n_rows, n_waps)
+    detected = rng.uniform(n_rows * n_waps).reshape(n_rows, n_waps) < 0.1
+    pos = rng.uniform(n_rows * 2).reshape(n_rows, 2) * 300 + [-7695.0, 4864745.0]
+    header = [f"WAP{i + 1:03d}" for i in range(n_waps)] + ["LONGITUDE", "LATITUDE", "FLOOR",
+                                                           "USERID"]
+    lines = [",".join(header)]
+    for r in range(n_rows):
+        cells = [str(int(v)) if d else "100" for v, d in zip(dbm[r], detected[r])]
+        lines.append(",".join(cells + [f"{pos[r, 0]:.6f}", f"{pos[r, 1]:.6f}", str(r % 4), "7"]))
+    return "\n".join(lines) + "\n"
+
+
+CRLF = FIXTURE.replace("\n", "\r\n")
+QUOTED = FIXTURE.replace("first", '"first, and quoted"').replace("third", '"say ""third"""')
+UNDERSCORED = FIXTURE.replace("1.5,2.5", "1_000.5,2.5").replace("-55,", "-5_5,")
+
+
+class TestLoadCsvMatchesReference:
+    """load_csv reads every file bit for bit as the per-cell csv.reader
+    loader it replaced, and takes the one-pass path on plain files."""
+
+    @pytest.mark.parametrize("text, schema", [
+        (FIXTURE, None),
+        (wide_csv(), None),
+        (CRLF, None),
+        (QUOTED, None),
+        (UNDERSCORED, None),
+        (FIXTURE, ColumnSchema(wap_columns=("WAP004", "WAP002"))),
+    ], ids=["fixture", "520-waps", "crlf", "quoted-metadata", "underscored-numbers",
+            "undeclared-wap-column"])
+    def test_bit_identical_to_reference(self, tmp_path, text, schema):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = load_outcome(reference_load_csv, path, schema)
+        assert isinstance(expected[0], tuple)  # the reference reads the file
+        assert load_outcome(load_csv, path, schema) == expected
+        table = load_csv(path, schema)
+        assert table.rssi.flags.c_contiguous and table.coords.flags.c_contiguous
+
+    @pytest.mark.parametrize("cell", ["-1_0", "\x1c-50", "-50\x1f", "\x1d-5\x1e", "٣", "-٥٠",
+                                      "\xa0-50", "-50\u3000", " -50 ", "\x0c-5\x0b", "", "nan",
+                                      "-0", "+5", "1e999", "5e-324", "0x10", "1d5"])
+    @pytest.mark.parametrize("column", ["WAP002", "LATITUDE"])
+    def test_single_cell_same_as_reference(self, tmp_path, cell, column):
+        """Cells float() and np.loadtxt read differently, or not at all."""
+        path = tmp_path / "data.csv"
+        lines = FIXTURE.splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index(column)] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert load_outcome(load_csv, path) == load_outcome(reference_load_csv, path)
+
+    @pytest.mark.parametrize("text, walked", [
+        (FIXTURE, False), (wide_csv(), False), (CRLF, False),
+        (QUOTED, True), (UNDERSCORED, True), (FIXTURE.replace("\n", "\r"), True),
+    ], ids=["fixture", "520-waps", "crlf", "quoted-metadata", "underscored-numbers", "bare-cr"])
+    def test_only_files_that_need_it_walk_rows(self, tmp_path, monkeypatch, text, walked):
+        calls = []
+        walk = dataio._parse_rows
+        monkeypatch.setattr(dataio, "_parse_rows", lambda *a: calls.append(1) or walk(*a))
+        path = tmp_path / "data.csv"
+        path.write_text(text, newline="")
+        load_csv(path)
+        assert bool(calls) == walked
+
+
+class TestLoadCsvRejects:
+    def write(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "bright", ""])
+    @pytest.mark.parametrize("column", ["LUX_sunny", "LUXN_cloudy"])
+    def test_lux_cell_must_be_a_finite_number(self, tmp_path, cell, column):
+        lux = {"LUX_sunny": "10", "LUXN_cloudy": "20"} | {column: cell}
+        path = self.write(tmp_path, "WAP001,LONGITUDE,LATITUDE,LUX_sunny,LUXN_cloudy,NOTE\n"
+                          "-50,1,2,10,20,a\n"
+                          f"-50,1,2,{lux['LUX_sunny']},{lux['LUXN_cloudy']},b\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        message = str(err.value)
+        assert message.startswith(f"{path}: ") and "row 2" in message and repr(column) in message
+
+    def test_lux_checked_after_coordinates_in_header_order(self, tmp_path):
+        path = self.write(tmp_path, "LUXN_b,WAP001,LUX_a,LONGITUDE,LATITUDE\n"
+                          "nan,-50,nan,1,nan\n")
+        with pytest.raises(ParseError, match="'LATITUDE'"):
+            load_csv(path)
+        path.write_text("LUXN_b,WAP001,LUX_a,LONGITUDE,LATITUDE\nnan,-50,nan,1,2\n")
+        with pytest.raises(ParseError, match="'LUXN_b'"):
+            load_csv(path)
+
+    def test_lux_cells_kept_as_written(self, tmp_path):
+        path = self.write(tmp_path, "WAP001,LONGITUDE,LATITUDE,LUX_sunny\n-50,1,2, 1e2\n")
+        assert load_csv(path).metadata["LUX_sunny"] == (" 1e2",)
+
+    @pytest.mark.parametrize("header, column", [
+        ("WAP001,WAP001,LONGITUDE,LATITUDE,NOTE", "WAP001"),
+        ("WAP001,LONGITUDE,LATITUDE,NOTE,NOTE", "NOTE"),
+        ("WAP001,LONGITUDE,LATITUDE,LONGITUDE", "LONGITUDE"),
+    ])
+    def test_repeated_column_name_rejected(self, tmp_path, header, column):
+        path = self.write(tmp_path, header + "\n" + ",".join(["-50"] * 5) + "\n")
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: .*{column!r}"):
+            load_csv(path)
+
+    def test_non_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(FIXTURE.replace("second", "séc").encode("latin-1"))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 3: not UTF-8"):
+            load_csv(path)
 
 
 class TestNormalize:

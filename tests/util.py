@@ -1,13 +1,16 @@
 """Shared helpers for the test suite: random model and record builders,
 the finite-difference gradient oracle, the reference training loop, the
-reference bootstrap and dump writer, and the reference prediction loop."""
+reference bootstrap and dump writer, the reference prediction loop, and
+the reference fingerprint CSV reader and writers."""
 
+import csv
 import math
 import warnings
 
 import numpy as np
 
-from hmdn.errors import NumericError
+from hmdn.dataio import ColumnSchema, FingerprintTable
+from hmdn.errors import NumericError, ParseError, SchemaError
 from hmdn.mdn import (
     _PATIENCE,
     _STD_FLOOR,
@@ -18,7 +21,7 @@ from hmdn.mdn import (
     identity_model,
     nll,
 )
-from hmdn.numcore import Rng
+from hmdn.numcore import Rng, fmt17
 from hmdn.pipeline import (
     HmdnEstimate,
     HmdnPipeline,
@@ -480,3 +483,138 @@ def reference_run_predictions(
                 )
             )
     return records
+
+
+# --- reference fingerprint CSV reader and writers -------------------------------
+# The CSV code as written before files were parsed in one numpy pass and
+# rendered through one row template: csv.reader with one float() per cell,
+# and csv.writer with one fmt17 call per cell. The loader must match it bit
+# for bit (or raise the same error) and the writers byte for byte.
+
+
+def reference_load_csv(path, schema=None):
+    schema = schema or ColumnSchema()
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, expected a header row") from None
+
+        if schema.wap_columns is not None:
+            wap_names = list(schema.wap_columns)
+            missing = [c for c in wap_names if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing WAP column {missing[0]!r}")
+        else:
+            wap_names = [c for c in header if c.startswith(schema.wap_prefix)]
+            if not wap_names:
+                raise SchemaError(
+                    f"{path}: no columns start with WAP prefix {schema.wap_prefix!r}"
+                )
+        for col in (schema.x_column, schema.y_column):
+            if col not in header:
+                raise SchemaError(f"{path}: missing column {col!r}")
+
+        col_index = {c: i for i, c in enumerate(header)}
+        wap_idx = [col_index[c] for c in wap_names]
+        x_idx, y_idx = col_index[schema.x_column], col_index[schema.y_column]
+        meta_cols = [
+            c
+            for c in header
+            if c not in wap_names and c not in (schema.x_column, schema.y_column)
+        ]
+
+        rssi_rows, coord_rows = [], []
+        metadata: dict = {c: [] for c in meta_cols}
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: row {row_no} has {len(row)} cells, header has {len(header)}"
+                )
+
+            def cell(idx, col):
+                try:
+                    return float(row[idx])
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: cannot parse row {row_no}, column {col!r}: {row[idx]!r}"
+                    ) from None
+
+            values = []
+            for c, i in zip(wap_names, wap_idx):
+                v = cell(i, c)
+                if v != schema.sentinel and not (schema.rssi_min <= v <= schema.rssi_max):
+                    raise ParseError(
+                        f"{path}: row {row_no}, column {c!r}: value {v} outside "
+                        f"[{schema.rssi_min}, {schema.rssi_max}] and not the sentinel"
+                    )
+                values.append(v)
+            rssi_rows.append(values)
+            xy = []
+            for c, i in ((schema.x_column, x_idx), (schema.y_column, y_idx)):
+                v = cell(i, c)
+                if not math.isfinite(v):
+                    raise ParseError(
+                        f"{path}: row {row_no}, column {c!r}: coordinate {v} is not finite"
+                    )
+                xy.append(v)
+            coord_rows.append(xy)
+            for c in meta_cols:
+                metadata[c].append(row[col_index[c]])
+
+    if not rssi_rows:
+        raise SchemaError(f"{path}: no data rows")
+    return FingerprintTable(
+        wap_names=tuple(wap_names),
+        rssi=np.array(rssi_rows),
+        coords=np.array(coord_rows),
+        metadata={k: tuple(v) for k, v in metadata.items()},
+        schema=schema,
+    )
+
+
+def load_outcome(loader, path, schema=None):
+    """What a CSV loader makes of a file: the table's exact bits, or the
+    class and message of the error it raises."""
+    try:
+        table = loader(path, schema)
+    except Exception as err:
+        return type(err), str(err)
+    return (
+        table.wap_names,
+        table.rssi.shape,
+        table.coords.shape,
+        table.rssi.view(np.uint64).tolist(),
+        table.coords.view(np.uint64).tolist(),
+        table.metadata,
+    )
+
+
+def reference_write_dataset_csv(path, wap_names, rssi, coords, extra=None, schema=None):
+    schema = schema or ColumnSchema()
+    extra = extra or {}
+    rssi = np.asarray(rssi, dtype=np.float64)
+    coords = np.asarray(coords, dtype=np.float64)
+    header = [*wap_names, schema.x_column, schema.y_column, *extra.keys()]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        extra_cols = [np.asarray(v, dtype=np.float64) for v in extra.values()]
+        for i in range(rssi.shape[0]):
+            row = [fmt17(v) for v in rssi[i]]
+            row += [fmt17(coords[i, 0]), fmt17(coords[i, 1])]
+            row += [fmt17(col[i]) for col in extra_cols]
+            writer.writerow(row)
+
+
+def reference_table_to_csv(table, path):
+    header = [*table.wap_names, table.schema.x_column, table.schema.y_column, *table.metadata]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(table.n_records):
+            row = [fmt17(v) for v in table.rssi[i]]
+            row += [fmt17(table.coords[i, 0]), fmt17(table.coords[i, 1])]
+            row += [table.metadata[c][i] for c in table.metadata]
+            writer.writerow(row)
