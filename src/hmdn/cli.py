@@ -113,23 +113,49 @@ _OPTIONS = {
 
 def _merge_options(command: str, args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
-    defaults = {_dest(flag): default for flag, default, _ in _OPTIONS[command]}
-    opts = dict(defaults)
+    parsers = {_dest(flag): parse_kwargs for flag, _, parse_kwargs in _OPTIONS[command]}
+    opts = {_dest(flag): default for flag, default, _ in _OPTIONS[command]}
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as err:
+                raise UsageError(f"{config_path}: not a JSON file: {err}") from None
         if not isinstance(doc, dict):
             raise UsageError(f"{config_path}: config file must hold a JSON object")
         for key, value in doc.items():
-            if key not in defaults:
+            if key not in parsers:
                 raise UsageError(f"{config_path}: unknown option {key!r}")
-            opts[key] = value
-    for key in defaults:
+            opts[key] = _config_value(f"{config_path}: option {key!r}", value, parsers[key])
+    for key in opts:
         value = getattr(args, key, None)
         if value is not None:
             opts[key] = value
     return opts
+
+
+def _config_value(where: str, value, parse_kwargs: dict):
+    """A config-file value read as its flag reads the same text: a switch
+    takes JSON true or false, any other option a string or number whose text
+    passes the flag's type and choices. Anything else is a UsageError."""
+    switch = parse_kwargs == _SWITCH
+    if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
+        wanted = "true or false" if switch else "a string or a number"
+        raise UsageError(f"{where}: expected {wanted}, got {json.dumps(value)}")
+    if switch:
+        return value
+    text = str(value)
+    convert = parse_kwargs.get("type", str)
+    try:
+        value = convert(text)
+    except ValueError:
+        raise UsageError(f"{where}: invalid {convert.__name__} value: {text!r}") from None
+    choices = parse_kwargs.get("choices", (value,))
+    if value not in choices:
+        raise UsageError(f"{where}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+    return value
 
 
 def _require(opts: dict, *keys) -> None:
@@ -170,9 +196,7 @@ def _lux_transform(values: np.ndarray, transform: str) -> np.ndarray:
     """
     if transform == "identity":
         return values
-    if transform == "log":
-        return np.log(np.maximum(values, 1e-12))
-    raise UsageError(f"--lux-transform must be identity or log, got {transform!r}")
+    return np.log(np.maximum(values, 1e-12))
 
 
 def _lux_columns(table: dataio.FingerprintTable, conditions: str, transform: str) -> dict:
@@ -186,6 +210,8 @@ def _lux_columns(table: dataio.FingerprintTable, conditions: str, transform: str
         wanted = list(available)
     else:
         wanted = [c.strip() for c in conditions.split(",") if c.strip()]
+        if not wanted:
+            raise UsageError("--conditions must name at least one condition")
         missing = [c for c in wanted if c not in available]
         if missing:
             raise UsageError(
@@ -208,17 +234,17 @@ def cmd_simulate(args) -> int:
     _require(opts, "out_dir")
     scene = _load_scene(opts)
     out = _out_dir(opts)
-    master = Rng(int(opts["seed"]))
-    noise = bool(opts["measurement_noise"])
+    master = Rng(opts["seed"])
+    noise = opts["measurement_noise"]
 
     if opts["augment"]:
         return _simulate_augment(opts, scene, out, master, noise)
 
-    if int(opts["n_train"]) < 1 or int(opts["n_test"]) < 1:
+    if opts["n_train"] < 1 or opts["n_test"] < 1:
         raise UsageError("n-train and n-test must both be >= 1")
     for name, count, rng in (
-        ("train", int(opts["n_train"]), master.spawn("simulate", "train")),
-        ("test", int(opts["n_test"]), master.spawn("simulate", "test")),
+        ("train", opts["n_train"], master.spawn("simulate", "train")),
+        ("test", opts["n_test"], master.spawn("simulate", "test")),
     ):
         ds = scenario.generate_dataset(scene, count, rng, measurement_noise=noise)
         path = out / f"{name}.csv"
@@ -241,8 +267,8 @@ def _simulate_augment(opts, scene, out, master: Rng, noise: bool) -> int:
         return tuple(fmt17(v) for v in values)
 
     metadata = dict(table.metadata)
-    metadata["ORIG_" + table.schema.x_column] = fmt_col(table.coords[:, 0])
-    metadata["ORIG_" + table.schema.y_column] = fmt_col(table.coords[:, 1])
+    for name, values in zip(dataio.COORD_COLUMNS, table.coords.T):
+        metadata["ORIG_" + name] = fmt_col(values)
     for name, values in lux.items():
         metadata[f"LUX_{name}"] = fmt_col(values)
     if lux_noisy is not None:
@@ -253,11 +279,8 @@ def _simulate_augment(opts, scene, out, master: Rng, noise: bool) -> int:
         rssi=table.rssi,
         coords=mapped,
         metadata=metadata,
-        schema=table.schema,
     )
-    spec = dataio.SplitSpec(
-        train_fraction=float(opts["train_fraction"]), seed=int(opts["seed"])
-    )
+    spec = dataio.SplitSpec(train_fraction=opts["train_fraction"], seed=opts["seed"])
     train_part, test_part = dataio.split(augmented, spec)
     for name, part in (("train", train_part), ("test", test_part)):
         path = out / f"{name}.csv"
@@ -275,12 +298,14 @@ def _training_pairs(table, which: str, opts):
         if lux_cols is None:
             names = [c for c in table.metadata if c.startswith("LUX_")]
         else:
-            names = [c.strip() for c in str(lux_cols).split(",") if c.strip()]
+            names = [c.strip() for c in lux_cols.split(",") if c.strip()]
         if not names:
             raise SchemaError("no lux columns available to train g2 on")
-        columns = [
-            _lux_transform(table.metadata_floats(c), opts["lux_transform"]) for c in names
-        ]
+        try:
+            values = [table.metadata_floats(c) for c in names]
+        except (SchemaError, ParseError) as err:
+            raise type(err)(f"{opts['data']}: {err}") from None
+        columns = [_lux_transform(v, opts["lux_transform"]) for v in values]
         # pool conditions: every record contributes one (position, lux) pair
         # per column, which is what makes position -> lux one-to-many
         X = np.vstack([table.coords] * len(columns))
@@ -292,36 +317,34 @@ def cmd_train(args) -> int:
     opts = _merge_options("train", args)
     _require(opts, "which", "data", "model_out")
     which = opts["which"]
-    if which not in ("g1", "g2"):
-        raise UsageError(f"--which must be g1 or g2, got {which!r}")
     table = dataio.load_csv(opts["data"])
     X, Y = _training_pairs(table, which, opts)
 
-    if opts["input_dim"] is not None and int(opts["input_dim"]) != X.shape[1]:
+    if opts["input_dim"] is not None and opts["input_dim"] != X.shape[1]:
         raise UsageError(
             f"{which} input dimension must equal {X.shape[1]} "
             f"({'normalized WAP count' if which == 'g1' else 'coordinates'}), "
             f"got {opts['input_dim']}"
         )
-    if opts["target_dim"] is not None and int(opts["target_dim"]) != Y.shape[1]:
+    if opts["target_dim"] is not None and opts["target_dim"] != Y.shape[1]:
         raise UsageError(f"{which} target dimension must equal {Y.shape[1]}")
 
     components = opts["components"]
     if components is None:
         components = 5 if which == "g1" else 3
-    hidden = tuple(int(h) for h in str(opts["hidden"]).split(",") if h.strip())
+    hidden = tuple(int(h) for h in opts["hidden"].split(",") if h.strip())
     config = mdn.MdnConfig(
         input_dim=X.shape[1],
         target_dim=Y.shape[1],
-        n_components=int(components),
+        n_components=components,
         hidden_layers=hidden,
         hidden_activation=opts["activation"],
-        learning_rate=float(opts["learning_rate"]),
+        learning_rate=opts["learning_rate"],
         optimizer=opts["optimizer"],
-        epochs=int(opts["epochs"]),
-        batch_size=int(opts["batch_size"]),
-        sigma_floor=float(opts["sigma_floor"]),
-        seed=Rng(int(opts["seed"])).spawn("train", which).seed,
+        epochs=opts["epochs"],
+        batch_size=opts["batch_size"],
+        sigma_floor=opts["sigma_floor"],
+        seed=Rng(opts["seed"]).spawn("train", which).seed,
     )
     model = mdn.train((X, Y), config)
 
@@ -352,9 +375,7 @@ def _prediction_inputs(opts):
             f"dataset has {features.shape[1]} WAP features, g1 expects {g1.config.input_dim}"
         )
     lux = _lux_columns(table, opts["conditions"], opts["lux_transform"])
-    pipe = pipeline.HmdnPipeline(
-        g1=g1, g2=g2, n_candidates=int(opts["m"]), n_selected=int(opts["n"])
-    )
+    pipe = pipeline.HmdnPipeline(g1=g1, g2=g2, n_candidates=opts["m"], n_selected=opts["n"])
     return table, pipe, features, lux
 
 
@@ -362,9 +383,11 @@ def _parse_records(spec: str, n_records: int):
     if spec == "all":
         return list(range(n_records))
     try:
-        ids = [int(t) for t in str(spec).split(",") if t.strip() != ""]
+        ids = [int(t) for t in spec.split(",") if t.strip() != ""]
     except ValueError:
         raise UsageError(f"--records must be 'all' or comma-separated indices, got {spec!r}")
+    if not ids:
+        raise UsageError("--records must name at least one record")
     bad = [i for i in ids if not 0 <= i < n_records]
     if bad:
         raise UsageError(f"record index {bad[0]} out of range (dataset has {n_records})")
@@ -377,7 +400,7 @@ def cmd_predict(args) -> int:
     table, pipe, features, lux = _prediction_inputs(opts)
     record_ids = _parse_records(opts["records"], table.n_records)
     out = _out_dir(opts)
-    master_seed = int(opts["seed"])
+    master_seed = opts["seed"]
 
     records = pipeline.run_predictions(
         pipe,
@@ -386,7 +409,7 @@ def cmd_predict(args) -> int:
         lux,
         record_ids,
         master_seed,
-        weighted=bool(opts["weighted"]),
+        weighted=opts["weighted"],
     )
     dump_path = out / "predictions.txt"
     pipeline.write_predictions(
@@ -406,7 +429,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     opts = _merge_options("evaluate", args)
     _require(opts, "out_dir")
-    n_boot = int(opts["bootstrap"])
+    n_boot = opts["bootstrap"]
     if n_boot < 1:
         raise UsageError("--bootstrap must be >= 1")
     out = _out_dir(opts)
@@ -417,9 +440,9 @@ def cmd_evaluate(args) -> int:
         _require(opts, "g1", "g2", "data")
         table, pipe, features, lux = _prediction_inputs(opts)
         records = pipeline.run_predictions(
-            pipe, features, table.coords, lux, range(table.n_records), int(opts["seed"])
+            pipe, features, table.coords, lux, range(table.n_records), opts["seed"]
         )
-        metrics = evaluate.compute_metrics(records, int(opts["seed"]), n_boot)
+        metrics = evaluate.compute_metrics(records, opts["seed"], n_boot)
 
     table_text = evaluate.format_metrics_table(metrics)
     (out / "metrics.txt").write_text(table_text + "\n", encoding="utf-8")

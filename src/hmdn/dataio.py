@@ -1,9 +1,10 @@
 """Fingerprint CSV ingestion, feature normalization, splitting, and
 persistence of datasets and trained models.
 
-The RSSI encoding follows the common indoor-fingerprint convention: a
-stored value of 100 means "access point not detected", detected values lie
-in [-104, 0] dBm. Both numbers are schema parameters, not code constants.
+Fingerprint CSVs have the UJIIndoorLoc layout: ``WAP...`` signal columns,
+``LONGITUDE``/``LATITUDE`` coordinates, and every other column kept as text.
+A stored value of 100 means "access point not detected"; detected values
+lie in [-104, 0] dBm.
 Model files are a versioned plain-text format with every float printed to
 17 significant digits, so a load after save is bit-exact.
 """
@@ -22,8 +23,12 @@ from .errors import DomainError, NumericError, ParseError, SchemaError, ShapeErr
 from .mdn import MdnConfig, MdnModel
 from .numcore import FLOAT_SPEC, Rng, fmt17
 
+# the fingerprint CSV layout load_csv reads and the writers write
 NOT_DETECTED = 100.0
 RSSI_FLOOR = -104.0
+RSSI_CEILING = 0.0
+WAP_PREFIX = "WAP"
+COORD_COLUMNS = ("LONGITUDE", "LATITUDE")
 
 # exponent of the "powed" representation
 POWED_BETA = math.e
@@ -42,24 +47,6 @@ _CONFIG_STR_FIELDS = ("hidden_activation", "optimizer")
 
 
 @dataclass(frozen=True)
-class ColumnSchema:
-    """Mapping from CSV columns to fingerprint fields.
-
-    WAP columns are either listed explicitly or discovered by prefix; only
-    columns named here are ingested as signal values, everything else rides
-    along as opaque metadata strings.
-    """
-
-    wap_prefix: str = "WAP"
-    wap_columns: tuple | None = None
-    x_column: str = "LONGITUDE"
-    y_column: str = "LATITUDE"
-    sentinel: float = NOT_DETECTED
-    rssi_min: float = RSSI_FLOOR
-    rssi_max: float = 0.0
-
-
-@dataclass(frozen=True)
 class FingerprintTable:
     """Parsed fingerprint records: immutable arrays plus opaque metadata."""
 
@@ -67,7 +54,6 @@ class FingerprintTable:
     rssi: np.ndarray    # (n_records, n_waps), sentinel-coded dBm
     coords: np.ndarray  # (n_records, 2)
     metadata: dict = field(default_factory=dict)  # column -> tuple of strings
-    schema: ColumnSchema = field(default_factory=ColumnSchema)
 
     def __post_init__(self):
         rssi = np.asarray(self.rssi, dtype=np.float64)
@@ -88,7 +74,7 @@ class FingerprintTable:
         return self.rssi.shape[1]
 
     def detected_mask(self) -> np.ndarray:
-        return self.rssi != self.schema.sentinel
+        return self.rssi != NOT_DETECTED
 
     def take(self, indices) -> "FingerprintTable":
         idx = np.asarray(indices, dtype=int)
@@ -97,32 +83,39 @@ class FingerprintTable:
             rssi=self.rssi[idx].copy(),
             coords=self.coords[idx].copy(),
             metadata={k: tuple(v[i] for i in idx) for k, v in self.metadata.items()},
-            schema=self.schema,
         )
 
     def metadata_floats(self, column: str) -> np.ndarray:
+        """A metadata column as floats. Errors name the column and, for a
+        cell float() rejects, its 1-based data row; the caller knows the file."""
         if column not in self.metadata:
             raise SchemaError(f"table has no column {column!r}")
-        try:
-            return np.array([float(v) for v in self.metadata[column]])
-        except ValueError as err:
-            raise ParseError(f"column {column!r} is not numeric: {err}") from None
+        values = []
+        for row_no, text in enumerate(self.metadata[column], start=1):
+            try:
+                values.append(float(text))
+            except ValueError as err:
+                raise ParseError(f"row {row_no}, column {column!r} is not numeric: {err}") from None
+        return np.array(values)
 
 
-def load_csv(path, schema: ColumnSchema | None = None) -> FingerprintTable:
+def load_csv(path) -> FingerprintTable:
     """Parse a fingerprint CSV.
 
-    Raises SchemaError naming a missing declared column or a column named
+    Raises SchemaError naming a missing coordinate column or a column named
     twice in the header, and ParseError naming the path: with the line of
-    the first byte that is not UTF-8, and with the 1-based data-row number
-    and column name for cells that fail to parse, WAP cells outside
-    [rssi_min, rssi_max] that are not the sentinel, and coordinates and
-    ``LUX_*``/``LUXN_*`` cells that are not finite numbers.
+    the first byte that is not UTF-8, with the row of a cell the csv module
+    rejects, and with the 1-based data-row number and column name for cells
+    that fail to parse, WAP cells outside [RSSI_FLOOR, RSSI_CEILING] that
+    are not NOT_DETECTED, and coordinates and ``LUX_*``/``LUXN_*`` cells
+    that are not finite numbers.
     """
-    schema = schema or ColumnSchema()
     text = _read_utf8(path)
     rows = csv.reader(m.group() for m in _LINE.finditer(text))
-    header = next(rows, None)
+    try:
+        header = next(rows, None)
+    except csv.Error as err:
+        raise ParseError(f"{path}: header row: {err}") from None
     if header is None:
         raise SchemaError(f"{path}: empty file, expected a header row")
     names = set()
@@ -131,26 +124,17 @@ def load_csv(path, schema: ColumnSchema | None = None) -> FingerprintTable:
             raise SchemaError(f"{path}: column {c!r} appears more than once in the header")
         names.add(c)
 
-    if schema.wap_columns is not None:
-        wap_names = list(schema.wap_columns)
-        missing = [c for c in wap_names if c not in names]
-        if missing:
-            raise SchemaError(f"{path}: missing WAP column {missing[0]!r}")
-    else:
-        wap_names = [c for c in header if c.startswith(schema.wap_prefix)]
-        if not wap_names:
-            raise SchemaError(
-                f"{path}: no columns start with WAP prefix {schema.wap_prefix!r}"
-            )
-    coord_cols = (schema.x_column, schema.y_column)
-    for col in coord_cols:
+    wap_names = [c for c in header if c.startswith(WAP_PREFIX)]
+    if not wap_names:
+        raise SchemaError(f"{path}: no columns start with WAP prefix {WAP_PREFIX!r}")
+    for col in COORD_COLUMNS:
         if col not in names:
             raise SchemaError(f"{path}: missing column {col!r}")
 
-    ingested = {*wap_names, *coord_cols}
+    ingested = {*wap_names, *COORD_COLUMNS}
     meta_cols = [c for c in header if c not in ingested]
     # WAP cells, then the cells that must be finite numbers, in check order
-    numeric = [(c, None) for c in wap_names] + [(c, "coordinate") for c in coord_cols]
+    numeric = [(c, None) for c in wap_names] + [(c, "coordinate") for c in COORD_COLUMNS]
     numeric += [(c, "illuminance") for c in meta_cols if c.startswith(("LUX_", "LUXN_"))]
     col_index = {c: i for i, c in enumerate(header)}
     layout = _Layout(
@@ -159,9 +143,9 @@ def load_csv(path, schema: ColumnSchema | None = None) -> FingerprintTable:
         meta=[col_index[c] for c in meta_cols],
         n_waps=len(wap_names),
     )
-    parsed = _parse_block(text, layout, schema)
+    parsed = _parse_block(text, layout)
     if parsed is None:
-        parsed = _parse_rows(path, rows, layout, schema)
+        parsed = _parse_rows(path, rows, layout)
     values, meta = parsed
     if not len(values):
         raise SchemaError(f"{path}: no data rows")
@@ -171,7 +155,6 @@ def load_csv(path, schema: ColumnSchema | None = None) -> FingerprintTable:
         rssi=values[:, :n].copy(),
         coords=values[:, n : n + 2].copy(),
         metadata={c: tuple(col) for c, col in zip(meta_cols, meta)},
-        schema=schema,
     )
 
 
@@ -207,7 +190,7 @@ class _Layout:
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
-def _parse_block(text: str, layout: _Layout, schema: ColumnSchema):
+def _parse_block(text: str, layout: _Layout):
     """(values, metadata columns) of the data rows in one numpy pass, or
     None when the rows need the per-cell walk.
 
@@ -236,10 +219,10 @@ def _parse_block(text: str, layout: _Layout, schema: ColumnSchema):
     except ValueError:
         return None
     rssi = values[:, : layout.n_waps]
-    in_range = (rssi >= schema.rssi_min) & (rssi <= schema.rssi_max)
+    in_range = (rssi >= RSSI_FLOOR) & (rssi <= RSSI_CEILING)
     if (
         values.shape[0] != len(lines)
-        or not np.all(in_range | (rssi == schema.sentinel))
+        or not np.all(in_range | (rssi == NOT_DETECTED))
         or not np.all(np.isfinite(values[:, layout.n_waps :]))
     ):
         return None
@@ -252,35 +235,41 @@ def _parse_block(text: str, layout: _Layout, schema: ColumnSchema):
     return values, meta
 
 
-def _parse_rows(path, rows, layout: _Layout, schema: ColumnSchema):
+def _parse_rows(path, rows, layout: _Layout):
     """(values, metadata columns) of the csv rows, one cell at a time; the
     first bad cell raises ParseError naming its row and column."""
     values, meta = [], [[] for _ in layout.meta]
-    for row_no, row in enumerate(rows, start=1):
-        if len(row) != layout.n_cells:
-            raise ParseError(
-                f"{path}: row {row_no} has {len(row)} cells, header has {layout.n_cells}"
-            )
-        row_values = []
-        for c, i, noun in layout.numeric:
-            try:
-                v = float(row[i])
-            except ValueError:
+    row_no = 0
+    try:
+        for row_no, row in enumerate(rows, start=1):
+            if len(row) != layout.n_cells:
                 raise ParseError(
-                    f"{path}: cannot parse row {row_no}, column {c!r}: {row[i]!r}"
-                ) from None
-            if noun is None:
-                if v != schema.sentinel and not (schema.rssi_min <= v <= schema.rssi_max):
+                    f"{path}: row {row_no} has {len(row)} cells, header has {layout.n_cells}"
+                )
+            row_values = []
+            for c, i, noun in layout.numeric:
+                try:
+                    v = float(row[i])
+                except ValueError:
                     raise ParseError(
-                        f"{path}: row {row_no}, column {c!r}: value {v} outside "
-                        f"[{schema.rssi_min}, {schema.rssi_max}] and not the sentinel"
+                        f"{path}: cannot parse row {row_no}, column {c!r}: {row[i]!r}"
+                    ) from None
+                if noun is None:
+                    if v != NOT_DETECTED and not (RSSI_FLOOR <= v <= RSSI_CEILING):
+                        raise ParseError(
+                            f"{path}: row {row_no}, column {c!r}: value {v} outside "
+                            f"[{RSSI_FLOOR}, {RSSI_CEILING}] and not the sentinel"
+                        )
+                elif not math.isfinite(v):
+                    raise ParseError(
+                        f"{path}: row {row_no}, column {c!r}: {noun} {v} is not finite"
                     )
-            elif not math.isfinite(v):
-                raise ParseError(f"{path}: row {row_no}, column {c!r}: {noun} {v} is not finite")
-            row_values.append(v)
-        values.append(row_values)
-        for col, i in zip(meta, layout.meta):
-            col.append(row[i])
+                row_values.append(v)
+            values.append(row_values)
+            for col, i in zip(meta, layout.meta):
+                col.append(row[i])
+    except csv.Error as err:  # raised while reading the row after row_no
+        raise ParseError(f"{path}: row {row_no + 1}: {err}") from None
     return np.array(values), meta
 
 
@@ -301,7 +290,7 @@ def normalize_rssi(table: FingerprintTable, mode: str = "zero_one") -> Normalize
     """Map sentinel-coded dBm to features in [0, 1]; monotone on detected values."""
     if mode not in ("zero_one", "powed"):
         raise ValueError(f"mode must be zero_one or powed, got {mode!r}")
-    zero_point = table.schema.rssi_min - 1.0
+    zero_point = RSSI_FLOOR - 1.0
     detected = table.detected_mask()
     scaled = (table.rssi - zero_point) / (-zero_point)
     feats = np.where(detected, scaled, 0.0)
@@ -341,22 +330,21 @@ def split(table: FingerprintTable, spec: SplitSpec):
     return table.take(train_idx), table.take(test_idx)
 
 
-# --- dataset CSV export (mirrors the import schema) ---
+# --- dataset CSV export (the layout load_csv reads) ---
 
 
-def write_dataset_csv(path, wap_names, rssi, coords, extra=None, schema=None) -> None:
+def write_dataset_csv(path, wap_names, rssi, coords, extra=None) -> None:
     """Write records as a fingerprint CSV; extra columns (e.g. LUX_<condition>)
     are appended after the coordinate columns in the given order."""
-    schema = schema or ColumnSchema()
     extra = extra or {}
-    header = [*wap_names, schema.x_column, schema.y_column, *extra.keys()]
+    header = [*wap_names, *COORD_COLUMNS, *extra.keys()]
     columns = [rssi, coords, *extra.values()]
     _write_csv(path, header, np.column_stack([np.asarray(c, dtype=np.float64) for c in columns]))
 
 
 def table_to_csv(table: FingerprintTable, path) -> None:
     """Export a loaded table; numeric round-trip through load_csv is exact."""
-    header = [*table.wap_names, table.schema.x_column, table.schema.y_column, *table.metadata]
+    header = [*table.wap_names, *COORD_COLUMNS, *table.metadata]
     values = np.hstack([table.rssi, table.coords])
     _write_csv(path, header, values, list(table.metadata.values()))
 

@@ -15,13 +15,15 @@ shipped default scene are scenario parameters, editable in the scene file.
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .dataio import NOT_DETECTED
-from .errors import DomainError, SchemaError
+from .dataio import NOT_DETECTED, _read_utf8
+from .errors import DomainError, ParseError, SchemaError
 from .numcore import Rng
 
 CONDITION_NAMES = ("sunny", "cloudy", "night_lights")
@@ -219,19 +221,7 @@ def generate_dataset(
     positions = u * np.array([scene.room_width, scene.room_depth])
 
     rssi = np.vstack([rssi_at(scene, p, rssi_rng) for p in positions])
-
-    lux = {
-        cond.name: np.array([illuminance_at(scene, p, cond) for p in positions])
-        for cond in scene.conditions
-    }
-    lux_noisy = None
-    if measurement_noise:
-        noise_rng = rng.spawn("lux-noise")
-        lux_noisy = {}
-        for cond in scene.conditions:
-            clean = lux[cond.name]
-            lux_noisy[cond.name] = clean + (0.02 * clean + 1.0) * noise_rng.normals(n_points)
-
+    lux, lux_noisy = _lux_readings(scene, positions, rng if measurement_noise else None)
     names = tuple(f"WAP{i + 1:03d}" for i in range(len(scene.access_points)))
     return SimulatedDataset(
         wap_names=names, positions=positions, rssi=rssi, lux=lux, lux_noisy=lux_noisy
@@ -266,18 +256,24 @@ def augment_with_illuminance(coords: np.ndarray, scene: Scene, rng: Rng | None =
     follows the generate_dataset model and is drawn only when rng is given.
     """
     mapped = map_coords_into_room(scene, coords)
+    return (mapped, *_lux_readings(scene, mapped, rng))
+
+
+def _lux_readings(scene: Scene, positions: np.ndarray, rng: Rng | None):
+    """(noiseless lux per condition, noisy lux per condition or None) at
+    the positions; the noise (sigma = 2% of reading + 1 lx) is drawn from
+    ``rng.spawn("lux-noise")``, condition by condition, only when rng is given."""
     lux = {
-        cond.name: np.array([illuminance_at(scene, p, cond) for p in mapped])
+        cond.name: np.array([illuminance_at(scene, p, cond) for p in positions])
         for cond in scene.conditions
     }
-    lux_noisy = None
-    if rng is not None:
-        noise_rng = rng.spawn("lux-noise")
-        lux_noisy = {
-            name: clean + (0.02 * clean + 1.0) * noise_rng.normals(clean.shape[0])
-            for name, clean in lux.items()
-        }
-    return mapped, lux, lux_noisy
+    if rng is None:
+        return lux, None
+    noise_rng = rng.spawn("lux-noise")
+    return lux, {
+        name: clean + (0.02 * clean + 1.0) * noise_rng.normals(clean.shape[0])
+        for name, clean in lux.items()
+    }
 
 
 # --- scene files ---
@@ -309,33 +305,43 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+def _finite(value) -> float:
+    """A scene number: what float() reads, if finite."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"scene value {value!r} is not a finite number")
+    return number
+
+
 def scene_from_dict(doc: dict) -> Scene:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"a scene is a JSON object, got {type(doc).__name__}")
     if doc.get("format") != _SCENE_FORMAT:
         raise SchemaError(f"expected scene format {_SCENE_FORMAT!r}, got {doc.get('format')!r}")
     try:
         room = doc["room"]
         return Scene(
-            room_width=float(room["width"]),
-            room_depth=float(room["depth"]),
-            phone_height=float(room["phone_height"]),
-            ceiling_height=float(room["ceiling_height"]),
+            room_width=_finite(room["width"]),
+            room_depth=_finite(room["depth"]),
+            phone_height=_finite(room["phone_height"]),
+            ceiling_height=_finite(room["ceiling_height"]),
             conditions=tuple(
-                Condition(name=c["name"], ambient=float(c["ambient"])) for c in doc["conditions"]
+                Condition(name=c["name"], ambient=_finite(c["ambient"])) for c in doc["conditions"]
             ),
             lights=tuple(
                 LightSource(
-                    position=li["position"],
-                    intensity={k: float(v) for k, v in li["intensity"].items()},
+                    position=[_finite(v) for v in li["position"]],
+                    intensity={k: _finite(v) for k, v in li["intensity"].items()},
                     kind=li.get("kind", "ceiling_point"),
                 )
                 for li in doc["lights"]
             ),
             access_points=tuple(
                 AccessPoint(
-                    position=ap["position"],
-                    tx_power=float(ap["tx_power"]),
-                    path_loss_exponent=float(ap["path_loss_exponent"]),
-                    shadow_sigma=float(ap["shadow_sigma"]),
+                    position=[_finite(v) for v in ap["position"]],
+                    tx_power=_finite(ap["tx_power"]),
+                    path_loss_exponent=_finite(ap["path_loss_exponent"]),
+                    shadow_sigma=_finite(ap["shadow_sigma"]),
                 )
                 for ap in doc["access_points"]
             ),
@@ -344,9 +350,30 @@ def scene_from_dict(doc: dict) -> Scene:
         raise SchemaError(f"scene file missing key {missing}") from None
 
 
+# a JSON string, or a constant Python's json reads but RFC 8259 does not
+_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
+
+
 def load_scene(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scene_from_dict(json.load(fh))
+    """Read a scene file. Bytes that are not UTF-8 and text that is not
+    strict JSON (``NaN`` and ``Infinity`` included) raise ParseError naming
+    the path and line; a document that is not a valid scene raises
+    SchemaError naming the path."""
+    text = _read_utf8(path)
+
+    def reject(constant):
+        # json stops at the first constant, so it is the first one outside a string
+        pos = next(m.start(1) for m in _STRING_OR_CONSTANT.finditer(text) if m.group(1))
+        raise json.JSONDecodeError(f"{constant} is not a JSON number", text, pos)
+
+    try:
+        doc = json.loads(text, parse_constant=reject)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"{path}: line {err.lineno}, column {err.colno}: {err.msg}") from None
+    try:
+        return scene_from_dict(doc)
+    except (ValueError, TypeError, AttributeError, ArithmeticError) as err:
+        raise SchemaError(f"{path}: {err}") from None
 
 
 def save_scene(scene: Scene, path) -> None:

@@ -25,7 +25,8 @@ EXPORTED = {
     "train",
 }
 
-# single-sample and single-record wrappers and options that only tests used
+# single-sample and single-record wrappers, options that only tests used,
+# and the fingerprint column schema that nothing set
 REMOVED = (
     "Activations",
     "GradWorkspace",
@@ -38,6 +39,7 @@ REMOVED = (
     "score_candidates",
     "select_top",
     "predict_baseline",
+    "ColumnSchema",
 )
 
 MODULES = [hmdn] + [
@@ -62,10 +64,12 @@ def test_removed_names_are_gone(module):
 
 
 def test_removed_fields_are_gone():
-    from hmdn.dataio import NormalizedRssi, SplitSpec
+    from hmdn.dataio import FingerprintTable, NormalizedRssi, SplitSpec
     from hmdn.pipeline import HmdnEstimate
 
     assert list(NormalizedRssi.__dataclass_fields__) == ["features"]
+    assert list(FingerprintTable.__dataclass_fields__) == ["wap_names", "rssi", "coords",
+                                                           "metadata"]
     assert "strategy" not in SplitSpec.__dataclass_fields__
     assert not hasattr(NormalizedRssi, "inverse_detected")
     assert not hasattr(HmdnEstimate, "selected_scores")

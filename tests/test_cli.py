@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmdn import cli, dataio, evaluate, pipeline
+from hmdn import cli, dataio, evaluate, pipeline, scenario
 from hmdn.mdn import nll
 from hmdn.pipeline import parse_predictions
 
@@ -15,6 +15,15 @@ from util import make_dump_records
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def one_error_line(capsys, *fragments) -> str:
+    """The stderr of the last run: one ``error:`` line holding every fragment."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert all(f in err for f in fragments), err
+    return err
 
 
 def file_hashes(root: Path) -> dict:
@@ -130,6 +139,20 @@ class TestTrain:
         assert run("train", "--which", "g3", "--data", workspace / "train.csv",
                    "--model-out", tmp_path / "m") == 2
 
+    @pytest.mark.parametrize("column, fragments", [
+        ("NOTE", ["row 2", "'NOTE'", "not numeric"]),
+        ("NOPE", ["no column 'NOPE'"]),
+    ])
+    def test_lux_column_errors_name_the_file(self, tmp_path, capsys, column, fragments):
+        data = tmp_path / "train.csv"
+        data.write_text("WAP001,LONGITUDE,LATITUDE,LUX_sunny,NOTE\n"
+                        "-50,1,2,300,4.5\n-60,2,3,310,bright\n")
+        code = run("train", "--which", "g2", "--data", data, "--model-out", tmp_path / "m",
+                   "--lux-columns", column, "--epochs", 1)
+        assert code == 3
+        one_error_line(capsys, f"error: {data}: ", *fragments)
+        assert not (tmp_path / "m").exists()
+
 
 class TestPredict:
     def test_dump_and_plots(self, workspace, tmp_path):
@@ -192,6 +215,19 @@ class TestPredict:
         assert code == 3
         assert "hmdn train --which g1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--records", "--conditions"])
+    @pytest.mark.parametrize("selection", [",", " , ,", ""], ids=["comma", "blanks", "empty"])
+    def test_empty_selection_is_a_usage_error(self, workspace, tmp_path, capsys, flag,
+                                              selection):
+        code = run(
+            "predict", "--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
+            "--data", workspace / "test.csv", "--out-dir", tmp_path / "pred", "--no-plots",
+            f"{flag}={selection}",
+        )
+        assert code == 2
+        one_error_line(capsys, flag, "at least one")
+        assert not (tmp_path / "pred" / "predictions.txt").exists()
+
     def test_record_out_of_range(self, workspace, tmp_path):
         assert run(
             "predict", "--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
@@ -251,6 +287,16 @@ class TestEvaluate:
     def test_requires_inputs(self, tmp_path):
         assert run("evaluate", "--out-dir", tmp_path) == 2
 
+    def test_empty_condition_list_is_a_usage_error(self, workspace, tmp_path, capsys):
+        code = run(
+            "evaluate", "--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
+            "--data", workspace / "test.csv", "--out-dir", tmp_path / "eval",
+            "--conditions", ",", "--m", 5, "--n", 2, "--bootstrap", 10,
+        )
+        assert code == 2
+        one_error_line(capsys, "--conditions", "at least one")
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
 
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path):
@@ -265,6 +311,80 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert run("simulate", "--config", cfg, "--out-dir", tmp_path) == 2
+
+
+class TestConfigValues:
+    """A config value is read as its flag reads the same text; anything else
+    is a usage error naming the file and the key."""
+
+    def run_config(self, tmp_path, command, doc, *flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        return cfg, run(command, "--config", cfg, *flags)
+
+    @pytest.mark.parametrize("command, doc", [
+        ("predict", {"no_plots": "false"}),
+        ("simulate", {"measurement_noise": "no"}),
+        ("predict", {"m": 10.9}),
+        ("train", {"epochs": 2.9}),
+        ("train", {"epochs": None}),
+        ("simulate", {"seed": [1]}),
+        ("evaluate", {"m": 10.0}),
+        ("train", {"components": None}),
+        ("train", {"which": "g3"}),
+        ("simulate", {"n_train": True}),
+        ("train", {"hidden": {"width": 16}}),
+    ])
+    def test_bad_value_exits_2_naming_file_and_key(self, tmp_path, capsys, command, doc):
+        cfg, code = self.run_config(tmp_path, command, doc)
+        assert code == 2
+        (key,) = doc
+        one_error_line(capsys, str(cfg), repr(key))
+
+    def test_values_typed_as_their_flags(self, tmp_path):
+        cfg, code = self.run_config(tmp_path, "simulate", {
+            "n_train": "12", "n_test": 3, "seed": " 4 ", "measurement_noise": False,
+            "train_fraction": 1,
+        }, "--out-dir", tmp_path / "out")
+        assert code == 0
+        header = (tmp_path / "out" / "train.csv").read_text().splitlines()
+        assert len(header) == 1 + 12 and "LUXN_" not in header[0]
+
+    def test_number_for_a_text_option(self, workspace, tmp_path):
+        cfg, code = self.run_config(tmp_path, "train", {"hidden": 16, "epochs": "3"},
+                                    "--which", "g1", "--data", workspace / "train.csv",
+                                    "--model-out", tmp_path / "g1.model")
+        assert code == 0
+        model = dataio.load_model(tmp_path / "g1.model")
+        assert model.config.hidden_layers == (16,) and len(model.training_log) == 3
+
+    def test_malformed_json_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 1,\n "n_train": }')
+        assert run("simulate", "--config", cfg, "--out-dir", tmp_path) == 2
+        one_error_line(capsys, str(cfg), "line 2 column 13")
+
+
+class TestMalformedScene:
+    """simulate --scene on a file that is not a scene: exit 3, one line."""
+
+    @pytest.mark.parametrize("edit, fragments", [
+        (lambda t: t.replace('"room": {', '"room": "big", "x": {'), ["not 'str'"]),
+        (lambda t: "[" + t + "]", ["a scene is a JSON object, got list"]),
+        (lambda t: t[:120], ["line ", "column "]),
+        (lambda t: t.replace('"width": 17.0', '"width": NaN'),
+         ["line ", "column ", "NaN is not a JSON number"]),
+        (lambda t: t.replace('"width": 17.0', '"width": 1e999'), ["inf is not a finite number"]),
+    ], ids=["string-room", "top-level-list", "truncated", "nan-width", "overflowing-width"])
+    def test_exits_data_error_naming_the_file(self, tmp_path, capsys, edit, fragments):
+        scene = tmp_path / "scene.json"
+        scenario.save_scene(scenario.paper_room_scene(), scene)
+        scene.write_text(edit(scene.read_text()))
+        code = run("simulate", "--scene", scene, "--out-dir", tmp_path / "out", "--n-train", 2,
+                   "--n-test", 1)
+        assert code == 3
+        one_error_line(capsys, f"error: {scene}: ", *fragments)
+        assert not (tmp_path / "out" / "train.csv").exists()
 
 
 class TestDeterminism:
@@ -381,6 +501,14 @@ class TestMalformedCsv:
         code = self.evaluate(workspace, bad, tmp_path / "eval")
         self.check(capsys, code, str(bad), "row 1", "'LUX_sunny'")
         assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+    def test_cell_over_the_csv_field_limit_names_file_and_row(self, tmp_path, capsys):
+        bad = tmp_path / "train.csv"
+        note = "x" * 200_000
+        bad.write_text(f'WAP001,LONGITUDE,LATITUDE,NOTE\n-50,1,2,a\n-60,2,3,"{note}"\n')
+        code = run("train", "--which", "g1", "--data", bad, "--model-out", tmp_path / "g1.model",
+                   "--epochs", 1)
+        self.check(capsys, code, f"error: {bad}: row 2: field larger than field limit")
 
     def test_non_utf8_file_rejected_by_evaluate(self, workspace, tmp_path, capsys):
         bad = tmp_path / "test.csv"

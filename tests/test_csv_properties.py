@@ -25,9 +25,6 @@ from util import (
     reference_write_dataset_csv,
 )
 
-# fixed example sequence and no example database: the suite stays
-# deterministic and writes nothing into the working directory
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 # metadata before, between and after the numeric columns
 BASE_CSV = [
@@ -86,7 +83,7 @@ def mutated_csv(draw):
     return "".join(",".join(row) + e for row, e in zip(rows, ends))
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(mutated_csv())
 def test_loader_matches_reference_on_mutated_files(text):
     with tempfile.TemporaryDirectory() as tmp:
@@ -117,7 +114,7 @@ def float_table(draw):
     return np.array(values, dtype=np.float64).reshape(n, k + 3), k
 
 
-@settings(PROPERTY, max_examples=150)
+@settings(max_examples=150)
 @given(float_table(), st.lists(metadata_cell, min_size=2, max_size=2))
 def test_write_dataset_csv_bytes_match_reference(case, extra_names):
     values, k = case
@@ -130,7 +127,7 @@ def test_write_dataset_csv_bytes_match_reference(case, extra_names):
         assert new.read_bytes() == ref.read_bytes()
 
 
-@settings(PROPERTY, max_examples=150)
+@settings(max_examples=150)
 @given(float_table(), st.data())
 def test_table_to_csv_bytes_match_reference(case, data):
     values, k = case
@@ -196,7 +193,7 @@ def mutated_test_csv(draw, lines):
     return data
 
 
-@settings(PROPERTY, max_examples=200)
+@settings(max_examples=200)
 @given(st.data())
 def test_mutated_test_csv_exits_0_or_3_with_one_line(models, data):
     root, lines = models

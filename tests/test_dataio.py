@@ -6,8 +6,8 @@ import pytest
 
 from hmdn import dataio
 from hmdn.dataio import (
-    ColumnSchema,
     NOT_DETECTED,
+    RSSI_FLOOR,
     SplitSpec,
     load_csv,
     load_model,
@@ -84,23 +84,18 @@ class TestLoadCsv:
         message = str(err.value)
         assert str(path) in message and "row 2" in message and repr(column) in message
 
-    def test_missing_declared_column(self, fixture_csv):
-        schema = ColumnSchema(wap_columns=("WAP001", "WAP009"))
-        with pytest.raises(SchemaError, match="WAP009"):
-            load_csv(fixture_csv, schema)
+    def test_metadata_floats_names_row_and_column(self, fixture_csv):
+        table = load_csv(fixture_csv)
+        with pytest.raises(ParseError, match=r"^row 1, column 'NOTE' is not numeric: "):
+            table.metadata_floats("NOTE")
+        with pytest.raises(SchemaError, match="no column 'NOPE'"):
+            table.metadata_floats("NOPE")
 
     def test_missing_coordinate_column(self, tmp_path):
         path = tmp_path / "nocoord.csv"
         path.write_text("WAP001,LONGITUDE\n-50,0\n")
         with pytest.raises(SchemaError, match="LATITUDE"):
             load_csv(path)
-
-    def test_only_declared_waps_ingested(self, fixture_csv):
-        schema = ColumnSchema(wap_columns=("WAP002", "WAP004"))
-        table = load_csv(fixture_csv, schema)
-        assert table.n_waps == 2
-        # undeclared WAP columns ride along as metadata
-        assert "WAP001" in table.metadata
 
 
 def wide_csv(n_rows=30, n_waps=520, seed=8) -> str:
@@ -128,22 +123,16 @@ class TestLoadCsvMatchesReference:
     """load_csv reads every file bit for bit as the per-cell csv.reader
     loader it replaced, and takes the one-pass path on plain files."""
 
-    @pytest.mark.parametrize("text, schema", [
-        (FIXTURE, None),
-        (wide_csv(), None),
-        (CRLF, None),
-        (QUOTED, None),
-        (UNDERSCORED, None),
-        (FIXTURE, ColumnSchema(wap_columns=("WAP004", "WAP002"))),
-    ], ids=["fixture", "520-waps", "crlf", "quoted-metadata", "underscored-numbers",
-            "undeclared-wap-column"])
-    def test_bit_identical_to_reference(self, tmp_path, text, schema):
+    @pytest.mark.parametrize("text", [FIXTURE, wide_csv(), CRLF, QUOTED, UNDERSCORED],
+                             ids=["fixture", "520-waps", "crlf", "quoted-metadata",
+                                  "underscored-numbers"])
+    def test_bit_identical_to_reference(self, tmp_path, text):
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode("utf-8"))
-        expected = load_outcome(reference_load_csv, path, schema)
+        expected = load_outcome(reference_load_csv, path)
         assert isinstance(expected[0], tuple)  # the reference reads the file
-        assert load_outcome(load_csv, path, schema) == expected
-        table = load_csv(path, schema)
+        assert load_outcome(load_csv, path) == expected
+        table = load_csv(path)
         assert table.rssi.flags.c_contiguous and table.coords.flags.c_contiguous
 
     @pytest.mark.parametrize("cell", ["-1_0", "\x1c-50", "-50\x1f", "\x1d-5\x1e", "٣", "-٥٠",
@@ -215,6 +204,15 @@ class TestLoadCsvRejects:
         with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: .*{column!r}"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text, where", [
+        ('WAP001,LONGITUDE,LATITUDE,"{long}"\n-50,1,2,a\n', "header row"),
+        ('WAP001,LONGITUDE,LATITUDE,NOTE\n-50,1,2,a\n-50,1,2,"{long}"\n', "row 2"),
+    ], ids=["header", "data-row"])
+    def test_cell_over_the_csv_field_limit_names_the_row(self, tmp_path, text, where):
+        path = self.write(tmp_path, text.replace("{long}", "x" * 200_000))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: {where}: field larger"):
+            load_csv(path)
+
     def test_non_utf8_names_path_and_line(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(FIXTURE.replace("second", "séc").encode("latin-1"))
@@ -245,7 +243,7 @@ class TestNormalize:
             v = norm.features[mask]
             if mode == "powed":
                 v = v ** (1.0 / math.e)
-            zero_point = table.schema.rssi_min - 1.0
+            zero_point = RSSI_FLOOR - 1.0
             back = v * (-zero_point) + zero_point
             assert np.allclose(back, table.rssi[mask], atol=1e-12)
 
@@ -262,7 +260,6 @@ class TestNormalize:
                     wap_names=table.wap_names,
                     rssi=fake_row,
                     coords=np.zeros((1, 2)),
-                    schema=table.schema,
                 )
                 feats.append(normalize_rssi(t2, mode).features[0, 0])
             assert all(a < b for a, b in zip(feats, feats[1:]))

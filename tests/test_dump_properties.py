@@ -24,9 +24,6 @@ from hmdn.pipeline import (
 
 from util import make_dump_records, reference_select_top, reference_write_predictions
 
-# fixed example sequence and no example database: the suite stays
-# deterministic and writes nothing into the working directory
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
                   math.inf, -math.inf, math.nan]
@@ -55,7 +52,7 @@ def one_candidate_record(x: float) -> PredictionRecord:
     )
 
 
-@PROPERTY
+@settings(max_examples=150)
 @given(any_float)
 def test_writer_template_renders_floats_as_fmt17(x):
     text = fmt17(x)
@@ -109,7 +106,7 @@ def dump_records(draw):
     return records, m, n
 
 
-@PROPERTY
+@settings(max_examples=150)
 @given(dump_records(), st.integers(0, 2**64 - 1))
 def test_write_parse_write_is_byte_identical(case, seed):
     records, m, n = case
@@ -150,7 +147,7 @@ def mutated_dump(draw):
     return lines
 
 
-@settings(PROPERTY, max_examples=100)
+@settings(max_examples=100)
 @given(mutated_dump())
 def test_corrupted_dump_exits_0_or_3_with_one_line(lines):
     with tempfile.TemporaryDirectory() as tmp:

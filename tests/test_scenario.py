@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from hmdn.dataio import NOT_DETECTED
-from hmdn.errors import DomainError
+from hmdn.errors import DomainError, ParseError, SchemaError
 from hmdn.numcore import Rng
 from hmdn.scenario import (
     AccessPoint,
@@ -214,6 +215,54 @@ class TestSceneFiles:
         path = tmp_path / "scene.json"
         save_scene(scene, path)
         assert load_scene(path) == scene
+
+    def scene_text(self, tmp_path, edit):
+        path = tmp_path / "scene.json"
+        save_scene(paper_room_scene(), path)
+        path.write_text(edit(path.read_text()))
+        return path
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constant_names_line_and_column(self, tmp_path, constant):
+        # the same word inside a string earlier in the file is not the constant
+        path = self.scene_text(tmp_path, lambda t: t.replace(
+            '"tx_power": -30.0', f'"tx_power": "{constant}"', 1
+        ).replace('"width": 17.0', f'"width": {constant}'))
+        text = path.read_text()
+        pos = text.index(f'"width": {constant}') + len('"width": ')
+        line = text.count("\n", 0, pos) + 1
+        column = pos - text.rfind("\n", 0, pos)
+        with pytest.raises(ParseError) as err:
+            load_scene(path)
+        assert str(err.value) == (
+            f"{path}: line {line}, column {column}: {constant} is not a JSON number"
+        )
+
+    def test_non_utf8_names_line(self, tmp_path):
+        path = self.scene_text(tmp_path, lambda t: t)
+        path.write_bytes(path.read_bytes().replace(b'"sunny"', b'"sunn\xff"', 1))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line \d+: not UTF-8"):
+            load_scene(path)
+
+    def test_syntax_error_names_line_and_column(self, tmp_path):
+        path = self.scene_text(tmp_path, lambda t: t.replace('"depth": 10.0,', '"depth": 10.0'))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line \d+, column \d+"):
+            load_scene(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.replace('"room": {', '"room": "big", "x": {'), "string indices"),
+        (lambda t: "[" + t + "]", "a scene is a JSON object, got list"),
+        (lambda t: t.replace('"width": 17.0', '"width": "nan"'), "'nan' is not a finite number"),
+        (lambda t: t.replace('"width": 17.0', '"width": 1e999'), "inf is not a finite number"),
+        (lambda t: t.replace('"width": 17.0', '"width": ' + "9" * 400), "too large"),
+        (lambda t: t.replace('"kind": "window_point"', '"kind": 5'), "light kind"),
+        (lambda t: t.replace('"room"', '"rooms"'), "missing key 'room'"),
+    ], ids=["string-room", "top-level-list", "nan-string", "overflow", "huge-int", "light-kind",
+            "missing-key"])
+    def test_invalid_document_is_a_schema_error_naming_the_path(self, tmp_path, edit, message):
+        path = self.scene_text(tmp_path, edit)
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            load_scene(path)
 
     def test_bad_format_rejected(self):
         with pytest.raises(Exception, match="format"):

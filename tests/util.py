@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 
-from hmdn.dataio import ColumnSchema, FingerprintTable
+from hmdn.dataio import FingerprintTable
 from hmdn.errors import NumericError, ParseError, SchemaError
 from hmdn.mdn import (
     _PATIENCE,
@@ -492,8 +492,7 @@ def reference_run_predictions(
 # for bit (or raise the same error) and the writers byte for byte.
 
 
-def reference_load_csv(path, schema=None):
-    schema = schema or ColumnSchema()
+def reference_load_csv(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -501,28 +500,18 @@ def reference_load_csv(path, schema=None):
         except StopIteration:
             raise SchemaError(f"{path}: empty file, expected a header row") from None
 
-        if schema.wap_columns is not None:
-            wap_names = list(schema.wap_columns)
-            missing = [c for c in wap_names if c not in header]
-            if missing:
-                raise SchemaError(f"{path}: missing WAP column {missing[0]!r}")
-        else:
-            wap_names = [c for c in header if c.startswith(schema.wap_prefix)]
-            if not wap_names:
-                raise SchemaError(
-                    f"{path}: no columns start with WAP prefix {schema.wap_prefix!r}"
-                )
-        for col in (schema.x_column, schema.y_column):
+        wap_names = [c for c in header if c.startswith("WAP")]
+        if not wap_names:
+            raise SchemaError(f"{path}: no columns start with WAP prefix 'WAP'")
+        for col in ("LONGITUDE", "LATITUDE"):
             if col not in header:
                 raise SchemaError(f"{path}: missing column {col!r}")
 
         col_index = {c: i for i, c in enumerate(header)}
         wap_idx = [col_index[c] for c in wap_names]
-        x_idx, y_idx = col_index[schema.x_column], col_index[schema.y_column]
+        x_idx, y_idx = col_index["LONGITUDE"], col_index["LATITUDE"]
         meta_cols = [
-            c
-            for c in header
-            if c not in wap_names and c not in (schema.x_column, schema.y_column)
+            c for c in header if c not in wap_names and c not in ("LONGITUDE", "LATITUDE")
         ]
 
         rssi_rows, coord_rows = [], []
@@ -544,15 +533,15 @@ def reference_load_csv(path, schema=None):
             values = []
             for c, i in zip(wap_names, wap_idx):
                 v = cell(i, c)
-                if v != schema.sentinel and not (schema.rssi_min <= v <= schema.rssi_max):
+                if v != 100.0 and not (-104.0 <= v <= 0.0):
                     raise ParseError(
                         f"{path}: row {row_no}, column {c!r}: value {v} outside "
-                        f"[{schema.rssi_min}, {schema.rssi_max}] and not the sentinel"
+                        f"[-104.0, 0.0] and not the sentinel"
                     )
                 values.append(v)
             rssi_rows.append(values)
             xy = []
-            for c, i in ((schema.x_column, x_idx), (schema.y_column, y_idx)):
+            for c, i in (("LONGITUDE", x_idx), ("LATITUDE", y_idx)):
                 v = cell(i, c)
                 if not math.isfinite(v):
                     raise ParseError(
@@ -570,15 +559,14 @@ def reference_load_csv(path, schema=None):
         rssi=np.array(rssi_rows),
         coords=np.array(coord_rows),
         metadata={k: tuple(v) for k, v in metadata.items()},
-        schema=schema,
     )
 
 
-def load_outcome(loader, path, schema=None):
+def load_outcome(loader, path):
     """What a CSV loader makes of a file: the table's exact bits, or the
     class and message of the error it raises."""
     try:
-        table = loader(path, schema)
+        table = loader(path)
     except Exception as err:
         return type(err), str(err)
     return (
@@ -591,12 +579,11 @@ def load_outcome(loader, path, schema=None):
     )
 
 
-def reference_write_dataset_csv(path, wap_names, rssi, coords, extra=None, schema=None):
-    schema = schema or ColumnSchema()
+def reference_write_dataset_csv(path, wap_names, rssi, coords, extra=None):
     extra = extra or {}
     rssi = np.asarray(rssi, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
-    header = [*wap_names, schema.x_column, schema.y_column, *extra.keys()]
+    header = [*wap_names, "LONGITUDE", "LATITUDE", *extra.keys()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -609,7 +596,7 @@ def reference_write_dataset_csv(path, wap_names, rssi, coords, extra=None, schem
 
 
 def reference_table_to_csv(table, path):
-    header = [*table.wap_names, table.schema.x_column, table.schema.y_column, *table.metadata]
+    header = [*table.wap_names, "LONGITUDE", "LATITUDE", *table.metadata]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
