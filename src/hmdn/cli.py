@@ -44,7 +44,40 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 _SWITCH = {"action": "store_const", "const": True}
+
+
+def widths(text: str) -> tuple:
+    """Hidden-layer widths from comma-separated positive integers; empty
+    text gives an affine network. Errors print the function's name, as in
+    ``invalid widths value: 'a,b'``."""
+    hidden = tuple(int(w) for w in text.split(",") if w.strip())
+    if any(w < 1 for w in hidden):
+        raise ValueError(text)
+    return hidden
+
+
+_SEED = _opt("--seed", 0, type=int)
+# train and the prediction commands must agree on these for the models to apply
+_NORMALIZE = _opt("--normalize", "zero_one", choices=("zero_one", "powed"))
+_LUX_TRANSFORM = _opt("--lux-transform", "log", choices=("identity", "log"))
+# what a live prediction reads: predict and evaluate default alike, so they
+# draw the same predictions, and evaluate --from-dump takes none of these
+_LIVE = (
+    _opt("--g1"),
+    _opt("--g2"),
+    _opt("--data"),
+    _opt("--conditions", "all", help="'all' or comma-separated condition names"),
+    _opt("--m", 100, type=int),
+    _opt("--n", 20, type=int),
+    _SEED,
+    _NORMALIZE,
+    _LUX_TRANSFORM,
+)
 
 # every option of every command, in --help order; --config is added to each
 _OPTIONS = {
@@ -53,7 +86,7 @@ _OPTIONS = {
         _opt("--out-dir"),
         _opt("--n-train", 100, type=int),
         _opt("--n-test", 50, type=int),
-        _opt("--seed", 0, type=int),
+        _SEED,
         _opt("--measurement-noise", False, **_SWITCH),
         _opt("--augment", help="real fingerprint CSV to augment with simulated lux"),
         _opt("--train-fraction", 0.8, type=float),
@@ -63,10 +96,11 @@ _OPTIONS = {
         _opt("--data"),
         _opt("--model-out"),
         _opt("--log-out"),
-        _opt("--seed", 0, type=int),
-        _opt("--normalize", "zero_one", choices=("zero_one", "powed")),
+        _SEED,
+        _NORMALIZE,
         _opt("--components", type=int),  # g1 -> 5, g2 -> 3 unless given
-        _opt("--hidden", "64,64", help="comma-separated hidden widths, empty for affine"),
+        _opt("--hidden", (64, 64), type=widths,
+             help="comma-separated hidden widths, empty for affine"),
         _opt("--activation", "tanh", choices=("tanh", "relu")),
         _opt("--optimizer", "adam", choices=("adam", "sgd")),
         _opt("--learning-rate", 1e-3, type=float),
@@ -74,37 +108,21 @@ _OPTIONS = {
         _opt("--batch-size", 64, type=int),
         _opt("--sigma-floor", 1e-3, type=float),
         _opt("--lux-columns"),
-        _opt("--lux-transform", "log", choices=("identity", "log")),
+        _LUX_TRANSFORM,
         _opt("--input-dim", type=int),
         _opt("--target-dim", type=int),
     ),
     "predict": (
-        _opt("--g1"),
-        _opt("--g2"),
-        _opt("--data"),
-        _opt("--scene"),
+        *_LIVE,
         _opt("--out-dir"),
+        _opt("--scene"),
         _opt("--records", "0,1,2", help="'all' or comma-separated record indices"),
-        _opt("--conditions", "all", help="'all' or comma-separated condition names"),
-        _opt("--m", 100, type=int),
-        _opt("--n", 20, type=int),
-        _opt("--seed", 0, type=int),
-        _opt("--normalize", "zero_one", choices=("zero_one", "powed")),
-        _opt("--lux-transform", "log", choices=("identity", "log")),
         _opt("--weighted", False, **_SWITCH),
         _opt("--no-plots", False, **_SWITCH),
     ),
     "evaluate": (
-        _opt("--g1"),
-        _opt("--g2"),
-        _opt("--data"),
+        *_LIVE,
         _opt("--out-dir"),
-        _opt("--conditions", "all"),
-        _opt("--m", 100, type=int),
-        _opt("--n", 20, type=int),
-        _opt("--seed", 0, type=int),
-        _opt("--normalize", "zero_one", choices=("zero_one", "powed")),
-        _opt("--lux-transform", "log", choices=("identity", "log")),
         _opt("--bootstrap", 10_000, type=int),
         _opt("--from-dump"),
     ),
@@ -161,7 +179,7 @@ def _config_value(where: str, value, parse_kwargs: dict):
 def _require(opts: dict, *keys) -> None:
     for key in keys:
         if opts[key] is None:
-            raise UsageError(f"--{key.replace('_', '-')} is required")
+            raise UsageError(f"{_flag(key)} is required")
 
 
 def _load_scene(opts) -> scenario.Scene:
@@ -199,27 +217,26 @@ def _lux_transform(values: np.ndarray, transform: str) -> np.ndarray:
     return np.log(np.maximum(values, 1e-12))
 
 
-def _lux_columns(table: dataio.FingerprintTable, conditions: str, transform: str) -> dict:
-    """condition name -> per-record observable column, in CSV column order."""
-    available = {
-        col[len("LUX_") :]: col for col in table.metadata if col.startswith("LUX_")
-    }
-    if not available:
-        raise SchemaError("dataset has no LUX_<condition> columns")
-    if conditions == "all":
-        wanted = list(available)
-    else:
-        wanted = [c.strip() for c in conditions.split(",") if c.strip()]
-        if not wanted:
-            raise UsageError("--conditions must name at least one condition")
-        missing = [c for c in wanted if c not in available]
-        if missing:
-            raise UsageError(
-                f"condition {missing[0]!r} not in dataset (has {sorted(available)})"
-            )
-    return {
-        c: _lux_transform(table.metadata_floats(available[c]), transform) for c in wanted
-    }
+def _name_list(opts: dict, key: str, noun: str) -> list:
+    """The non-blank names of a comma-separated option value, at least one."""
+    names = [t.strip() for t in opts[key].split(",") if t.strip()]
+    if not names:
+        raise UsageError(f"{_flag(key)} must name at least one {noun}")
+    return names
+
+
+def _lux_columns(table: dataio.FingerprintTable, path, transform: str, columns=None) -> dict:
+    """key -> per-record observable of the CSV column ``columns[key]``; by
+    default every ``LUX_<condition>`` column, keyed by its condition, in CSV
+    order. Errors name the CSV's ``path``."""
+    if columns is None:
+        columns = {c[len("LUX_") :]: c for c in table.metadata if c.startswith("LUX_")}
+        if not columns:
+            raise SchemaError(f"{path}: no LUX_<condition> columns")
+    try:
+        return {k: _lux_transform(table.metadata_floats(c), transform) for k, c in columns.items()}
+    except (SchemaError, ParseError) as err:
+        raise type(err)(f"{path}: {err}") from None
 
 
 def _dataset_extra_columns(ds: scenario.SimulatedDataset) -> dict:
@@ -294,18 +311,11 @@ def _training_pairs(table, which: str, opts):
         X = dataio.normalize_rssi(table, opts["normalize"]).features
         Y = table.coords
     else:
-        lux_cols = opts["lux_columns"]
-        if lux_cols is None:
-            names = [c for c in table.metadata if c.startswith("LUX_")]
-        else:
-            names = [c.strip() for c in lux_cols.split(",") if c.strip()]
-        if not names:
-            raise SchemaError("no lux columns available to train g2 on")
-        try:
-            values = [table.metadata_floats(c) for c in names]
-        except (SchemaError, ParseError) as err:
-            raise type(err)(f"{opts['data']}: {err}") from None
-        columns = [_lux_transform(v, opts["lux_transform"]) for v in values]
+        named = None
+        if opts["lux_columns"] is not None:
+            # keyed by position, so a column named twice is pooled twice
+            named = dict(enumerate(_name_list(opts, "lux_columns", "column")))
+        columns = list(_lux_columns(table, opts["data"], opts["lux_transform"], named).values())
         # pool conditions: every record contributes one (position, lux) pair
         # per column, which is what makes position -> lux one-to-many
         X = np.vstack([table.coords] * len(columns))
@@ -332,12 +342,11 @@ def cmd_train(args) -> int:
     components = opts["components"]
     if components is None:
         components = 5 if which == "g1" else 3
-    hidden = tuple(int(h) for h in opts["hidden"].split(",") if h.strip())
     config = mdn.MdnConfig(
         input_dim=X.shape[1],
         target_dim=Y.shape[1],
         n_components=components,
-        hidden_layers=hidden,
+        hidden_layers=opts["hidden"],
         hidden_activation=opts["activation"],
         learning_rate=opts["learning_rate"],
         optimizer=opts["optimizer"],
@@ -365,8 +374,6 @@ def cmd_train(args) -> int:
 
 def _prediction_inputs(opts):
     table = dataio.load_csv(opts["data"])
-    if table.n_records == 0:
-        raise UsageError("test set is empty")
     g1 = _load_model_file(opts["g1"], "g1")
     g2 = _load_model_file(opts["g2"], "g2")
     features = dataio.normalize_rssi(table, opts["normalize"]).features
@@ -374,20 +381,35 @@ def _prediction_inputs(opts):
         raise ShapeError(
             f"dataset has {features.shape[1]} WAP features, g1 expects {g1.config.input_dim}"
         )
-    lux = _lux_columns(table, opts["conditions"], opts["lux_transform"])
+    lux = _lux_columns(table, opts["data"], opts["lux_transform"], _condition_columns(table, opts))
     pipe = pipeline.HmdnPipeline(g1=g1, g2=g2, n_candidates=opts["m"], n_selected=opts["n"])
     return table, pipe, features, lux
 
 
-def _parse_records(spec: str, n_records: int):
-    if spec == "all":
+def _condition_columns(table: dataio.FingerprintTable, opts):
+    """condition -> ``LUX_<condition>`` column for each condition that
+    ``--conditions`` names, or None for all. A condition without a column is
+    a usage error listing the conditions the CSV has."""
+    if opts["conditions"] == "all":
+        return None
+    columns = {c: "LUX_" + c for c in _name_list(opts, "conditions", "condition")}
+    missing = [c for c, column in columns.items() if column not in table.metadata]
+    if missing:
+        has = sorted(c[len("LUX_") :] for c in table.metadata if c.startswith("LUX_"))
+        raise UsageError(f"condition {missing[0]!r} not in {opts['data']} (has {has})")
+    return columns
+
+
+def _parse_records(opts, n_records: int):
+    if opts["records"] == "all":
         return list(range(n_records))
+    ids = _name_list(opts, "records", "record")
     try:
-        ids = [int(t) for t in spec.split(",") if t.strip() != ""]
+        ids = [int(t) for t in ids]
     except ValueError:
-        raise UsageError(f"--records must be 'all' or comma-separated indices, got {spec!r}")
-    if not ids:
-        raise UsageError("--records must name at least one record")
+        raise UsageError(
+            f"--records must be 'all' or comma-separated indices, got {opts['records']!r}"
+        ) from None
     bad = [i for i in ids if not 0 <= i < n_records]
     if bad:
         raise UsageError(f"record index {bad[0]} out of range (dataset has {n_records})")
@@ -398,7 +420,7 @@ def cmd_predict(args) -> int:
     opts = _merge_options("predict", args)
     _require(opts, "g1", "g2", "data", "out_dir")
     table, pipe, features, lux = _prediction_inputs(opts)
-    record_ids = _parse_records(opts["records"], table.n_records)
+    record_ids = _parse_records(opts, table.n_records)
     out = _out_dir(opts)
     master_seed = opts["seed"]
 
@@ -432,6 +454,10 @@ def cmd_evaluate(args) -> int:
     n_boot = opts["bootstrap"]
     if n_boot < 1:
         raise UsageError("--bootstrap must be >= 1")
+    live = [flag for flag, default, _ in _LIVE if opts[_dest(flag)] != default]
+    if opts["from_dump"] and live:
+        raise UsageError(f"{live[0]} does not apply to --from-dump, which reads "
+                         "the predictions and master seed from the dump")
     out = _out_dir(opts)
 
     if opts["from_dump"]:
@@ -484,10 +510,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (SchemaError, ParseError, ShapeError, DomainError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except (FileNotFoundError, PermissionError, IsADirectoryError) as err:
+    except (SchemaError, ParseError, ShapeError, DomainError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as err:

@@ -140,9 +140,10 @@ def metrics_from_dump(path, n_resamples: int = 10_000) -> list:
     intervals match a live evaluation over the same records; a header
     without a valid ``master_seed`` raises SchemaError.
     """
-    records = pipeline.parse_predictions(path)
+    meta = {}
+    records = pipeline.parse_predictions(path, header=meta)
     try:
-        seed = int(pipeline.dump_metadata(path)["master_seed"])
+        seed = int(meta["master_seed"])
     except (KeyError, ValueError):
         seed = -1
     if not 0 <= seed < 2**64:

@@ -327,12 +327,6 @@ def _read_header(fh, start: int = 1):
     return meta, None, lineno + 1
 
 
-def dump_metadata(path) -> dict:
-    """Key/value header lines (# key value ...) of a predictions dump."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _read_header(fh)[0]
-
-
 def _block_sizes(path, meta: dict):
     """(m, n) from the dump header: candidates and selected per record."""
     try:
@@ -457,7 +451,7 @@ def _read_block(path, start: int, parts, lines, m: int, n: int):
     return record, after
 
 
-def parse_predictions(path) -> list:
+def parse_predictions(path, header: dict = None) -> list:
     """Re-read a dump file into PredictionRecord values, streaming it.
 
     The file must be laid out exactly as ``write_predictions`` writes it:
@@ -466,7 +460,9 @@ def parse_predictions(path) -> list:
     candidates (indices 0..m-1), finite coordinates of one dimension, and
     n selected candidates (all m on a fallback record). A missing header
     or unusable ``m``/``n`` raises SchemaError; any other deviation raises
-    ParseError naming the path and line.
+    ParseError naming the path and line. A ``header`` dict, if given, is
+    filled with the key/value pairs of the ``# key value ...`` header lines,
+    so a caller needing both reads the file once.
     """
     records = []
     try:
@@ -474,6 +470,8 @@ def parse_predictions(path) -> list:
             if fh.readline().rstrip("\n") != _DUMP_HEADER:
                 raise SchemaError(f"{path}: line 1: not a predictions dump (no {_DUMP_HEADER!r})")
             meta, ln, lineno = _read_header(fh, start=2)
+            if header is not None:
+                header.update(meta)
             if ln is None:
                 raise ParseError(f"{path}: line {lineno}: no record lines after the header")
             m, n = _block_sizes(path, meta)

@@ -313,37 +313,61 @@ def _finite(value) -> float:
     return number
 
 
+def _typed(value, kind: type, name: str):
+    """``value`` if it is a JSON object (``dict``) or array (``list``), as
+    ``kind`` asks; otherwise a SchemaError naming it."""
+    if not isinstance(value, kind):
+        wanted = "object" if kind is dict else "array"
+        raise SchemaError(f"{name!r} must be a JSON {wanted}, not {type(value).__name__!r}")
+    return value
+
+
+def _objects(doc: dict, key: str) -> list:
+    """``doc[key]`` as a JSON array of objects."""
+    items = _typed(doc[key], list, key)
+    return [_typed(item, dict, f"{key}[{i}]") for i, item in enumerate(items)]
+
+
+def _position(item: dict, name: str) -> list:
+    """The coordinates of ``item["position"]``, a JSON array of numbers."""
+    return [_finite(v) for v in _typed(item["position"], list, f"{name}.position")]
+
+
 def scene_from_dict(doc: dict) -> Scene:
     if not isinstance(doc, dict):
         raise SchemaError(f"a scene is a JSON object, got {type(doc).__name__}")
     if doc.get("format") != _SCENE_FORMAT:
         raise SchemaError(f"expected scene format {_SCENE_FORMAT!r}, got {doc.get('format')!r}")
     try:
-        room = doc["room"]
+        room = _typed(doc["room"], dict, "room")
         return Scene(
             room_width=_finite(room["width"]),
             room_depth=_finite(room["depth"]),
             phone_height=_finite(room["phone_height"]),
             ceiling_height=_finite(room["ceiling_height"]),
             conditions=tuple(
-                Condition(name=c["name"], ambient=_finite(c["ambient"])) for c in doc["conditions"]
+                Condition(name=c["name"], ambient=_finite(c["ambient"]))
+                for c in _objects(doc, "conditions")
             ),
             lights=tuple(
                 LightSource(
-                    position=[_finite(v) for v in li["position"]],
-                    intensity={k: _finite(v) for k, v in li["intensity"].items()},
+                    position=_position(li, f"lights[{i}]"),
+                    intensity={
+                        k: _finite(v)
+                        for k, v in _typed(li["intensity"], dict, f"lights[{i}].intensity").items()
+                    },
                     kind=li.get("kind", "ceiling_point"),
                 )
-                for li in doc["lights"]
+                for i, li in enumerate(_objects(doc, "lights"))
             ),
             access_points=tuple(
                 AccessPoint(
-                    position=[_finite(v) for v in ap["position"]],
+                    position=_position(ap, f"access_points[{i}]"),
                     tx_power=_finite(ap["tx_power"]),
                     path_loss_exponent=_finite(ap["path_loss_exponent"]),
                     shadow_sigma=_finite(ap["shadow_sigma"]),
                 )
-                for ap in doc["access_points"]
+                for i, ap in enumerate(_objects(doc, "access_points"))
             ),
         )
     except KeyError as missing:
@@ -359,7 +383,11 @@ def load_scene(path) -> Scene:
     strict JSON (``NaN`` and ``Infinity`` included) raise ParseError naming
     the path and line; a document that is not a valid scene raises
     SchemaError naming the path."""
-    text = _read_utf8(path)
+    return _scene_from_text(_read_utf8(path), path)
+
+
+def _scene_from_text(text: str, source) -> Scene:
+    """A scene from the text of ``source``, as ``load_scene`` reads a file."""
 
     def reject(constant):
         # json stops at the first constant, so it is the first one outside a string
@@ -369,11 +397,11 @@ def load_scene(path) -> Scene:
     try:
         doc = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as err:
-        raise ParseError(f"{path}: line {err.lineno}, column {err.colno}: {err.msg}") from None
+        raise ParseError(f"{source}: line {err.lineno}, column {err.colno}: {err.msg}") from None
     try:
         return scene_from_dict(doc)
     except (ValueError, TypeError, AttributeError, ArithmeticError) as err:
-        raise SchemaError(f"{path}: {err}") from None
+        raise SchemaError(f"{source}: {err}") from None
 
 
 def save_scene(scene: Scene, path) -> None:
@@ -389,5 +417,5 @@ def paper_room_scene() -> Scene:
     across it produce near-identical fingerprints; the lights are placed
     off-axis, so illuminance tells the two half-rooms apart.
     """
-    doc = resources.files("hmdn").joinpath("scenes/scene_paper_room.json").read_text("utf-8")
-    return scene_from_dict(json.loads(doc))
+    bundled = resources.files("hmdn").joinpath("scenes/scene_paper_room.json")
+    return _scene_from_text(bundled.read_text("utf-8"), bundled)

@@ -1,8 +1,10 @@
 """The public surface of the package: what ``hmdn`` exports, and that the
 names retired in favour of the batched kernels stay gone."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,8 @@ EXPORTED = {
 }
 
 # single-sample and single-record wrappers, options that only tests used,
-# and the fingerprint column schema that nothing set
+# the fingerprint column schema that nothing set, and the dump header's
+# second reader
 REMOVED = (
     "Activations",
     "GradWorkspace",
@@ -40,6 +43,7 @@ REMOVED = (
     "select_top",
     "predict_baseline",
     "ColumnSchema",
+    "dump_metadata",
 )
 
 MODULES = [hmdn] + [
@@ -73,4 +77,24 @@ def test_removed_fields_are_gone():
     assert "strategy" not in SplitSpec.__dataclass_fields__
     assert not hasattr(NormalizedRssi, "inverse_detected")
     assert not hasattr(HmdnEstimate, "selected_scores")
-    assert not hasattr(importlib.import_module("hmdn.evaluate"), "dump_metadata")
+
+
+def test_benchmark_wrap_points_resolve():
+    """Every function the benchmark traces still exists, except the two
+    prediction steps folded into the batched kernel. The benchmark script is
+    read, not imported."""
+    source = (Path(__file__).resolve().parent.parent / "bench" / "run.py").read_text()
+    (points,) = [
+        ast.literal_eval(node.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["WRAP_POINTS"]
+    ]
+    missing = set()
+    for module, attr, name in points:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.add(name)
+    assert missing == {"pipeline.score_candidates", "pipeline.select_top"}

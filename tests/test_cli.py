@@ -34,6 +34,14 @@ def file_hashes(root: Path) -> dict:
     }
 
 
+def without_lux(source: Path, dest: Path) -> Path:
+    """A copy of a fingerprint CSV without its LUX_* columns."""
+    rows = [line.split(",") for line in source.read_text().splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if not name.startswith("LUX_")]
+    dest.write_text("".join(",".join(row[i] for i in keep) + "\n" for row in rows))
+    return dest
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One small simulate + train g1 + train g2 run shared by the module."""
@@ -153,6 +161,24 @@ class TestTrain:
         one_error_line(capsys, f"error: {data}: ", *fragments)
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("columns", [",", " , ,", ""], ids=["comma", "blanks", "empty"])
+    def test_empty_lux_column_list_is_a_usage_error(self, workspace, tmp_path, capsys,
+                                                    columns):
+        code = run("train", "--which", "g2", "--data", workspace / "train.csv",
+                   "--model-out", tmp_path / "m", f"--lux-columns={columns}", "--epochs", 1)
+        assert code == 2
+        one_error_line(capsys, "--lux-columns", "at least one")
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("hidden", ["a,b", "16,0", "-4", "1.5"])
+    def test_bad_hidden_widths_name_the_flag(self, workspace, tmp_path, capsys, hidden):
+        code = run("train", "--which", "g1", "--data", workspace / "train.csv",
+                   "--model-out", tmp_path / "m", f"--hidden={hidden}", "--epochs", 1)
+        assert code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert "argument --hidden: invalid" in last and repr(hidden) in last, last
+        assert not (tmp_path / "m").exists()
+
 
 class TestPredict:
     def test_dump_and_plots(self, workspace, tmp_path):
@@ -192,8 +218,9 @@ class TestPredict:
             "--data", workspace / "test.csv", "--out-dir", out,
             "--records", "0", "--conditions", "sunny", "--seed", 3, "--no-plots",
         ) == 0
-        meta = pipeline.dump_metadata(out / "predictions.txt")
-        assert meta["m"] == "100" and meta["n"] == "20"
+        meta = {}
+        records = parse_predictions(out / "predictions.txt", header=meta)
+        assert meta["m"] == "100" and meta["n"] == "20" and len(records) == 1
         assert not list(out.glob("*.svg"))
 
     def test_dump_selected_block_descending(self, workspace, tmp_path):
@@ -226,6 +253,14 @@ class TestPredict:
         )
         assert code == 2
         one_error_line(capsys, flag, "at least one")
+        assert not (tmp_path / "pred" / "predictions.txt").exists()
+
+    def test_condition_not_in_dataset_names_the_file(self, workspace, tmp_path, capsys):
+        data = workspace / "test.csv"
+        code = run("predict", "--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
+                   "--data", data, "--out-dir", tmp_path / "pred", "--conditions", "sunny,foggy")
+        assert code == 2
+        one_error_line(capsys, f"error: condition 'foggy' not in {data} (has [", "'sunny'")
         assert not (tmp_path / "pred" / "predictions.txt").exists()
 
     def test_record_out_of_range(self, workspace, tmp_path):
@@ -287,6 +322,34 @@ class TestEvaluate:
     def test_requires_inputs(self, tmp_path):
         assert run("evaluate", "--out-dir", tmp_path) == 2
 
+    @pytest.fixture()
+    def dump(self, tmp_path):
+        path = tmp_path / "predictions.txt"
+        pipeline.write_predictions(path, make_dump_records(2, 2, m=4, n=2), 3, m=4, n=2)
+        return path
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--g1", "g1.model"), ("--g2", "g2.model"), ("--data", "test.csv"),
+        ("--conditions", "sunny"), ("--m", 40), ("--n", 5), ("--seed", 3),
+        ("--normalize", "powed"), ("--lux-transform", "identity"),
+    ])
+    def test_from_dump_rejects_live_options(self, dump, tmp_path, capsys, flag, value):
+        out = tmp_path / "eval"
+        assert run("evaluate", "--from-dump", dump, "--out-dir", out, flag, value) == 2
+        one_error_line(capsys, f"error: {flag} does not apply to --from-dump")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+        assert run("evaluate", "--from-dump", dump, "--out-dir", out, "--config", cfg) == 2
+        one_error_line(capsys, f"error: {flag} does not apply to --from-dump")
+        assert not out.exists()
+
+    def test_from_dump_accepts_live_options_at_their_defaults(self, dump, tmp_path):
+        out = tmp_path / "eval"
+        assert run("evaluate", "--from-dump", dump, "--out-dir", out, "--bootstrap", 20,
+                   "--conditions", "all", "--m", 100, "--n", 20, "--seed", 0,
+                   "--normalize", "zero_one", "--lux-transform", "log") == 0
+        assert len((out / "metrics.csv").read_text().splitlines()) == 1 + 2 * 2
+
     def test_empty_condition_list_is_a_usage_error(self, workspace, tmp_path, capsys):
         code = run(
             "evaluate", "--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
@@ -334,6 +397,9 @@ class TestConfigValues:
         ("train", {"which": "g3"}),
         ("simulate", {"n_train": True}),
         ("train", {"hidden": {"width": 16}}),
+        ("train", {"hidden": "a"}),
+        ("train", {"hidden": "16,0"}),
+        ("train", {"hidden": 1.5}),
     ])
     def test_bad_value_exits_2_naming_file_and_key(self, tmp_path, capsys, command, doc):
         cfg, code = self.run_config(tmp_path, command, doc)
@@ -358,11 +424,29 @@ class TestConfigValues:
         model = dataio.load_model(tmp_path / "g1.model")
         assert model.config.hidden_layers == (16,) and len(model.training_log) == 3
 
+    @pytest.mark.parametrize("hidden, layers", [("16,8", (16, 8)), ("", ())])
+    def test_hidden_widths_spellings(self, workspace, tmp_path, hidden, layers):
+        cfg, code = self.run_config(tmp_path, "train", {"hidden": hidden, "epochs": 1},
+                                    "--which", "g1", "--data", workspace / "train.csv",
+                                    "--model-out", tmp_path / "g1.model")
+        assert code == 0
+        assert dataio.load_model(tmp_path / "g1.model").config.hidden_layers == layers
+
     def test_malformed_json_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"seed": 1,\n "n_train": }')
         assert run("simulate", "--config", cfg, "--out-dir", tmp_path) == 2
         one_error_line(capsys, str(cfg), "line 2 column 13")
+
+
+def retyped(text: str, value, *path) -> str:
+    """A scene's JSON text with the value at ``path`` replaced."""
+    doc = json.loads(text)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)
 
 
 class TestMalformedScene:
@@ -375,7 +459,16 @@ class TestMalformedScene:
         (lambda t: t.replace('"width": 17.0', '"width": NaN'),
          ["line ", "column ", "NaN is not a JSON number"]),
         (lambda t: t.replace('"width": 17.0', '"width": 1e999'), ["inf is not a finite number"]),
-    ], ids=["string-room", "top-level-list", "truncated", "nan-width", "overflowing-width"])
+        (lambda t: retyped(t, "sunny", "conditions"),
+         ["'conditions' must be a JSON array, not 'str'"]),
+        (lambda t: retyped(t, "sunny", "conditions", 0),
+         ["'conditions[0]' must be a JSON object, not 'str'"]),
+        (lambda t: retyped(t, "0,5,2.5", "lights", 0, "position"),
+         ["'lights[0].position' must be a JSON array, not 'str'"]),
+        (lambda t: retyped(t, {"position": [1, 2, 3]}, "access_points"),
+         ["'access_points' must be a JSON array, not 'dict'"]),
+    ], ids=["string-room", "top-level-list", "truncated", "nan-width", "overflowing-width",
+            "string-conditions", "string-condition", "string-light-position", "object-aps"])
     def test_exits_data_error_naming_the_file(self, tmp_path, capsys, edit, fragments):
         scene = tmp_path / "scene.json"
         scenario.save_scene(scenario.paper_room_scene(), scene)
@@ -609,3 +702,47 @@ class TestMalformedDump:
         code, err = self.reeval(tmp_path, capsys, lines, "--bootstrap", count)
         assert code == 2
         assert err == "error: --bootstrap must be >= 1\n"
+
+
+class TestMissingLuxColumns:
+    """A CSV without LUX_<condition> columns: every command that reads them
+    exits 3 with one line naming the CSV."""
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_exits_data_error_naming_the_csv(self, workspace, tmp_path, capsys, command):
+        data = without_lux(workspace / "test.csv", tmp_path / "nolux.csv")
+        out = tmp_path / "out"
+        models = ["--g1", workspace / "g1.model", "--g2", workspace / "g2.model", "--m", 5,
+                  "--n", 2]
+        argv = {
+            "train": ["--which", "g2", "--model-out", out / "g2.model", "--epochs", 1],
+            "predict": [*models, "--out-dir", out],
+            "evaluate": [*models, "--out-dir", out, "--bootstrap", 10],
+        }[command]
+        assert run(command, "--data", data, *argv) == 3
+        one_error_line(capsys, f"error: {data}: no LUX_<condition> columns")
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestOutputPathIsAFile:
+    """An output path that is, or runs through, an existing file: exit 3 with
+    one line, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "predict", "evaluate"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_exits_data_error(self, workspace, tmp_path, capsys, command, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out_dir = blocker / "sub" if below else blocker
+        models = ["--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
+                  "--data", workspace / "test.csv", "--m", 5, "--n", 2]
+        argv = {
+            "simulate": ["--out-dir", out_dir, "--n-train", 2, "--n-test", 1],
+            "train": ["--which", "g1", "--data", workspace / "train.csv", "--epochs", 1,
+                      "--model-out", out_dir / "g1.model"],
+            "predict": [*models, "--out-dir", out_dir, "--no-plots"],
+            "evaluate": [*models, "--out-dir", out_dir, "--bootstrap", 10],
+        }[command]
+        assert run(command, *argv) == 3
+        one_error_line(capsys, "taken")
+        assert blocker.read_text() == "not a directory\n"

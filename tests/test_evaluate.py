@@ -1,8 +1,10 @@
+import builtins
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hmdn import pipeline
 from hmdn.errors import SchemaError
 from hmdn.evaluate import (
     _row_medians,
@@ -159,3 +161,33 @@ class TestMetricsFromDump:
         path.write_text(lines[0] + "".join(lines[2:]))
         with pytest.raises(SchemaError, match="master_seed"):
             metrics_from_dump(path, n_resamples=20)
+
+    def test_reads_the_dump_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "dump.txt"
+        write_predictions(path, make_dump_records(2, 2, m=4, n=2), master_seed=5, m=4, n=2)
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert len(metrics_from_dump(path, n_resamples=20)) == 2
+        assert opened == [path]
+
+    def test_reads_through_parse_predictions(self, tmp_path, monkeypatch):
+        """The benchmark times the dump read as ``pipeline.parse_predictions``,
+        so the re-evaluation must call it through the module attribute."""
+        path = tmp_path / "dump.txt"
+        write_predictions(path, make_dump_records(2, 2, m=4, n=2), master_seed=5, m=4, n=2)
+        calls = []
+        real_parse = pipeline.parse_predictions
+
+        def counting_parse(*args, **kwargs):
+            calls.append(args[0])
+            return real_parse(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "parse_predictions", counting_parse)
+        assert len(metrics_from_dump(path, n_resamples=20)) == 2
+        assert calls == [path]

@@ -54,6 +54,8 @@ def flag_text(parse_kwargs):
         return st.integers().map(str)
     if parse_kwargs.get("type") is float:
         return st.one_of(st.floats().map(repr), st.floats(-1e6, 1e6).map("{:e}".format))
+    if parse_kwargs.get("type") is cli.widths:
+        return st.lists(st.integers(1, 10**6).map(str), max_size=4).map(",".join)
     return st.one_of(st.text(), st.integers().map(str))
 
 

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from hmdn import scenario
 from hmdn.dataio import NOT_DETECTED
 from hmdn.errors import DomainError, ParseError, SchemaError
 from hmdn.numcore import Rng
@@ -250,7 +251,8 @@ class TestSceneFiles:
             load_scene(path)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda t: t.replace('"room": {', '"room": "big", "x": {'), "string indices"),
+        (lambda t: t.replace('"room": {', '"room": "big", "x": {'),
+         "'room' must be a JSON object, not 'str'"),
         (lambda t: "[" + t + "]", "a scene is a JSON object, got list"),
         (lambda t: t.replace('"width": 17.0', '"width": "nan"'), "'nan' is not a finite number"),
         (lambda t: t.replace('"width": 17.0', '"width": 1e999'), "inf is not a finite number"),
@@ -267,6 +269,16 @@ class TestSceneFiles:
     def test_bad_format_rejected(self):
         with pytest.raises(Exception, match="format"):
             scene_from_dict({"format": "something-else"})
+
+    def test_bundled_scene_read_by_the_strict_parser(self, tmp_path, monkeypatch):
+        bundled = tmp_path / "scenes" / "scene_paper_room.json"
+        bundled.parent.mkdir()
+        save_scene(paper_room_scene(), bundled)
+        bundled.write_text(bundled.read_text().replace('"width": 17.0', '"width": NaN'))
+        monkeypatch.setattr(scenario.resources, "files", lambda package: tmp_path)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(bundled))}: line \d+, "
+                                             r"column \d+: NaN is not a JSON number"):
+            paper_room_scene()
 
     def test_paper_room_dimensions(self):
         scene = paper_room_scene()
