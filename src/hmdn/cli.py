@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -62,9 +63,6 @@ def widths(text: str) -> tuple:
 
 
 _SEED = _opt("--seed", 0, type=int)
-# train and the prediction commands must agree on these for the models to apply
-_NORMALIZE = _opt("--normalize", "zero_one", choices=("zero_one", "powed"))
-_LUX_TRANSFORM = _opt("--lux-transform", "log", choices=("identity", "log"))
 # what a live prediction reads: predict and evaluate default alike, so they
 # draw the same predictions, and evaluate --from-dump takes none of these
 _LIVE = (
@@ -75,8 +73,6 @@ _LIVE = (
     _opt("--m", 100, type=int),
     _opt("--n", 20, type=int),
     _SEED,
-    _NORMALIZE,
-    _LUX_TRANSFORM,
 )
 
 # every option of every command, in --help order; --config is added to each
@@ -97,7 +93,7 @@ _OPTIONS = {
         _opt("--model-out"),
         _opt("--log-out"),
         _SEED,
-        _NORMALIZE,
+        _opt("--normalize", "zero_one", choices=dataio.RECODINGS["g1"]),
         _opt("--components", type=int),  # g1 -> 5, g2 -> 3 unless given
         _opt("--hidden", (64, 64), type=widths,
              help="comma-separated hidden widths, empty for affine"),
@@ -108,9 +104,7 @@ _OPTIONS = {
         _opt("--batch-size", 64, type=int),
         _opt("--sigma-floor", 1e-3, type=float),
         _opt("--lux-columns"),
-        _LUX_TRANSFORM,
-        _opt("--input-dim", type=int),
-        _opt("--target-dim", type=int),
+        _opt("--lux-transform", "log", choices=dataio.RECODINGS["g2"]),
     ),
     "predict": (
         *_LIVE,
@@ -195,26 +189,20 @@ def _out_dir(opts) -> Path:
 
 
 def _load_model_file(path_str: str, which: str) -> mdn.MdnModel:
+    """The model ``--<which>`` names, which must be one ``hmdn train --which
+    <which>`` wrote: its recorded recoding is what prediction applies."""
     path = Path(path_str)
+    train = f"`hmdn train --which {which} --data <train.csv> --model-out {path}`"
     if not path.exists():
-        raise FileNotFoundError(
-            f"model file {path} not found; train it first with "
-            f"`hmdn train --which {which} --data <train.csv> --model-out {path}`"
-        )
-    return dataio.load_model(path)
-
-
-def _lux_transform(values: np.ndarray, transform: str) -> np.ndarray:
-    """The observable g2 models: raw lux, or its natural log (default).
-
-    The log recoding is monotone, so candidate ranking is the quantity the
-    selection needs either way; it tames the several-decade dynamic range
-    of direct sunlight vs night lighting. Train and predict must use the
-    same setting.
-    """
-    if transform == "identity":
-        return values
-    return np.log(np.maximum(values, 1e-12))
+        raise FileNotFoundError(f"model file {path} not found; train it first with {train}")
+    model = dataio.load_model(path)
+    if not model.preprocessing:
+        raise SchemaError(f"{path}: --{which} takes a {which} model, this is a model built "
+                          f"by the library with no recorded role; retrain it with {train}")
+    role = model.preprocessing[0]
+    if role != which:
+        raise SchemaError(f"{path}: --{which} takes a {which} model, this is a {role} model")
+    return model
 
 
 def _name_list(opts: dict, key: str, noun: str) -> list:
@@ -234,7 +222,8 @@ def _lux_columns(table: dataio.FingerprintTable, path, transform: str, columns=N
         if not columns:
             raise SchemaError(f"{path}: no LUX_<condition> columns")
     try:
-        return {k: _lux_transform(table.metadata_floats(c), transform) for k, c in columns.items()}
+        return {k: dataio.lux_transform(table.metadata_floats(c), transform)
+                for k, c in columns.items()}
     except (SchemaError, ParseError) as err:
         raise type(err)(f"{path}: {err}") from None
 
@@ -306,16 +295,16 @@ def _simulate_augment(opts, scene, out, master: Rng, noise: bool) -> int:
     return EXIT_OK
 
 
-def _training_pairs(table, which: str, opts):
+def _training_pairs(table, which: str, recoding: str, opts):
     if which == "g1":
-        X = dataio.normalize_rssi(table, opts["normalize"]).features
+        X = dataio.normalize_rssi(table, recoding).features
         Y = table.coords
     else:
         named = None
         if opts["lux_columns"] is not None:
             # keyed by position, so a column named twice is pooled twice
             named = dict(enumerate(_name_list(opts, "lux_columns", "column")))
-        columns = list(_lux_columns(table, opts["data"], opts["lux_transform"], named).values())
+        columns = list(_lux_columns(table, opts["data"], recoding, named).values())
         # pool conditions: every record contributes one (position, lux) pair
         # per column, which is what makes position -> lux one-to-many
         X = np.vstack([table.coords] * len(columns))
@@ -327,17 +316,9 @@ def cmd_train(args) -> int:
     opts = _merge_options("train", args)
     _require(opts, "which", "data", "model_out")
     which = opts["which"]
+    recoding = opts["normalize"] if which == "g1" else opts["lux_transform"]
     table = dataio.load_csv(opts["data"])
-    X, Y = _training_pairs(table, which, opts)
-
-    if opts["input_dim"] is not None and opts["input_dim"] != X.shape[1]:
-        raise UsageError(
-            f"{which} input dimension must equal {X.shape[1]} "
-            f"({'normalized WAP count' if which == 'g1' else 'coordinates'}), "
-            f"got {opts['input_dim']}"
-        )
-    if opts["target_dim"] is not None and opts["target_dim"] != Y.shape[1]:
-        raise UsageError(f"{which} target dimension must equal {Y.shape[1]}")
+    X, Y = _training_pairs(table, which, recoding, opts)
 
     components = opts["components"]
     if components is None:
@@ -355,14 +336,15 @@ def cmd_train(args) -> int:
         sigma_floor=opts["sigma_floor"],
         seed=Rng(opts["seed"]).spawn("train", which).seed,
     )
-    model = mdn.train((X, Y), config)
-
     model_out = Path(opts["model_out"])
-    model_out.parent.mkdir(parents=True, exist_ok=True)
-    dataio.save_model(model, model_out)
     log_out = Path(opts["log_out"]) if opts["log_out"] else model_out.with_suffix(
         model_out.suffix + ".log.csv"
     )
+    for path in (model_out, log_out):
+        path.parent.mkdir(parents=True, exist_ok=True)
+
+    model = dataclasses.replace(mdn.train((X, Y), config), preprocessing=(which, recoding))
+    dataio.save_model(model, model_out)
     with open(log_out, "w", encoding="utf-8") as fh:
         fh.write("epoch,nll\n")
         for i, v in enumerate(model.training_log, start=1):
@@ -376,12 +358,12 @@ def _prediction_inputs(opts):
     table = dataio.load_csv(opts["data"])
     g1 = _load_model_file(opts["g1"], "g1")
     g2 = _load_model_file(opts["g2"], "g2")
-    features = dataio.normalize_rssi(table, opts["normalize"]).features
+    features = dataio.normalize_rssi(table, g1.preprocessing[1]).features
     if features.shape[1] != g1.config.input_dim:
         raise ShapeError(
             f"dataset has {features.shape[1]} WAP features, g1 expects {g1.config.input_dim}"
         )
-    lux = _lux_columns(table, opts["data"], opts["lux_transform"], _condition_columns(table, opts))
+    lux = _lux_columns(table, opts["data"], g2.preprocessing[1], _condition_columns(table, opts))
     pipe = pipeline.HmdnPipeline(g1=g1, g2=g2, n_candidates=opts["m"], n_selected=opts["n"])
     return table, pipe, features, lux
 
@@ -421,6 +403,7 @@ def cmd_predict(args) -> int:
     _require(opts, "g1", "g2", "data", "out_dir")
     table, pipe, features, lux = _prediction_inputs(opts)
     record_ids = _parse_records(opts, table.n_records)
+    scene = None if opts["no_plots"] else _load_scene(opts)
     out = _out_dir(opts)
     master_seed = opts["seed"]
 
@@ -439,8 +422,7 @@ def cmd_predict(args) -> int:
     )
     print(f"predictions: {len(records)} -> {dump_path}")
 
-    if not opts["no_plots"]:
-        scene = _load_scene(opts)
+    if scene is not None:
         for r in records:
             plot_path = out / f"plot_r{r.record_id:03d}_{r.condition}.svg"
             plots.write_scatter_svg(plot_path, scene, r)
@@ -458,13 +440,14 @@ def cmd_evaluate(args) -> int:
     if opts["from_dump"] and live:
         raise UsageError(f"{live[0]} does not apply to --from-dump, which reads "
                          "the predictions and master seed from the dump")
-    out = _out_dir(opts)
 
     if opts["from_dump"]:
+        out = _out_dir(opts)
         metrics = evaluate.metrics_from_dump(opts["from_dump"], n_boot)
     else:
         _require(opts, "g1", "g2", "data")
         table, pipe, features, lux = _prediction_inputs(opts)
+        out = _out_dir(opts)
         records = pipeline.run_predictions(
             pipe, features, table.coords, lux, range(table.n_records), opts["seed"]
         )

@@ -6,7 +6,9 @@ Fingerprint CSVs have the UJIIndoorLoc layout: ``WAP...`` signal columns,
 A stored value of 100 means "access point not detected"; detected values
 lie in [-104, 0] dBm.
 Model files are a versioned plain-text format with every float printed to
-17 significant digits, so a load after save is bit-exact.
+17 significant digits, so a load after save is bit-exact. A model trained
+by ``hmdn train`` also records its role and the recoding of its data, which
+prediction applies in turn.
 """
 
 from __future__ import annotations
@@ -33,7 +35,12 @@ COORD_COLUMNS = ("LONGITUDE", "LATITUDE")
 # exponent of the "powed" representation
 POWED_BETA = math.e
 
-_MODEL_FORMAT = "hmdn-model v1"
+# role -> the recodings a model of that role can be trained under: g1's
+# RSSI feature map (see normalize_rssi) and the lux observable g2 models
+# (see lux_transform)
+RECODINGS = {"g1": ("zero_one", "powed"), "g2": ("identity", "log")}
+
+_MODEL_FORMAT = "hmdn-model v2"
 
 _CONFIG_INT_FIELDS = ("input_dim", "target_dim", "n_components", "epochs", "batch_size", "seed")
 _CONFIG_FLOAT_FIELDS = (
@@ -288,7 +295,7 @@ class NormalizedRssi:
 
 def normalize_rssi(table: FingerprintTable, mode: str = "zero_one") -> NormalizedRssi:
     """Map sentinel-coded dBm to features in [0, 1]; monotone on detected values."""
-    if mode not in ("zero_one", "powed"):
+    if mode not in RECODINGS["g1"]:
         raise ValueError(f"mode must be zero_one or powed, got {mode!r}")
     zero_point = RSSI_FLOOR - 1.0
     detected = table.detected_mask()
@@ -297,6 +304,20 @@ def normalize_rssi(table: FingerprintTable, mode: str = "zero_one") -> Normalize
     if mode == "powed":
         feats = feats**POWED_BETA
     return NormalizedRssi(features=feats)
+
+
+def lux_transform(values: np.ndarray, transform: str) -> np.ndarray:
+    """The observable g2 models: raw lux, or its natural log.
+
+    The log recoding is monotone, so candidate ranking is the quantity the
+    selection needs either way; it tames the several-decade dynamic range
+    of direct sunlight vs night lighting.
+    """
+    if transform not in RECODINGS["g2"]:
+        raise ValueError(f"transform must be identity or log, got {transform!r}")
+    if transform == "identity":
+        return values
+    return np.log(np.maximum(values, 1e-12))
 
 
 @dataclass(frozen=True)
@@ -379,10 +400,15 @@ def _write_csv(path, header, values: np.ndarray, text_columns=()) -> None:
 
 
 def save_model(model: MdnModel, path) -> None:
-    """Serialize config, standardization statistics, weights, and the
+    """Serialize the recorded role and recoding (none for a model built by
+    the library), config, standardization statistics, weights, and the
     training log to the versioned text format (17 significant digits)."""
     cfg = model.config
-    lines = [_MODEL_FORMAT, "[config]"]
+    lines = [_MODEL_FORMAT]
+    if model.preprocessing:
+        role, recoding = model.preprocessing
+        lines += ["[preprocessing]", f"role = {role}", f"recoding = {recoding}"]
+    lines.append("[config]")
     for name in _CONFIG_INT_FIELDS:
         lines.append(f"{name} = {getattr(cfg, name)}")
     for name in _CONFIG_FLOAT_FIELDS:
@@ -413,7 +439,9 @@ def _numbers(path, lineno: int, text: str) -> list:
 def load_model(path) -> MdnModel:
     """Reload a model file; bit-exact inverse of save_model.
 
-    A missing field raises SchemaError; a malformed or truncated line raises
+    A missing field, a role or recoding outside ``RECODINGS`` and a file of
+    another format version raise SchemaError naming the path (and the line
+    of a bad role or recoding); a malformed or truncated line raises
     ParseError naming the path and line number. Weights or statistics the
     model rejects raise SchemaError (a missing or mis-sized matrix) or
     ParseError (a non-finite weight, a bad standardization value), naming
@@ -421,8 +449,11 @@ def load_model(path) -> MdnModel:
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != _MODEL_FORMAT:
-        raise SchemaError(f"{path}: expected header {_MODEL_FORMAT!r}")
+    if lines[:1] != [_MODEL_FORMAT]:
+        why = ""
+        if lines[:1] == ["hmdn-model v1"]:
+            why = "; a v1 model records no role or recoding, so retrain it with `hmdn train`"
+        raise SchemaError(f"{path}: expected header {_MODEL_FORMAT!r}{why}")
 
     sections: dict = {}
     current = None
@@ -442,6 +473,20 @@ def load_model(path) -> MdnModel:
             key, _, value = ln.partition(" = ")
             out[key] = (lineno, value)
         return out
+
+    preprocessing = ()
+    if "preprocessing" in sections:
+        pre = parse_kv("preprocessing")
+        try:
+            (role_lineno, role), (recoding_lineno, recoding) = pre["role"], pre["recoding"]
+        except KeyError as missing:
+            raise SchemaError(f"{path}: preprocessing missing field {missing}") from None
+        if role not in RECODINGS:
+            raise SchemaError(f"{path}, line {role_lineno}: role must be g1 or g2, got {role!r}")
+        if recoding not in RECODINGS[role]:
+            raise SchemaError(f"{path}, line {recoding_lineno}: a {role} recoding is one of "
+                              f"{', '.join(RECODINGS[role])}, got {recoding!r}")
+        preprocessing = (role, recoding)
 
     raw = {key: value for key, (_, value) in parse_kv("config").items()}
     try:
@@ -499,6 +544,7 @@ def load_model(path) -> MdnModel:
             input_mean=mean,
             input_std=std,
             training_log=training_log,
+            preprocessing=preprocessing,
         )
     except ShapeError as err:
         raise SchemaError(f"{path}: {err}") from None

@@ -118,6 +118,10 @@ class MdnModel:
     C-contiguous float64 ndarray and rejects non-finite entries. Inputs are
     standardized per feature with the stored statistics before the first
     layer; the means must be finite and the deviations finite and positive.
+
+    ``preprocessing`` is opaque here: ``hmdn train`` records the network's
+    role and the recoding of its data in it (see ``dataio.RECODINGS``), and
+    the default ``()`` marks a model built by the library.
     """
 
     config: MdnConfig
@@ -125,6 +129,7 @@ class MdnModel:
     input_mean: np.ndarray
     input_std: np.ndarray
     training_log: tuple = field(default_factory=tuple)
+    preprocessing: tuple = ()
 
     def __post_init__(self):
         dims = self.config.layer_dims()

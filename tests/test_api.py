@@ -3,12 +3,18 @@ names retired in favour of the batched kernels stay gone."""
 
 import ast
 import importlib
+import importlib.util
+import json
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
 
 import hmdn
+from hmdn import cli
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EXPORTED = {
     "HmdnEstimate",
@@ -28,8 +34,8 @@ EXPORTED = {
 }
 
 # single-sample and single-record wrappers, options that only tests used,
-# the fingerprint column schema that nothing set, and the dump header's
-# second reader
+# the fingerprint column schema that nothing set, the dump header's second
+# reader, and the recoding options predict and evaluate mirrored from train
 REMOVED = (
     "Activations",
     "GradWorkspace",
@@ -44,6 +50,9 @@ REMOVED = (
     "predict_baseline",
     "ColumnSchema",
     "dump_metadata",
+    "_NORMALIZE",
+    "_LUX_TRANSFORM",
+    "_lux_transform",
 )
 
 MODULES = [hmdn] + [
@@ -83,7 +92,7 @@ def test_benchmark_wrap_points_resolve():
     """Every function the benchmark traces still exists, except the two
     prediction steps folded into the batched kernel. The benchmark script is
     read, not imported."""
-    source = (Path(__file__).resolve().parent.parent / "bench" / "run.py").read_text()
+    source = (ROOT / "bench" / "run.py").read_text()
     (points,) = [
         ast.literal_eval(node.value)
         for node in ast.walk(ast.parse(source))
@@ -98,3 +107,23 @@ def test_benchmark_wrap_points_resolve():
         if owner is None:
             missing.add(name)
     assert missing == {"pipeline.score_candidates", "pipeline.select_top"}
+
+
+def test_benchmark_stage_plans_parse(monkeypatch, capsys):
+    """Every command line the benchmark runs, on each workload that
+    BENCHMARK.json declares, parses under the CLI's parser."""
+    bench = ROOT / "bench"
+    monkeypatch.syspath_prepend(str(bench))  # run.py imports its sibling tracing.py
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", run)
+    spec.loader.exec_module(run)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert set(run.WORKLOADS) == {w["name"] for w in declared}
+    parser = cli.build_parser()
+    for w in run.WORKLOADS.values():
+        for stage, argv in run.stage_plan(w, Path("inputs"), Path("run"), 7):
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{w.name} {stage}: {capsys.readouterr().err}")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -128,12 +129,33 @@ class TestTrain:
         assert lines[0] == "epoch,nll"
         assert len(lines) == 1 + 60
 
-    def test_g2_input_dim_contract(self, workspace, tmp_path):
-        code = run(
-            "train", "--which", "g2", "--data", workspace / "train.csv",
-            "--model-out", tmp_path / "m", "--input-dim", 3, "--epochs", 1,
-        )
-        assert code == 2
+    @pytest.mark.parametrize("which, recoding", [("g1", "zero_one"), ("g2", "log")])
+    def test_model_records_role_and_recoding_and_reloads_byte_identical(self, workspace,
+                                                                        tmp_path, which,
+                                                                        recoding):
+        path = workspace / f"{which}.model"
+        assert path.read_text().splitlines()[:4] == [
+            "hmdn-model v2", "[preprocessing]", f"role = {which}", f"recoding = {recoding}",
+        ]
+        dataio.save_model(dataio.load_model(path), tmp_path / "again.model")
+        assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--model-out", "--log-out"])
+    def test_unusable_output_path_fails_before_training(self, workspace, tmp_path, capsys,
+                                                        monkeypatch, flag):
+        def no_training(*_args, **_kwargs):
+            raise AssertionError("trained before the output paths were made")
+
+        monkeypatch.setattr(cli.mdn, "train", no_training)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        paths = {"--model-out": tmp_path / "g1.model", "--log-out": tmp_path / "g1.log.csv"}
+        paths[flag] = blocker / "sub" / "out"
+        code = run("train", "--which", "g1", "--data", workspace / "train.csv", "--epochs", 1,
+                   *[a for f, path in paths.items() for a in (f, path)])
+        assert code == 3
+        one_error_line(capsys, "taken")
+        assert not (tmp_path / "g1.model").exists()
 
     def test_diverging_training_exits_numeric(self, workspace, tmp_path):
         code = run(
@@ -263,6 +285,17 @@ class TestPredict:
         one_error_line(capsys, f"error: condition 'foggy' not in {data} (has [", "'sunny'")
         assert not (tmp_path / "pred" / "predictions.txt").exists()
 
+    def test_malformed_scene_fails_before_predicting(self, workspace, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        scene.write_text('{"room": ')
+        out = tmp_path / "pred"
+        code = run("predict", "--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
+                   "--data", workspace / "test.csv", "--out-dir", out, "--scene", scene)
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {scene}: ")
+        assert not out.exists()
+
     def test_record_out_of_range(self, workspace, tmp_path):
         assert run(
             "predict", "--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
@@ -319,8 +352,11 @@ class TestEvaluate:
         assert (out / "metrics.txt").exists()
         assert (out / "metrics.csv").exists()
 
-    def test_requires_inputs(self, tmp_path):
-        assert run("evaluate", "--out-dir", tmp_path) == 2
+    def test_requires_inputs(self, tmp_path, capsys):
+        out = tmp_path / "eval"
+        assert run("evaluate", "--out-dir", out) == 2
+        one_error_line(capsys, "error: --g1 is required")
+        assert not out.exists()
 
     @pytest.fixture()
     def dump(self, tmp_path):
@@ -331,7 +367,6 @@ class TestEvaluate:
     @pytest.mark.parametrize("flag, value", [
         ("--g1", "g1.model"), ("--g2", "g2.model"), ("--data", "test.csv"),
         ("--conditions", "sunny"), ("--m", 40), ("--n", 5), ("--seed", 3),
-        ("--normalize", "powed"), ("--lux-transform", "identity"),
     ])
     def test_from_dump_rejects_live_options(self, dump, tmp_path, capsys, flag, value):
         out = tmp_path / "eval"
@@ -346,8 +381,7 @@ class TestEvaluate:
     def test_from_dump_accepts_live_options_at_their_defaults(self, dump, tmp_path):
         out = tmp_path / "eval"
         assert run("evaluate", "--from-dump", dump, "--out-dir", out, "--bootstrap", 20,
-                   "--conditions", "all", "--m", 100, "--n", 20, "--seed", 0,
-                   "--normalize", "zero_one", "--lux-transform", "log") == 0
+                   "--conditions", "all", "--m", 100, "--n", 20, "--seed", 0) == 0
         assert len((out / "metrics.csv").read_text().splitlines()) == 1 + 2 * 2
 
     def test_empty_condition_list_is_a_usage_error(self, workspace, tmp_path, capsys):
@@ -359,6 +393,89 @@ class TestEvaluate:
         assert code == 2
         one_error_line(capsys, "--conditions", "at least one")
         assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+
+class TestRecordedPreprocessing:
+    """predict and evaluate apply the role and recoding each model file
+    records, and take no option that could disagree with them."""
+
+    @pytest.fixture(scope="class")
+    def recoded(self, workspace, tmp_path_factory):
+        """g1 on powed features and g2 on raw lux, trained as the workspace's."""
+        root = tmp_path_factory.mktemp("recoded")
+        common = ["--data", workspace / "train.csv", "--seed", 5, "--hidden", "16", "--epochs", 60]
+        assert run("train", "--which", "g1", "--normalize", "powed",
+                   "--model-out", root / "g1.model", *common) == 0
+        assert run("train", "--which", "g2", "--lux-transform", "identity",
+                   "--model-out", root / "g2.model", *common) == 0
+        return root
+
+    def test_evaluate_applies_the_recorded_recodings(self, workspace, recoded, tmp_path):
+        out = tmp_path / "eval"
+        assert run("evaluate", "--g1", recoded / "g1.model", "--g2", recoded / "g2.model",
+                   "--data", workspace / "test.csv", "--out-dir", out,
+                   "--m", 30, "--n", 6, "--seed", 7, "--bootstrap", 200) == 0
+
+        table = dataio.load_csv(workspace / "test.csv")
+        g1, g2 = (dataio.load_model(recoded / f"{g}.model") for g in ("g1", "g2"))
+        assert (g1.preprocessing, g2.preprocessing) == (("g1", "powed"), ("g2", "identity"))
+        features = dataio.normalize_rssi(table, "powed").features
+        lux = {c[len("LUX_"):]: table.metadata_floats(c) for c in table.metadata
+               if c.startswith("LUX_")}
+        pipe = pipeline.HmdnPipeline(g1=g1, g2=g2, n_candidates=30, n_selected=6)
+        records = pipeline.run_predictions(pipe, features, table.coords, lux,
+                                           range(table.n_records), 7)
+        expected = tmp_path / "expected.csv"
+        evaluate.write_metrics_csv(evaluate.compute_metrics(records, 7, 200), expected)
+        assert (out / "metrics.csv").read_bytes() == expected.read_bytes()
+
+    def prediction_argv(self, command, g1, g2, workspace, out):
+        return [command, "--g1", g1, "--g2", g2, "--data", workspace / "test.csv",
+                "--out-dir", out, "--m", 5, "--n", 2,
+                *(["--no-plots"] if command == "predict" else ["--bootstrap", 10])]
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("flag, value", [("--normalize", "powed"),
+                                             ("--lux-transform", "identity")])
+    def test_prediction_commands_take_no_recoding_option(self, workspace, tmp_path, capsys,
+                                                         flag, value, command):
+        out = tmp_path / "out"
+        argv = self.prediction_argv(command, workspace / "g1.model", workspace / "g2.model",
+                                    workspace, out)
+        assert run(*argv, flag, value) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+        assert run(*argv, "--config", cfg) == 2
+        one_error_line(capsys, str(cfg), "unknown option")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("flag, given", [("--g1", "g2"), ("--g2", "g1")])
+    def test_swapped_models_name_file_flag_and_roles(self, workspace, tmp_path, capsys,
+                                                     flag, given, command):
+        models = {"--g1": workspace / "g1.model", "--g2": workspace / "g2.model"}
+        models[flag] = workspace / f"{given}.model"
+        out = tmp_path / "out"
+        assert run(*self.prediction_argv(command, *models.values(), workspace, out)) == 3
+        one_error_line(capsys, f"error: {models[flag]}: {flag} takes a {flag[2:]} model, "
+                               f"this is a {given} model")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["v1", "library"])
+    def test_model_without_a_role_says_retrain(self, workspace, tmp_path, capsys, kind):
+        bad = tmp_path / "g1.model"
+        if kind == "v1":
+            lines = (workspace / "g1.model").read_text().splitlines(keepends=True)
+            bad.write_text("hmdn-model v1\n" + "".join(lines[4:]))
+        else:
+            model = dataio.load_model(workspace / "g1.model")
+            dataio.save_model(dataclasses.replace(model, preprocessing=()), bad)
+        out = tmp_path / "out"
+        argv = self.prediction_argv("evaluate", bad, workspace / "g2.model", workspace, out)
+        assert run(*argv) == 3
+        one_error_line(capsys, f"error: {bad}: ", "retrain it with `hmdn train")
+        assert not out.exists()
 
 
 class TestConfigFile:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -272,6 +273,19 @@ class TestNormalize:
         mask = table.detected_mask() & (table.rssi < -1)
         assert np.all(p[mask] < z[mask])
 
+    def test_every_recoding_is_accepted_and_no_other(self, fixture_csv):
+        table = load_csv(fixture_csv)
+        lux = np.array([0.0, 0.5, 300.0])
+        for mode in dataio.RECODINGS["g1"]:
+            normalize_rssi(table, mode)
+        assert dataio.lux_transform(lux, "identity") is lux
+        assert np.array_equal(dataio.lux_transform(lux, "log"),
+                              np.log(np.maximum(lux, 1e-12)))
+        with pytest.raises(ValueError, match="'log'"):
+            normalize_rssi(table, "log")
+        with pytest.raises(ValueError, match="'powed'"):
+            dataio.lux_transform(lux, "powed")
+
 
 class TestSplit:
     def make_table(self, n=100):
@@ -372,6 +386,37 @@ class TestModelPersistence:
         p.write_text("not a model\n")
         with pytest.raises(SchemaError):
             load_model(p)
+
+    def test_v1_file_says_retrain(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(self.train_tiny(), path)
+        path.write_text(path.read_text().replace("hmdn-model v2", "hmdn-model v1", 1))
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: expected header "
+                                              r"'hmdn-model v2'; a v1 model .* retrain it"):
+            load_model(path)
+
+    def test_recorded_preprocessing_round_trips(self, tmp_path):
+        library = self.train_tiny()
+        assert library.preprocessing == ()
+        path = tmp_path / "model.txt"
+        for preprocessing in (("g1", "powed"), ("g2", "identity"), ()):
+            save_model(dataclasses.replace(library, preprocessing=preprocessing), path)
+            has_section = "[preprocessing]" in path.read_text()
+            assert has_section == bool(preprocessing)
+            assert load_model(path).preprocessing == preprocessing
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.replace("role = g2", "role = g3"), "line 3: role must be g1 or g2"),
+        (lambda t: t.replace("recoding = log", "recoding = powed"),
+         "line 4: a g2 recoding is one of identity, log, got 'powed'"),
+        (lambda t: t.replace("recoding = log\n", ""), "preprocessing missing field 'recoding'"),
+    ], ids=["role", "recoding-of-the-other-role", "missing-recoding"])
+    def test_bad_preprocessing_section_names_path(self, tmp_path, edit, message):
+        path = tmp_path / "model.txt"
+        save_model(dataclasses.replace(self.train_tiny(), preprocessing=("g2", "log")), path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}(, |: ){message}"):
+            load_model(path)
 
     def test_malformed_weights_name_path_and_line(self, tmp_path):
         path = tmp_path / "model.txt"
