@@ -70,8 +70,8 @@ _LIVE = (
     _opt("--g2"),
     _opt("--data"),
     _opt("--conditions", "all", help="'all' or comma-separated condition names"),
-    _opt("--m", 100, type=int),
-    _opt("--n", 20, type=int),
+    _opt("--m", pipeline.HmdnPipeline.n_candidates, type=int),
+    _opt("--n", pipeline.HmdnPipeline.n_selected, type=int),
     _SEED,
 )
 
@@ -88,21 +88,21 @@ _OPTIONS = {
         _opt("--train-fraction", 0.8, type=float),
     ),
     "train": (
-        _opt("--which", choices=("g1", "g2")),
+        _opt("--which", choices=tuple(dataio.RECODINGS)),
         _opt("--data"),
         _opt("--model-out"),
         _opt("--log-out"),
         _SEED,
         _opt("--normalize", "zero_one", choices=dataio.RECODINGS["g1"]),
         _opt("--components", type=int),  # g1 -> 5, g2 -> 3 unless given
-        _opt("--hidden", (64, 64), type=widths,
+        _opt("--hidden", mdn.MdnConfig.hidden_layers, type=widths,
              help="comma-separated hidden widths, empty for affine"),
-        _opt("--activation", "tanh", choices=("tanh", "relu")),
-        _opt("--optimizer", "adam", choices=("adam", "sgd")),
-        _opt("--learning-rate", 1e-3, type=float),
-        _opt("--epochs", 2000, type=int),
-        _opt("--batch-size", 64, type=int),
-        _opt("--sigma-floor", 1e-3, type=float),
+        _opt("--activation", mdn.MdnConfig.hidden_activation, choices=mdn.ACTIVATIONS),
+        _opt("--optimizer", mdn.MdnConfig.optimizer, choices=mdn.OPTIMIZERS),
+        _opt("--learning-rate", mdn.MdnConfig.learning_rate, type=float),
+        _opt("--epochs", mdn.MdnConfig.epochs, type=int),
+        _opt("--batch-size", mdn.MdnConfig.batch_size, type=int),
+        _opt("--sigma-floor", mdn.MdnConfig.sigma_floor, type=float),
         _opt("--lux-columns"),
         _opt("--lux-transform", "log", choices=dataio.RECODINGS["g2"]),
     ),
@@ -117,7 +117,7 @@ _OPTIONS = {
     "evaluate": (
         *_LIVE,
         _opt("--out-dir"),
-        _opt("--bootstrap", 10_000, type=int),
+        _opt("--bootstrap", evaluate.N_RESAMPLES, type=int),
         _opt("--from-dump"),
     ),
 }
@@ -317,6 +317,11 @@ def cmd_train(args) -> int:
     _require(opts, "which", "data", "model_out")
     which = opts["which"]
     recoding = opts["normalize"] if which == "g1" else opts["lux_transform"]
+    model_out = Path(opts["model_out"])
+    log_out = Path(opts["log_out"] or f"{model_out}.log.csv")
+    for path in (model_out, log_out):
+        if path.is_dir():
+            raise IsADirectoryError(f"{path}: output path is a directory")
     table = dataio.load_csv(opts["data"])
     X, Y = _training_pairs(table, which, recoding, opts)
 
@@ -335,10 +340,6 @@ def cmd_train(args) -> int:
         batch_size=opts["batch_size"],
         sigma_floor=opts["sigma_floor"],
         seed=Rng(opts["seed"]).spawn("train", which).seed,
-    )
-    model_out = Path(opts["model_out"])
-    log_out = Path(opts["log_out"]) if opts["log_out"] else model_out.with_suffix(
-        model_out.suffix + ".log.csv"
     )
     for path in (model_out, log_out):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -442,8 +443,8 @@ def cmd_evaluate(args) -> int:
                          "the predictions and master seed from the dump")
 
     if opts["from_dump"]:
-        out = _out_dir(opts)
         metrics = evaluate.metrics_from_dump(opts["from_dump"], n_boot)
+        out = _out_dir(opts)
     else:
         _require(opts, "g1", "g2", "data")
         table, pipe, features, lux = _prediction_inputs(opts)

@@ -17,7 +17,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,15 +42,19 @@ RECODINGS = {"g1": ("zero_one", "powed"), "g2": ("identity", "log")}
 
 _MODEL_FORMAT = "hmdn-model v2"
 
-_CONFIG_INT_FIELDS = ("input_dim", "target_dim", "n_components", "epochs", "batch_size", "seed")
-_CONFIG_FLOAT_FIELDS = (
-    "learning_rate",
-    "adam_beta1",
-    "adam_beta2",
-    "adam_eps",
-    "sigma_floor",
-)
-_CONFIG_STR_FIELDS = ("hidden_activation", "optimizer")
+# MdnConfig field annotation (mdn's annotations are text) -> how its [config]
+# value is formatted and parsed; the fields are written group by group in
+# this order, each group in declaration order
+_CONFIG_TEXT = {
+    "int": (str, int),
+    "float": (fmt17, float),
+    "str": (str, str),
+    "tuple": (lambda v: " ".join(map(str, v)), lambda text: tuple(map(int, text.split()))),
+}
+_CONFIG_FIELDS = [
+    (f.name, *_CONFIG_TEXT[f.type])
+    for f in sorted(fields(MdnConfig), key=lambda f: list(_CONFIG_TEXT).index(f.type))
+]
 
 
 @dataclass(frozen=True)
@@ -403,19 +407,13 @@ def save_model(model: MdnModel, path) -> None:
     """Serialize the recorded role and recoding (none for a model built by
     the library), config, standardization statistics, weights, and the
     training log to the versioned text format (17 significant digits)."""
-    cfg = model.config
     lines = [_MODEL_FORMAT]
     if model.preprocessing:
         role, recoding = model.preprocessing
         lines += ["[preprocessing]", f"role = {role}", f"recoding = {recoding}"]
     lines.append("[config]")
-    for name in _CONFIG_INT_FIELDS:
-        lines.append(f"{name} = {getattr(cfg, name)}")
-    for name in _CONFIG_FLOAT_FIELDS:
-        lines.append(f"{name} = {fmt17(getattr(cfg, name))}")
-    for name in _CONFIG_STR_FIELDS:
-        lines.append(f"{name} = {getattr(cfg, name)}")
-    lines.append("hidden_layers = " + " ".join(str(h) for h in cfg.hidden_layers))
+    lines += [f"{name} = {format_(getattr(model.config, name))}"
+              for name, format_, _ in _CONFIG_FIELDS]
     lines.append("[standardize]")
     lines.append("mean = " + " ".join(fmt17(v) for v in model.input_mean))
     lines.append("std = " + " ".join(fmt17(v) for v in model.input_std))
@@ -490,11 +488,7 @@ def load_model(path) -> MdnModel:
 
     raw = {key: value for key, (_, value) in parse_kv("config").items()}
     try:
-        kwargs = {name: int(raw[name]) for name in _CONFIG_INT_FIELDS}
-        kwargs |= {name: float(raw[name]) for name in _CONFIG_FLOAT_FIELDS}
-        kwargs |= {name: raw[name] for name in _CONFIG_STR_FIELDS}
-        kwargs["hidden_layers"] = tuple(int(t) for t in raw["hidden_layers"].split())
-        config = MdnConfig(**kwargs)
+        config = MdnConfig(**{name: parse(raw[name]) for name, _, parse in _CONFIG_FIELDS})
     except KeyError as missing:
         raise SchemaError(f"{path}: config missing field {missing}") from None
     except ValueError as err:

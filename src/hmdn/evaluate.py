@@ -68,12 +68,15 @@ def _row_medians(a: np.ndarray) -> np.ndarray:
     return med
 
 
+# bootstrap resamples per interval unless the caller asks for another count
+N_RESAMPLES = 10_000
+
 # uniforms drawn per block of resamples; the block size is derived from n
 # so that one block holds about this many, whatever n_resamples is
 _BLOCK_DRAWS = 65536
 
 
-def bootstrap_improvement(b_err, h_err, rng: Rng, n_resamples: int = 10_000):
+def bootstrap_improvement(b_err, h_err, rng: Rng, n_resamples: int = N_RESAMPLES):
     """95% percentile interval of the median-error improvement (paired).
 
     Resample r takes indices floor(u * n) (clamped to n - 1) from uniforms
@@ -104,7 +107,7 @@ def bootstrap_improvement(b_err, h_err, rng: Rng, n_resamples: int = 10_000):
     return float(lo), float(hi)
 
 
-def compute_metrics(records, master_seed: int, n_resamples: int = 10_000) -> list:
+def compute_metrics(records, master_seed: int, n_resamples: int = N_RESAMPLES) -> list:
     """Per-condition metrics; bootstrap streams derive from the master seed
     and the condition name, so re-runs reproduce the intervals exactly."""
     by_condition = paired_errors(records)
@@ -133,7 +136,7 @@ def compute_metrics(records, master_seed: int, n_resamples: int = 10_000) -> lis
     return out
 
 
-def metrics_from_dump(path, n_resamples: int = 10_000) -> list:
+def metrics_from_dump(path, n_resamples: int = N_RESAMPLES) -> list:
     """Recompute the metrics from a predictions dump file alone.
 
     The master seed is read back from the dump header, so the bootstrap

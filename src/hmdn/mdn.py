@@ -26,8 +26,9 @@ from .numcore import Rng, log_sum_exp_rows, normals_from, u64_rows, uniforms_fro
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-_ACTIVATIONS = ("tanh", "relu")
-_OPTIMIZERS = ("sgd", "adam")
+# allowed MdnConfig.hidden_activation and .optimizer values, in --help order
+ACTIVATIONS = ("tanh", "relu")
+OPTIMIZERS = ("adam", "sgd")
 
 # features with spread below this are treated as constant when standardizing
 _STD_FLOOR = 1e-12
@@ -75,10 +76,10 @@ class MdnConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden_layers}")
-        if self.hidden_activation not in _ACTIVATIONS:
-            raise ValueError(f"hidden_activation must be one of {_ACTIVATIONS}")
-        if self.optimizer not in _OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {_OPTIMIZERS}")
+        if self.hidden_activation not in ACTIVATIONS:
+            raise ValueError(f"hidden_activation must be one of {ACTIVATIONS}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
 
     @property
     def output_width(self) -> int:

@@ -35,7 +35,8 @@ EXPORTED = {
 
 # single-sample and single-record wrappers, options that only tests used,
 # the fingerprint column schema that nothing set, the dump header's second
-# reader, and the recoding options predict and evaluate mirrored from train
+# reader, the recoding options predict and evaluate mirrored from train,
+# and the hand-kept copies of MdnConfig's fields and allowed values
 REMOVED = (
     "Activations",
     "GradWorkspace",
@@ -53,6 +54,11 @@ REMOVED = (
     "_NORMALIZE",
     "_LUX_TRANSFORM",
     "_lux_transform",
+    "_CONFIG_INT_FIELDS",
+    "_CONFIG_FLOAT_FIELDS",
+    "_CONFIG_STR_FIELDS",
+    "_ACTIVATIONS",
+    "_OPTIMIZERS",
 )
 
 MODULES = [hmdn] + [

@@ -157,6 +157,26 @@ class TestTrain:
         one_error_line(capsys, "taken")
         assert not (tmp_path / "g1.model").exists()
 
+    @pytest.mark.parametrize("flag", ["--model-out", "--log-out"])
+    def test_directory_output_path_fails_before_reading_data(self, workspace, tmp_path, capsys,
+                                                             monkeypatch, flag):
+        """At the default 2,000 epochs: exit 3 naming the directory before the
+        CSV is read, and neither the model nor its log written."""
+        def no_reading(*_args, **_kwargs):
+            raise AssertionError("read the training data before checking the output paths")
+
+        monkeypatch.setattr(cli.dataio, "load_csv", no_reading)
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        paths = {"--model-out": tmp_path / "g1.model"}
+        paths[flag] = taken
+        code = run("train", "--which", "g1", "--data", workspace / "train.csv",
+                   *[a for f, path in paths.items() for a in (f, path)])
+        assert code == 3
+        one_error_line(capsys, f"error: {taken}: ", "is a directory")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list(taken.iterdir()) == []
+
     def test_diverging_training_exits_numeric(self, workspace, tmp_path):
         code = run(
             "train", "--which", "g1", "--data", workspace / "train.csv",
@@ -645,6 +665,31 @@ class TestDocs:
         }
         assert documented == declared
 
+    @pytest.mark.parametrize("command", list(cli._OPTIONS))
+    def test_cli_md_defaults_match_parsers(self, command):
+        """Each literal in a flag table's default column, read by its flag's
+        own type (``off`` for a switch), is the default the flag resolves to."""
+        doc = (Path(__file__).resolve().parent.parent / "docs" / "cli.md").read_text()
+        body = re.split(r"^## hmdn (\w+)$", doc, flags=re.M)
+        table = body[body.index(command) + 1]
+        documented = {}
+        for row in table.splitlines():
+            if row.startswith("| `"):
+                flags = re.findall(r"`(--[\w-]+)`", row.split("|")[1])
+                values = row.split("|")[2].strip().strip("`").split(", ")
+                if len(values) == 1:
+                    values *= len(flags)  # `--g1`, `--g2` | required
+                documented |= dict(zip(flags, values))
+        resolved = cli._merge_options(command, cli.build_parser().parse_args([command]))
+        for flag, default, parse_kwargs in cli._OPTIONS[command]:
+            if default is None:
+                continue
+            text = documented[flag]
+            if parse_kwargs == cli._SWITCH:
+                assert (text, resolved[cli._dest(flag)]) == ("off", False), flag
+            else:
+                assert parse_kwargs.get("type", str)(text) == resolved[cli._dest(flag)], flag
+
 
 class TestNonFiniteCoordinates:
     """A fingerprint CSV whose coordinate cell is nan or inf is a data error."""
@@ -807,7 +852,7 @@ class TestMalformedDump:
         assert code == 3
         assert err.startswith(f"error: {tmp_path / 'bad.txt'}: ") and err.count("\n") == 1
         assert message in err
-        assert not (tmp_path / "eval" / "metrics.csv").exists()
+        assert not (tmp_path / "eval").exists()
 
     def test_good_dump_still_evaluates(self, tmp_path, capsys, lines):
         code, err = self.reeval(tmp_path, capsys, lines, "--bootstrap", 20)

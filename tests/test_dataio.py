@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,6 +435,40 @@ class TestModelPersistence:
             bad.write_text("\n".join(edit(list(lines))) + "\n")
             with pytest.raises(ParseError, match=rf"{re.escape(str(bad))}, line {line_no}:"):
                 load_model(bad)
+
+    def config_keys(self, path) -> list:
+        lines = path.read_text().splitlines()
+        section = lines[lines.index("[config]") + 1 : lines.index("[standardize]")]
+        return [ln.partition(" = ")[0] for ln in section]
+
+    def test_config_section_holds_every_mdn_config_field(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(self.train_tiny(), path)
+        fields = sorted(f.name for f in dataclasses.fields(MdnConfig))
+        assert sorted(self.config_keys(path)) == fields
+
+    def test_config_lines_in_documented_order(self, tmp_path):
+        """ints, floats, strings, then hidden_layers, as in docs/formats.md and
+        every model file written so far."""
+        doc = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+        example = doc[doc.index("\nhmdn-model v2\n") :]
+        documented = tmp_path / "documented.txt"
+        documented.write_text(example[: example.index("```")])
+        path = tmp_path / "model.txt"
+        save_model(self.train_tiny(), path)
+        assert self.config_keys(path) == self.config_keys(documented)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(MdnConfig)])
+    def test_missing_config_field_rejected(self, tmp_path, name):
+        path, bad = tmp_path / "model.txt", tmp_path / "bad.txt"
+        save_model(self.train_tiny(), path)
+        lines = path.read_text().splitlines()
+        kept = [ln for ln in lines if not ln.startswith(f"{name} = ")]
+        assert len(kept) == len(lines) - 1
+        bad.write_text("\n".join(kept) + "\n")
+        message = rf"^{re.escape(str(bad))}: config missing field '{name}'$"
+        with pytest.raises(SchemaError, match=message):
+            load_model(bad)
 
     def test_missing_standardization_rejected(self, tmp_path):
         path, bad = tmp_path / "model.txt", tmp_path / "bad.txt"
