@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import dataio, evaluate, mdn, pipeline, plots, scenario
 from .errors import DomainError, NumericError, ParseError, SchemaError, ShapeError
-from .numcore import Rng, fmt17
+from .numcore import Rng, fmt17, positive_float, positive_int, seed64, unit_fraction
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -34,10 +35,23 @@ class UsageError(ValueError):
     """Bad flag/argument combination; maps to exit code 2."""
 
 
+_SWITCH = {"action": "store_const", "const": True}
+
+
+def text(value: str) -> str:
+    """Option text the OS takes as a path: no NUL byte, nothing unencodable."""
+    if b"\0" in os.fsencode(value):
+        raise ValueError(value)
+    return value
+
+
 def _opt(flag: str, default=None, **parse_kwargs):
     """One option of one command: its flag, its built-in default, and how
-    argparse reads it. The option's dest, which is also its config-file key,
-    is the flag without the leading dashes and with '-' as '_'."""
+    argparse reads it (as ``text`` unless it is a switch or says otherwise).
+    The option's dest, which is also its config-file key, is the flag
+    without the leading dashes and with '-' as '_'."""
+    if parse_kwargs != _SWITCH:
+        parse_kwargs.setdefault("type", text)
     return flag, default, parse_kwargs
 
 
@@ -49,20 +63,14 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-_SWITCH = {"action": "store_const", "const": True}
-
-
-def widths(text: str) -> tuple:
+def widths(spelling: str) -> tuple:
     """Hidden-layer widths from comma-separated positive integers; empty
     text gives an affine network. Errors print the function's name, as in
     ``invalid widths value: 'a,b'``."""
-    hidden = tuple(int(w) for w in text.split(",") if w.strip())
-    if any(w < 1 for w in hidden):
-        raise ValueError(text)
-    return hidden
+    return tuple(positive_int(w) for w in spelling.split(",") if w.strip())
 
 
-_SEED = _opt("--seed", 0, type=int)
+_SEED = _opt("--seed", 0, type=seed64)
 # what a live prediction reads: predict and evaluate default alike, so they
 # draw the same predictions, and evaluate --from-dump takes none of these
 _LIVE = (
@@ -70,8 +78,8 @@ _LIVE = (
     _opt("--g2"),
     _opt("--data"),
     _opt("--conditions", "all", help="'all' or comma-separated condition names"),
-    _opt("--m", pipeline.HmdnPipeline.n_candidates, type=int),
-    _opt("--n", pipeline.HmdnPipeline.n_selected, type=int),
+    _opt("--m", pipeline.HmdnPipeline.n_candidates, type=positive_int),
+    _opt("--n", pipeline.HmdnPipeline.n_selected, type=positive_int),
     _SEED,
 )
 
@@ -80,12 +88,12 @@ _OPTIONS = {
     "simulate": (
         _opt("--scene", help="scene JSON (default: bundled paper room)"),
         _opt("--out-dir"),
-        _opt("--n-train", 100, type=int),
-        _opt("--n-test", 50, type=int),
+        _opt("--n-train", 100, type=positive_int),
+        _opt("--n-test", 50, type=positive_int),
         _SEED,
         _opt("--measurement-noise", False, **_SWITCH),
         _opt("--augment", help="real fingerprint CSV to augment with simulated lux"),
-        _opt("--train-fraction", 0.8, type=float),
+        _opt("--train-fraction", 0.8, type=unit_fraction),
     ),
     "train": (
         _opt("--which", choices=tuple(dataio.RECODINGS)),
@@ -94,15 +102,15 @@ _OPTIONS = {
         _opt("--log-out"),
         _SEED,
         _opt("--normalize", "zero_one", choices=dataio.RECODINGS["g1"]),
-        _opt("--components", type=int),  # g1 -> 5, g2 -> 3 unless given
+        _opt("--components", type=positive_int),  # g1 -> 5, g2 -> 3 unless given
         _opt("--hidden", mdn.MdnConfig.hidden_layers, type=widths,
              help="comma-separated hidden widths, empty for affine"),
         _opt("--activation", mdn.MdnConfig.hidden_activation, choices=mdn.ACTIVATIONS),
         _opt("--optimizer", mdn.MdnConfig.optimizer, choices=mdn.OPTIMIZERS),
-        _opt("--learning-rate", mdn.MdnConfig.learning_rate, type=float),
-        _opt("--epochs", mdn.MdnConfig.epochs, type=int),
-        _opt("--batch-size", mdn.MdnConfig.batch_size, type=int),
-        _opt("--sigma-floor", mdn.MdnConfig.sigma_floor, type=float),
+        _opt("--learning-rate", mdn.MdnConfig.learning_rate, type=positive_float),
+        _opt("--epochs", mdn.MdnConfig.epochs, type=positive_int),
+        _opt("--batch-size", mdn.MdnConfig.batch_size, type=positive_int),
+        _opt("--sigma-floor", mdn.MdnConfig.sigma_floor, type=positive_float),
         _opt("--lux-columns"),
         _opt("--lux-transform", "log", choices=dataio.RECODINGS["g2"]),
     ),
@@ -117,7 +125,7 @@ _OPTIONS = {
     "evaluate": (
         *_LIVE,
         _opt("--out-dir"),
-        _opt("--bootstrap", evaluate.N_RESAMPLES, type=int),
+        _opt("--bootstrap", evaluate.N_RESAMPLES, type=positive_int),
         _opt("--from-dump"),
     ),
 }
@@ -157,15 +165,15 @@ def _config_value(where: str, value, parse_kwargs: dict):
         raise UsageError(f"{where}: expected {wanted}, got {json.dumps(value)}")
     if switch:
         return value
-    text = str(value)
-    convert = parse_kwargs.get("type", str)
+    spelling = str(value)
+    convert = parse_kwargs["type"]
     try:
-        value = convert(text)
+        value = convert(spelling)
     except ValueError:
-        raise UsageError(f"{where}: invalid {convert.__name__} value: {text!r}") from None
+        raise UsageError(f"{where}: invalid {convert.__name__} value: {spelling!r}") from None
     choices = parse_kwargs.get("choices", (value,))
     if value not in choices:
-        raise UsageError(f"{where}: invalid choice: {text!r} "
+        raise UsageError(f"{where}: invalid choice: {spelling!r} "
                          f"(choose from {', '.join(map(repr, choices))})")
     return value
 
@@ -239,15 +247,13 @@ def cmd_simulate(args) -> int:
     opts = _merge_options("simulate", args)
     _require(opts, "out_dir")
     scene = _load_scene(opts)
-    out = _out_dir(opts)
     master = Rng(opts["seed"])
     noise = opts["measurement_noise"]
 
     if opts["augment"]:
-        return _simulate_augment(opts, scene, out, master, noise)
+        return _simulate_augment(opts, scene, master, noise)
 
-    if opts["n_train"] < 1 or opts["n_test"] < 1:
-        raise UsageError("n-train and n-test must both be >= 1")
+    out = _out_dir(opts)
     for name, count, rng in (
         ("train", opts["n_train"], master.spawn("simulate", "train")),
         ("test", opts["n_test"], master.spawn("simulate", "test")),
@@ -261,10 +267,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _simulate_augment(opts, scene, out, master: Rng, noise: bool) -> int:
+def _simulate_augment(opts, scene, master: Rng, noise: bool) -> int:
     """Graft simulated illumination onto a real fingerprint CSV: coordinates
     are mapped into the room, lux columns appended, originals preserved under
-    ORIG_ columns, and the result split into train/test files."""
+    ORIG_ columns, and the result split into train/test files. The CSV is
+    read before the output directory is created."""
     table = dataio.load_csv(opts["augment"])
     rng = master.spawn("simulate", "augment") if noise else None
     mapped, lux, lux_noisy = scenario.augment_with_illuminance(table.coords, scene, rng)
@@ -288,6 +295,7 @@ def _simulate_augment(opts, scene, out, master: Rng, noise: bool) -> int:
     )
     spec = dataio.SplitSpec(train_fraction=opts["train_fraction"], seed=opts["seed"])
     train_part, test_part = dataio.split(augmented, spec)
+    out = _out_dir(opts)
     for name, part in (("train", train_part), ("test", test_part)):
         path = out / f"{name}.csv"
         dataio.table_to_csv(part, path)
@@ -356,6 +364,9 @@ def cmd_train(args) -> int:
 
 
 def _prediction_inputs(opts):
+    if opts["n"] > opts["m"]:
+        raise UsageError(f"--n {opts['n']} exceeds --m {opts['m']}: "
+                         "the selection is taken from the candidates")
     table = dataio.load_csv(opts["data"])
     g1 = _load_model_file(opts["g1"], "g1")
     g2 = _load_model_file(opts["g2"], "g2")
@@ -435,8 +446,6 @@ def cmd_evaluate(args) -> int:
     opts = _merge_options("evaluate", args)
     _require(opts, "out_dir")
     n_boot = opts["bootstrap"]
-    if n_boot < 1:
-        raise UsageError("--bootstrap must be >= 1")
     live = [flag for flag, default, _ in _LIVE if opts[_dest(flag)] != default]
     if opts["from_dump"] and live:
         raise UsageError(f"{live[0]} does not apply to --from-dump, which reads "
@@ -475,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("evaluate", cmd_evaluate, "error metrics: baseline vs hierarchical"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON file of options (flags override it)")
+        p.add_argument("--config", type=text, help="JSON file of options (flags override it)")
         p.set_defaults(func=func)
         for flag, _, parse_kwargs in _OPTIONS[name]:
             p.add_argument(flag, **parse_kwargs)
@@ -500,9 +509,6 @@ def main(argv=None) -> int:
     except NumericError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ParseError, SchemaError, ShapeError
 from .mdn import MdnConfig, MdnModel
-from .numcore import FLOAT_SPEC, Rng, fmt17
+from .numcore import FLOAT_SPEC, Rng, checked, fmt17, unit_fraction
 
 # the fingerprint CSV layout load_csv reads and the writers write
 NOT_DETECTED = 100.0
@@ -55,6 +55,15 @@ _CONFIG_FIELDS = [
     (f.name, *_CONFIG_TEXT[f.type])
     for f in sorted(fields(MdnConfig), key=lambda f: list(_CONFIG_TEXT).index(f.type))
 ]
+
+# section -> its ``key = value`` keys; [weights] holds matrix blocks instead
+_SECTION_KEYS = {
+    "preprocessing": ("role", "recoding"),
+    "config": tuple(name for name, _, _ in _CONFIG_FIELDS),
+    "standardize": ("mean", "std"),
+    "weights": (),
+    "training_log": ("nll",),
+}
 
 
 @dataclass(frozen=True)
@@ -97,8 +106,9 @@ class FingerprintTable:
         )
 
     def metadata_floats(self, column: str) -> np.ndarray:
-        """A metadata column as floats. Errors name the column and, for a
-        cell float() rejects, its 1-based data row; the caller knows the file."""
+        """A metadata column as finite floats. Errors name the column and,
+        for a cell that is not a finite number, its 1-based data row; the
+        caller knows the file."""
         if column not in self.metadata:
             raise SchemaError(f"table has no column {column!r}")
         values = []
@@ -107,6 +117,8 @@ class FingerprintTable:
                 values.append(float(text))
             except ValueError as err:
                 raise ParseError(f"row {row_no}, column {column!r} is not numeric: {err}") from None
+            if not math.isfinite(values[-1]):
+                raise ParseError(f"row {row_no}, column {column!r}: {text!r} is not finite")
         return np.array(values)
 
 
@@ -332,10 +344,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must be strictly inside (0, 1), got {self.train_fraction}"
-            )
+        checked("train_fraction", unit_fraction, self.train_fraction)
 
 
 def split(table: FingerprintTable, spec: SplitSpec):
@@ -439,14 +448,15 @@ def load_model(path) -> MdnModel:
 
     A missing field, a role or recoding outside ``RECODINGS`` and a file of
     another format version raise SchemaError naming the path (and the line
-    of a bad role or recoding); a malformed or truncated line raises
-    ParseError naming the path and line number. Weights or statistics the
+    of a bad role or recoding), as do an unknown or repeated section or key
+    and a line outside any section, naming the path and line. A byte that
+    is not UTF-8, or a malformed or truncated line, raises ParseError
+    naming the path and line number. Weights or statistics the
     model rejects raise SchemaError (a missing or mis-sized matrix) or
     ParseError (a non-finite weight, a bad standardization value), naming
     the path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [m.group().rstrip("\r\n") for m in _LINE.finditer(_read_utf8(path))]
     if lines[:1] != [_MODEL_FORMAT]:
         why = ""
         if lines[:1] == ["hmdn-model v1"]:
@@ -460,15 +470,26 @@ def load_model(path) -> MdnModel:
             continue
         if ln.startswith("["):
             current = ln.strip("[]")
+            if current not in _SECTION_KEYS or current in sections:
+                why = "appears twice" if current in sections else "is not a model section"
+                raise SchemaError(f"{path}, line {lineno}: {ln!r} {why}")
             sections[current] = []
+        elif current is None:
+            raise SchemaError(f"{path}, line {lineno}: {ln!r} is outside any section")
         else:
-            sections.setdefault(current, []).append((lineno, ln))
+            sections[current].append((lineno, ln))
 
     def parse_kv(section):
-        """key -> (line number, value text) for the ``key = value`` lines."""
+        """key -> (line number, value text) for the ``key = value`` lines;
+        a key the section does not have, or has already, is a SchemaError."""
         out = {}
         for lineno, ln in sections.get(section, []):
             key, _, value = ln.partition(" = ")
+            if key not in _SECTION_KEYS[section]:
+                raise SchemaError(f"{path}, line {lineno}: [{section}] has no key {key!r}")
+            if key in out:
+                raise SchemaError(f"{path}, line {lineno}: [{section}] key {key!r} "
+                                  f"repeats line {out[key][0]}")
             out[key] = (lineno, value)
         return out
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
-from .numcore import Rng, fmt17
+from .numcore import Rng, fmt17, seed64
 from . import pipeline
 
 
@@ -146,11 +146,9 @@ def metrics_from_dump(path, n_resamples: int = N_RESAMPLES) -> list:
     meta = {}
     records = pipeline.parse_predictions(path, header=meta)
     try:
-        seed = int(meta["master_seed"])
+        seed = seed64(meta["master_seed"])
     except (KeyError, ValueError):
-        seed = -1
-    if not 0 <= seed < 2**64:
-        raise SchemaError(f"{path}: dump header needs a '# master_seed <0..2^64-1>' line")
+        raise SchemaError(f"{path}: dump header needs a '# master_seed <0..2^64-1>' line") from None
     return compute_metrics(records, seed, n_resamples)
 
 

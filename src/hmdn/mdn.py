@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError
-from .numcore import Rng, log_sum_exp_rows, normals_from, u64_rows, uniforms_from
+from .numcore import (Rng, checked, log_sum_exp_rows, normals_from, positive_float,
+                      positive_int, u64_rows, uniforms_from)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -62,20 +63,12 @@ class MdnConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
-        if self.input_dim < 1 or self.target_dim < 1:
-            raise ValueError("input_dim and target_dim must be >= 1")
-        if self.n_components < 1:
-            raise ValueError(f"n_components must be >= 1, got {self.n_components}")
-        if not self.sigma_floor > 0.0:
-            raise ValueError(f"sigma_floor must be > 0, got {self.sigma_floor}")
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if any(h < 1 for h in self.hidden_layers):
-            raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden_layers}")
+        for name in ("input_dim", "target_dim", "n_components", "epochs", "batch_size"):
+            checked(name, positive_int, getattr(self, name))
+        for name in ("learning_rate", "sigma_floor"):
+            checked(name, positive_float, getattr(self, name))
+        for width in self.hidden_layers:
+            checked("hidden_layers", positive_int, width)
         if self.hidden_activation not in ACTIVATIONS:
             raise ValueError(f"hidden_activation must be one of {ACTIVATIONS}")
         if self.optimizer not in OPTIMIZERS:
@@ -602,8 +595,7 @@ def sample(params: MixtureParams, m: int, rng: Rng) -> np.ndarray:
     strict inequality, then an isotropic Gaussian draw. Stream layout: m
     uniforms for the component choices, then m*D normals row-major.
     """
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
+    checked("m", positive_int, m)
     return _draw(params.pi[None], params.sigma[None], params.mu[None], m, [rng])[0]
 
 

@@ -26,6 +26,51 @@ _FNV_PRIME = 0x100000001B3
 _INV_2_53 = 2.0 ** -53
 
 
+# --- domains: each setting's range, defined once. A domain reads the text
+# (or number) of a value and raises ValueError outside its range; the CLI
+# types its flags with them, the library checks fields through ``checked``.
+
+
+def positive_int(text) -> int:
+    """An integer in 1 .. 2^63 - 1, the counts numpy can index."""
+    value = int(text)
+    if not 1 <= value < 2**63:
+        raise ValueError(f"{text!r} is not an integer in 1..2^63-1")
+    return value
+
+
+def positive_float(text) -> float:
+    """A finite float > 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{text!r} is not a finite number > 0")
+    return value
+
+
+def unit_fraction(text) -> float:
+    """A float strictly inside (0, 1)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{text!r} is not strictly inside (0, 1)")
+    return value
+
+
+def seed64(text) -> int:
+    """A 64-bit unsigned integer: a seed."""
+    value = int(text)
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{text!r} is not a 64-bit unsigned integer")
+    return value
+
+
+def checked(name: str, domain, value):
+    """``domain(value)``, its ValueError naming the field ``name``."""
+    try:
+        return domain(value)
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
+
+
 def mix64(z: int) -> int:
     """splitmix64 output function: bijective avalanche mix of a 64-bit word."""
     z &= _MASK64
@@ -56,9 +101,7 @@ class Rng:
     __slots__ = ("seed", "_count")
 
     def __init__(self, seed: int):
-        if not 0 <= int(seed) <= _MASK64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        self.seed = int(seed)
+        self.seed = checked("seed", seed64, seed)
         self._count = 0
 
     def __repr__(self) -> str:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataio import NOT_DETECTED, _read_utf8
 from .errors import DomainError, ParseError, SchemaError
-from .numcore import Rng
+from .numcore import Rng, checked, positive_int
 
 CONDITION_NAMES = ("sunny", "cloudy", "night_lights")
 LIGHT_KINDS = ("window_point", "ceiling_point")
@@ -213,8 +213,7 @@ def generate_dataset(
     optional measurement noise (sigma = 2% of reading + 1 lx) is enabled.
     The noiseless illuminance is always included.
     """
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
+    checked("n_points", positive_int, n_points)
     pos_rng = rng.spawn("positions")
     rssi_rng = rng.spawn("rssi")
     u = pos_rng.uniform(2 * n_points).reshape(n_points, 2)

@@ -1,7 +1,10 @@
+import ast
 import dataclasses
 import hashlib
+import inspect
 import json
 import re
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +107,17 @@ class TestSimulate:
                    "--train-fraction", 0.75) == 0
         assert (out / "train.csv").read_bytes() == (out2 / "train.csv").read_bytes()
 
+    @pytest.mark.parametrize("source", [None, "WAP001,LONGITUDE\n-50,1\n"],
+                             ids=["missing", "no-latitude"])
+    def test_bad_augment_csv_exits_3_before_creating_out_dir(self, tmp_path, capsys, source):
+        src = tmp_path / "real.csv"
+        if source is not None:
+            src.write_text(source)
+        out = tmp_path / "aug"
+        assert run("simulate", "--augment", src, "--out-dir", out) == 3
+        one_error_line(capsys, str(src))
+        assert not out.exists()
+
     def test_measurement_noise_columns(self, tmp_path):
         assert (
             run(
@@ -192,11 +206,12 @@ class TestTrain:
     @pytest.mark.parametrize("column, fragments", [
         ("NOTE", ["row 2", "'NOTE'", "not numeric"]),
         ("NOPE", ["no column 'NOPE'"]),
+        ("GAIN", ["row 2", "'GAIN'", "'inf' is not finite"]),
     ])
     def test_lux_column_errors_name_the_file(self, tmp_path, capsys, column, fragments):
         data = tmp_path / "train.csv"
-        data.write_text("WAP001,LONGITUDE,LATITUDE,LUX_sunny,NOTE\n"
-                        "-50,1,2,300,4.5\n-60,2,3,310,bright\n")
+        data.write_text("WAP001,LONGITUDE,LATITUDE,LUX_sunny,NOTE,GAIN\n"
+                        "-50,1,2,300,4.5,2\n-60,2,3,310,bright,inf\n")
         code = run("train", "--which", "g2", "--data", data, "--model-out", tmp_path / "m",
                    "--lux-columns", column, "--epochs", 1)
         assert code == 3
@@ -321,6 +336,16 @@ class TestPredict:
             "predict", "--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
             "--data", workspace / "test.csv", "--out-dir", tmp_path, "--records", "99",
         ) == 2
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_n_above_m_exits_2_before_reading_a_file(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = run(command, "--g1", tmp_path / "no-g1.model", "--g2", tmp_path / "no-g2.model",
+               "--data", tmp_path / "no.csv", "--out-dir", out, "--n", 9, "--m", 5)
+    assert code == 2
+    one_error_line(capsys, "error: --n 9 exceeds --m 5")
+    assert not out.exists()
 
 
 class TestEvaluate:
@@ -537,6 +562,8 @@ class TestConfigValues:
         ("train", {"hidden": "a"}),
         ("train", {"hidden": "16,0"}),
         ("train", {"hidden": 1.5}),
+        ("simulate", {"out_dir": "a\u0000b"}),
+        ("predict", {"data": "test\u0000.csv"}),
     ])
     def test_bad_value_exits_2_naming_file_and_key(self, tmp_path, capsys, command, doc):
         cfg, code = self.run_config(tmp_path, command, doc)
@@ -547,11 +574,14 @@ class TestConfigValues:
     def test_values_typed_as_their_flags(self, tmp_path):
         cfg, code = self.run_config(tmp_path, "simulate", {
             "n_train": "12", "n_test": 3, "seed": " 4 ", "measurement_noise": False,
-            "train_fraction": 1,
         }, "--out-dir", tmp_path / "out")
         assert code == 0
         header = (tmp_path / "out" / "train.csv").read_text().splitlines()
         assert len(header) == 1 + 12 and "LUXN_" not in header[0]
+        # a JSON integer is read as a float flag reads the same text
+        cfg.write_text(json.dumps({"learning_rate": 1}))
+        args = cli.build_parser().parse_args(["train", "--config", str(cfg)])
+        assert repr(cli._merge_options("train", args)["learning_rate"]) == "1.0"
 
     def test_number_for_a_text_option(self, workspace, tmp_path):
         cfg, code = self.run_config(tmp_path, "train", {"hidden": 16, "epochs": "3"},
@@ -805,6 +835,15 @@ class TestMalformedModel:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(bad) in err
 
+    def test_non_utf8_model_names_path_and_line(self, workspace, tmp_path, capsys):
+        lines = (workspace / "g1.model").read_bytes().split(b"\n")
+        lines[3] += b"\xff"
+        bad = tmp_path / "g1.model"
+        bad.write_bytes(b"\n".join(lines))
+        assert self.evaluate(workspace, bad, tmp_path / "eval") == 3
+        one_error_line(capsys, f"error: {bad}: line 4: not UTF-8")
+        assert not (tmp_path / "eval").exists()
+
     def test_truncated_or_incomplete_model_never_crashes(self, workspace, tmp_path, capsys):
         lines = (workspace / "g1.model").read_text().splitlines(keepends=True)
         variants = [lines[:k] for k in range(len(lines))]
@@ -863,7 +902,8 @@ class TestMalformedDump:
     def test_bootstrap_below_one_is_a_usage_error(self, tmp_path, capsys, lines, count):
         code, err = self.reeval(tmp_path, capsys, lines, "--bootstrap", count)
         assert code == 2
-        assert err == "error: --bootstrap must be >= 1\n"
+        assert err.endswith(f"error: argument --bootstrap: invalid positive_int value: '{count}'\n")
+        assert not (tmp_path / "eval").exists()
 
 
 class TestMissingLuxColumns:
@@ -908,3 +948,17 @@ class TestOutputPathIsAFile:
         assert run(command, *argv) == 3
         one_error_line(capsys, "taken")
         assert blocker.read_text() == "not a directory\n"
+
+
+def test_main_has_no_catch_all():
+    """main maps the package's error types to exit codes. Any other
+    ValueError is a bug that must surface, so no handler in main catches
+    ValueError or Exception."""
+    (func,) = ast.parse(textwrap.dedent(inspect.getsource(cli.main))).body
+    caught = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.ExceptHandler):
+            kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught |= {"bare" if k is None else ast.unparse(k) for k in kinds}
+    assert "UsageError" in caught
+    assert not caught & {"bare", "ValueError", "Exception", "BaseException"}

@@ -419,6 +419,37 @@ class TestModelPersistence:
         with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}(, |: ){message}"):
             load_model(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.replace("[config]\n", "[config]\nlearning_rat = 0.5\n"),
+         r"line 6: \[config\] has no key 'learning_rat'"),
+        (lambda t: t.replace("[config]\n", "[config]\nepochs = 7\n"),
+         r"line \d+: \[config\] key 'epochs' repeats line 6"),
+        (lambda t: t.replace("recoding = log\n", "recoding = log\nrole = g2\n"),
+         r"line 5: \[preprocessing\] key 'role' repeats line 3"),
+        (lambda t: t.replace("std = ", "sd = "), r"line \d+: \[standardize\] has no key 'sd'"),
+        (lambda t: t.replace("[training_log]", "[log]"),
+         r"line \d+: '\[log\]' is not a model section"),
+        (lambda t: t.replace("[training_log]", "[weights]"),
+         r"line \d+: '\[weights\]' appears twice"),
+        (lambda t: t.replace("hmdn-model v2\n", "hmdn-model v2\nstray\n"),
+         "line 2: 'stray' is outside any section"),
+    ], ids=["unknown-key", "repeated-key", "repeated-preprocessing-key", "unknown-std-key",
+            "unknown-section", "repeated-section", "outside-sections"])
+    def test_unknown_or_repeated_key_or_section_names_path_and_line(self, tmp_path, edit,
+                                                                    message):
+        path = tmp_path / "model.txt"
+        save_model(dataclasses.replace(self.train_tiny(), preprocessing=("g2", "log")), path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}, {message}$"):
+            load_model(path)
+
+    def test_non_utf8_model_names_path_and_line(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(self.train_tiny(), path)
+        path.write_bytes(path.read_bytes().replace(b"[standardize]", b"[standardize\xff]"))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line \d+: not UTF-8"):
+            load_model(path)
+
     def test_malformed_weights_name_path_and_line(self, tmp_path):
         path = tmp_path / "model.txt"
         save_model(self.train_tiny(), path)

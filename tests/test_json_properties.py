@@ -1,6 +1,7 @@
 """Property tests of the two JSON inputs: config-file values read against
-the flags' own parsers for every option of every command, and mutated
-scene files fed to ``hmdn simulate``."""
+the flags' own parsers for every option of every command, values outside
+the range of each numeric option given as a flag or a config value, and
+mutated scene files fed to ``hmdn simulate``."""
 
 import contextlib
 import io
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmdn import cli, scenario
+from hmdn.numcore import positive_float, positive_int, seed64, unit_fraction
 
 OPTIONS = [
     (command, flag, parse_kwargs)
@@ -46,17 +48,31 @@ def merged(command, argv, config=None):
         return quiet(parse_and_merge)[0]
 
 
+# text in range for each type the flags read with
+IN_RANGE = {
+    positive_int: st.integers(1, 2**63 - 1).map(str),
+    seed64: st.integers(0, 2**64 - 1).map(str),
+    positive_float: st.one_of(st.floats(0, exclude_min=True, allow_infinity=False).map(repr),
+                              st.floats(1e-6, 1e6).map("{:e}".format)),
+    unit_fraction: st.floats(0, 1, exclude_min=True, exclude_max=True).map(repr),
+    cli.widths: st.lists(st.integers(1, 10**6).map(str), max_size=4).map(",".join),
+    cli.text: st.one_of(st.text(st.characters(exclude_characters="\0")),
+                        st.integers().map(str)),
+}
+# the text outside each numeric domain: not a number of its kind, or past a bound
+OUT_OF_RANGE = {
+    positive_int: ["0", "-1", "nan", "inf", str(2**64)],
+    seed64: ["-1", "nan", "inf", str(2**64)],
+    positive_float: ["0", "-1", "nan", "inf"],
+    unit_fraction: ["0", "-1", "nan", "inf", str(2**64), "1"],
+}
+
+
 def flag_text(parse_kwargs):
     """Text the flag takes."""
     if "choices" in parse_kwargs:
         return st.sampled_from(parse_kwargs["choices"])
-    if parse_kwargs.get("type") is int:
-        return st.integers().map(str)
-    if parse_kwargs.get("type") is float:
-        return st.one_of(st.floats().map(repr), st.floats(-1e6, 1e6).map("{:e}".format))
-    if parse_kwargs.get("type") is cli.widths:
-        return st.lists(st.integers(1, 10**6).map(str), max_size=4).map(",".join)
-    return st.one_of(st.text(), st.integers().map(str))
+    return IN_RANGE[parse_kwargs["type"]]
 
 
 @st.composite
@@ -69,8 +85,8 @@ def spelled_value(draw):
         return command, flag, [flag] if on else [], on
     text = draw(flag_text(parse_kwargs))
     value = text
-    if parse_kwargs.get("type") in (int, float) and draw(st.booleans()):
-        value = json.loads(text.replace("nan", "NaN").replace("inf", "Infinity"))
+    if parse_kwargs["type"] in OUT_OF_RANGE and draw(st.booleans()):
+        value = json.loads(text)
     return command, flag, [f"{flag}={text}"], value
 
 
@@ -123,6 +139,47 @@ def test_random_config_value_is_read_as_its_flag_or_exits_2(option, value):
         code, err = quiet(cli.main, [command, "--config", str(path)])
     assert code == 2
     assert err.startswith(f"error: {path}: option {key!r}: ") and err.count("\n") == 1, err
+
+
+DOMAIN_OPTIONS = [(c, f, kw["type"]) for c, f, kw in OPTIONS if kw.get("type") in OUT_OF_RANGE]
+OUTPUT = {"simulate": "--out-dir", "train": "--model-out", "predict": "--out-dir",
+          "evaluate": "--out-dir"}
+
+
+def test_every_numeric_flag_is_typed_with_a_domain():
+    assert {flag for _, flag, _ in DOMAIN_OPTIONS} == {
+        "--seed", "--n-train", "--n-test", "--train-fraction", "--components", "--learning-rate",
+        "--epochs", "--batch-size", "--sigma-floor", "--m", "--n", "--bootstrap",
+    }
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(DOMAIN_OPTIONS), st.data())
+def test_out_of_range_value_exits_2_naming_the_option_and_writes_nothing(option, data):
+    command, flag, domain = option
+    text = data.draw(st.sampled_from(OUT_OF_RANGE[domain]))
+    as_config = data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, OUTPUT[command], str(Path(tmp) / "new" / "out")]
+        if as_config:
+            path = Path(tmp) / "cfg.json"
+            value = data.draw(st.sampled_from(
+                [text, json.loads(text.replace("nan", "NaN").replace("inf", "Infinity"))]))
+            path.write_text(json.dumps({cli._dest(flag): value}))
+            argv += ["--config", str(path)]
+        else:
+            argv.append(f"{flag}={text}")
+        code, err = quiet(cli.main, argv)
+        written = sorted(p.name for p in Path(tmp).iterdir())
+    assert code == 2
+    assert written == (["cfg.json"] if as_config else [])
+    if as_config:
+        assert err.startswith(f"error: {path}: option {cli._dest(flag)!r}: ")
+        assert err.count("\n") == 1, err
+    else:
+        *usage, last = err.splitlines()
+        assert last.startswith(f"hmdn {command}: error: argument {flag}: "), err
+        assert all("error" not in line for line in usage), err
 
 
 def _base_scene() -> dict:
