@@ -271,10 +271,13 @@ def _simulate_augment(opts, scene, master: Rng, noise: bool) -> int:
     """Graft simulated illumination onto a real fingerprint CSV: coordinates
     are mapped into the room, lux columns appended, originals preserved under
     ORIG_ columns, and the result split into train/test files. The CSV is
-    read before the output directory is created."""
+    read and mapped before the output directory is created."""
     table = dataio.load_csv(opts["augment"])
     rng = master.spawn("simulate", "augment") if noise else None
-    mapped, lux, lux_noisy = scenario.augment_with_illuminance(table.coords, scene, rng)
+    try:
+        mapped, lux, lux_noisy = scenario.augment_with_illuminance(table.coords, scene, rng)
+    except DomainError as err:
+        raise DomainError(f"{opts['augment']}: {err}") from None
 
     def fmt_col(values):
         return tuple(fmt17(v) for v in values)

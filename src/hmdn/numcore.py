@@ -32,10 +32,13 @@ _INV_2_53 = 2.0 ** -53
 
 
 def positive_int(text) -> int:
-    """An integer in 1 .. 2^63 - 1, the counts numpy can index."""
+    """An integer in 1 .. 2^31 - 1: a count. Counts size float64 arrays
+    beside a few widths (coordinates, access points, hidden units), and
+    below 2^31 rows numpy can size every such array, so a count that is
+    too large fails here instead of inside numpy halfway through a run."""
     value = int(text)
-    if not 1 <= value < 2**63:
-        raise ValueError(f"{text!r} is not an integer in 1..2^63-1")
+    if not 1 <= value < 2**31:
+        raise ValueError(f"{text!r} is not an integer in 1..2^31-1")
     return value
 
 

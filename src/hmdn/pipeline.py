@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParseError, SchemaError, ShapeError
 from .mdn import MdnModel, _draw, _log_likelihoods, _mixtures, mixture_at, sample
-from .numcore import FLOAT_SPEC, Rng
+from .numcore import FLOAT_SPEC, Rng, positive_int
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,7 @@ def run_predictions(
 
 # --- prediction dump: line-oriented text consumed by plotting/evaluation ---
 
-_DUMP_HEADER = "# hmdn-predictions v1"
+_DUMP_HEADER = "# hmdn-predictions v2"
 
 
 @dataclass(frozen=True)
@@ -265,48 +265,41 @@ def _vec(k: int) -> str:
 
 
 def _render_record(r: PredictionRecord) -> str:
-    """One record's block of dump lines. Each line is one %-template over
-    ``.tolist()`` values, so every float goes through ``FLOAT_SPEC``."""
-    head = f"{r.record_id} {r.condition}".replace("%", "%%")
+    """One record's block of dump lines. Each section is one %-template
+    over ``.tolist()`` values, so every float goes through ``FLOAT_SPEC``."""
     est = r.hmdn
     truth, z = np.ravel(r.truth).tolist(), np.ravel(r.z).tolist()
     base, hest = np.ravel(r.baseline_estimate).tolist(), np.ravel(est.estimate).tolist()
     samples = np.asarray(r.baseline_samples)
-    lines = [
-        f"record {head} truth {_vec(len(truth))} z {_vec(len(z))}\n" % (*truth, *z),
-        f"baseline {head} estimate {_vec(len(base))}\n" % tuple(base),
-    ]
-    line = f"baseline {head} sample %d {_vec(samples.shape[1])}\n"
-    lines += [line % (i, *s) for i, s in enumerate(samples.tolist())]
-    fallback = 1 if est.underflow_fallback else 0
-    lines.append(f"hmdn {head} estimate {_vec(len(hest))} fallback={fallback}\n" % tuple(hest))
-    # selected block first, then the rest, each in stable descending-score order
-    order = np.argsort(-est.scores, kind="stable")
-    chosen = np.zeros(order.shape[0], dtype=bool)
-    chosen[np.asarray(est.selected_indices, dtype=np.intp)] = True
-    chosen = chosen[order]
-    coords = _vec(est.candidates.shape[1])
-    for flag, idx in ((1, order[chosen]), (0, order[~chosen])):
-        line = f"hmdn {head} candidate %d {coords} score={FLOAT_SPEC} selected={flag}\n"
-        lines += [
-            line % (i, *c, s)
-            for i, c, s in zip(idx.tolist(), est.candidates[idx].tolist(), est.scores[idx].tolist())
-        ]
-    return "".join(lines)
+    m, dim = est.candidates.shape
+    flags = np.zeros(m)
+    flags[np.asarray(est.selected_indices, dtype=np.intp)] = 1
+    candidates = np.column_stack([est.candidates, est.scores, flags])
+    cond = r.condition.replace("%", "%%")
+    return "".join([
+        f"record {r.record_id} {cond} truth {_vec(len(truth))} z {_vec(len(z))}\n" % (*truth, *z),
+        f"baseline estimate {_vec(len(base))}\n" % tuple(base),
+        (f"baseline sample {_vec(samples.shape[1])}\n" * len(samples))
+        % tuple(samples.ravel().tolist()),
+        f"hmdn estimate {_vec(len(hest))} fallback=%d\n" % (*hest, est.underflow_fallback),
+        (f"hmdn candidate {_vec(dim)} score={FLOAT_SPEC} selected=%d\n" * m)
+        % tuple(candidates.ravel().tolist()),
+    ])
 
 
 def write_predictions(path, records, master_seed: int, m: int, n: int) -> None:
-    """Write prediction records to a dump file, one record block at a time.
+    """Write a list of prediction records to a dump file, one record block
+    at a time.
 
-    Per (record, condition): one ``record`` line with truth coordinates and
-    the observed z, one ``baseline estimate`` line, M ``baseline sample``
-    lines, one ``hmdn estimate`` line, and M ``hmdn candidate`` lines with
-    score and selected flag. Candidate lines list the selected block first,
-    scores descending (ties by candidate index), then the rest, also
-    descending.
+    The header gives the master seed, M, N and the record count. Per
+    (record, condition): one ``record`` line with the id, condition, truth
+    coordinates and observed z, one ``baseline estimate`` line, M
+    ``baseline sample`` lines, one ``hmdn estimate`` line, and M ``hmdn
+    candidate`` lines with score and selected flag, in index order.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_DUMP_HEADER}\n# master_seed {master_seed}\n# m {m} n {n}\n")
+        fh.write(f"{_DUMP_HEADER}\n# master_seed {master_seed}\n# m {m} n {n}\n"
+                 f"# records {len(records)}\n")
         for r in records:
             fh.write(_render_record(r))
 
@@ -328,24 +321,25 @@ def _read_header(fh, start: int = 1):
 
 
 def _block_sizes(path, meta: dict):
-    """(m, n) from the dump header: candidates and selected per record."""
+    """(m, n, k) from the dump header: candidates and selected per record,
+    and the number of records."""
     try:
-        m, n = int(meta["m"]), int(meta["n"])
+        m, n, k = (positive_int(meta[key]) for key in ("m", "n", "records"))
     except (KeyError, ValueError):
-        m = n = 0
+        m = n = k = 0
     if not 1 <= n <= m:
         raise SchemaError(
-            f"{path}: dump header needs '# m <candidates> n <selected>' with 1 <= n <= m, "
-            f"got m={meta.get('m')!r} n={meta.get('n')!r}"
+            f"{path}: dump header needs '# m <candidates> n <selected>' with 1 <= n <= m and "
+            f"'# records <count>' with count >= 1, got m={meta.get('m')!r} "
+            f"n={meta.get('n')!r} records={meta.get('records')!r}"
         )
-    return m, n
+    return m, n, k
 
 
-def _read_block(path, start: int, parts, lines, m: int, n: int):
+def _read_block(path, start: int, parts, lines, m: int, n: int) -> PredictionRecord:
     """Parse one record block: ``parts`` is its split ``record`` line (line
     ``start`` of the file) and its other 2m + 2 lines are pulled from
-    ``lines``, an iterator of split lines. Returns the record and the split
-    line after the block (None at the end of the file).
+    ``lines``, an iterator of split lines.
 
     The layout is fixed, so every line's number follows from its offset in
     the block. Lines are checked a section at a time, and each section's
@@ -379,51 +373,37 @@ def _read_block(path, start: int, parts, lines, m: int, n: int):
         sections = []
         # (first offset, lines, kind, field, fields per line, coordinate fields)
         for first, count, kind, field, width, cut in (
-            (1, 1, "baseline", "estimate", 4 + dim, slice(4, None)),
-            (2, m, "baseline", "sample", 5 + dim, slice(5, None)),
-            (m + 2, 1, "hmdn", "estimate", 5 + dim, slice(4, -1)),
-            (m + 3, m, "hmdn", "candidate", 7 + dim, slice(5, -2)),
+            (1, 1, "baseline", "estimate", 2 + dim, slice(2, None)),
+            (2, m, "baseline", "sample", 2 + dim, slice(2, None)),
+            (m + 2, 1, "hmdn", "estimate", 3 + dim, slice(2, -1)),
+            (m + 3, m, "hmdn", "candidate", 4 + dim, slice(2, -2)),
         ):
             rows = list(islice(lines, count))
             for offset, p in enumerate(rows, start=first):
-                if (len(p) != width or p[0] != kind or p[1] != rid or p[2] != cond
-                        or p[3] != field):
-                    raise ValueError(
-                        f"expected a '{kind} {rid} {cond} {field}' line of {width} fields"
-                    )
+                if len(p) != width or p[0] != kind or p[1] != field:
+                    raise ValueError(f"expected a '{kind} {field}' line of {width} fields")
             if len(rows) < count:
                 offset = first + len(rows)
                 raise ValueError(
                     f"end of file inside the block of record {rid} {cond} (line {start})"
                 )
             sections.append((rows, coordinates(rows, cut, first)))
-        offset = 2 * m + 3
-        after = next(lines, None)
-        if after is not None and after[0:1] != ["record"]:
-            raise ValueError("expected a 'record' line")
 
-        (_, base), (sample_rows, samples), ((flags,), hmdn), (cand_rows, cands) = sections
-        for offset, p in enumerate(sample_rows, start=2):
-            if p[4] != str(offset - 2):
-                raise ValueError(f"expected baseline sample {offset - 2}, got {p[4]!r}")
+        (_, base), (_, samples), ((flags,), hmdn), (cand_rows, cands) = sections
         offset = m + 2
         if flags[-1] not in ("fallback=0", "fallback=1"):
             raise ValueError(f"expected fallback=<0|1>, got {flags[-1]!r}")
         fallback = flags[-1] == "fallback=1"
-        index, scores = [], []
+        scores, chosen = [], []
         for offset, p in enumerate(cand_rows, start=m + 3):
-            if not p[-2].startswith("score=") or p[-1] not in ("selected=0", "selected=1"):
+            if p[-2][:6] != "score=" or p[-1] not in ("selected=0", "selected=1"):
                 raise ValueError(
                     f"expected 'score=<log density> selected=<0|1>', got {p[-2]} {p[-1]}"
                 )
-            index.append(int(p[4]))
             scores.append(float(p[-2][6:]))
+            chosen.append(p[-1] == "selected=1")
         offset = 0
-        index = np.array(index)
-        order = np.argsort(index, kind="stable")
-        if not np.array_equal(index[order], np.arange(m)):
-            raise ValueError(f"record {rid} {cond}: candidate indices are not 0..{m - 1}")
-        selected = index[np.array([p[-1] == "selected=1" for p in cand_rows])]
+        scores, selected = np.array(scores), np.flatnonzero(chosen)
         if selected.shape[0] != (m if fallback else n):
             raise ValueError(
                 f"record {rid} {cond}: {selected.shape[0]} candidates selected, "
@@ -432,14 +412,16 @@ def _read_block(path, start: int, parts, lines, m: int, n: int):
     except ValueError as err:
         raise ParseError(f"{path}: line {start + offset}: {err}") from None
 
+    if not fallback:  # prediction's order: best score first, ties by index
+        selected = selected[np.argsort(-scores[selected], kind="stable")]
     est = HmdnEstimate(
         estimate=hmdn[0],
-        candidates=cands[order],
-        scores=np.array(scores)[order],
+        candidates=cands,
+        scores=scores,
         selected_indices=selected,
         underflow_fallback=fallback,
     )
-    record = PredictionRecord(
+    return PredictionRecord(
         record_id=record_id,
         condition=cond,
         truth=head[0, :dim],
@@ -448,40 +430,50 @@ def _read_block(path, start: int, parts, lines, m: int, n: int):
         baseline_estimate=base[0],
         hmdn=est,
     )
-    return record, after
 
 
 def parse_predictions(path, header: dict = None) -> list:
     """Re-read a dump file into PredictionRecord values, streaming it.
 
     The file must be laid out exactly as ``write_predictions`` writes it:
-    the header, with ``m`` and ``n``, then one or more record blocks, each
-    with its lines in the documented order, m baseline samples and m
-    candidates (indices 0..m-1), finite coordinates of one dimension, and
-    n selected candidates (all m on a fallback record). A missing header
-    or unusable ``m``/``n`` raises SchemaError; any other deviation raises
-    ParseError naming the path and line. A ``header`` dict, if given, is
-    filled with the key/value pairs of the ``# key value ...`` header lines,
-    so a caller needing both reads the file once.
+    the header, with ``m``, ``n`` and ``records``, then that many record
+    blocks, each with its lines in the documented order, m baseline
+    samples and m candidates, finite coordinates of one dimension, and n
+    selected candidates (all m on a fallback record). A missing or older
+    header or unusable ``m``/``n``/``records`` raises SchemaError; any
+    other deviation raises ParseError naming the path and line. A
+    ``header`` dict, if given, is filled with the key/value pairs of the
+    ``# key value ...`` header lines, so a caller needing both reads the
+    file once.
     """
     records = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            if fh.readline().rstrip("\n") != _DUMP_HEADER:
-                raise SchemaError(f"{path}: line 1: not a predictions dump (no {_DUMP_HEADER!r})")
+            first = fh.readline().rstrip("\n")
+            if first != _DUMP_HEADER:
+                why = f"not a predictions dump (no {_DUMP_HEADER!r})"
+                if first.startswith("# hmdn-predictions "):
+                    why = (f"{first[2:]!r} dumps are no longer read; re-run `hmdn predict` "
+                           f"to write {_DUMP_HEADER[2:]!r}")
+                raise SchemaError(f"{path}: line 1: {why}")
             meta, ln, lineno = _read_header(fh, start=2)
             if header is not None:
                 header.update(meta)
-            if ln is None:
-                raise ParseError(f"{path}: line {lineno}: no record lines after the header")
-            m, n = _block_sizes(path, meta)
-            parts, lines = ln.split(), map(str.split, fh)
-            if parts[0:1] != ["record"]:
-                raise ParseError(f"{path}: line {lineno}: expected a 'record' line")
-            while parts is not None:
-                record, parts = _read_block(path, lineno, parts, lines, m, n)
-                records.append(record)
+            m, n, count = _block_sizes(path, meta)
+            lines = map(str.split, fh)
+            parts = None if ln is None else ln.split()
+            for _ in range(count):
+                if parts is None:
+                    raise ParseError(f"{path}: line {lineno}: end of file after {len(records)} "
+                                     f"of the header's '# records {count}'")
+                if parts[0:1] != ["record"]:
+                    raise ParseError(f"{path}: line {lineno}: expected a 'record' line")
+                records.append(_read_block(path, lineno, parts, lines, m, n))
                 lineno += 2 * m + 3
+                parts = next(lines, None)
+            if parts is not None:
+                raise ParseError(f"{path}: line {lineno}: expected the end of the file after "
+                                 f"the header's '# records {count}'")
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
     return records

@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .dataio import NOT_DETECTED, _read_utf8
+from .dataio import COORD_COLUMNS, NOT_DETECTED, _read_utf8
 from .errors import DomainError, ParseError, SchemaError
 from .numcore import Rng, checked, positive_int
 
@@ -233,17 +233,22 @@ def map_coords_into_room(scene: Scene, coords: np.ndarray) -> np.ndarray:
     Each axis's observed min..max range lands on [0, width] / [0, depth]
     (x column to width, y column to depth); a degenerate axis maps to the
     room center line. Used when grafting simulated illumination onto a
-    real fingerprint table whose coordinates live in projected map units.
+    real fingerprint table whose coordinates live in projected map units,
+    so an axis whose span is not a finite float raises DomainError naming
+    its column (``dataio.COORD_COLUMNS``).
     """
     coords = np.asarray(coords, dtype=np.float64)
     out = np.empty_like(coords)
     for axis, extent in ((0, scene.room_width), (1, scene.room_depth)):
-        lo = coords[:, axis].min()
-        hi = coords[:, axis].max()
-        if hi - lo < 1e-12:
+        lo, hi = float(coords[:, axis].min()), float(coords[:, axis].max())
+        span = hi - lo
+        if not math.isfinite(span):
+            raise DomainError(f"{COORD_COLUMNS[axis]} spans {lo!r} to {hi!r}, a range no "
+                              "float can hold; cannot map it into the room")
+        if span < 1e-12:
             out[:, axis] = extent / 2.0
         else:
-            out[:, axis] = (coords[:, axis] - lo) / (hi - lo) * extent
+            out[:, axis] = (coords[:, axis] - lo) / span * extent
     return out
 
 

@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import math
 import pkgutil
 import sys
 from pathlib import Path
@@ -115,15 +116,21 @@ def test_benchmark_wrap_points_resolve():
     assert missing == {"pipeline.score_candidates", "pipeline.select_top"}
 
 
-def test_benchmark_stage_plans_parse(monkeypatch, capsys):
-    """Every command line the benchmark runs, on each workload that
-    BENCHMARK.json declares, parses under the CLI's parser."""
+def bench_run(monkeypatch):
+    """``bench/run.py`` loaded as a module, as the benchmark runs it."""
     bench = ROOT / "bench"
     monkeypatch.syspath_prepend(str(bench))  # run.py imports its sibling tracing.py
     spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
     run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "bench_run", run)
     spec.loader.exec_module(run)
+    return run
+
+
+def test_benchmark_stage_plans_parse(monkeypatch, capsys):
+    """Every command line the benchmark runs, on each workload that
+    BENCHMARK.json declares, parses under the CLI's parser."""
+    run = bench_run(monkeypatch)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert set(run.WORKLOADS) == {w["name"] for w in declared}
     parser = cli.build_parser()
@@ -133,3 +140,20 @@ def test_benchmark_stage_plans_parse(monkeypatch, capsys):
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"{w.name} {stage}: {capsys.readouterr().err}")
+
+
+def test_benchmark_gate_accepts_a_tiny_run(monkeypatch, tmp_path):
+    """The benchmark's own stage list, on a workload small enough for a unit
+    test, passes its correctness gate: the dump it counts and parses, the
+    model round trips and live against from-dump metrics."""
+    import hmdn.dataio
+    import hmdn.pipeline
+
+    run = bench_run(monkeypatch)
+    w = run.Workload(name="tiny", simulate=("--n-train", "40", "--n-test", "6"), epochs_g1=2,
+                     epochs_g2=2, plots=False)
+    _, failures = run.run_repetition(cli, run.stage_plan(w, tmp_path, tmp_path / "run", 3))
+    assert failures == []
+    assert run.check_outputs(hmdn, w, tmp_path / "run") == []
+    quality = run.quality(tmp_path / "run")
+    assert all(math.isfinite(v) for v in quality.values()), quality

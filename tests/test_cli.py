@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,16 @@ class TestSimulate:
         out = tmp_path / "aug"
         assert run("simulate", "--augment", src, "--out-dir", out) == 3
         one_error_line(capsys, str(src))
+        assert not out.exists()
+
+    def test_augment_span_beyond_the_float_range_names_csv_and_column(self, tmp_path, capsys):
+        src = tmp_path / "real.csv"
+        src.write_text("WAP001,LONGITUDE,LATITUDE\n-50,1e308,1\n-60,-1e308,2\n-70,0,3\n")
+        out = tmp_path / "aug"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow RuntimeWarning either
+            assert run("simulate", "--augment", src, "--out-dir", out) == 3
+        one_error_line(capsys, f"error: {src}: LONGITUDE spans -1e+308 to 1e+308")
         assert not out.exists()
 
     def test_measurement_noise_columns(self, tmp_path):
@@ -345,6 +356,26 @@ def test_n_above_m_exits_2_before_reading_a_file(tmp_path, capsys, command):
                "--data", tmp_path / "no.csv", "--out-dir", out, "--n", 9, "--m", 5)
     assert code == 2
     one_error_line(capsys, "error: --n 9 exceeds --m 5")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("predict", "--m"), ("evaluate", "--m"), ("evaluate", "--bootstrap"),
+    ("simulate", "--n-train"), ("simulate", "--n-test"),
+])
+def test_count_numpy_cannot_size_exits_2_naming_the_flag(tmp_path, capsys, command, flag):
+    """2^62 is an integer, but no array of that many rows can be sized: the
+    flag is rejected before any file is read (the inputs named here do not
+    exist) or any directory made."""
+    out = tmp_path / "out"
+    inputs = ["--g1", tmp_path / "no-g1.model", "--g2", tmp_path / "no-g2.model",
+              "--data", tmp_path / "no.csv"]
+    code = run(command, *(inputs if command != "simulate" else []), "--out-dir", out,
+               flag, 2**62)
+    assert code == 2
+    *usage, last = capsys.readouterr().err.splitlines()
+    assert last == f"hmdn {command}: error: argument {flag}: invalid positive_int value: '{2**62}'"
+    assert all("error" not in line for line in usage)
     assert not out.exists()
 
 
@@ -878,11 +909,16 @@ class TestMalformedDump:
     @pytest.mark.parametrize(
         "cut, message",
         [
-            (lambda ls: ls[:3] + [ls[4]] + ls[3:], "line 4: expected a 'record' line"),
+            (lambda ls: ls[:4] + [ls[5]] + ls[4:], "line 5: expected a 'record' line"),
             (lambda ls: ls[:9], "line 10: end of file inside the block of record 0"),
             (lambda ls: ls[:12], "line 13: end of file inside the block of record 0"),
-            (lambda ls: ls[:3], "line 4: no record lines after the header"),
+            (lambda ls: ls[:4], "line 5: end of file after 0 of the header's '# records 2'"),
+            (lambda ls: ls[:15], "line 16: end of file after 1 of the header's '# records 2'"),
+            (lambda ls: ls + ls[4:15],
+             "line 27: expected the end of the file after the header's '# records 2'"),
             (lambda ls: ["condition,method\n"] + ls[3:], "line 1: not a predictions dump"),
+            (lambda ls: ["# hmdn-predictions v1\n"] + ls[1:],
+             "line 1: 'hmdn-predictions v1' dumps are no longer read; re-run `hmdn predict`"),
             (lambda ls: ls[:1] + ls[2:], "needs a '# master_seed <0..2^64-1>' line"),
         ],
     )

@@ -60,10 +60,10 @@ def test_writer_template_renders_floats_as_fmt17(x):
     lines = _render_record(one_candidate_record(x)).splitlines()
     assert lines == [
         f"record 0 sunny truth {text} z {text}",
-        f"baseline 0 sunny estimate {text}",
-        f"baseline 0 sunny sample 0 {text}",
-        f"hmdn 0 sunny estimate {text} fallback=0",
-        f"hmdn 0 sunny candidate 0 {text} score={text} selected=1",
+        f"baseline estimate {text}",
+        f"baseline sample {text}",
+        f"hmdn estimate {text} fallback=0",
+        f"hmdn candidate {text} score={text} selected=1",
     ]
 
 
@@ -114,8 +114,13 @@ def test_write_parse_write_is_byte_identical(case, seed):
         first, ref, second = (Path(tmp) / name for name in ("first", "ref", "second"))
         write_predictions(first, records, seed, m, n)
         reference_write_predictions(ref, records, seed, m, n)
-        write_predictions(second, parse_predictions(first), seed, m, n)
+        parsed = parse_predictions(first)
+        write_predictions(second, parsed, seed, m, n)
         assert first.read_bytes() == ref.read_bytes() == second.read_bytes()
+    for want, got in zip(records, parsed, strict=True):
+        assert (got.record_id, got.condition) == (want.record_id, want.condition)
+        assert np.array_equal(got.hmdn.selected_indices, want.hmdn.selected_indices)
+        assert got.hmdn.underflow_fallback == want.hmdn.underflow_fallback
 
 
 def _base_dump() -> list:
@@ -134,22 +139,25 @@ def mutated_dump(draw):
     k = draw(st.integers(0, len(lines) - 1))
     kind = draw(st.sampled_from(["truncate", "drop", "swap_field", "swap_lines"]))
     if kind == "truncate":
-        return lines[:k]
+        return kind, lines[:k]
     if kind == "drop":
-        return lines[:k] + lines[k + 1 :]
+        return kind, lines[:k] + lines[k + 1 :]
     if kind == "swap_lines":
         j = draw(st.integers(0, len(lines) - 1))
         lines[k], lines[j] = lines[j], lines[k]
-        return lines
+        return kind, lines
     fields = lines[k].split()
     fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(["x", "nan"]))
     lines[k] = " ".join(fields) + "\n"
-    return lines
+    return kind, lines
 
 
 @settings(max_examples=100)
 @given(mutated_dump())
-def test_corrupted_dump_exits_0_or_3_with_one_line(lines):
+def test_corrupted_dump_exits_0_or_3_with_one_line(case):
+    """Any edit exits 0 or 3; a cut or a dropped line, which the record
+    count and the fixed block layout expose wherever they fall, exits 3."""
+    kind, lines = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dump.txt"
         path.write_text("".join(lines))
@@ -163,4 +171,4 @@ def test_corrupted_dump_exits_0_or_3_with_one_line(lines):
     if code == 3:
         assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
-        assert err == ""
+        assert err == "" and kind not in ("truncate", "drop")

@@ -1,7 +1,8 @@
 """Property tests of the two JSON inputs: config-file values read against
 the flags' own parsers for every option of every command, values outside
-the range of each numeric option given as a flag or a config value, and
-mutated scene files fed to ``hmdn simulate``."""
+the range of each numeric option given as a flag or a config value, scene
+files saved and loaded back, and mutated scene files fed to ``hmdn
+simulate``."""
 
 import contextlib
 import io
@@ -50,7 +51,7 @@ def merged(command, argv, config=None):
 
 # text in range for each type the flags read with
 IN_RANGE = {
-    positive_int: st.integers(1, 2**63 - 1).map(str),
+    positive_int: st.integers(1, 2**31 - 1).map(str),
     seed64: st.integers(0, 2**64 - 1).map(str),
     positive_float: st.one_of(st.floats(0, exclude_min=True, allow_infinity=False).map(repr),
                               st.floats(1e-6, 1e6).map("{:e}".format)),
@@ -61,7 +62,7 @@ IN_RANGE = {
 }
 # the text outside each numeric domain: not a number of its kind, or past a bound
 OUT_OF_RANGE = {
-    positive_int: ["0", "-1", "nan", "inf", str(2**64)],
+    positive_int: ["0", "-1", "nan", "inf", str(2**31), str(2**62), str(2**64)],
     seed64: ["-1", "nan", "inf", str(2**64)],
     positive_float: ["0", "-1", "nan", "inf"],
     unit_fraction: ["0", "-1", "nan", "inf", str(2**64), "1"],
@@ -180,6 +181,67 @@ def test_out_of_range_value_exits_2_naming_the_option_and_writes_nothing(option,
         *usage, last = err.splitlines()
         assert last.startswith(f"hmdn {command}: error: argument {flag}: "), err
         assert all("error" not in line for line in usage), err
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.floats(0, allow_infinity=False)
+positive = st.floats(0, exclude_min=True, allow_infinity=False)
+position = st.tuples(finite, finite, finite)
+
+
+@st.composite
+def scenes(draw):
+    """Valid scenes: positive room lengths with the phone below the ceiling,
+    one to three of each condition, light and access point, any finite
+    positions and powers."""
+    phone, ceiling = draw(st.tuples(positive, positive).filter(lambda h: h[0] != h[1]))
+    names = draw(st.lists(st.sampled_from(scenario.CONDITION_NAMES), min_size=1, max_size=3,
+                          unique=True))
+    return scenario.Scene(
+        room_width=draw(positive),
+        room_depth=draw(positive),
+        phone_height=min(phone, ceiling),
+        ceiling_height=max(phone, ceiling),
+        conditions=[scenario.Condition(name=n, ambient=draw(non_negative)) for n in names],
+        lights=draw(st.lists(st.builds(
+            scenario.LightSource,
+            position=position,
+            intensity=st.dictionaries(st.sampled_from(names), non_negative),
+            kind=st.sampled_from(scenario.LIGHT_KINDS),
+        ), min_size=1, max_size=3)),
+        access_points=draw(st.lists(st.builds(
+            scenario.AccessPoint,
+            position=position,
+            tx_power=finite,
+            path_loss_exponent=positive,
+            shadow_sigma=non_negative,
+        ), min_size=1, max_size=3)),
+    )
+
+
+def saved_and_loaded(scene):
+    """(scene read back, the file's text, the text saved from the read-back scene)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "scene.json", Path(tmp) / "again.json"
+        scenario.save_scene(scene, path)
+        back = scenario.load_scene(path)
+        scenario.save_scene(back, again)
+        return back, path.read_text(), again.read_text()
+
+
+@settings(max_examples=150)
+@given(scenes())
+def test_saved_scene_loads_back_equal(scene):
+    back, text, again = saved_and_loaded(scene)
+    assert back == scene
+    assert again == text
+
+
+def test_bundled_room_saves_and_loads_back_equal():
+    scene = scenario.paper_room_scene()
+    back, text, again = saved_and_loaded(scene)
+    assert back == scene
+    assert again == text
 
 
 def _base_scene() -> dict:

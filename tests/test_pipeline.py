@@ -263,25 +263,23 @@ class TestPredictionDump:
             assert np.array_equal(got.hmdn.estimate, orig.hmdn.estimate)
             assert np.array_equal(got.hmdn.candidates, orig.hmdn.candidates)
             assert np.array_equal(got.hmdn.scores, orig.hmdn.scores)
-            assert set(got.hmdn.selected_indices.tolist()) == set(
-                orig.hmdn.selected_indices.tolist()
-            )
+            assert np.array_equal(got.hmdn.selected_indices, orig.hmdn.selected_indices)
+            assert got.hmdn.underflow_fallback == orig.hmdn.underflow_fallback
 
     def test_selected_block_scores_descending(self, tmp_path):
+        """Candidates are written in index order; the parser lists the
+        selection best score first, as prediction does."""
         path = tmp_path / "dump.txt"
         write_predictions(path, self.make_records(), master_seed=55, m=10, n=3)
-        block_scores = []
-        for line in path.read_text().splitlines():
-            parts = line.split()
-            if len(parts) > 4 and parts[0] == "hmdn" and parts[3] == "candidate":
-                if parts[-1] == "selected=1":
-                    block_scores.append((parts[1], float(parts[-2].split("=")[1])))
-        assert block_scores
-        by_record: dict = {}
-        for rid, s in block_scores:
-            by_record.setdefault(rid, []).append(s)
-        for scores in by_record.values():
-            assert scores == sorted(scores, reverse=True)
+        flags = [line.rsplit(" ", 1)[1] for line in path.read_text().splitlines()
+                 if line.startswith("hmdn candidate ")]
+        for r, got in zip(self.make_records(), parse_predictions(path)):
+            want = np.zeros(10, dtype=int)
+            want[r.hmdn.selected_indices] = 1
+            assert flags[:10] == [f"selected={f}" for f in want]
+            del flags[:10]
+            scores = got.hmdn.scores[got.hmdn.selected_indices]
+            assert scores.tolist() == sorted(scores.tolist(), reverse=True)
 
 
 class TestDumpMatchesReferenceWriter:
@@ -347,37 +345,57 @@ class TestDumpRejectsMalformedFiles:
         assert message in text, text
 
     def test_layout_of_the_good_file(self, lines):
-        # header (3) + 2 blocks of record, estimate, 4 samples, estimate, 4 candidates
-        assert len(lines) == 3 + 2 * 11
-        assert lines[3].startswith("record 0 ") and lines[14].startswith("record 1 ")
+        # header (4) + 2 blocks of record, estimate, 4 samples, estimate, 4 candidates
+        assert len(lines) == 4 + 2 * 11
+        assert lines[3] == "# records 2\n"
+        assert lines[4].startswith("record 0 ") and lines[15].startswith("record 1 ")
 
     def test_line_before_first_record(self, tmp_path, lines):
-        bad = lines[:3] + [lines[4]] + lines[3:]
-        self.check(tmp_path, bad, ParseError, 4, "expected a 'record' line")
+        bad = lines[:4] + [lines[5]] + lines[4:]
+        self.check(tmp_path, bad, ParseError, 5, "expected a 'record' line")
 
     def test_truncated_before_hmdn_estimate(self, tmp_path, lines):
-        self.check(tmp_path, lines[:9], ParseError, 10, "end of file inside the block of record 0")
+        self.check(tmp_path, lines[:10], ParseError, 11, "end of file inside the block of record 0")
 
     def test_truncated_mid_candidates(self, tmp_path, lines):
-        self.check(tmp_path, lines[:12], ParseError, 13, "end of file inside the block of record 0")
+        self.check(tmp_path, lines[:13], ParseError, 14, "end of file inside the block of record 0")
 
     def test_dropped_or_reordered_sample_lines(self, tmp_path, lines):
-        # one sample short: the fourth sample slot (line 9) holds the hmdn estimate
-        bad = lines[:6] + lines[7:]
-        self.check(tmp_path, bad, ParseError, 9, "expected a 'baseline 0 sunny sample' line")
+        # one sample short: the fourth sample slot (line 10) holds the hmdn estimate
+        bad = lines[:7] + lines[8:]
+        self.check(tmp_path, bad, ParseError, 10, "expected a 'baseline sample' line")
+        # a sample line moved ahead of the baseline estimate
         bad = lines[:5] + [lines[6], lines[5]] + lines[7:]
-        self.check(tmp_path, bad, ParseError, 6, "expected baseline sample 0, got '1'")
+        self.check(tmp_path, bad, ParseError, 6, "expected a 'baseline estimate' line")
 
     def test_header_only(self, tmp_path, lines):
-        self.check(tmp_path, lines[:3], ParseError, 4, "no record lines after the header")
+        self.check(tmp_path, lines[:4], ParseError, 5,
+                   "end of file after 0 of the header's '# records 2'")
+
+    def test_cut_at_a_record_boundary(self, tmp_path, lines):
+        self.check(tmp_path, lines[:15], ParseError, 16,
+                   "end of file after 1 of the header's '# records 2'")
+
+    def test_one_record_more_than_the_header_says(self, tmp_path, lines):
+        self.check(tmp_path, lines + lines[4:15], ParseError, 27,
+                   "expected the end of the file after the header's '# records 2'")
 
     def test_not_a_dump(self, tmp_path):
         self.check(tmp_path, ["WAP001,LONGITUDE,LATITUDE\n", "-50,1,2\n"], SchemaError, 1,
                    "not a predictions dump")
         self.check(tmp_path, [], SchemaError, 1, "not a predictions dump")
 
+    def test_v1_dump_says_to_rerun_predict(self, tmp_path, lines):
+        self.check(tmp_path, ["# hmdn-predictions v1\n"] + lines[1:], SchemaError, 1,
+                   "'hmdn-predictions v1' dumps are no longer read; re-run `hmdn predict`")
+
     def test_header_without_m_and_n(self, tmp_path, lines):
         self.check(tmp_path, lines[:2] + lines[3:], SchemaError, None, "'# m <candidates> n <selected>'")
+
+    @pytest.mark.parametrize("count", [None, "0", "-1", "two"])
+    def test_header_without_a_record_count(self, tmp_path, lines, count):
+        bad = lines[:3] + ([] if count is None else [f"# records {count}\n"]) + lines[4:]
+        self.check(tmp_path, bad, SchemaError, None, "'# records <count>' with count >= 1")
 
     def test_non_numeric_and_non_finite_coordinates(self, tmp_path, lines):
         bad = lines.copy()
@@ -389,5 +407,6 @@ class TestDumpRejectsMalformedFiles:
 
     def test_wrong_selected_count(self, tmp_path, lines):
         bad = lines.copy()
-        bad[10] = bad[10].replace("selected=1", "selected=0")
-        self.check(tmp_path, bad, ParseError, 4, "1 candidates selected, expected 2")
+        i = next(i for i in range(11, 15) if bad[i].endswith("selected=1\n"))
+        bad[i] = bad[i].replace("selected=1", "selected=0")
+        self.check(tmp_path, bad, ParseError, 5, "1 candidates selected, expected 2")

@@ -16,6 +16,7 @@ from hmdn.scenario import (
     generate_dataset,
     illuminance_at,
     load_scene,
+    map_coords_into_room,
     paper_room_scene,
     rssi_at,
     save_scene,
@@ -128,6 +129,20 @@ class TestRssi:
         ap = AccessPoint(position=(5.0, 5.0, 1.5), tx_power=30.0, path_loss_exponent=2.0, shadow_sigma=0.0)
         scene = simple_scene([one_light(1.0, (8.0, 5.0, 3.0))], aps=[ap])
         assert rssi_at(scene, (5.05, 5.0), Rng(1))[0] == 0.0
+
+
+class TestMapCoordsIntoRoom:
+    def test_extremes_land_on_the_walls(self):
+        coords = np.array([[-7690.0, 4864750.0], [-7310.0, 4865010.0], [-7500.0, 4864880.0]])
+        out = map_coords_into_room(paper_room_scene(), coords)
+        assert out[:2].tolist() == [[0.0, 0.0], [17.0, 10.0]]
+
+    @pytest.mark.parametrize("axis, column", [(0, "LONGITUDE"), (1, "LATITUDE")])
+    def test_span_beyond_the_float_range_names_the_column(self, axis, column):
+        coords = np.zeros((3, 2))
+        coords[:2, axis] = [1e308, -1e308]
+        with np.errstate(all="raise"), pytest.raises(DomainError, match=f"^{column} spans "):
+            map_coords_into_room(paper_room_scene(), coords)
 
 
 class TestGenerateDataset:

@@ -323,27 +323,26 @@ def _reference_fmt_vec(v) -> str:
 
 
 def reference_write_predictions(path, records, master_seed: int, m: int, n: int) -> None:
-    lines = ["# hmdn-predictions v1", f"# master_seed {master_seed}", f"# m {m} n {n}"]
+    lines = ["# hmdn-predictions v2", f"# master_seed {master_seed}", f"# m {m} n {n}",
+             f"# records {len(records)}"]
     for r in records:
-        rid, cond = r.record_id, r.condition
         lines.append(
-            f"record {rid} {cond} truth {_reference_fmt_vec(r.truth)} z {_reference_fmt_vec(r.z)}"
+            f"record {r.record_id} {r.condition} truth {_reference_fmt_vec(r.truth)} "
+            f"z {_reference_fmt_vec(r.z)}"
         )
-        lines.append(f"baseline {rid} {cond} estimate {_reference_fmt_vec(r.baseline_estimate)}")
-        for i, s in enumerate(r.baseline_samples):
-            lines.append(f"baseline {rid} {cond} sample {i} {_reference_fmt_vec(s)}")
+        lines.append(f"baseline estimate {_reference_fmt_vec(r.baseline_estimate)}")
+        for s in r.baseline_samples:
+            lines.append(f"baseline sample {_reference_fmt_vec(s)}")
         est = r.hmdn
         lines.append(
-            f"hmdn {rid} {cond} estimate {_reference_fmt_vec(est.estimate)} "
+            f"hmdn estimate {_reference_fmt_vec(est.estimate)} "
             f"fallback={1 if est.underflow_fallback else 0}"
         )
         sel = set(int(i) for i in est.selected_indices)
-        order = np.argsort(-est.scores, kind="stable")
-        ordered = [i for i in order if i in sel] + [i for i in order if i not in sel]
-        for i in ordered:
+        for i, (c, s) in enumerate(zip(est.candidates, est.scores)):
             lines.append(
-                f"hmdn {rid} {cond} candidate {i} {_reference_fmt_vec(est.candidates[i])} "
-                f"score={format(float(est.scores[i]), '.17g')} selected={1 if i in sel else 0}"
+                f"hmdn candidate {_reference_fmt_vec(c)} "
+                f"score={format(float(s), '.17g')} selected={1 if i in sel else 0}"
             )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
