@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError
-from .numcore import (Rng, checked, log_sum_exp_rows, normals_from, positive_float,
-                      positive_int, u64_rows, uniforms_from)
+from .numcore import (Rng, checked, log_sum_exp_cols, normals_from, positive_float,
+                      positive_int, sum_rows, u64_rows, uniforms_from)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -180,36 +180,37 @@ def _layer_views(flat: np.ndarray, dims) -> list:
     return views
 
 
-def _split_output(A: np.ndarray, K: int, D: int):
-    return A[:, :K], A[:, K : 2 * K], A[:, 2 * K :].reshape(A.shape[0], K, D)
-
-
 class _HeadBuffers:
-    """Output buffers of the mixture-head kernels for B rows, K components
-    and D target dimensions. ``_HeadBuffers()`` holds none: every field is
-    None and the kernels allocate their results instead."""
+    """Buffers of the mixture-head kernels for B rows, K components and D
+    target dimensions, component-major: a per-component quantity is a
+    contiguous (K, B) array and the means are (K, D, B). ``at`` holds the
+    output activations A (B, 2K + K*D) transposed, so its rows are
+    ``[a_pi | a_sigma | a_mu]``; ``shifted``, ``total``, ``mask`` and
+    ``swap`` are work arrays of ``numcore.log_sum_exp_cols``. ``_HeadBuffers()``
+    holds none: every field is None and the kernels allocate their results
+    instead."""
 
     __slots__ = (
-        "scratch", "log_pi", "sigma", "floored", "free", "diff", "quad", "var",
-        "log_terms", "log_p", "gamma", "coef",
+        "at", "above", "diff", "quad", "var", "log_terms", "shifted", "log_p",
+        "total", "mask", "swap",
     )
 
     def __init__(self, B=None, K=None, D=None):
-        def buf(*shape, dtype=np.float64):
-            return None if B is None else np.empty(shape, dtype=dtype)
-
-        self.scratch = buf(B, K)
-        self.log_pi = buf(B, K)
-        self.sigma = buf(B, K)
-        self.floored = buf(B, K, dtype=bool)
-        self.free = buf(B, K, dtype=bool)
-        self.diff = buf(B, K, D)
-        self.quad = buf(B, K)
-        self.var = buf(B, K)
-        self.log_terms = buf(B, K)
-        self.log_p = buf(B)
-        self.gamma = buf(B, K)
-        self.coef = buf(B, K)
+        for name in self.__slots__:
+            setattr(self, name, None)
+        if B is None:
+            return
+        self.at = np.empty((2 * K + K * D, B))
+        self.above = np.empty((K, B), dtype=bool)
+        self.diff = np.empty((K, D, B))
+        self.quad = np.empty((K, B))
+        self.var = np.empty((K, B))
+        self.log_terms = np.empty((K, B))
+        self.shifted = np.empty((K, B))
+        self.log_p = np.empty(B)
+        self.total = np.empty(B)
+        self.mask = np.empty(B, dtype=bool)
+        self.swap = np.empty(K * D * B)
 
 
 _UNBUFFERED = _HeadBuffers()
@@ -217,16 +218,17 @@ _UNBUFFERED = _HeadBuffers()
 
 class _Workspace:
     """Buffers for one forward and backward pass over B rows, built once per
-    batch size that occurs and reused: the gathered inputs and targets,
-    every layer's output (``acts``; the last is the output activations A),
-    every layer's error signal dE/d(pre-activation) (``deltas``; the last
-    is dE/dA) and the head buffers."""
+    batch size that occurs and reused: the gathered inputs (B, input_dim)
+    and targets (as columns, (D, B)), every layer's output (``acts``; the
+    last is the output activations A), every layer's error signal
+    dE/d(pre-activation) (``deltas``; the last is dE/dA) and the head
+    buffers."""
 
     def __init__(self, config: MdnConfig, B: int):
         K, D = config.n_components, config.target_dim
         widths = [*config.hidden_layers, config.output_width]
         self.x = np.empty((B, config.input_dim))
-        self.y = np.empty((B, D))
+        self.yt = np.empty((D, B))
         self.acts = [np.empty((B, w)) for w in widths]
         self.deltas = [np.empty((B, w)) for w in widths]
         self.head = _HeadBuffers(B, K, D)
@@ -259,58 +261,88 @@ def _forward(activation: str, weights, H: np.ndarray, acts=None) -> np.ndarray:
     return H
 
 
-# --- the mixture head, batched: one row per sample, (B, K) per quantity ---
+# --- the mixture head, batched and component-major: (K, B) per quantity ---
 #
 # The kernels write into a _HeadBuffers (or allocate, given _UNBUFFERED).
+# They read A through one transposing copy and write dE/dA back through
+# another; in between, every operation runs on contiguous rows, and a sum
+# over components or coordinates is ``sum_rows``, which adds in the order
+# numpy's row-major reduction took. Each element keeps its operation order,
+# so results are bit for bit those of the row-major formulas.
+#
 # Overflow, invalid operations and the log of zero are expected here on
 # diverging weights or far-out inputs and surface as non-finite losses or
 # scores, which the callers check; every public entry point runs them under
 # one np.errstate(all="ignore").
 
 
+def _transposed(A: np.ndarray, out=None) -> np.ndarray:
+    """A (B, W) as a C-contiguous (W, B) copy, in ``out`` when given."""
+    if out is None:
+        return A.T.copy()
+    np.copyto(out, A.T)
+    return out
+
+
+def _split_rows(at: np.ndarray, K: int, D: int):
+    """Views a_pi (K, B), a_sigma (K, B) and a_mu (K, D, B) of transposed
+    output activations."""
+    return at[:K], at[K : 2 * K], at[2 * K :].reshape(K, D, at.shape[1])
+
+
+def _log_sum_exp(a: np.ndarray, buf: _HeadBuffers) -> np.ndarray:
+    """Log-sum-exp over the K rows of a, into buf.log_p."""
+    return log_sum_exp_cols(a, buf.log_p, buf.shifted, buf.total, buf.mask, buf.swap)
+
+
 def _mixture_transform(a_pi, a_sigma, sigma_floor: float, buf=_UNBUFFERED):
-    """Log mixing weights (log-softmax of a_pi), deviations exp(a_sigma)
-    clamped below at sigma_floor, and the mask of clamped deviations."""
+    """Log mixing weights (log-softmax of a_pi over its K rows), deviations
+    exp(a_sigma) clamped below at sigma_floor, and the mask of deviations
+    above the floor; log_pi overwrites a_pi and the deviations a_sigma."""
     # log_p is free until the mixture log-density is written there
-    lse = log_sum_exp_rows(a_pi, out=buf.log_p, scratch=buf.scratch)
-    log_pi = np.subtract(a_pi, lse[:, None], out=buf.log_pi)
-    raw_sigma = np.exp(a_sigma, out=buf.sigma)
-    floored = np.less_equal(raw_sigma, sigma_floor, out=buf.floored)
-    return log_pi, np.maximum(raw_sigma, sigma_floor, out=raw_sigma), floored
+    lse = _log_sum_exp(a_pi, buf)
+    log_pi = np.subtract(a_pi, lse, out=a_pi)
+    raw_sigma = np.exp(a_sigma, out=a_sigma)
+    above = np.greater(raw_sigma, sigma_floor, out=buf.above)
+    return log_pi, np.maximum(raw_sigma, sigma_floor, out=raw_sigma), above
 
 
-def _log_terms(log_pi, sigma, mu, Y, buf=_UNBUFFERED):
-    """ln(pi_k) + ln N(y | mu_k, sigma_k^2 I) per sample and component,
-    returned with the squared distances |y - mu_k|^2 and the variances."""
-    D = Y.shape[1]
-    sq = np.subtract(Y[:, None, :], mu, out=buf.diff)       # (B, K, D)
+def _log_terms(log_pi, sigma, mu, Yt, buf=_UNBUFFERED):
+    """ln(pi_k) + ln N(y | mu_k, sigma_k^2 I) per component and sample (K, B),
+    for targets as columns Yt (D, B), returned with the squared distances
+    |y - mu_k|^2 and the variances."""
+    D = Yt.shape[0]
+    sq = np.subtract(Yt, mu, out=buf.diff)                  # (K, D, B)
     sq *= sq
-    quad = np.add.reduce(sq, axis=2, out=buf.quad)          # (B, K)
+    quad = sum_rows(sq, out=buf.quad, swap=buf.swap)        # (K, B)
     var = np.multiply(sigma, sigma, out=buf.var)
     terms = np.log(sigma, out=buf.log_terms)
     terms *= D
     np.subtract(-0.5 * D * _LOG_2PI, terms, out=terms)
-    scaled = np.multiply(var, 2.0, out=buf.scratch)
+    scaled = np.multiply(var, 2.0, out=buf.shifted)
     terms -= np.divide(quad, scaled, out=scaled)
     terms += log_pi
     return quad, var, terms
 
 
-def _head_terms(A: np.ndarray, Y: np.ndarray, K: int, sigma_floor: float, buf=_UNBUFFERED):
-    """Mixture terms of a batch of output activations A for K components:
-    (log_pi, floored, mu, quad, var, log_terms, log_p), log_p the
-    per-sample log-density."""
-    a_pi, a_sigma, mu = _split_output(A, K, Y.shape[1])
-    log_pi, sigma, floored = _mixture_transform(a_pi, a_sigma, sigma_floor, buf)
-    quad, var, log_terms = _log_terms(log_pi, sigma, mu, Y, buf)
-    log_p = log_sum_exp_rows(log_terms, out=buf.log_p, scratch=buf.scratch)
-    return log_pi, floored, mu, quad, var, log_terms, log_p
+def _head_terms(A: np.ndarray, Yt: np.ndarray, K: int, sigma_floor: float, buf=_UNBUFFERED):
+    """Mixture terms of a batch of output activations A (B, W) for K
+    components and targets as columns Yt (D, B): (at, above, quad, var,
+    log_terms, log_p), with ``at`` the transposed activations holding
+    log_pi and sigma in place of a_pi and a_sigma, and log_p the per-sample
+    log-density."""
+    at = _transposed(A, buf.at)
+    a_pi, a_sigma, mu = _split_rows(at, K, Yt.shape[0])
+    log_pi, sigma, above = _mixture_transform(a_pi, a_sigma, sigma_floor, buf)
+    quad, var, log_terms = _log_terms(log_pi, sigma, mu, Yt, buf)
+    return at, above, quad, var, log_terms, _log_sum_exp(log_terms, buf)
 
 
-def _output_derivatives(Y, log_pi, floored, mu, quad, var, log_terms, log_p, dA, buf=_UNBUFFERED):
+def _output_derivatives(Yt, at, above, quad, var, log_terms, log_p, dA):
     """Derivatives of the batch-mean NLL wrt the output activations
-    (docs/gradients.md), written into the [d_a_pi | d_a_sigma | d_a_mu]
-    slices of dA, plus the responsibilities gamma, which are returned:
+    (docs/gradients.md), computed in place over the head terms of
+    ``_head_terms`` and copied into dA (B, W), which keeps the
+    [d_a_pi | d_a_sigma | d_a_mu] column layout of A:
 
     gamma_k = pi_k N_k / sum_l pi_l N_l
     dE/da_pi_k    = (pi_k - gamma_k) / B
@@ -320,23 +352,24 @@ def _output_derivatives(Y, log_pi, floored, mu, quad, var, log_terms, log_p, dA,
     A diverged batch (log_p = -inf) produces NaN here; the caller aborts on
     the non-finite loss, so the gradient values never get used.
     """
-    B, D = Y.shape
-    d_a_pi, d_a_sigma, d_a_mu = _split_output(dA, log_pi.shape[1], D)
-    gamma = np.subtract(log_terms, log_p[:, None], out=buf.gamma)
-    np.exp(gamma, out=gamma)                                # (B, K)
-    inv_var = np.divide(1.0, var, out=buf.var)
-    np.exp(log_pi, out=d_a_pi)
+    (D, B), K = Yt.shape, quad.shape[0]
+    d_a_pi, d_a_sigma, d_a_mu = _split_rows(at, K, D)
+    gamma = np.subtract(log_terms, log_p, out=log_terms)
+    np.exp(gamma, out=gamma)                                # (K, B)
+    inv_var = np.divide(1.0, var, out=var)
+    np.exp(d_a_pi, out=d_a_pi)                              # log_pi -> pi
     d_a_pi -= gamma
-    d_a_pi /= B
     np.multiply(quad, inv_var, out=d_a_sigma)
     np.subtract(D, d_a_sigma, out=d_a_sigma)
     d_a_sigma *= gamma
-    d_a_sigma *= np.logical_not(floored, out=buf.free)
-    d_a_sigma /= B
-    coef = np.multiply(gamma, inv_var, out=buf.coef)
+    np.copyto(quad, above)                                  # quad is spent: now the 0/1 mask
+    d_a_sigma *= quad
+    at[: 2 * K] /= B                                        # d_a_pi and d_a_sigma
+    coef = np.multiply(gamma, inv_var, out=inv_var)
     coef /= B
-    np.multiply(coef[:, :, None], np.subtract(mu, Y[:, None, :], out=buf.diff), out=d_a_mu)
-    return gamma
+    np.subtract(d_a_mu, Yt, out=d_a_mu)                     # mu -> mu - y
+    d_a_mu *= coef[:, None, :]
+    np.copyto(dA, at.T)
 
 
 def log_density(params: MixtureParams, y) -> float:
@@ -346,9 +379,9 @@ def log_density(params: MixtureParams, y) -> float:
     if y.shape != (params.dim,):
         raise ShapeError(f"y has shape {y.shape}, mixture is {params.dim}-dimensional")
     with np.errstate(all="ignore"):
-        log_pi = np.log(params.pi)
-        *_, log_terms = _log_terms(log_pi[None], params.sigma[None], params.mu[None], y[None])
-        return float(log_sum_exp_rows(log_terms)[0])
+        log_pi = np.log(params.pi)[:, None]
+        *_, log_terms = _log_terms(log_pi, params.sigma[:, None], params.mu[:, :, None], y[:, None])
+        return float(_log_sum_exp(log_terms, _UNBUFFERED)[0])
 
 
 def density(params: MixtureParams, y) -> float:
@@ -375,37 +408,44 @@ def _as_xy(batch, input_dim: int, target_dim: int):
     return X, Y
 
 
-def _log_p(config: MdnConfig, weights, H, Y, ws=None) -> np.ndarray:
-    """Per-sample log-density ln p(y | x) for standardized inputs H, in the
-    buffers of ``ws`` when given. H may be stacked, (R, B, input_dim): each
-    of its R blocks goes through the layers as its own B-row product, and
-    Y then holds the R*B targets as rows."""
+def _log_p(config: MdnConfig, weights, H, Yt, ws=None) -> np.ndarray:
+    """Per-sample log-density ln p(y | x) for standardized inputs H and
+    targets as columns Yt (D, N), in the buffers of ``ws`` when given. H may
+    be stacked, (R, B, input_dim): each of its R blocks goes through the
+    layers as its own B-row product, and Yt then holds the R*B targets."""
     acts, head = (ws.acts, ws.head) if ws else (None, _UNBUFFERED)
     A = _forward(config.hidden_activation, weights, H, acts)
     A = A.reshape(-1, A.shape[-1])
-    return _head_terms(A, Y, config.n_components, config.sigma_floor, head)[-1]
+    return _head_terms(A, Yt, config.n_components, config.sigma_floor, head)[-1]
 
 
 def _log_likelihoods(model: MdnModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """ln p(y_i | x_i) under the model for each row of X (2-D, or stacked
     as in ``_log_p``) and of the 2-D Y."""
     with np.errstate(all="ignore"):
-        return _log_p(model.config, model.weights, _standardize(model, X), Y)
+        return _log_p(model.config, model.weights, _standardize(model, X), Y.T)
+
+
+def _mean_nll(log_p: np.ndarray) -> float:
+    """Mean negative log-likelihood of per-sample log-densities; the sum and
+    divide of ``np.mean``, without its overhead."""
+    return float(-(np.add.reduce(log_p) / log_p.shape[0]))
 
 
 def nll(model: MdnModel, batch) -> float:
     """Mean negative log-likelihood of the batch under the model."""
     X, Y = _as_xy(batch, model.config.input_dim, model.config.target_dim)
-    return float(-np.mean(_log_likelihoods(model, X, Y)))
+    return _mean_nll(_log_likelihoods(model, X, Y))
 
 
-def _backward(config: MdnConfig, weights, H, Y, ws: _Workspace, grads) -> float:
-    """Mean NLL over the batch (standardized inputs H, targets Y; B rows,
-    the size ``ws`` was built for); its gradient wrt every weight array is
-    written into ``grads``. Overwrites the hidden activations in ``ws``."""
+def _backward(config: MdnConfig, weights, H, Yt, ws: _Workspace, grads) -> float:
+    """Mean NLL over the batch (standardized inputs H, targets as columns
+    Yt; B rows, the size ``ws`` was built for); its gradient wrt every
+    weight array is written into ``grads``. Overwrites the hidden
+    activations in ``ws``."""
     A = _forward(config.hidden_activation, weights, H, ws.acts)
-    terms = _head_terms(A, Y, config.n_components, config.sigma_floor, ws.head)
-    _output_derivatives(Y, *terms, ws.deltas[-1], ws.head)
+    terms = _head_terms(A, Yt, config.n_components, config.sigma_floor, ws.head)
+    _output_derivatives(Yt, *terms, ws.deltas[-1])
     for i in range(len(ws.deltas) - 1, -1, -1):
         delta = ws.deltas[i]
         inputs = ws.acts[i - 1] if i > 0 else H
@@ -421,7 +461,7 @@ def _backward(config: MdnConfig, weights, H, Y, ws: _Workspace, grads) -> float:
             else:
                 np.greater(inputs, 0.0, out=inputs)
             d_hidden *= inputs
-    return float(-np.mean(terms[-1]))
+    return _mean_nll(terms[-1])
 
 
 def gradients(model: MdnModel, batch) -> list:
@@ -430,7 +470,7 @@ def gradients(model: MdnModel, batch) -> list:
     ws = _Workspace(model.config, X.shape[0])
     grads = _layer_views(np.empty(sum(w.size for w in model.weights)), model.config.layer_dims())
     with np.errstate(all="ignore"):
-        _backward(model.config, model.weights, _standardize(model, X, out=ws.x), Y, ws, grads)
+        _backward(model.config, model.weights, _standardize(model, X, out=ws.x), Y.T, ws, grads)
     return grads
 
 
@@ -477,6 +517,7 @@ def train(dataset, config: MdnConfig) -> MdnModel:
     std = X.std(axis=0)
     std = np.where(std < _STD_FLOOR, 1.0, std)
     H = (X - mean) / std
+    Yt = np.ascontiguousarray(Y.T)
 
     rng = Rng(config.seed)
     w_flat = np.concatenate([w.ravel() for w in _init_weights(config, Y, rng.spawn("init"))])
@@ -503,9 +544,11 @@ def train(dataset, config: MdnConfig) -> MdnModel:
                 ws = workspaces.get(idx.shape[0])
                 if ws is None:
                     ws = workspaces[idx.shape[0]] = _Workspace(config, idx.shape[0])
-                np.take(H, idx, axis=0, out=ws.x)
-                np.take(Y, idx, axis=0, out=ws.y)
-                loss = _backward(config, weights, ws.x, ws.y, ws, grads)
+                # idx is a slice of a permutation, so always in range; with
+                # mode="raise" numpy would gather through a temporary
+                np.take(H, idx, axis=0, out=ws.x, mode="clip")
+                np.take(Yt, idx, axis=1, out=ws.yt, mode="clip")
+                loss = _backward(config, weights, ws.x, ws.yt, ws, grads)
                 if not math.isfinite(loss):
                     raise NumericError(
                         f"training aborted: non-finite NLL at epoch {epoch}, batch {bi + 1}"
@@ -531,7 +574,7 @@ def train(dataset, config: MdnConfig) -> MdnModel:
                     w_flat -= upd
                 else:
                     w_flat -= np.multiply(lr, g_flat, out=upd)
-            epoch_nll = float(-np.mean(_log_p(config, weights, H, Y, full)))
+            epoch_nll = _mean_nll(_log_p(config, weights, H, Yt, full))
             log.append(epoch_nll)
             if epoch_nll < best:
                 best = epoch_nll
@@ -563,9 +606,11 @@ def _mixtures(model: MdnModel, X) -> tuple:
     with np.errstate(all="ignore"):
         H = _standardize(model, X[:, None, :])
         A = _forward(cfg.hidden_activation, model.weights, H).reshape(X.shape[0], -1)
-        a_pi, a_sigma, mu = _split_output(A, cfg.n_components, cfg.target_dim)
-        log_pi, sigma, _ = _mixture_transform(a_pi, a_sigma, cfg.sigma_floor)
-        return np.exp(log_pi, out=log_pi), sigma, mu
+        K = cfg.n_components
+        at = _transposed(A[:, : 2 * K])
+        log_pi, sigma, _ = _mixture_transform(at[:K], at[K:], cfg.sigma_floor)
+        pi = np.exp(log_pi, out=log_pi)
+        return pi.T, sigma.T, A[:, 2 * K :].reshape(X.shape[0], K, cfg.target_dim)
 
 
 def _draw(pi, sigma, mu, m: int, rngs) -> np.ndarray:

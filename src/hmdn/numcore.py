@@ -217,20 +217,50 @@ def fmt17(x) -> str:
     return FLOAT_SPEC % float(x)
 
 
-def log_sum_exp_rows(a: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """Row-wise log-sum-exp for a 2-D array (vector path used by batched code).
+# numpy's add.reduce sums a contiguous run of this many float64 terms or
+# more pairwise (eight partial sums), and shorter runs one after another
+_PAIRWISE_MIN = 8
 
-    Rows that are entirely -inf yield -inf (log of zero mass), not an error;
-    that takes the log of zero, so callers run under
-    ``np.errstate(divide="ignore")``. ``out`` (one entry per row) receives
-    the result and ``scratch`` (the shape of ``a``) is overwritten; either
-    is allocated when omitted. A row of zero length has no maximum and
+
+def sum_rows(a: np.ndarray, out=None, swap=None) -> np.ndarray:
+    """Sum over the rows (axis -2) of an (..., n, B) array, each column's n
+    terms added in the order ``np.add.reduce`` takes for a contiguous run of
+    n: one after another below 8 terms, numpy's pairwise order from 8.
+
+    Below 8 that is the reduction over the rows (n - 1 row adds); from 8 the
+    terms go through one transposed copy into ``swap`` (a flat float64
+    buffer of at least ``a.size`` entries, allocated when omitted) and one
+    contiguous reduction. So a sum over a component-major layout rounds as
+    the sum over the row-major layout does.
+    """
+    n = a.shape[-2]
+    if n < _PAIRWISE_MIN:
+        return np.add.reduce(a, axis=-2, out=out)
+    shape = (*a.shape[:-2], a.shape[-1], n)
+    runs = np.empty(shape) if swap is None else swap[: a.size].reshape(shape)
+    np.copyto(runs, np.swapaxes(a, -1, -2))
+    return np.add.reduce(runs, axis=-1, out=out)
+
+
+def log_sum_exp_cols(a: np.ndarray, out=None, shifted=None, total=None, mask=None,
+                     swap=None) -> np.ndarray:
+    """Column-wise log-sum-exp of a 2-D (n, B) array: one result per column,
+    its n terms in n rows, summed by ``sum_rows``.
+
+    Columns that are entirely -inf yield -inf (log of zero mass), not an
+    error; that takes the log of zero, so callers run under
+    ``np.errstate(divide="ignore")``. ``out`` and ``total`` (float64, one
+    entry per column), ``mask`` (bool, one entry per column), ``shifted``
+    (the shape of ``a``) and ``swap`` (see ``sum_rows``) are work buffers:
+    ``out`` receives the result, the others are overwritten, and each is
+    allocated when omitted. A column of zero length has no maximum and
     raises ValueError.
     """
-    m = np.maximum.reduce(a, axis=1, out=out)
-    np.copyto(m, 0.0, where=~np.isfinite(m))
-    shifted = np.subtract(a, m[:, None], out=scratch)
+    m = np.maximum.reduce(a, axis=0, out=out)
+    non_finite = np.logical_not(np.isfinite(m, out=mask), out=mask)
+    np.copyto(m, 0.0, where=non_finite)
+    shifted = np.subtract(a, m, out=shifted)
     np.exp(shifted, out=shifted)
-    total = np.add.reduce(shifted, axis=1)
+    total = sum_rows(shifted, out=total, swap=swap)
     m += np.log(total, out=total)
     return m

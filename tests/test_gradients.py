@@ -127,6 +127,9 @@ class TestWeightGradients:
             dict(n_components=2, target_dim=2, hidden=(5, 3), activation="relu"),
             dict(n_components=4, target_dim=2, hidden=(4,), sigma_floor=1.0),
             dict(input_dim=3, n_components=5, target_dim=3, hidden=(6, 6), random_standardize=True),
+            # the CLI's g1 and g2 shapes, then sums of 8 or more terms
+            *(dict(n_components=K, target_dim=D, hidden=(4,))
+              for K, D in ((5, 2), (3, 1), (8, 1), (9, 2), (12, 1), (3, 8), (2, 9))),
         )):
             model = make_random_model(700 + seed, **kwargs)
             for size in (1, 7):

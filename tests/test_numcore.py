@@ -6,14 +6,15 @@ import pytest
 from hmdn.mdn import MixtureParams, sample
 from hmdn.numcore import (
     Rng,
-    log_sum_exp_rows,
+    log_sum_exp_cols,
     normals_from,
     splitmix64,
+    sum_rows,
     u64_rows,
     uniforms_from,
 )
 
-from util import reference_normals, reference_uniform
+from util import reference_log_sum_exp_rows, reference_normals, reference_uniform
 
 _M64 = (1 << 64) - 1
 
@@ -32,9 +33,9 @@ def reference_splitmix64(seed, n):
 
 
 def log_sum_exp(v) -> float:
-    """log_sum_exp_rows of v as a single row."""
+    """log_sum_exp_cols of v as a single column."""
     with np.errstate(divide="ignore"):
-        return float(log_sum_exp_rows(np.asarray(v, dtype=np.float64).reshape(1, -1))[0])
+        return float(log_sum_exp_cols(np.asarray(v, dtype=np.float64).reshape(-1, 1))[0])
 
 
 class TestLogSumExp:
@@ -63,7 +64,33 @@ class TestLogSumExp:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            log_sum_exp_rows(np.empty((1, 0)))
+            log_sum_exp_cols(np.empty((0, 1)))
+
+    @pytest.mark.parametrize("n", range(1, 20))
+    def test_columns_match_row_major_reference(self, n):
+        # the (B, n) row-major formula the component-major layout replaced,
+        # across numpy's switch to pairwise summation at 8 terms
+        rng = Rng(60 + n)
+        rows = (rng.uniform(13 * n).reshape(13, n) - 0.5) * 80.0
+        rows[3] = -math.inf
+        with np.errstate(divide="ignore"):
+            got = log_sum_exp_cols(np.ascontiguousarray(rows.T))
+        assert got.tobytes() == reference_log_sum_exp_rows(rows).tobytes()
+
+
+class TestSumRows:
+    @pytest.mark.parametrize("n", range(1, 20))
+    @pytest.mark.parametrize("B", [1, 7, 64])
+    def test_rounds_as_the_contiguous_reduction(self, n, B):
+        # one after another below 8 terms, numpy's pairwise order from 8
+        rng = Rng(1000 * B + n)
+        runs = np.exp((rng.uniform(3 * B * n).reshape(3, B, n) - 0.5) * 30.0)
+        want = np.add.reduce(runs, axis=-1)
+        swap = np.empty(runs.size)
+        for buffers in ({}, {"out": np.empty((3, B)), "swap": swap}):
+            got = sum_rows(np.ascontiguousarray(np.swapaxes(runs, -1, -2)), **buffers)
+            assert got.tobytes() == want.tobytes()
+        assert sum_rows(np.ascontiguousarray(runs[0].T)).tobytes() == want[0].tobytes()
 
 
 class TestRng:

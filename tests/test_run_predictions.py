@@ -121,6 +121,14 @@ class TestMatchesReferenceLoop:
             assert_records_own_their_arrays(got)
         assert_same_dump(tmp_path, got, want, m, 20)
 
+    def test_mixtures_of_eight_or_more_components(self, tmp_path):
+        # sums over 9 g1 and 8 g2 components, which numpy adds pairwise
+        pipe = make_pipeline(13, 2, 9, "tanh", (8, 8), m=30, n=5, k2=8)
+        inputs = make_inputs(13, 5, 2)
+        got, want = run_both(pipe, inputs, range(5), weighted=False)
+        assert_records_identical(got, want)
+        assert_same_dump(tmp_path, got, want, 30, 5)
+
     def test_duplicate_and_unsorted_record_ids(self, tmp_path):
         pipe = make_pipeline(11, 2, 4, "relu", (8, 8), m=30, n=5)
         inputs = make_inputs(11, 8, 2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,16 @@ class TestMatchesReferenceLoop:
         )
         assert_same_as_reference(two_input_dataset(150, target_dim, 17), cfg)
 
+    # the CLI's g1 and g2 shapes, and shapes where a sum over components or
+    # coordinates has 8 or more terms, which numpy adds pairwise
+    @pytest.mark.parametrize("K, D", [(5, 2), (3, 1), (8, 1), (9, 2), (12, 1), (3, 8), (2, 9)])
+    def test_bit_identical_at_head_shapes(self, K, D):
+        cfg = MdnConfig(
+            input_dim=2, target_dim=D, n_components=K, hidden_layers=(8,),
+            learning_rate=1e-2, epochs=6, batch_size=64, seed=5,
+        )
+        assert_same_as_reference(two_input_dataset(150, D, 20 + K + D), cfg)
+
     def test_bit_identical_with_active_sigma_floor(self):
         # a floor above the pooled target spread clamps every deviation at first
         cfg = MdnConfig(
@@ -208,3 +219,31 @@ class TestMatchesReferenceLoop:
         for a in (*model.weights, model.input_mean, model.input_std):
             assert not any(np.shares_memory(a, flat) for flat in flats)
             assert not np.shares_memory(a, X)
+
+
+class TestStepWorkspace:
+    @pytest.mark.parametrize("K, D", [(5, 2), (3, 1), (9, 2), (3, 8)])
+    def test_steady_state_step_allocates_no_batch_sized_array(self, K, D):
+        """A step on a built workspace writes every batch-sized result into
+        the workspace: its allocation peak stays under one float64 per row,
+        a K-th of one (B, K) array. numpy's ufuncs copy a broadcast operand
+        through a buffer of at most 8,192 elements (64 KiB), whatever the
+        batch size; the batch is large enough that any batch-sized array
+        lies above that bound."""
+        B = 16384
+        cfg = MdnConfig(input_dim=2, target_dim=D, n_components=K, hidden_layers=(16, 16))
+        X, Y = two_input_dataset(B, D, 24)
+        weights = mdn._init_weights(cfg, Y, Rng(3))
+        grads = [np.empty_like(w) for w in weights]
+        ws = mdn._Workspace(cfg, B)
+        np.copyto(ws.x, X)
+        np.copyto(ws.yt, Y.T)
+        with np.errstate(all="ignore"):
+            mdn._backward(cfg, weights, ws.x, ws.yt, ws, grads)
+            tracemalloc.start()
+            try:
+                mdn._backward(cfg, weights, ws.x, ws.yt, ws, grads)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < B * 8, peak

@@ -131,7 +131,7 @@ def grads_close(analytic, numeric, rel=1e-4, abs_tol=1e-7):
 # The optimized mdn.train and mdn.gradients must match it bit for bit.
 
 
-def _reference_log_sum_exp_rows(a):
+def reference_log_sum_exp_rows(a):
     m = np.max(a, axis=1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
@@ -162,7 +162,7 @@ def _reference_forward(activation, weights, mean, std, X, keep_hidden=False):
 def _reference_loss_terms(config, A, Y):
     K, D = config.n_components, config.target_dim
     a_pi, a_sigma, mu = A[:, :K], A[:, K : 2 * K], A[:, 2 * K :].reshape(A.shape[0], K, D)
-    log_pi = a_pi - _reference_log_sum_exp_rows(a_pi)[:, None]
+    log_pi = a_pi - reference_log_sum_exp_rows(a_pi)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         raw_sigma = np.exp(a_sigma)
         sigma = np.maximum(raw_sigma, config.sigma_floor)
@@ -171,7 +171,7 @@ def _reference_loss_terms(config, A, Y):
         quad = np.sum(diff * diff, axis=2)
         log_norm = -0.5 * D * math.log(2.0 * math.pi) - D * np.log(sigma) - quad / (2.0 * sigma**2)
         log_terms = log_pi + log_norm
-    log_p = _reference_log_sum_exp_rows(log_terms)
+    log_p = reference_log_sum_exp_rows(log_terms)
     return log_pi, sigma, floored, mu, quad, log_terms, log_p
 
 
@@ -400,7 +400,7 @@ def reference_mixture_at(model: MdnModel, x):
     A = _reference_forward(cfg.hidden_activation, model.weights, model.input_mean,
                            model.input_std, X)[0]
     a_pi, a_sigma = A[:K], A[K : 2 * K]
-    log_pi = a_pi - _reference_log_sum_exp_rows(a_pi[None])[0]
+    log_pi = a_pi - reference_log_sum_exp_rows(a_pi[None])[0]
     with np.errstate(over="ignore"):
         sigma = np.maximum(np.exp(a_sigma), cfg.sigma_floor)
     return MixtureParams(pi=np.exp(log_pi), sigma=sigma, mu=A[2 * K :].reshape(K, D))
