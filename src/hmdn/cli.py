@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, evaluate, mdn, pipeline, plots, scenario
-from .errors import DomainError, NumericError, ParseError, SchemaError, ShapeError
+from .errors import (DomainError, LocatedError, NumericError, ParseError, SchemaError,
+                     ShapeError, located)
 from .numcore import Rng, fmt17, positive_float, positive_int, seed64, unit_fraction
 
 EXIT_OK = 0
@@ -31,8 +32,8 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-class UsageError(ValueError):
-    """Bad flag/argument combination; maps to exit code 2."""
+class UsageError(LocatedError):
+    """Bad flag/argument combination or config file; maps to exit code 2."""
 
 
 _SWITCH = {"action": "store_const", "const": True}
@@ -137,17 +138,21 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
     opts = {_dest(flag): default for flag, default, _ in _OPTIONS[command]}
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
+        with located(config_path), open(config_path, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise UsageError(f"not a JSON file: {err.msg}", line=err.lineno,
+                                 column=err.colno) from None
             except ValueError as err:
-                raise UsageError(f"{config_path}: not a JSON file: {err}") from None
-        if not isinstance(doc, dict):
-            raise UsageError(f"{config_path}: config file must hold a JSON object")
-        for key, value in doc.items():
-            if key not in parsers:
-                raise UsageError(f"{config_path}: unknown option {key!r}")
-            opts[key] = _config_value(f"{config_path}: option {key!r}", value, parsers[key])
+                raise UsageError(f"not a JSON file: {err}") from None
+            if not isinstance(doc, dict):
+                raise UsageError("config file must hold a JSON object")
+            for key, value in doc.items():
+                with located(key=key):
+                    if key not in parsers:
+                        raise UsageError("unknown option")
+                    opts[key] = _config_value(value, parsers[key])
     for key in opts:
         value = getattr(args, key, None)
         if value is not None:
@@ -155,14 +160,14 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
     return opts
 
 
-def _config_value(where: str, value, parse_kwargs: dict):
+def _config_value(value, parse_kwargs: dict):
     """A config-file value read as its flag reads the same text: a switch
     takes JSON true or false, any other option a string or number whose text
     passes the flag's type and choices. Anything else is a UsageError."""
     switch = parse_kwargs == _SWITCH
     if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
         wanted = "true or false" if switch else "a string or a number"
-        raise UsageError(f"{where}: expected {wanted}, got {json.dumps(value)}")
+        raise UsageError(f"expected {wanted}, got {json.dumps(value)}")
     if switch:
         return value
     spelling = str(value)
@@ -170,10 +175,10 @@ def _config_value(where: str, value, parse_kwargs: dict):
     try:
         value = convert(spelling)
     except ValueError:
-        raise UsageError(f"{where}: invalid {convert.__name__} value: {spelling!r}") from None
+        raise UsageError(f"invalid {convert.__name__} value: {spelling!r}") from None
     choices = parse_kwargs.get("choices", (value,))
     if value not in choices:
-        raise UsageError(f"{where}: invalid choice: {spelling!r} "
+        raise UsageError(f"invalid choice: {spelling!r} "
                          f"(choose from {', '.join(map(repr, choices))})")
     return value
 
@@ -205,11 +210,11 @@ def _load_model_file(path_str: str, which: str) -> mdn.MdnModel:
         raise FileNotFoundError(f"model file {path} not found; train it first with {train}")
     model = dataio.load_model(path)
     if not model.preprocessing:
-        raise SchemaError(f"{path}: --{which} takes a {which} model, this is a model built "
-                          f"by the library with no recorded role; retrain it with {train}")
+        raise SchemaError(f"--{which} takes a {which} model, this is a model built by the "
+                          f"library with no recorded role; retrain it with {train}", path=path)
     role = model.preprocessing[0]
     if role != which:
-        raise SchemaError(f"{path}: --{which} takes a {which} model, this is a {role} model")
+        raise SchemaError(f"--{which} takes a {which} model, this is a {role} model", path=path)
     return model
 
 
@@ -221,19 +226,16 @@ def _name_list(opts: dict, key: str, noun: str) -> list:
     return names
 
 
-def _lux_columns(table: dataio.FingerprintTable, path, transform: str, columns=None) -> dict:
+def _lux_columns(table: dataio.FingerprintTable, transform: str, columns=None) -> dict:
     """key -> per-record observable of the CSV column ``columns[key]``; by
     default every ``LUX_<condition>`` column, keyed by its condition, in CSV
-    order. Errors name the CSV's ``path``."""
+    order. The caller sets the CSV's path on an error."""
     if columns is None:
         columns = {c[len("LUX_") :]: c for c in table.metadata if c.startswith("LUX_")}
         if not columns:
-            raise SchemaError(f"{path}: no LUX_<condition> columns")
-    try:
-        return {k: dataio.lux_transform(table.metadata_floats(c), transform)
-                for k, c in columns.items()}
-    except (SchemaError, ParseError) as err:
-        raise type(err)(f"{path}: {err}") from None
+            raise SchemaError("no LUX_<condition> columns")
+    return {k: dataio.lux_transform(table.metadata_floats(c), transform)
+            for k, c in columns.items()}
 
 
 def _dataset_extra_columns(ds: scenario.SimulatedDataset) -> dict:
@@ -274,10 +276,8 @@ def _simulate_augment(opts, scene, master: Rng, noise: bool) -> int:
     read and mapped before the output directory is created."""
     table = dataio.load_csv(opts["augment"])
     rng = master.spawn("simulate", "augment") if noise else None
-    try:
+    with located(opts["augment"]):
         mapped, lux, lux_noisy = scenario.augment_with_illuminance(table.coords, scene, rng)
-    except DomainError as err:
-        raise DomainError(f"{opts['augment']}: {err}") from None
 
     def fmt_col(values):
         return tuple(fmt17(v) for v in values)
@@ -315,7 +315,8 @@ def _training_pairs(table, which: str, recoding: str, opts):
         if opts["lux_columns"] is not None:
             # keyed by position, so a column named twice is pooled twice
             named = dict(enumerate(_name_list(opts, "lux_columns", "column")))
-        columns = list(_lux_columns(table, opts["data"], recoding, named).values())
+        with located(opts["data"]):
+            columns = list(_lux_columns(table, recoding, named).values())
         # pool conditions: every record contributes one (position, lux) pair
         # per column, which is what makes position -> lux one-to-many
         X = np.vstack([table.coords] * len(columns))
@@ -378,7 +379,9 @@ def _prediction_inputs(opts):
         raise ShapeError(
             f"dataset has {features.shape[1]} WAP features, g1 expects {g1.config.input_dim}"
         )
-    lux = _lux_columns(table, opts["data"], g2.preprocessing[1], _condition_columns(table, opts))
+    columns = _condition_columns(table, opts)
+    with located(opts["data"]):
+        lux = _lux_columns(table, g2.preprocessing[1], columns)
     pipe = pipeline.HmdnPipeline(g1=g1, g2=g2, n_candidates=opts["m"], n_selected=opts["n"])
     return table, pipe, features, lux
 
@@ -386,14 +389,15 @@ def _prediction_inputs(opts):
 def _condition_columns(table: dataio.FingerprintTable, opts):
     """condition -> ``LUX_<condition>`` column for each condition that
     ``--conditions`` names, or None for all. A condition without a column is
-    a usage error listing the conditions the CSV has."""
+    a usage error naming the CSV and listing the conditions it has."""
     if opts["conditions"] == "all":
         return None
     columns = {c: "LUX_" + c for c in _name_list(opts, "conditions", "condition")}
     missing = [c for c, column in columns.items() if column not in table.metadata]
     if missing:
         has = sorted(c[len("LUX_") :] for c in table.metadata if c.startswith("LUX_"))
-        raise UsageError(f"condition {missing[0]!r} not in {opts['data']} (has {has})")
+        raise UsageError(f"no LUX_{missing[0]} column for condition {missing[0]!r} (has {has})",
+                         path=opts["data"])
     return columns
 
 
@@ -503,15 +507,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exit_.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as err:
+    except (UsageError, SchemaError, ParseError, ShapeError, DomainError, OSError,
+            NumericError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SchemaError, ParseError, ShapeError, DomainError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
+        if isinstance(err, UsageError):
+            return EXIT_USAGE
+        return EXIT_NUMERIC if isinstance(err, NumericError) else EXIT_DATA
 
 
 if __name__ == "__main__":

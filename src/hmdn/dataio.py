@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ParseError, SchemaError, ShapeError
+from .errors import DomainError, NumericError, ParseError, SchemaError, ShapeError, located
 from .mdn import MdnConfig, MdnModel
 from .numcore import FLOAT_SPEC, Rng, checked, fmt17, unit_fraction
 
@@ -106,79 +106,79 @@ class FingerprintTable:
         )
 
     def metadata_floats(self, column: str) -> np.ndarray:
-        """A metadata column as finite floats. Errors name the column and,
-        for a cell that is not a finite number, its 1-based data row; the
-        caller knows the file."""
+        """A metadata column as finite floats. Errors are keyed by the column
+        and say the 1-based data row of a cell that is not a finite number;
+        the caller knows the file."""
         if column not in self.metadata:
-            raise SchemaError(f"table has no column {column!r}")
+            raise SchemaError("no such column", key=column)
         values = []
         for row_no, text in enumerate(self.metadata[column], start=1):
             try:
                 values.append(float(text))
-            except ValueError as err:
-                raise ParseError(f"row {row_no}, column {column!r} is not numeric: {err}") from None
+            except ValueError:
+                values.append(math.nan)
             if not math.isfinite(values[-1]):
-                raise ParseError(f"row {row_no}, column {column!r}: {text!r} is not finite")
+                raise ParseError(f"data row {row_no}: {text!r} is not a finite number", key=column)
         return np.array(values)
 
 
 def load_csv(path) -> FingerprintTable:
     """Parse a fingerprint CSV.
 
-    Raises SchemaError naming a missing coordinate column or a column named
-    twice in the header, and ParseError naming the path: with the line of
-    the first byte that is not UTF-8, with the row of a cell the csv module
-    rejects, and with the 1-based data-row number and column name for cells
-    that fail to parse, WAP cells outside [RSSI_FLOOR, RSSI_CEILING] that
-    are not NOT_DETECTED, and coordinates and ``LUX_*``/``LUXN_*`` cells
-    that are not finite numbers.
+    Every error has ``path`` set. SchemaError is raised for an empty file,
+    a header without WAP or coordinate columns or naming a column twice,
+    and a file without data rows; ParseError for the first byte that is not
+    UTF-8 and a row the csv module rejects, and, keyed by the column, for a
+    cell that fails to parse, a WAP cell outside [RSSI_FLOOR, RSSI_CEILING]
+    that is not NOT_DETECTED, and a coordinate or ``LUX_*``/``LUXN_*`` cell
+    that is not a finite number. ``line`` is the file line a row starts on
+    (a quoted cell can span lines).
     """
-    text = _read_utf8(path)
-    rows = csv.reader(m.group() for m in _LINE.finditer(text))
-    try:
-        header = next(rows, None)
-    except csv.Error as err:
-        raise ParseError(f"{path}: header row: {err}") from None
-    if header is None:
-        raise SchemaError(f"{path}: empty file, expected a header row")
-    names = set()
-    for c in header:
-        if c in names:
-            raise SchemaError(f"{path}: column {c!r} appears more than once in the header")
-        names.add(c)
+    with located(path):
+        text = _read_utf8(path)
+        rows = csv.reader(m.group() for m in _LINE.finditer(text))
+        try:
+            header = next(rows, None)
+        except csv.Error as err:
+            raise ParseError(str(err), line=1) from None
+        if header is None:
+            raise SchemaError("empty file, expected a header row")
+        if len(set(header)) < len(header):
+            c = next(c for i, c in enumerate(header) if c in header[:i])
+            raise SchemaError("appears more than once in the header", line=1, key=c)
 
-    wap_names = [c for c in header if c.startswith(WAP_PREFIX)]
-    if not wap_names:
-        raise SchemaError(f"{path}: no columns start with WAP prefix {WAP_PREFIX!r}")
-    for col in COORD_COLUMNS:
-        if col not in names:
-            raise SchemaError(f"{path}: missing column {col!r}")
+        wap_names = [c for c in header if c.startswith(WAP_PREFIX)]
+        if not wap_names:
+            raise SchemaError(f"no columns start with WAP prefix {WAP_PREFIX!r}", line=1)
+        for col in COORD_COLUMNS:
+            if col not in header:
+                raise SchemaError(f"missing column {col!r}", line=1)
 
-    ingested = {*wap_names, *COORD_COLUMNS}
-    meta_cols = [c for c in header if c not in ingested]
-    # WAP cells, then the cells that must be finite numbers, in check order
-    numeric = [(c, None) for c in wap_names] + [(c, "coordinate") for c in COORD_COLUMNS]
-    numeric += [(c, "illuminance") for c in meta_cols if c.startswith(("LUX_", "LUXN_"))]
-    col_index = {c: i for i, c in enumerate(header)}
-    layout = _Layout(
-        n_cells=len(header),
-        numeric=[(c, col_index[c], noun) for c, noun in numeric],
-        meta=[col_index[c] for c in meta_cols],
-        n_waps=len(wap_names),
-    )
-    parsed = _parse_block(text, layout)
-    if parsed is None:
-        parsed = _parse_rows(path, rows, layout)
-    values, meta = parsed
-    if not len(values):
-        raise SchemaError(f"{path}: no data rows")
-    n = layout.n_waps
-    return FingerprintTable(
-        wap_names=tuple(wap_names),
-        rssi=values[:, :n].copy(),
-        coords=values[:, n : n + 2].copy(),
-        metadata={c: tuple(col) for c, col in zip(meta_cols, meta)},
-    )
+        ingested = {*wap_names, *COORD_COLUMNS}
+        meta_cols = [c for c in header if c not in ingested]
+        # WAP cells, then the cells that must be finite numbers, in check order
+        numeric = [(c, None) for c in wap_names] + [(c, "coordinate") for c in COORD_COLUMNS]
+        numeric += [(c, "illuminance") for c in meta_cols if c.startswith(("LUX_", "LUXN_"))]
+        col_index = {c: i for i, c in enumerate(header)}
+        layout = _Layout(
+            n_cells=len(header),
+            numeric=[(c, col_index[c], noun) for c, noun in numeric],
+            meta=[col_index[c] for c in meta_cols],
+            n_waps=len(wap_names),
+        )
+        parsed = _parse_block(text, layout)
+        if parsed is None:
+            parsed = _parse_rows(rows, layout)
+        values, meta = parsed
+        if not len(values):
+            raise SchemaError("no data rows")
+        n = layout.n_waps
+        return FingerprintTable(
+            wap_names=tuple(wap_names),
+            rssi=values[:, :n].copy(),
+            coords=values[:, n : n + 2].copy(),
+            metadata={c: tuple(col) for c, col in zip(meta_cols, meta)},
+        )
 
 
 # one line as a file opened with newline="" yields it: up to LF, CR or CRLF
@@ -193,7 +193,7 @@ def _read_utf8(path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
         line = data.count(b"\n", 0, err.start) + 1
-        raise ParseError(f"{path}: line {line}: not UTF-8 text ({err.reason})") from None
+        raise ParseError(f"not UTF-8 text ({err.reason})", path=path, line=line) from None
 
 
 @dataclass(frozen=True)
@@ -258,41 +258,36 @@ def _parse_block(text: str, layout: _Layout):
     return values, meta
 
 
-def _parse_rows(path, rows, layout: _Layout):
-    """(values, metadata columns) of the csv rows, one cell at a time; the
-    first bad cell raises ParseError naming its row and column."""
+def _parse_rows(rows, layout: _Layout):
+    """(values, metadata columns) of the rows of a csv.reader, one cell at a
+    time; the first bad row or cell raises ParseError with the line the row
+    starts on, keyed by the cell's column."""
     values, meta = [], [[] for _ in layout.meta]
-    row_no = 0
+    line = rows.line_num + 1
     try:
-        for row_no, row in enumerate(rows, start=1):
+        for row in rows:
             if len(row) != layout.n_cells:
-                raise ParseError(
-                    f"{path}: row {row_no} has {len(row)} cells, header has {layout.n_cells}"
-                )
+                raise ParseError(f"row has {len(row)} cells, header has {layout.n_cells}",
+                                 line=line)
             row_values = []
             for c, i, noun in layout.numeric:
                 try:
                     v = float(row[i])
                 except ValueError:
-                    raise ParseError(
-                        f"{path}: cannot parse row {row_no}, column {c!r}: {row[i]!r}"
-                    ) from None
+                    raise ParseError(f"cannot parse {row[i]!r}", line=line, key=c) from None
                 if noun is None:
                     if v != NOT_DETECTED and not (RSSI_FLOOR <= v <= RSSI_CEILING):
-                        raise ParseError(
-                            f"{path}: row {row_no}, column {c!r}: value {v} outside "
-                            f"[{RSSI_FLOOR}, {RSSI_CEILING}] and not the sentinel"
-                        )
+                        raise ParseError(f"value {v} outside [{RSSI_FLOOR}, {RSSI_CEILING}] "
+                                         "and not the sentinel", line=line, key=c)
                 elif not math.isfinite(v):
-                    raise ParseError(
-                        f"{path}: row {row_no}, column {c!r}: {noun} {v} is not finite"
-                    )
+                    raise ParseError(f"{noun} {v} is not finite", line=line, key=c)
                 row_values.append(v)
             values.append(row_values)
             for col, i in zip(meta, layout.meta):
                 col.append(row[i])
-    except csv.Error as err:  # raised while reading the row after row_no
-        raise ParseError(f"{path}: row {row_no + 1}: {err}") from None
+            line = rows.line_num + 1
+    except csv.Error as err:  # raised while reading the row that starts on line
+        raise ParseError(str(err), line=line) from None
     return np.array(values), meta
 
 
@@ -436,132 +431,130 @@ def save_model(model: MdnModel, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _numbers(path, lineno: int, text: str) -> list:
+def _numbers(text: str, where: dict) -> list:
     try:
         return [float(t) for t in text.split()]
     except ValueError:
-        raise ParseError(f"{path}, line {lineno}: expected numbers, got {text!r}") from None
+        raise ParseError(f"expected numbers, got {text!r}", **where) from None
 
 
 def load_model(path) -> MdnModel:
     """Reload a model file; bit-exact inverse of save_model.
 
-    A missing field, a role or recoding outside ``RECODINGS`` and a file of
-    another format version raise SchemaError naming the path (and the line
-    of a bad role or recoding), as do an unknown or repeated section or key
-    and a line outside any section, naming the path and line. A byte that
-    is not UTF-8, or a malformed or truncated line, raises ParseError
-    naming the path and line number. Weights or statistics the
-    model rejects raise SchemaError (a missing or mis-sized matrix) or
-    ParseError (a non-finite weight, a bad standardization value), naming
-    the path.
+    Every error has ``path`` set, and ``line`` wherever one line is at
+    fault. SchemaError is raised for a file of another format version, a
+    line outside any section, an unknown or repeated section, an unknown,
+    repeated or missing key (keyed ``[section] key``), a role or recoding
+    outside ``RECODINGS``, a matrix header other than the next one the
+    config shapes (checked before the matrix is allocated), and a missing
+    matrix. ParseError is raised for a byte that is not UTF-8, a malformed
+    or truncated line, a [config] value its field rejects, a non-finite
+    weight and a bad standardization value.
     """
-    lines = [m.group().rstrip("\r\n") for m in _LINE.finditer(_read_utf8(path))]
-    if lines[:1] != [_MODEL_FORMAT]:
-        why = ""
-        if lines[:1] == ["hmdn-model v1"]:
-            why = "; a v1 model records no role or recoding, so retrain it with `hmdn train`"
-        raise SchemaError(f"{path}: expected header {_MODEL_FORMAT!r}{why}")
+    with located(path):
+        lines = [m.group().rstrip("\r\n") for m in _LINE.finditer(_read_utf8(path))]
+        if lines[:1] != [_MODEL_FORMAT]:
+            why = ""
+            if lines[:1] == ["hmdn-model v1"]:
+                why = "; a v1 model records no role or recoding, so retrain it with `hmdn train`"
+            raise SchemaError(f"expected header {_MODEL_FORMAT!r}{why}", line=1)
 
-    sections: dict = {}
-    current = None
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if not ln:
-            continue
-        if ln.startswith("["):
-            current = ln.strip("[]")
-            if current not in _SECTION_KEYS or current in sections:
-                why = "appears twice" if current in sections else "is not a model section"
-                raise SchemaError(f"{path}, line {lineno}: {ln!r} {why}")
-            sections[current] = []
-        elif current is None:
-            raise SchemaError(f"{path}, line {lineno}: {ln!r} is outside any section")
-        else:
-            sections[current].append((lineno, ln))
+        sections: dict = {}
+        current = None
+        for lineno, ln in enumerate(lines[1:], start=2):
+            if not ln:
+                continue
+            if ln.startswith("["):
+                current = ln.strip("[]")
+                if current not in _SECTION_KEYS or current in sections:
+                    why = "appears twice" if current in sections else "is not a model section"
+                    raise SchemaError(f"{ln!r} {why}", line=lineno)
+                sections[current] = []
+            elif current is None:
+                raise SchemaError(f"{ln!r} is outside any section", line=lineno)
+            else:
+                sections[current].append((lineno, ln))
 
-    def parse_kv(section):
-        """key -> (line number, value text) for the ``key = value`` lines;
-        a key the section does not have, or has already, is a SchemaError."""
-        out = {}
-        for lineno, ln in sections.get(section, []):
-            key, _, value = ln.partition(" = ")
-            if key not in _SECTION_KEYS[section]:
-                raise SchemaError(f"{path}, line {lineno}: [{section}] has no key {key!r}")
-            if key in out:
-                raise SchemaError(f"{path}, line {lineno}: [{section}] key {key!r} "
-                                  f"repeats line {out[key][0]}")
-            out[key] = (lineno, value)
-        return out
+        def parse_kv(section):
+            """key -> (value text, its line and ``[section] key``) for the
+            ``key = value`` lines; a key the section does not have, has
+            already or (but for the training log) lacks is a SchemaError."""
+            out = {}
+            for lineno, ln in sections.get(section, []):
+                key, _, value = ln.partition(" = ")
+                where = {"line": lineno, "key": f"[{section}] {key}"}
+                if key not in _SECTION_KEYS[section]:
+                    raise SchemaError("no such key", **where)
+                if key in out:
+                    raise SchemaError(f"repeats line {out[key][1]['line']}", **where)
+                out[key] = (value, where)
+            missing = [key for key in _SECTION_KEYS[section] if key not in out]
+            if missing and section != "training_log":
+                raise SchemaError("missing", key=f"[{section}] {missing[0]}")
+            return out
 
-    preprocessing = ()
-    if "preprocessing" in sections:
-        pre = parse_kv("preprocessing")
+        preprocessing = ()
+        if "preprocessing" in sections:
+            pre = parse_kv("preprocessing")
+            (role, role_at), (recoding, recoding_at) = pre["role"], pre["recoding"]
+            if role not in RECODINGS:
+                raise SchemaError(f"must be g1 or g2, got {role!r}", **role_at)
+            if recoding not in RECODINGS[role]:
+                raise SchemaError(f"a {role} recoding is one of {', '.join(RECODINGS[role])}, "
+                                  f"got {recoding!r}", **recoding_at)
+            preprocessing = (role, recoding)
+
+        raw = parse_kv("config")
         try:
-            (role_lineno, role), (recoding_lineno, recoding) = pre["role"], pre["recoding"]
-        except KeyError as missing:
-            raise SchemaError(f"{path}: preprocessing missing field {missing}") from None
-        if role not in RECODINGS:
-            raise SchemaError(f"{path}, line {role_lineno}: role must be g1 or g2, got {role!r}")
-        if recoding not in RECODINGS[role]:
-            raise SchemaError(f"{path}, line {recoding_lineno}: a {role} recoding is one of "
-                              f"{', '.join(RECODINGS[role])}, got {recoding!r}")
-        preprocessing = (role, recoding)
+            config = MdnConfig(**{name: parse(raw[name][0]) for name, _, parse in _CONFIG_FIELDS})
+        except DomainError as err:  # keyed by the field
+            raise ParseError(err.message, **raw[err.key][1]) from None
+        except ValueError as err:
+            raise ParseError(f"bad [config] section: {err}") from None
 
-    raw = {key: value for key, (_, value) in parse_kv("config").items()}
-    try:
-        config = MdnConfig(**{name: parse(raw[name]) for name, _, parse in _CONFIG_FIELDS})
-    except KeyError as missing:
-        raise SchemaError(f"{path}: config missing field {missing}") from None
-    except ValueError as err:
-        raise ParseError(f"{path}: bad [config] section: {err}") from None
+        std_kv = parse_kv("standardize")
+        mean, std = (_numbers(*std_kv[name]) for name in ("mean", "std"))
 
-    std_kv = parse_kv("standardize")
-    for name in ("mean", "std"):
-        if name not in std_kv:
-            raise SchemaError(f"{path}: standardize missing field {name!r}")
-    mean = _numbers(path, *std_kv["mean"])
-    std = _numbers(path, *std_kv["std"])
+        # the 'matrix <index> <rows> <cols>' header of each array the config shapes
+        shapes = [(rows, cols) for fan_in, cols in config.layer_dims() for rows in (fan_in, 1)]
+        layout = [f"matrix {i} {rows} {cols}" for i, (rows, cols) in enumerate(shapes)]
+        weights = []
+        w_lines = sections.get("weights", [])
+        i = 0
+        while i < len(w_lines):
+            lineno, header = w_lines[i]
+            parts = header.split()
+            if len(parts) != 4 or parts[0] != "matrix" or not all(p.isdecimal() for p in parts[1:]):
+                raise ParseError(f"expected 'matrix <index> <rows> <cols>', got {header!r}",
+                                 line=lineno)
+            index, rows, cols = map(int, parts[1:])
+            want = layout[len(weights)] if len(weights) < len(layout) else "the end of [weights]"
+            if f"matrix {index} {rows} {cols}" != want:
+                raise SchemaError(f"expected {want} for this config, got {header!r}", line=lineno)
+            block = w_lines[i + 1 : i + 1 + rows]
+            if len(block) < rows:
+                raise ParseError(f"matrix declares {rows} rows, file has {len(block)}", line=lineno)
+            matrix = np.empty((rows, cols))
+            for r, (row_lineno, text) in enumerate(block):
+                row = _numbers(text, {"line": row_lineno})
+                if len(row) != cols:
+                    raise ParseError(f"expected {cols} values, got {len(row)}", line=row_lineno)
+                matrix[r] = row
+            weights.append(matrix)
+            i += 1 + rows
 
-    weights = []
-    w_lines = sections.get("weights", [])
-    i = 0
-    while i < len(w_lines):
-        lineno, header = w_lines[i]
-        parts = header.split()
-        if len(parts) != 4 or parts[0] != "matrix" or not all(p.isdecimal() for p in parts[2:]):
-            raise ParseError(
-                f"{path}, line {lineno}: expected 'matrix <index> <rows> <cols>', got {header!r}"
+        training_log = tuple(_numbers(*parse_kv("training_log").get("nll", ("", {}))))
+
+        try:
+            return MdnModel(
+                config=config,
+                weights=tuple(weights),
+                input_mean=mean,
+                input_std=std,
+                training_log=training_log,
+                preprocessing=preprocessing,
             )
-        rows, cols = int(parts[2]), int(parts[3])
-        block = w_lines[i + 1 : i + 1 + rows]
-        if len(block) < rows:
-            raise ParseError(
-                f"{path}, line {lineno}: matrix declares {rows} rows, file has {len(block)}"
-            )
-        matrix = np.empty((rows, cols))
-        for r, (row_lineno, text) in enumerate(block):
-            row = _numbers(path, row_lineno, text)
-            if len(row) != cols:
-                raise ParseError(
-                    f"{path}, line {row_lineno}: expected {cols} values, got {len(row)}"
-                )
-            matrix[r] = row
-        weights.append(matrix)
-        i += 1 + rows
-
-    log_lineno, log_text = parse_kv("training_log").get("nll", (0, ""))
-    training_log = tuple(_numbers(path, log_lineno, log_text))
-
-    try:
-        return MdnModel(
-            config=config,
-            weights=tuple(weights),
-            input_mean=mean,
-            input_std=std,
-            training_log=training_log,
-            preprocessing=preprocessing,
-        )
-    except ShapeError as err:
-        raise SchemaError(f"{path}: {err}") from None
-    except (DomainError, NumericError) as err:
-        raise ParseError(f"{path}: {err}") from None
+        except ShapeError as err:
+            raise SchemaError(str(err)) from None
+        except (DomainError, NumericError) as err:
+            raise ParseError(str(err)) from None

@@ -148,7 +148,8 @@ def metrics_from_dump(path, n_resamples: int = N_RESAMPLES) -> list:
     try:
         seed = seed64(meta["master_seed"])
     except (KeyError, ValueError):
-        raise SchemaError(f"{path}: dump header needs a '# master_seed <0..2^64-1>' line") from None
+        raise SchemaError("dump header needs a '# master_seed <0..2^64-1>' line",
+                          path=path) from None
     return compute_metrics(records, seed, n_resamples)
 
 

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 # splitmix64 constants
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -67,11 +69,11 @@ def seed64(text) -> int:
 
 
 def checked(name: str, domain, value):
-    """``domain(value)``, its ValueError naming the field ``name``."""
+    """``domain(value)``; outside the domain, a DomainError keyed by ``name``."""
     try:
         return domain(value)
     except ValueError as err:
-        raise ValueError(f"{name}: {err}") from None
+        raise DomainError(str(err), key=name) from None
 
 
 def mix64(z: int) -> int:

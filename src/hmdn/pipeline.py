@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ShapeError
+from .errors import ParseError, SchemaError, ShapeError, located
 from .mdn import MdnModel, _draw, _log_likelihoods, _mixtures, mixture_at, sample
 from .numcore import FLOAT_SPEC, Rng, positive_int
 
@@ -320,7 +320,7 @@ def _read_header(fh, start: int = 1):
     return meta, None, lineno + 1
 
 
-def _block_sizes(path, meta: dict):
+def _block_sizes(meta: dict):
     """(m, n, k) from the dump header: candidates and selected per record,
     and the number of records."""
     try:
@@ -329,14 +329,14 @@ def _block_sizes(path, meta: dict):
         m = n = k = 0
     if not 1 <= n <= m:
         raise SchemaError(
-            f"{path}: dump header needs '# m <candidates> n <selected>' with 1 <= n <= m and "
+            "dump header needs '# m <candidates> n <selected>' with 1 <= n <= m and "
             f"'# records <count>' with count >= 1, got m={meta.get('m')!r} "
             f"n={meta.get('n')!r} records={meta.get('records')!r}"
         )
     return m, n, k
 
 
-def _read_block(path, start: int, parts, lines, m: int, n: int) -> PredictionRecord:
+def _read_block(start: int, parts, lines, m: int, n: int) -> PredictionRecord:
     """Parse one record block: ``parts`` is its split ``record`` line (line
     ``start`` of the file) and its other 2m + 2 lines are pulled from
     ``lines``, an iterator of split lines.
@@ -410,7 +410,7 @@ def _read_block(path, start: int, parts, lines, m: int, n: int) -> PredictionRec
                 f"expected {m if fallback else n}"
             )
     except ValueError as err:
-        raise ParseError(f"{path}: line {start + offset}: {err}") from None
+        raise ParseError(str(err), line=start + offset) from None
 
     if not fallback:  # prediction's order: best score first, ties by index
         selected = selected[np.argsort(-scores[selected], kind="stable")]
@@ -441,39 +441,40 @@ def parse_predictions(path, header: dict = None) -> list:
     samples and m candidates, finite coordinates of one dimension, and n
     selected candidates (all m on a fallback record). A missing or older
     header or unusable ``m``/``n``/``records`` raises SchemaError; any
-    other deviation raises ParseError naming the path and line. A
+    other deviation raises ParseError. Each has ``path`` set, and ``line``
+    where one line is at fault. A
     ``header`` dict, if given, is filled with the key/value pairs of the
     ``# key value ...`` header lines, so a caller needing both reads the
     file once.
     """
     records = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with located(path), open(path, "r", encoding="utf-8") as fh:
+        try:
             first = fh.readline().rstrip("\n")
             if first != _DUMP_HEADER:
                 why = f"not a predictions dump (no {_DUMP_HEADER!r})"
                 if first.startswith("# hmdn-predictions "):
                     why = (f"{first[2:]!r} dumps are no longer read; re-run `hmdn predict` "
                            f"to write {_DUMP_HEADER[2:]!r}")
-                raise SchemaError(f"{path}: line 1: {why}")
+                raise SchemaError(why, line=1)
             meta, ln, lineno = _read_header(fh, start=2)
             if header is not None:
                 header.update(meta)
-            m, n, count = _block_sizes(path, meta)
+            m, n, count = _block_sizes(meta)
             lines = map(str.split, fh)
             parts = None if ln is None else ln.split()
             for _ in range(count):
                 if parts is None:
-                    raise ParseError(f"{path}: line {lineno}: end of file after {len(records)} "
-                                     f"of the header's '# records {count}'")
+                    raise ParseError(f"end of file after {len(records)} of the header's "
+                                     f"'# records {count}'", line=lineno)
                 if parts[0:1] != ["record"]:
-                    raise ParseError(f"{path}: line {lineno}: expected a 'record' line")
-                records.append(_read_block(path, lineno, parts, lines, m, n))
+                    raise ParseError("expected a 'record' line", line=lineno)
+                records.append(_read_block(lineno, parts, lines, m, n))
                 lineno += 2 * m + 3
                 parts = next(lines, None)
             if parts is not None:
-                raise ParseError(f"{path}: line {lineno}: expected the end of the file after "
-                                 f"the header's '# records {count}'")
-    except UnicodeDecodeError as err:
-        raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
+                raise ParseError("expected the end of the file after the header's "
+                                 f"'# records {count}'", line=lineno)
+        except UnicodeDecodeError as err:
+            raise ParseError(f"not UTF-8 text ({err.reason})") from None
     return records

@@ -234,7 +234,7 @@ def map_coords_into_room(scene: Scene, coords: np.ndarray) -> np.ndarray:
     (x column to width, y column to depth); a degenerate axis maps to the
     room center line. Used when grafting simulated illumination onto a
     real fingerprint table whose coordinates live in projected map units,
-    so an axis whose span is not a finite float raises DomainError naming
+    so an axis whose span is not a finite float raises DomainError keyed by
     its column (``dataio.COORD_COLUMNS``).
     """
     coords = np.asarray(coords, dtype=np.float64)
@@ -243,8 +243,8 @@ def map_coords_into_room(scene: Scene, coords: np.ndarray) -> np.ndarray:
         lo, hi = float(coords[:, axis].min()), float(coords[:, axis].max())
         span = hi - lo
         if not math.isfinite(span):
-            raise DomainError(f"{COORD_COLUMNS[axis]} spans {lo!r} to {hi!r}, a range no "
-                              "float can hold; cannot map it into the room")
+            raise DomainError(f"spans {lo!r} to {hi!r}, a range no float can hold; cannot "
+                              "map it into the room", key=COORD_COLUMNS[axis])
         if span < 1e-12:
             out[:, axis] = extent / 2.0
         else:
@@ -384,14 +384,10 @@ _STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
 
 def load_scene(path) -> Scene:
     """Read a scene file. Bytes that are not UTF-8 and text that is not
-    strict JSON (``NaN`` and ``Infinity`` included) raise ParseError naming
-    the path and line; a document that is not a valid scene raises
-    SchemaError naming the path."""
-    return _scene_from_text(_read_utf8(path), path)
-
-
-def _scene_from_text(text: str, source) -> Scene:
-    """A scene from the text of ``source``, as ``load_scene`` reads a file."""
+    strict JSON (``NaN`` and ``Infinity`` included) raise ParseError with
+    the line (and column); a document that is not a valid scene raises
+    SchemaError. Both have ``path`` set."""
+    text = _read_utf8(path)
 
     def reject(constant):
         # json stops at the first constant, so it is the first one outside a string
@@ -401,11 +397,11 @@ def _scene_from_text(text: str, source) -> Scene:
     try:
         doc = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as err:
-        raise ParseError(f"{source}: line {err.lineno}, column {err.colno}: {err.msg}") from None
+        raise ParseError(err.msg, path=path, line=err.lineno, column=err.colno) from None
     try:
         return scene_from_dict(doc)
     except (ValueError, TypeError, AttributeError, ArithmeticError) as err:
-        raise SchemaError(f"{source}: {err}") from None
+        raise SchemaError(str(err), path=path) from None
 
 
 def save_scene(scene: Scene, path) -> None:
@@ -421,5 +417,5 @@ def paper_room_scene() -> Scene:
     across it produce near-identical fingerprints; the lights are placed
     off-axis, so illuminance tells the two half-rooms apart.
     """
-    bundled = resources.files("hmdn").joinpath("scenes/scene_paper_room.json")
-    return _scene_from_text(bundled.read_text("utf-8"), bundled)
+    with resources.as_file(resources.files("hmdn") / "scenes/scene_paper_room.json") as bundled:
+        return load_scene(bundled)

@@ -2,12 +2,15 @@
 names retired in favour of the batched kernels stay gone."""
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import json
 import math
 import pkgutil
+import re
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -157,3 +160,62 @@ def test_benchmark_gate_accepts_a_tiny_run(monkeypatch, tmp_path):
     assert run.check_outputs(hmdn, w, tmp_path / "run") == []
     quality = run.quality(tmp_path / "run")
     assert all(math.isfinite(v) for v in quality.values()), quality
+
+
+# a message that opens with where it arose, a value then ':' or ',' as in
+# f"{path}: ...", or that spells out a line or row number itself
+LOCATION_PREFIX = re.compile(r"^\{[^}]*\}[:,]|(^|, |: )(line|row) \{")
+
+
+def location_prefixed_errors(src: Path) -> list:
+    """``file:line: message`` of each exception in ``src`` built from an
+    f-string that carries its own location, except in ``errors.py`` and in
+    the builtin OSError family, whose text names the file as the OS does."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        raised = {id(node.exc) for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.args[0], ast.JoinedStr)):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+            if id(node) not in raised and not name.endswith("Error"):
+                continue
+            kind = getattr(builtins, name, None)
+            if isinstance(kind, type) and issubclass(kind, OSError):
+                continue
+            message = ast.unparse(node.args[0])[2:-1]
+            if LOCATION_PREFIX.search(message):
+                found.append(f"{path.name}:{node.lineno}: {message}")
+    return found
+
+
+def test_no_error_message_carries_its_own_location():
+    """A location is data: readers raise with ``path``/``line``/``column``/
+    ``key`` and ``errors.LocatedError`` renders them, so no message outside
+    ``errors.py`` starts with a path or spells out a line."""
+    assert location_prefixed_errors(ROOT / "src" / "hmdn") == []
+
+
+def test_location_scan_sees_every_spelling(tmp_path):
+    """The scan flags each spelling of a location the readers once built by
+    hand, and leaves OSError text and messages without one alone."""
+    (tmp_path / "sample.py").write_text(textwrap.dedent('''
+        def spellings(path, source, lineno, row_no, err):
+            raise SchemaError(f"{path}, line {lineno}: no such key")
+            raise ParseError(f"{path}: line {lineno}: not UTF-8 text")
+            raise ParseError(f"{source}: line {lineno}, column 3: bad JSON")
+            raise ParseError(f"{path}: row {row_no}, column 'WAP001': bad cell")
+            raise type(err)(f"{path}: {err}")
+            error = ParseError(f"line {lineno}: expected numbers")
+            raise ValueError(f"row {row_no}, column 'NOTE' is not numeric")
+            raise IsADirectoryError(f"{path}: output path is a directory")
+            raise ParseError(f"data row {row_no}: 'x' is not a number", key="NOTE")
+            print(f"{path}: written")
+    '''))
+    assert [hit.split(":")[1] for hit in location_prefixed_errors(tmp_path)] == [
+        "3", "4", "5", "6", "7", "8", "9",
+    ]

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from hmdn import cli, dataio, evaluate, pipeline, scenario
+from hmdn.errors import LocatedError, ParseError, SchemaError
 from hmdn.mdn import nll
 from hmdn.pipeline import parse_predictions
 
-from util import make_dump_records
+from util import make_dump_records, raised
 
 
 def run(*argv):
@@ -108,15 +109,18 @@ class TestSimulate:
                    "--train-fraction", 0.75) == 0
         assert (out / "train.csv").read_bytes() == (out2 / "train.csv").read_bytes()
 
-    @pytest.mark.parametrize("source", [None, "WAP001,LONGITUDE\n-50,1\n"],
-                             ids=["missing", "no-latitude"])
-    def test_bad_augment_csv_exits_3_before_creating_out_dir(self, tmp_path, capsys, source):
+    @pytest.mark.parametrize("source, message", [
+        (None, "error: [Errno 2] No such file or directory: '{src}'"),
+        ("WAP001,LONGITUDE\n-50,1\n", "error: {src}:1: missing column 'LATITUDE'"),
+    ], ids=["missing", "no-latitude"])
+    def test_bad_augment_csv_exits_3_before_creating_out_dir(self, tmp_path, capsys, source,
+                                                             message):
         src = tmp_path / "real.csv"
         if source is not None:
             src.write_text(source)
         out = tmp_path / "aug"
         assert run("simulate", "--augment", src, "--out-dir", out) == 3
-        one_error_line(capsys, str(src))
+        assert one_error_line(capsys) == message.format(src=src) + "\n"
         assert not out.exists()
 
     def test_augment_span_beyond_the_float_range_names_csv_and_column(self, tmp_path, capsys):
@@ -126,7 +130,9 @@ class TestSimulate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow RuntimeWarning either
             assert run("simulate", "--augment", src, "--out-dir", out) == 3
-        one_error_line(capsys, f"error: {src}: LONGITUDE spans -1e+308 to 1e+308")
+        expected = (f"error: {src}: LONGITUDE: spans -1e+308 to 1e+308, a range "
+                    "no float can hold; cannot map it into the room\n")
+        assert one_error_line(capsys) == expected
         assert not out.exists()
 
     def test_measurement_noise_columns(self, tmp_path):
@@ -198,7 +204,7 @@ class TestTrain:
         code = run("train", "--which", "g1", "--data", workspace / "train.csv",
                    *[a for f, path in paths.items() for a in (f, path)])
         assert code == 3
-        one_error_line(capsys, f"error: {taken}: ", "is a directory")
+        assert one_error_line(capsys) == f"error: {taken}: output path is a directory\n"
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert list(taken.iterdir()) == []
 
@@ -214,19 +220,19 @@ class TestTrain:
         assert run("train", "--which", "g3", "--data", workspace / "train.csv",
                    "--model-out", tmp_path / "m") == 2
 
-    @pytest.mark.parametrize("column, fragments", [
-        ("NOTE", ["row 2", "'NOTE'", "not numeric"]),
-        ("NOPE", ["no column 'NOPE'"]),
-        ("GAIN", ["row 2", "'GAIN'", "'inf' is not finite"]),
-    ])
-    def test_lux_column_errors_name_the_file(self, tmp_path, capsys, column, fragments):
+    @pytest.mark.parametrize("column, message", [
+        ("NOTE", "data row 2: 'bright' is not a finite number"),
+        ("NOPE", "no such column"),
+        ("GAIN", "data row 2: 'inf' is not a finite number"),
+    ], ids=["NOTE-fragments0", "NOPE-fragments1", "GAIN-fragments2"])
+    def test_lux_column_errors_name_the_file(self, tmp_path, capsys, column, message):
         data = tmp_path / "train.csv"
         data.write_text("WAP001,LONGITUDE,LATITUDE,LUX_sunny,NOTE,GAIN\n"
                         "-50,1,2,300,4.5,2\n-60,2,3,310,bright,inf\n")
         code = run("train", "--which", "g2", "--data", data, "--model-out", tmp_path / "m",
                    "--lux-columns", column, "--epochs", 1)
         assert code == 3
-        one_error_line(capsys, f"error: {data}: ", *fragments)
+        assert one_error_line(capsys) == f"error: {data}: {column}: {message}\n"
         assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("columns", [",", " , ,", ""], ids=["comma", "blanks", "empty"])
@@ -235,7 +241,7 @@ class TestTrain:
         code = run("train", "--which", "g2", "--data", workspace / "train.csv",
                    "--model-out", tmp_path / "m", f"--lux-columns={columns}", "--epochs", 1)
         assert code == 2
-        one_error_line(capsys, "--lux-columns", "at least one")
+        assert one_error_line(capsys) == "error: --lux-columns must name at least one column\n"
         assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("hidden", ["a,b", "16,0", "-4", "1.5"])
@@ -320,7 +326,7 @@ class TestPredict:
             f"{flag}={selection}",
         )
         assert code == 2
-        one_error_line(capsys, flag, "at least one")
+        assert one_error_line(capsys) == f"error: {flag} must name at least one {flag[2:-1]}\n"
         assert not (tmp_path / "pred" / "predictions.txt").exists()
 
     def test_condition_not_in_dataset_names_the_file(self, workspace, tmp_path, capsys):
@@ -328,7 +334,9 @@ class TestPredict:
         code = run("predict", "--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
                    "--data", data, "--out-dir", tmp_path / "pred", "--conditions", "sunny,foggy")
         assert code == 2
-        one_error_line(capsys, f"error: condition 'foggy' not in {data} (has [", "'sunny'")
+        expected = (f"error: {data}: no LUX_foggy column for condition 'foggy' "
+                    "(has ['cloudy', 'night_lights', 'sunny'])\n")
+        assert one_error_line(capsys) == expected
         assert not (tmp_path / "pred" / "predictions.txt").exists()
 
     def test_malformed_scene_fails_before_predicting(self, workspace, tmp_path, capsys):
@@ -339,7 +347,7 @@ class TestPredict:
                    "--data", workspace / "test.csv", "--out-dir", out, "--scene", scene)
         assert code == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith(f"error: {scene}: ")
+        assert captured.out == "" and captured.err == f"error: {scene}:1:10: Expecting value\n"
         assert not out.exists()
 
     def test_record_out_of_range(self, workspace, tmp_path):
@@ -355,7 +363,9 @@ def test_n_above_m_exits_2_before_reading_a_file(tmp_path, capsys, command):
     code = run(command, "--g1", tmp_path / "no-g1.model", "--g2", tmp_path / "no-g2.model",
                "--data", tmp_path / "no.csv", "--out-dir", out, "--n", 9, "--m", 5)
     assert code == 2
-    one_error_line(capsys, "error: --n 9 exceeds --m 5")
+    expected = ("error: --n 9 exceeds --m 5: the selection is taken from the "
+                "candidates\n")
+    assert one_error_line(capsys) == expected
     assert not out.exists()
 
 
@@ -431,7 +441,7 @@ class TestEvaluate:
     def test_requires_inputs(self, tmp_path, capsys):
         out = tmp_path / "eval"
         assert run("evaluate", "--out-dir", out) == 2
-        one_error_line(capsys, "error: --g1 is required")
+        assert one_error_line(capsys) == "error: --g1 is required\n"
         assert not out.exists()
 
     @pytest.fixture()
@@ -447,11 +457,15 @@ class TestEvaluate:
     def test_from_dump_rejects_live_options(self, dump, tmp_path, capsys, flag, value):
         out = tmp_path / "eval"
         assert run("evaluate", "--from-dump", dump, "--out-dir", out, flag, value) == 2
-        one_error_line(capsys, f"error: {flag} does not apply to --from-dump")
+        expected = (f"error: {flag} does not apply to --from-dump, which reads "
+                    "the predictions and master seed from the dump\n")
+        assert one_error_line(capsys) == expected
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
         assert run("evaluate", "--from-dump", dump, "--out-dir", out, "--config", cfg) == 2
-        one_error_line(capsys, f"error: {flag} does not apply to --from-dump")
+        expected = (f"error: {flag} does not apply to --from-dump, which reads "
+                    "the predictions and master seed from the dump\n")
+        assert one_error_line(capsys) == expected
         assert not out.exists()
 
     def test_from_dump_accepts_live_options_at_their_defaults(self, dump, tmp_path):
@@ -467,7 +481,7 @@ class TestEvaluate:
             "--conditions", ",", "--m", 5, "--n", 2, "--bootstrap", 10,
         )
         assert code == 2
-        one_error_line(capsys, "--conditions", "at least one")
+        assert one_error_line(capsys) == "error: --conditions must name at least one condition\n"
         assert not (tmp_path / "eval" / "metrics.csv").exists()
 
 
@@ -523,7 +537,8 @@ class TestRecordedPreprocessing:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
         assert run(*argv, "--config", cfg) == 2
-        one_error_line(capsys, str(cfg), "unknown option")
+        key = flag[2:].replace("-", "_")
+        assert one_error_line(capsys) == f"error: {cfg}: {key}: unknown option\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
@@ -534,12 +549,20 @@ class TestRecordedPreprocessing:
         models[flag] = workspace / f"{given}.model"
         out = tmp_path / "out"
         assert run(*self.prediction_argv(command, *models.values(), workspace, out)) == 3
-        one_error_line(capsys, f"error: {models[flag]}: {flag} takes a {flag[2:]} model, "
-                               f"this is a {given} model")
+        expected = (f"error: {models[flag]}: {flag} takes a {flag[2:]} model, "
+                    f"this is a {given} model\n")
+        assert one_error_line(capsys) == expected
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind", ["v1", "library"])
-    def test_model_without_a_role_says_retrain(self, workspace, tmp_path, capsys, kind):
+    @pytest.mark.parametrize("kind, message", [
+        ("v1", ":1: expected header 'hmdn-model v2'; a v1 model records no role or recoding, "
+               "so retrain it with `hmdn train`"),
+        ("library", ": --g1 takes a g1 model, this is a model built by the library with no "
+                    "recorded role; retrain it with `hmdn train --which g1 --data <train.csv> "
+                    "--model-out {bad}`"),
+    ], ids=["v1", "library"])
+    def test_model_without_a_role_says_retrain(self, workspace, tmp_path, capsys, kind,
+                                               message):
         bad = tmp_path / "g1.model"
         if kind == "v1":
             lines = (workspace / "g1.model").read_text().splitlines(keepends=True)
@@ -550,7 +573,7 @@ class TestRecordedPreprocessing:
         out = tmp_path / "out"
         argv = self.prediction_argv("evaluate", bad, workspace / "g2.model", workspace, out)
         assert run(*argv) == 3
-        one_error_line(capsys, f"error: {bad}: ", "retrain it with `hmdn train")
+        assert one_error_line(capsys) == f"error: {bad}{message.format(bad=bad)}\n"
         assert not out.exists()
 
 
@@ -578,29 +601,33 @@ class TestConfigValues:
         cfg.write_text(json.dumps(doc))
         return cfg, run(command, "--config", cfg, *flags)
 
-    @pytest.mark.parametrize("command, doc", [
-        ("predict", {"no_plots": "false"}),
-        ("simulate", {"measurement_noise": "no"}),
-        ("predict", {"m": 10.9}),
-        ("train", {"epochs": 2.9}),
-        ("train", {"epochs": None}),
-        ("simulate", {"seed": [1]}),
-        ("evaluate", {"m": 10.0}),
-        ("train", {"components": None}),
-        ("train", {"which": "g3"}),
-        ("simulate", {"n_train": True}),
-        ("train", {"hidden": {"width": 16}}),
-        ("train", {"hidden": "a"}),
-        ("train", {"hidden": "16,0"}),
-        ("train", {"hidden": 1.5}),
-        ("simulate", {"out_dir": "a\u0000b"}),
-        ("predict", {"data": "test\u0000.csv"}),
-    ])
-    def test_bad_value_exits_2_naming_file_and_key(self, tmp_path, capsys, command, doc):
+    BAD_VALUES = [
+        ("predict", {"no_plots": "false"}, 'expected true or false, got "false"'),
+        ("simulate", {"measurement_noise": "no"}, 'expected true or false, got "no"'),
+        ("predict", {"m": 10.9}, "invalid positive_int value: '10.9'"),
+        ("train", {"epochs": 2.9}, "invalid positive_int value: '2.9'"),
+        ("train", {"epochs": None}, "expected a string or a number, got null"),
+        ("simulate", {"seed": [1]}, "expected a string or a number, got [1]"),
+        ("evaluate", {"m": 10.0}, "invalid positive_int value: '10.0'"),
+        ("train", {"components": None}, "expected a string or a number, got null"),
+        ("train", {"which": "g3"}, "invalid choice: 'g3' (choose from 'g1', 'g2')"),
+        ("simulate", {"n_train": True}, "expected a string or a number, got true"),
+        ("train", {"hidden": {"width": 16}}, 'expected a string or a number, got {"width": 16}'),
+        ("train", {"hidden": "a"}, "invalid widths value: 'a'"),
+        ("train", {"hidden": "16,0"}, "invalid widths value: '16,0'"),
+        ("train", {"hidden": 1.5}, "invalid widths value: '1.5'"),
+        ("simulate", {"out_dir": "a\u0000b"}, "invalid text value: 'a\\x00b'"),
+        ("predict", {"data": "test\u0000.csv"}, "invalid text value: 'test\\x00.csv'"),
+    ]
+
+    @pytest.mark.parametrize("command, doc, message", BAD_VALUES,
+                             ids=[f"{c}-doc{i}" for i, (c, _, _) in enumerate(BAD_VALUES)])
+    def test_bad_value_exits_2_naming_file_and_key(self, tmp_path, capsys, command, doc,
+                                                   message):
         cfg, code = self.run_config(tmp_path, command, doc)
         assert code == 2
         (key,) = doc
-        one_error_line(capsys, str(cfg), repr(key))
+        assert one_error_line(capsys) == f"error: {cfg}: {key}: {message}\n"
 
     def test_values_typed_as_their_flags(self, tmp_path):
         cfg, code = self.run_config(tmp_path, "simulate", {
@@ -634,7 +661,7 @@ class TestConfigValues:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"seed": 1,\n "n_train": }')
         assert run("simulate", "--config", cfg, "--out-dir", tmp_path) == 2
-        one_error_line(capsys, str(cfg), "line 2 column 13")
+        assert one_error_line(capsys) == f"error: {cfg}:2:13: not a JSON file: Expecting value\n"
 
 
 def retyped(text: str, value, *path) -> str:
@@ -650,31 +677,36 @@ def retyped(text: str, value, *path) -> str:
 class TestMalformedScene:
     """simulate --scene on a file that is not a scene: exit 3, one line."""
 
-    @pytest.mark.parametrize("edit, fragments", [
-        (lambda t: t.replace('"room": {', '"room": "big", "x": {'), ["not 'str'"]),
-        (lambda t: "[" + t + "]", ["a scene is a JSON object, got list"]),
-        (lambda t: t[:120], ["line ", "column "]),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.replace('"room": {', '"room": "big", "x": {'),
+         "'room' must be a JSON object, not 'str'"),
+        (lambda t: "[" + t + "]", "a scene is a JSON object, got list"),
+        (lambda t: t[:120], ":9:1: Expecting ',' delimiter"),
         (lambda t: t.replace('"width": 17.0', '"width": NaN'),
-         ["line ", "column ", "NaN is not a JSON number"]),
-        (lambda t: t.replace('"width": 17.0', '"width": 1e999'), ["inf is not a finite number"]),
+         ":104:14: NaN is not a JSON number"),
+        (lambda t: t.replace('"width": 17.0', '"width": 1e999'),
+         "scene value inf is not a finite number"),
         (lambda t: retyped(t, "sunny", "conditions"),
-         ["'conditions' must be a JSON array, not 'str'"]),
+         "'conditions' must be a JSON array, not 'str'"),
         (lambda t: retyped(t, "sunny", "conditions", 0),
-         ["'conditions[0]' must be a JSON object, not 'str'"]),
+         "'conditions[0]' must be a JSON object, not 'str'"),
         (lambda t: retyped(t, "0,5,2.5", "lights", 0, "position"),
-         ["'lights[0].position' must be a JSON array, not 'str'"]),
+         "'lights[0].position' must be a JSON array, not 'str'"),
         (lambda t: retyped(t, {"position": [1, 2, 3]}, "access_points"),
-         ["'access_points' must be a JSON array, not 'dict'"]),
+         "'access_points' must be a JSON array, not 'dict'"),
     ], ids=["string-room", "top-level-list", "truncated", "nan-width", "overflowing-width",
             "string-conditions", "string-condition", "string-light-position", "object-aps"])
-    def test_exits_data_error_naming_the_file(self, tmp_path, capsys, edit, fragments):
+    def test_exits_data_error_naming_the_file(self, tmp_path, capsys, edit, message):
+        """A document that is not a scene names the file; text that is not
+        JSON names the file, line and column."""
         scene = tmp_path / "scene.json"
         scenario.save_scene(scenario.paper_room_scene(), scene)
         scene.write_text(edit(scene.read_text()))
         code = run("simulate", "--scene", scene, "--out-dir", tmp_path / "out", "--n-train", 2,
                    "--n-test", 1)
         assert code == 3
-        one_error_line(capsys, f"error: {scene}: ", *fragments)
+        separator = "" if message.startswith(":") else ": "
+        assert one_error_line(capsys) == f"error: {scene}{separator}{message}\n"
         assert not (tmp_path / "out" / "train.csv").exists()
 
 
@@ -763,12 +795,11 @@ class TestNonFiniteCoordinates:
         lines[1] = ",".join(cells)
         bad.write_text("\n".join(lines) + "\n")
 
-    def check(self, capsys, code, bad, column):
-        err = capsys.readouterr().err
+    def check(self, capsys, code, bad, column, value):
+        """Data row 1 is line 2 of the file."""
         assert code == 3
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
-        assert str(bad) in err and "row 1" in err and repr(column) in err
+        expected = f"error: {bad}:2: {column}: coordinate {value} is not finite\n"
+        assert one_error_line(capsys) == expected
 
     def test_nan_test_coordinate_rejected_by_evaluate(self, workspace, tmp_path, capsys):
         bad = tmp_path / "test.csv"
@@ -778,7 +809,7 @@ class TestNonFiniteCoordinates:
             "--data", bad, "--out-dir", tmp_path / "eval",
             "--conditions", "sunny", "--m", 5, "--n", 2, "--seed", 1, "--bootstrap", 10,
         )
-        self.check(capsys, code, bad, "LONGITUDE")
+        self.check(capsys, code, bad, "LONGITUDE", "nan")
         assert not (tmp_path / "eval" / "metrics.csv").exists()
 
     def test_inf_train_coordinate_rejected_by_train(self, workspace, tmp_path, capsys):
@@ -788,7 +819,7 @@ class TestNonFiniteCoordinates:
             "train", "--which", "g1", "--data", bad, "--model-out", tmp_path / "g1.model",
             "--seed", 5, "--hidden", "4", "--epochs", 1,
         )
-        self.check(capsys, code, bad, "LATITUDE")
+        self.check(capsys, code, bad, "LATITUDE", "inf")
         assert not (tmp_path / "g1.model").exists()
 
 
@@ -803,19 +834,16 @@ class TestMalformedCsv:
             "--conditions", "sunny", "--m", 5, "--n", 2, "--seed", 1, "--bootstrap", 10,
         )
 
-    def check(self, capsys, code, *fragments):
-        err = capsys.readouterr().err
+    def check(self, capsys, code, line):
         assert code == 3
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
-        assert all(f in err for f in fragments), err
+        assert one_error_line(capsys) == line
 
     def test_nan_lux_cell_rejected_by_evaluate(self, workspace, tmp_path, capsys):
         bad = tmp_path / "test.csv"
         TestNonFiniteCoordinates().with_bad_coordinate(workspace / "test.csv", bad,
                                                        "LUX_sunny", "nan")
         code = self.evaluate(workspace, bad, tmp_path / "eval")
-        self.check(capsys, code, str(bad), "row 1", "'LUX_sunny'")
+        self.check(capsys, code, f"error: {bad}:2: LUX_sunny: illuminance nan is not finite\n")
         assert not (tmp_path / "eval" / "metrics.csv").exists()
 
     def test_cell_over_the_csv_field_limit_names_file_and_row(self, tmp_path, capsys):
@@ -824,7 +852,7 @@ class TestMalformedCsv:
         bad.write_text(f'WAP001,LONGITUDE,LATITUDE,NOTE\n-50,1,2,a\n-60,2,3,"{note}"\n')
         code = run("train", "--which", "g1", "--data", bad, "--model-out", tmp_path / "g1.model",
                    "--epochs", 1)
-        self.check(capsys, code, f"error: {bad}: row 2: field larger than field limit")
+        self.check(capsys, code, f"error: {bad}:3: field larger than field limit (131072)\n")
 
     def test_non_utf8_file_rejected_by_evaluate(self, workspace, tmp_path, capsys):
         bad = tmp_path / "test.csv"
@@ -832,7 +860,7 @@ class TestMalformedCsv:
         lines[2] = lines[2].replace(b",", b",\xe9", 1)
         bad.write_bytes(b"\n".join(lines))
         code = self.evaluate(workspace, bad, tmp_path / "eval")
-        self.check(capsys, code, str(bad), "line 3", "not UTF-8")
+        self.check(capsys, code, f"error: {bad}:3: not UTF-8 text (invalid continuation byte)\n")
 
 
 class TestMalformedModel:
@@ -872,7 +900,32 @@ class TestMalformedModel:
         bad = tmp_path / "g1.model"
         bad.write_bytes(b"\n".join(lines))
         assert self.evaluate(workspace, bad, tmp_path / "eval") == 3
-        one_error_line(capsys, f"error: {bad}: line 4: not UTF-8")
+        assert one_error_line(capsys) == f"error: {bad}:4: not UTF-8 text (invalid start byte)\n"
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("edit, error, why", [
+        (lambda rows: f"matrix 0 {rows} 4611686018427387904", SchemaError,
+         "expected matrix 0 {rows} 16 for this config"),
+        (lambda rows: f"matrix 7 {rows} 16", SchemaError,
+         "expected matrix 0 {rows} 16 for this config"),
+        (lambda rows: f"matrix x {rows} 16", ParseError,
+         "expected 'matrix <index> <rows> <cols>'"),
+    ], ids=["cols-numpy-refuses", "index", "index-not-a-number"])
+    def test_bad_matrix_header_names_path_and_line(self, workspace, tmp_path, capsys, edit,
+                                                   error, why):
+        """Checked against the config before numpy is asked for the matrix,
+        at sizes numpy refuses outright: exit 3 with one line, nothing written."""
+        lines = (workspace / "g1.model").read_text().splitlines()
+        line = lines.index("[weights]") + 2
+        rows = int(lines[line - 1].split()[2])
+        lines[line - 1] = edit(rows)
+        bad = tmp_path / "g1.model"
+        bad.write_text("\n".join(lines) + "\n")
+        assert self.evaluate(workspace, bad, tmp_path / "eval") == 3
+        expected = (f"error: {bad}:{line}: {why.format(rows=rows)}, "
+                    f"got {lines[line - 1]!r}\n")
+        assert one_error_line(capsys) == expected
+        assert isinstance(raised(LocatedError, dataio.load_model, bad), error)
         assert not (tmp_path / "eval").exists()
 
     def test_truncated_or_incomplete_model_never_crashes(self, workspace, tmp_path, capsys):
@@ -909,24 +962,37 @@ class TestMalformedDump:
     @pytest.mark.parametrize(
         "cut, message",
         [
-            (lambda ls: ls[:4] + [ls[5]] + ls[4:], "line 5: expected a 'record' line"),
-            (lambda ls: ls[:9], "line 10: end of file inside the block of record 0"),
-            (lambda ls: ls[:12], "line 13: end of file inside the block of record 0"),
-            (lambda ls: ls[:4], "line 5: end of file after 0 of the header's '# records 2'"),
-            (lambda ls: ls[:15], "line 16: end of file after 1 of the header's '# records 2'"),
+            (lambda ls: ls[:4] + [ls[5]] + ls[4:], ":5: expected a 'record' line"),
+            (lambda ls: ls[:9], ":10: end of file inside the block of record 0 sunny (line 5)"),
+            (lambda ls: ls[:12], ":13: end of file inside the block of record 0 sunny (line 5)"),
+            (lambda ls: ls[:4], ":5: end of file after 0 of the header's '# records 2'"),
+            (lambda ls: ls[:15], ":16: end of file after 1 of the header's '# records 2'"),
             (lambda ls: ls + ls[4:15],
-             "line 27: expected the end of the file after the header's '# records 2'"),
-            (lambda ls: ["condition,method\n"] + ls[3:], "line 1: not a predictions dump"),
+             ":27: expected the end of the file after the header's '# records 2'"),
+            (lambda ls: ["condition,method\n"] + ls[3:],
+             ":1: not a predictions dump (no '# hmdn-predictions v2')"),
             (lambda ls: ["# hmdn-predictions v1\n"] + ls[1:],
-             "line 1: 'hmdn-predictions v1' dumps are no longer read; re-run `hmdn predict`"),
-            (lambda ls: ls[:1] + ls[2:], "needs a '# master_seed <0..2^64-1>' line"),
+             ":1: 'hmdn-predictions v1' dumps are no longer read; re-run `hmdn predict` to "
+             "write 'hmdn-predictions v2'"),
+            (lambda ls: ls[:1] + ls[2:],
+             ": dump header needs a '# master_seed <0..2^64-1>' line"),
         ],
+        ids=["<lambda>-" + fault for fault in (
+            "line 5: expected a 'record' line",
+            "line 10: end of file inside the block of record 0",
+            "line 13: end of file inside the block of record 0",
+            "line 5: end of file after 0 of the header's '# records 2'",
+            "line 16: end of file after 1 of the header's '# records 2'",
+            "line 27: expected the end of the file after the header's '# records 2'",
+            "line 1: not a predictions dump",
+            "line 1: 'hmdn-predictions v1' dumps are no longer read; re-run `hmdn predict`",
+            "needs a '# master_seed <0..2^64-1>' line",
+        )],
     )
     def test_exits_data_error_naming_file_and_line(self, tmp_path, capsys, lines, cut, message):
         code, err = self.reeval(tmp_path, capsys, cut(lines), "--bootstrap", 20)
         assert code == 3
-        assert err.startswith(f"error: {tmp_path / 'bad.txt'}: ") and err.count("\n") == 1
-        assert message in err
+        assert err == f"error: {tmp_path / 'bad.txt'}{message}\n"
         assert not (tmp_path / "eval").exists()
 
     def test_good_dump_still_evaluates(self, tmp_path, capsys, lines):
@@ -958,7 +1024,7 @@ class TestMissingLuxColumns:
             "evaluate": [*models, "--out-dir", out, "--bootstrap", 10],
         }[command]
         assert run(command, "--data", data, *argv) == 3
-        one_error_line(capsys, f"error: {data}: no LUX_<condition> columns")
+        assert one_error_line(capsys) == f"error: {data}: no LUX_<condition> columns\n"
         assert not out.exists() or not any(out.iterdir())
 
 

@@ -6,6 +6,7 @@ the CLI."""
 import contextlib
 import io
 import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from hmdn import cli
 from hmdn.dataio import FingerprintTable, load_csv, table_to_csv, write_dataset_csv
+from hmdn.errors import LocatedError
 
 from util import (
     load_outcome,
@@ -89,7 +91,12 @@ def test_loader_matches_reference_on_mutated_files(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fingerprints.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert load_outcome(load_csv, path) == load_outcome(reference_load_csv, path)
+        got = load_outcome(load_csv, path)
+        assert got == load_outcome(reference_load_csv, path)
+    if isinstance(got[0], type):  # an error names the file, and a line the file has
+        _, at, line, column, _, _ = got
+        assert at == path and column is None
+        assert line is None or 1 <= line <= len(re.findall(r"\r\n?|\n", text)) + 1
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
@@ -200,10 +207,18 @@ def test_mutated_test_csv_exits_0_or_3_with_one_line(models, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "test.csv"
         path.write_bytes(data.draw(mutated_test_csv(lines)))
+        try:
+            load_csv(str(path))
+            rejected = None
+        except LocatedError as exc:
+            rejected = exc
         code, err = run_quiet(["evaluate", "--g1", root / "g1", "--g2", root / "g2",
                                "--data", path, "--out-dir", tmp, "--m", 4, "--n", 2,
                                "--seed", 1, "--bootstrap", 5])
     assert code in (0, 3), err
     assert "Traceback" not in err
-    if code == 3:
+    if rejected is not None:  # the reader's error, located in the file, is the line
+        assert rejected.path == str(path) and code == 3
+        assert err == f"error: {rejected}\n"
+    elif code == 3:
         assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmdn import cli
+from hmdn.errors import LocatedError
+from hmdn.evaluate import metrics_from_dump
 from hmdn.numcore import fmt17
 from hmdn.pipeline import (
     HmdnEstimate,
@@ -156,11 +158,18 @@ def mutated_dump(draw):
 @given(mutated_dump())
 def test_corrupted_dump_exits_0_or_3_with_one_line(case):
     """Any edit exits 0 or 3; a cut or a dropped line, which the record
-    count and the fixed block layout expose wherever they fall, exits 3."""
+    count and the fixed block layout expose wherever they fall, exits 3.
+    A rejected dump's error names the file, and a line it has, and is the
+    one line the CLI prints."""
     kind, lines = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dump.txt"
         path.write_text("".join(lines))
+        try:
+            metrics_from_dump(str(path), 20)
+            rejected = None
+        except LocatedError as exc:
+            rejected = exc
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["evaluate", "--from-dump", str(path), "--out-dir", tmp,
@@ -168,7 +177,11 @@ def test_corrupted_dump_exits_0_or_3_with_one_line(case):
     err = err.getvalue()
     assert code in (0, 3), err
     assert "Traceback" not in err
-    if code == 3:
+    if rejected is not None:
+        assert rejected.path == str(path) and rejected.column is None
+        assert rejected.line is None or 1 <= rejected.line <= len(lines) + 1
+        assert code == 3 and err == f"error: {rejected}\n"
+    elif code == 3:
         assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
         assert err == "" and kind not in ("truncate", "drop")

@@ -18,7 +18,7 @@ from hmdn.evaluate import (
 from hmdn.numcore import Rng
 from hmdn.pipeline import HmdnEstimate, PredictionRecord, write_predictions
 
-from util import make_dump_records, reference_bootstrap_improvement
+from util import make_dump_records, raised, reference_bootstrap_improvement, where
 
 
 def make_record(rid, cond, truth, base_est, hmdn_est):
@@ -159,8 +159,8 @@ class TestMetricsFromDump:
         assert len(metrics_from_dump(path, n_resamples=20)) == 2
         lines = path.read_text().splitlines(keepends=True)
         path.write_text(lines[0] + "".join(lines[2:]))
-        with pytest.raises(SchemaError, match="master_seed"):
-            metrics_from_dump(path, n_resamples=20)
+        err = raised(SchemaError, metrics_from_dump, path, 20)
+        assert where(err) == (path, None, None, None) and "'# master_seed" in err.message
 
     def test_reads_the_dump_once(self, tmp_path, monkeypatch):
         path = tmp_path / "dump.txt"

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmdn import cli, scenario
+from hmdn.errors import LocatedError, ParseError
 from hmdn.numcore import positive_float, positive_int, seed64, unit_fraction
 
 OPTIONS = [
@@ -134,12 +135,14 @@ def test_random_config_value_is_read_as_its_flag_or_exits_2(option, value):
     if accepted:
         return
     assert isinstance(from_config, cli.UsageError)
+    assert Path(from_config.path).name == "cfg.json" and from_config.key == key
+    assert (from_config.line, from_config.column) == (None, None)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps({key: value}))
         code, err = quiet(cli.main, [command, "--config", str(path)])
     assert code == 2
-    assert err.startswith(f"error: {path}: option {key!r}: ") and err.count("\n") == 1, err
+    assert err == f"error: {path}: {key}: {from_config.message}\n"
 
 
 DOMAIN_OPTIONS = [(c, f, kw["type"]) for c, f, kw in OPTIONS if kw.get("type") in OUT_OF_RANGE]
@@ -175,8 +178,8 @@ def test_out_of_range_value_exits_2_naming_the_option_and_writes_nothing(option,
     assert code == 2
     assert written == (["cfg.json"] if as_config else [])
     if as_config:
-        assert err.startswith(f"error: {path}: option {cli._dest(flag)!r}: ")
-        assert err.count("\n") == 1, err
+        reason = f"invalid {domain.__name__} value: {str(value)!r}"
+        assert err == f"error: {path}: {cli._dest(flag)}: {reason}\n"
     else:
         *usage, last = err.splitlines()
         assert last.startswith(f"hmdn {command}: error: argument {flag}: "), err
@@ -293,11 +296,21 @@ def test_mutated_scene_exits_0_or_3_with_one_line(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scene.json"
         path.write_text(text)
+        try:
+            scenario.load_scene(str(path))
+            rejected = None
+        except LocatedError as exc:
+            rejected = exc
         code, err = quiet(cli.main, ["simulate", "--scene", str(path), "--out-dir", tmp,
                                      "--n-train", "2", "--n-test", "1"])
     assert code in (0, 3), err
     assert "Traceback" not in err
-    if code == 3:
+    if rejected is not None:  # a line and column exactly for text that is not JSON
+        assert rejected.path == str(path) and rejected.key is None
+        located = (rejected.line is not None, rejected.column is not None)
+        assert located == (isinstance(rejected, ParseError),) * 2
+        assert code == 3 and err == f"error: {rejected}\n"
+    elif code == 3:
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
     else:
         assert err == ""

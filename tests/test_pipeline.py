@@ -20,8 +20,10 @@ from hmdn.pipeline import (
 from util import (
     affine_model,
     make_dump_records,
+    raised,
     reference_select_top,
     reference_write_predictions,
+    where,
 )
 
 
@@ -336,13 +338,9 @@ class TestDumpRejectsMalformedFiles:
     def check(self, tmp_path, lines, error, line, message):
         path = tmp_path / "bad.txt"
         path.write_text("".join(lines))
-        with pytest.raises(error) as info:
-            parse_predictions(path)
-        text = str(info.value)
-        assert text.startswith(f"{path}: "), text
-        if line is not None:
-            assert f": line {line}: " in text, text
-        assert message in text, text
+        err = raised(error, parse_predictions, path)
+        assert where(err) == (path, line, None, None)
+        assert message in err.message, err
 
     def test_layout_of_the_good_file(self, lines):
         # header (4) + 2 blocks of record, estimate, 4 samples, estimate, 4 candidates

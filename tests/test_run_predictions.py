@@ -8,6 +8,7 @@ import pytest
 
 from hmdn.numcore import Rng
 from hmdn.pipeline import (
+    _BLOCK_ROWS,
     HmdnPipeline,
     baseline_samples,
     predict,
@@ -108,10 +109,11 @@ class TestMatchesReferenceLoop:
 
     @pytest.mark.parametrize("m", [100, 5000])
     def test_record_counts_around_the_block_size(self, tmp_path, m):
-        # 4096 // 100 = 40 records per block, and 1 for any M > 4096; the
-        # CLI's layer shapes, where one product over all the rows of several
-        # records would round differently from per-record products
-        block = max(1, 4096 // m)
+        # _BLOCK_ROWS // M records per block (40 at M = 100 and 4096 rows),
+        # and 1 for any M above _BLOCK_ROWS; the CLI's layer shapes, where one
+        # product over all the rows of several records would round
+        # differently from per-record products
+        block = max(1, _BLOCK_ROWS // m)
         pipe = make_pipeline(7, 2, 5, "tanh", (64, 64), m=m, n=20, k2=3)
         n_records = 2 * block + 3
         inputs = make_inputs(7, n_records, 2)

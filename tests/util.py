@@ -8,6 +8,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 
 from hmdn.dataio import FingerprintTable
 from hmdn.errors import NumericError, ParseError, SchemaError
@@ -497,14 +498,14 @@ def reference_load_csv(path):
         try:
             header = next(reader)
         except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row") from None
+            raise SchemaError("empty file, expected a header row", path=path) from None
 
         wap_names = [c for c in header if c.startswith("WAP")]
         if not wap_names:
-            raise SchemaError(f"{path}: no columns start with WAP prefix 'WAP'")
+            raise SchemaError("no columns start with WAP prefix 'WAP'", path=path, line=1)
         for col in ("LONGITUDE", "LATITUDE"):
             if col not in header:
-                raise SchemaError(f"{path}: missing column {col!r}")
+                raise SchemaError(f"missing column {col!r}", path=path, line=1)
 
         col_index = {c: i for i, c in enumerate(header)}
         wap_idx = [col_index[c] for c in wap_names]
@@ -515,44 +516,41 @@ def reference_load_csv(path):
 
         rssi_rows, coord_rows = [], []
         metadata: dict = {c: [] for c in meta_cols}
-        for row_no, row in enumerate(reader, start=1):
+        line = reader.line_num + 1  # the file line the next row starts on
+        for row in reader:
             if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: row {row_no} has {len(row)} cells, header has {len(header)}"
-                )
+                raise ParseError(f"row has {len(row)} cells, header has {len(header)}",
+                                 path=path, line=line)
 
             def cell(idx, col):
                 try:
                     return float(row[idx])
                 except ValueError:
-                    raise ParseError(
-                        f"{path}: cannot parse row {row_no}, column {col!r}: {row[idx]!r}"
-                    ) from None
+                    raise ParseError(f"cannot parse {row[idx]!r}", path=path, line=line,
+                                     key=col) from None
 
             values = []
             for c, i in zip(wap_names, wap_idx):
                 v = cell(i, c)
                 if v != 100.0 and not (-104.0 <= v <= 0.0):
-                    raise ParseError(
-                        f"{path}: row {row_no}, column {c!r}: value {v} outside "
-                        f"[-104.0, 0.0] and not the sentinel"
-                    )
+                    raise ParseError(f"value {v} outside [-104.0, 0.0] and not the sentinel",
+                                     path=path, line=line, key=c)
                 values.append(v)
             rssi_rows.append(values)
             xy = []
             for c, i in (("LONGITUDE", x_idx), ("LATITUDE", y_idx)):
                 v = cell(i, c)
                 if not math.isfinite(v):
-                    raise ParseError(
-                        f"{path}: row {row_no}, column {c!r}: coordinate {v} is not finite"
-                    )
+                    raise ParseError(f"coordinate {v} is not finite", path=path, line=line,
+                                     key=c)
                 xy.append(v)
             coord_rows.append(xy)
             for c in meta_cols:
                 metadata[c].append(row[col_index[c]])
+            line = reader.line_num + 1
 
     if not rssi_rows:
-        raise SchemaError(f"{path}: no data rows")
+        raise SchemaError("no data rows", path=path)
     return FingerprintTable(
         wap_names=tuple(wap_names),
         rssi=np.array(rssi_rows),
@@ -561,13 +559,26 @@ def reference_load_csv(path):
     )
 
 
+def raised(error, func, *args):
+    """The ``error`` that ``func(*args)`` raises."""
+    with pytest.raises(error) as info:
+        func(*args)
+    return info.value
+
+
+def where(err) -> tuple:
+    """An error's location fields: (path, line, column, key)."""
+    return err.path, err.line, err.column, err.key
+
+
 def load_outcome(loader, path):
     """What a CSV loader makes of a file: the table's exact bits, or the
-    class and message of the error it raises."""
+    class, location fields and message of the error it raises."""
     try:
         table = loader(path)
     except Exception as err:
-        return type(err), str(err)
+        fields = (getattr(err, name, None) for name in ("path", "line", "column", "key"))
+        return (type(err), *fields, str(err))
     return (
         table.wap_names,
         table.rssi.shape,
