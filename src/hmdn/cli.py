@@ -376,8 +376,9 @@ def _prediction_inputs(opts):
     g2 = _load_model_file(opts["g2"], "g2")
     features = dataio.normalize_rssi(table, g1.preprocessing[1]).features
     if features.shape[1] != g1.config.input_dim:
-        raise ShapeError(
-            f"dataset has {features.shape[1]} WAP features, g1 expects {g1.config.input_dim}"
+        raise SchemaError(
+            f"dataset has {features.shape[1]} WAP features, g1 expects {g1.config.input_dim}",
+            path=opts["data"],
         )
     columns = _condition_columns(table, opts)
     with located(opts["data"]):

@@ -56,7 +56,10 @@ _CONFIG_FIELDS = [
     for f in sorted(fields(MdnConfig), key=lambda f: list(_CONFIG_TEXT).index(f.type))
 ]
 
-# section -> its ``key = value`` keys; [weights] holds matrix blocks instead
+# the model file's sections in the order save_model writes them, each with
+# its ``key = value`` lines in order; [weights] holds matrix blocks instead,
+# and a model built by the library has no [preprocessing]. load_model reads
+# the same layout line by line.
 _SECTION_KEYS = {
     "preprocessing": ("role", "recoding"),
     "config": tuple(name for name, _, _ in _CONFIG_FIELDS),
@@ -407,49 +410,68 @@ def _write_csv(path, header, values: np.ndarray, text_columns=()) -> None:
 # --- model persistence ---
 
 
+def _floats(values) -> str:
+    return " ".join(fmt17(v) for v in values)
+
+
 def save_model(model: MdnModel, path) -> None:
     """Serialize the recorded role and recoding (none for a model built by
     the library), config, standardization statistics, weights, and the
-    training log to the versioned text format (17 significant digits)."""
+    training log to the versioned text format (17 significant digits), in
+    the section and key order of ``_SECTION_KEYS``."""
+    values = {
+        "preprocessing": model.preprocessing,
+        "config": [format_(getattr(model.config, name)) for name, format_, _ in _CONFIG_FIELDS],
+        "standardize": (_floats(model.input_mean), _floats(model.input_std)),
+        "weights": (),
+        "training_log": (_floats(model.training_log),),
+    }
     lines = [_MODEL_FORMAT]
-    if model.preprocessing:
-        role, recoding = model.preprocessing
-        lines += ["[preprocessing]", f"role = {role}", f"recoding = {recoding}"]
-    lines.append("[config]")
-    lines += [f"{name} = {format_(getattr(model.config, name))}"
-              for name, format_, _ in _CONFIG_FIELDS]
-    lines.append("[standardize]")
-    lines.append("mean = " + " ".join(fmt17(v) for v in model.input_mean))
-    lines.append("std = " + " ".join(fmt17(v) for v in model.input_std))
-    lines.append("[weights]")
-    for i, w in enumerate(model.weights):
-        lines.append(f"matrix {i} {w.shape[0]} {w.shape[1]}")
-        lines.extend(" ".join(fmt17(v) for v in row) for row in w)
-    lines.append("[training_log]")
-    lines.append("nll = " + " ".join(fmt17(v) for v in model.training_log))
+    for section, keys in _SECTION_KEYS.items():
+        if section == "preprocessing" and not model.preprocessing:
+            continue
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {value}" for key, value in zip(keys, values[section])]
+        if section == "weights":
+            for i, w in enumerate(model.weights):
+                lines.append(f"matrix {i} {w.shape[0]} {w.shape[1]}")
+                lines.extend(_floats(row) for row in w)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _numbers(text: str, where: dict) -> list:
+def _numbers(text: str, count=None, **where) -> list:
+    """The floats of ``text``: ``count`` of them, unless that is None."""
     try:
-        return [float(t) for t in text.split()]
+        values = [float(t) for t in text.split()]
     except ValueError:
         raise ParseError(f"expected numbers, got {text!r}", **where) from None
+    if count is not None and len(values) != count:
+        raise ParseError(f"expected {count} values, got {len(values)}", **where)
+    return values
 
 
 def load_model(path) -> MdnModel:
     """Reload a model file; bit-exact inverse of save_model.
 
-    Every error has ``path`` set, and ``line`` wherever one line is at
-    fault. SchemaError is raised for a file of another format version, a
-    line outside any section, an unknown or repeated section, an unknown,
-    repeated or missing key (keyed ``[section] key``), a role or recoding
-    outside ``RECODINGS``, a matrix header other than the next one the
-    config shapes (checked before the matrix is allocated), and a missing
-    matrix. ParseError is raised for a byte that is not UTF-8, a malformed
-    or truncated line, a [config] value its field rejects, a non-finite
-    weight and a bad standardization value.
+    The file is read line by line in the layout save_model writes: the
+    version line, ``[preprocessing]`` if the model has one, then
+    ``[config]``, ``[standardize]``, ``[weights]`` and ``[training_log]``,
+    each with its lines in the order of ``_SECTION_KEYS``; in ``[weights]``
+    the ``matrix <index> <rows> <cols>`` header of each array the config
+    shapes, followed by its rows; then the end of the file.
+
+    Every error has ``path`` and ``line`` set, and an error about a
+    ``key = value`` line has ``key`` set to its ``[section] key``. The
+    first line that is not the line the writer puts there (a section, a
+    key, a matrix header, the end of the file, or the end of the file where
+    a line is due) raises SchemaError naming what was due and what the file
+    has; so does a role or recoding outside ``RECODINGS``. A value raises
+    ParseError: a byte that is not UTF-8, a number that does not parse, a
+    [config] value its field rejects, and a row or statistics line of the
+    wrong width. Each matrix is built from rows already parsed, so no
+    array is larger than the file. A non-finite weight or mean and a
+    non-finite or non-positive std raise ParseError naming the file only.
     """
     with located(path):
         lines = [m.group().rstrip("\r\n") for m in _LINE.finditer(_read_utf8(path))]
@@ -458,45 +480,32 @@ def load_model(path) -> MdnModel:
             if lines[:1] == ["hmdn-model v1"]:
                 why = "; a v1 model records no role or recoding, so retrain it with `hmdn train`"
             raise SchemaError(f"expected header {_MODEL_FORMAT!r}{why}", line=1)
+        at = 1  # the number of the last line read
 
-        sections: dict = {}
-        current = None
-        for lineno, ln in enumerate(lines[1:], start=2):
-            if not ln:
-                continue
-            if ln.startswith("["):
-                current = ln.strip("[]")
-                if current not in _SECTION_KEYS or current in sections:
-                    why = "appears twice" if current in sections else "is not a model section"
-                    raise SchemaError(f"{ln!r} {why}", line=lineno)
-                sections[current] = []
-            elif current is None:
-                raise SchemaError(f"{ln!r} is outside any section", line=lineno)
-            else:
-                sections[current].append((lineno, ln))
+        def take(due: str, prefix: str = None) -> str:
+            """The next line, less ``prefix``. It must start with ``prefix``, or
+            be ``due`` when there is none; else a SchemaError on its line."""
+            nonlocal at
+            at += 1
+            got = lines[at - 1] if at <= len(lines) else None
+            if got is None or not (got == due if prefix is None else got.startswith(prefix)):
+                found = "the end of the file" if got is None else repr(got)
+                raise SchemaError(f"expected {due!r}, got {found}", line=at)
+            return got[len(prefix or "") :]
 
-        def parse_kv(section):
-            """key -> (value text, its line and ``[section] key``) for the
-            ``key = value`` lines; a key the section does not have, has
-            already or (but for the training log) lacks is a SchemaError."""
-            out = {}
-            for lineno, ln in sections.get(section, []):
-                key, _, value = ln.partition(" = ")
-                where = {"line": lineno, "key": f"[{section}] {key}"}
-                if key not in _SECTION_KEYS[section]:
-                    raise SchemaError("no such key", **where)
-                if key in out:
-                    raise SchemaError(f"repeats line {out[key][1]['line']}", **where)
-                out[key] = (value, where)
-            missing = [key for key in _SECTION_KEYS[section] if key not in out]
-            if missing and section != "training_log":
-                raise SchemaError("missing", key=f"[{section}] {missing[0]}")
-            return out
+        def section(name: str) -> list:
+            """The section's header line, then (value, location) per key line."""
+            take(f"[{name}]")
+            values = []
+            for key in _SECTION_KEYS[name]:
+                where = {"line": at + 1, "key": f"[{name}] {key}"}
+                with located(**where):
+                    values.append((take(f"{key} = <value>", f"{key} = "), where))
+            return values
 
         preprocessing = ()
-        if "preprocessing" in sections:
-            pre = parse_kv("preprocessing")
-            (role, role_at), (recoding, recoding_at) = pre["role"], pre["recoding"]
+        if lines[1:2] == ["[preprocessing]"]:
+            (role, role_at), (recoding, recoding_at) = section("preprocessing")
             if role not in RECODINGS:
                 raise SchemaError(f"must be g1 or g2, got {role!r}", **role_at)
             if recoding not in RECODINGS[role]:
@@ -504,46 +513,28 @@ def load_model(path) -> MdnModel:
                                   f"got {recoding!r}", **recoding_at)
             preprocessing = (role, recoding)
 
-        raw = parse_kv("config")
+        raw = dict(zip(_SECTION_KEYS["config"], section("config")))
         try:
-            config = MdnConfig(**{name: parse(raw[name][0]) for name, _, parse in _CONFIG_FIELDS})
+            config = MdnConfig(**{name: checked(name, parse, raw[name][0])
+                                  for name, _, parse in _CONFIG_FIELDS})
         except DomainError as err:  # keyed by the field
             raise ParseError(err.message, **raw[err.key][1]) from None
-        except ValueError as err:
-            raise ParseError(f"bad [config] section: {err}") from None
 
-        std_kv = parse_kv("standardize")
-        mean, std = (_numbers(*std_kv[name]) for name in ("mean", "std"))
+        mean, std = (_numbers(text, config.input_dim, **where)
+                     for text, where in section("standardize"))
 
-        # the 'matrix <index> <rows> <cols>' header of each array the config shapes
-        shapes = [(rows, cols) for fan_in, cols in config.layer_dims() for rows in (fan_in, 1)]
-        layout = [f"matrix {i} {rows} {cols}" for i, (rows, cols) in enumerate(shapes)]
+        section("weights")
         weights = []
-        w_lines = sections.get("weights", [])
-        i = 0
-        while i < len(w_lines):
-            lineno, header = w_lines[i]
-            parts = header.split()
-            if len(parts) != 4 or parts[0] != "matrix" or not all(p.isdecimal() for p in parts[1:]):
-                raise ParseError(f"expected 'matrix <index> <rows> <cols>', got {header!r}",
-                                 line=lineno)
-            index, rows, cols = map(int, parts[1:])
-            want = layout[len(weights)] if len(weights) < len(layout) else "the end of [weights]"
-            if f"matrix {index} {rows} {cols}" != want:
-                raise SchemaError(f"expected {want} for this config, got {header!r}", line=lineno)
-            block = w_lines[i + 1 : i + 1 + rows]
-            if len(block) < rows:
-                raise ParseError(f"matrix declares {rows} rows, file has {len(block)}", line=lineno)
-            matrix = np.empty((rows, cols))
-            for r, (row_lineno, text) in enumerate(block):
-                row = _numbers(text, {"line": row_lineno})
-                if len(row) != cols:
-                    raise ParseError(f"expected {cols} values, got {len(row)}", line=row_lineno)
-                matrix[r] = row
-            weights.append(matrix)
-            i += 1 + rows
+        shapes = [(rows, cols) for fan_in, cols in config.layer_dims() for rows in (fan_in, 1)]
+        for i, (rows, cols) in enumerate(shapes):
+            take(f"matrix {i} {rows} {cols}")
+            weights.append(np.array([_numbers(take(f"<{cols} numbers>", ""), cols, line=at)
+                                     for _ in range(rows)]))
 
-        training_log = tuple(_numbers(*parse_kv("training_log").get("nll", ("", {}))))
+        ((nll, nll_at),) = section("training_log")
+        training_log = _numbers(nll, **nll_at)
+        if at < len(lines):
+            raise SchemaError(f"expected the end of the file, got {lines[at]!r}", line=at + 1)
 
         try:
             return MdnModel(
@@ -554,7 +545,5 @@ def load_model(path) -> MdnModel:
                 training_log=training_log,
                 preprocessing=preprocessing,
             )
-        except ShapeError as err:
-            raise SchemaError(str(err)) from None
         except (DomainError, NumericError) as err:
             raise ParseError(str(err)) from None

@@ -69,10 +69,9 @@ class MdnConfig:
             checked(name, positive_float, getattr(self, name))
         for width in self.hidden_layers:
             checked("hidden_layers", positive_int, width)
-        if self.hidden_activation not in ACTIVATIONS:
-            raise ValueError(f"hidden_activation must be one of {ACTIVATIONS}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+        for name, choices in (("hidden_activation", ACTIVATIONS), ("optimizer", OPTIMIZERS)):
+            if getattr(self, name) not in choices:
+                raise DomainError(f"must be one of {choices}", key=name)
 
     @property
     def output_width(self) -> int:

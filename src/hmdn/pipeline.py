@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParseError, SchemaError, ShapeError, located
 from .mdn import MdnModel, _draw, _log_likelihoods, _mixtures, mixture_at, sample
-from .numcore import FLOAT_SPEC, Rng, positive_int
+from .numcore import FLOAT_SPEC, Rng, positive_int, seed64
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ class HmdnEstimate:
     scores: np.ndarray            # (M,) log p(z | candidate)
     selected_indices: np.ndarray  # (N,)
     underflow_fallback: bool = False
-    weighted: bool = False
 
     @property
     def selected(self) -> np.ndarray:
@@ -137,7 +136,6 @@ def predict(pipeline: HmdnPipeline, x, z, rng: Rng, weighted: bool = False) -> H
         scores=S[0],
         selected_indices=_selected(order[0], fallback[0], pipeline.n_selected),
         underflow_fallback=bool(fallback[0]),
-        weighted=weighted,
     )
 
 
@@ -218,7 +216,6 @@ def run_predictions(
                     scores=S[i].copy(),
                     selected_indices=_selected(order[i], fallback[i], N).copy(),
                     underflow_fallback=bool(fallback[i]),
-                    weighted=weighted,
                 )
                 records.append(
                     PredictionRecord(
@@ -244,6 +241,9 @@ def run_predictions(
 # --- prediction dump: line-oriented text consumed by plotting/evaluation ---
 
 _DUMP_HEADER = "# hmdn-predictions v2"
+# the header lines after the version line: each one's keys, with their values' domains
+_DUMP_FIELDS = ({"master_seed": seed64}, {"m": positive_int, "n": positive_int},
+                {"records": positive_int})
 
 
 @dataclass(frozen=True)
@@ -302,38 +302,6 @@ def write_predictions(path, records, master_seed: int, m: int, n: int) -> None:
                  f"# records {len(records)}\n")
         for r in records:
             fh.write(_render_record(r))
-
-
-def _read_header(fh, start: int = 1):
-    """Read the ``# key value ...`` lines at the current position of an open
-    dump, line ``start`` of the file. Returns the key/value pairs of those
-    with an even number of fields, the first line after them (None at the
-    end of the file) and its number."""
-    meta: dict = {}
-    lineno = start - 1
-    for lineno, ln in enumerate(fh, start=start):
-        if not ln.startswith("#"):
-            return meta, ln, lineno
-        parts = ln[1:].split()
-        if len(parts) % 2 == 0:
-            meta.update(zip(parts[0::2], parts[1::2]))
-    return meta, None, lineno + 1
-
-
-def _block_sizes(meta: dict):
-    """(m, n, k) from the dump header: candidates and selected per record,
-    and the number of records."""
-    try:
-        m, n, k = (positive_int(meta[key]) for key in ("m", "n", "records"))
-    except (KeyError, ValueError):
-        m = n = k = 0
-    if not 1 <= n <= m:
-        raise SchemaError(
-            "dump header needs '# m <candidates> n <selected>' with 1 <= n <= m and "
-            f"'# records <count>' with count >= 1, got m={meta.get('m')!r} "
-            f"n={meta.get('n')!r} records={meta.get('records')!r}"
-        )
-    return m, n, k
 
 
 def _read_block(start: int, parts, lines, m: int, n: int) -> PredictionRecord:
@@ -436,16 +404,16 @@ def parse_predictions(path, header: dict = None) -> list:
     """Re-read a dump file into PredictionRecord values, streaming it.
 
     The file must be laid out exactly as ``write_predictions`` writes it:
-    the header, with ``m``, ``n`` and ``records``, then that many record
-    blocks, each with its lines in the documented order, m baseline
-    samples and m candidates, finite coordinates of one dimension, and n
-    selected candidates (all m on a fallback record). A missing or older
-    header or unusable ``m``/``n``/``records`` raises SchemaError; any
-    other deviation raises ParseError. Each has ``path`` set, and ``line``
-    where one line is at fault. A
-    ``header`` dict, if given, is filled with the key/value pairs of the
-    ``# key value ...`` header lines, so a caller needing both reads the
-    file once.
+    the version line, then the three header lines ``# master_seed <seed64>``,
+    ``# m <positive_int> n <positive_int>`` with n <= m and ``# records
+    <positive_int>``, then that many record blocks, each with its lines in
+    the documented order, m baseline samples and m candidates, finite
+    coordinates of one dimension, and n selected candidates (all m on a
+    fallback record). A header line that is not the one due raises
+    SchemaError; any other deviation raises ParseError. Each has ``path``
+    set, and ``line`` where one line is at fault. A ``header`` dict, if
+    given, is filled with the header's values as text (``master_seed``,
+    ``m``, ``n``, ``records``), so a caller needing both reads the file once.
     """
     records = []
     with located(path), open(path, "r", encoding="utf-8") as fh:
@@ -457,12 +425,28 @@ def parse_predictions(path, header: dict = None) -> list:
                     why = (f"{first[2:]!r} dumps are no longer read; re-run `hmdn predict` "
                            f"to write {_DUMP_HEADER[2:]!r}")
                 raise SchemaError(why, line=1)
-            meta, ln, lineno = _read_header(fh, start=2)
+            meta = {}
+            for lineno, fields in enumerate(_DUMP_FIELDS, start=2):
+                ln = fh.readline()
+                words = ln.rstrip("\n").split(" ")
+                keys, values = words[1::2], words[2::2]
+                try:
+                    if words[0] != "#" or keys != list(fields) or len(values) != len(keys):
+                        raise ValueError
+                    for domain, text in zip(fields.values(), values):
+                        domain(text)
+                except ValueError:
+                    due = "# " + " ".join(f"{key} <{dom.__name__}>" for key, dom in fields.items())
+                    got = repr(ln.rstrip("\n")) if ln else "the end of the file"
+                    raise SchemaError(f"expected {due!r}, got {got}", line=lineno) from None
+                meta.update(zip(keys, values))
+            m, n, count = (int(meta[key]) for key in ("m", "n", "records"))
+            if n > m:
+                raise SchemaError(f"n {n} exceeds m {m}", line=3)
             if header is not None:
                 header.update(meta)
-            m, n, count = _block_sizes(meta)
             lines = map(str.split, fh)
-            parts = None if ln is None else ln.split()
+            parts, lineno = next(lines, None), lineno + 1
             for _ in range(count):
                 if parts is None:
                     raise ParseError(f"end of file after {len(records)} of the header's "

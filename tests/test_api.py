@@ -96,6 +96,7 @@ def test_removed_fields_are_gone():
     assert "strategy" not in SplitSpec.__dataclass_fields__
     assert not hasattr(NormalizedRssi, "inverse_detected")
     assert not hasattr(HmdnEstimate, "selected_scores")
+    assert "weighted" not in HmdnEstimate.__dataclass_fields__
 
 
 def test_benchmark_wrap_points_resolve():

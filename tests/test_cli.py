@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from hmdn import cli, dataio, evaluate, pipeline, scenario
-from hmdn.errors import LocatedError, ParseError, SchemaError
+from hmdn.errors import SchemaError
 from hmdn.mdn import nll
 from hmdn.pipeline import parse_predictions
 
-from util import make_dump_records, raised
+from util import make_dump_records, raised, run_capped
 
 
 def run(*argv):
@@ -903,18 +903,15 @@ class TestMalformedModel:
         assert one_error_line(capsys) == f"error: {bad}:4: not UTF-8 text (invalid start byte)\n"
         assert not (tmp_path / "eval").exists()
 
-    @pytest.mark.parametrize("edit, error, why", [
-        (lambda rows: f"matrix 0 {rows} 4611686018427387904", SchemaError,
-         "expected matrix 0 {rows} 16 for this config"),
-        (lambda rows: f"matrix 7 {rows} 16", SchemaError,
-         "expected matrix 0 {rows} 16 for this config"),
-        (lambda rows: f"matrix x {rows} 16", ParseError,
-         "expected 'matrix <index> <rows> <cols>'"),
+    @pytest.mark.parametrize("edit", [
+        lambda rows: f"matrix 0 {rows} 4611686018427387904",
+        lambda rows: f"matrix 7 {rows} 16",
+        lambda rows: f"matrix x {rows} 16",
     ], ids=["cols-numpy-refuses", "index", "index-not-a-number"])
-    def test_bad_matrix_header_names_path_and_line(self, workspace, tmp_path, capsys, edit,
-                                                   error, why):
-        """Checked against the config before numpy is asked for the matrix,
-        at sizes numpy refuses outright: exit 3 with one line, nothing written."""
+    def test_bad_matrix_header_names_path_and_line(self, workspace, tmp_path, capsys, edit):
+        """The header must be the one the config shapes, so numpy is never
+        asked for the size it declares (here one numpy refuses outright):
+        exit 3 with one line, nothing written."""
         lines = (workspace / "g1.model").read_text().splitlines()
         line = lines.index("[weights]") + 2
         rows = int(lines[line - 1].split()[2])
@@ -922,10 +919,42 @@ class TestMalformedModel:
         bad = tmp_path / "g1.model"
         bad.write_text("\n".join(lines) + "\n")
         assert self.evaluate(workspace, bad, tmp_path / "eval") == 3
-        expected = (f"error: {bad}:{line}: {why.format(rows=rows)}, "
-                    f"got {lines[line - 1]!r}\n")
+        expected = f"error: {bad}:{line}: expected 'matrix 0 {rows} 16', got {lines[line - 1]!r}\n"
         assert one_error_line(capsys) == expected
-        assert isinstance(raised(LocatedError, dataio.load_model, bad), error)
+        raised(SchemaError, dataio.load_model, bad)
+        assert not (tmp_path / "eval").exists()
+
+    def test_width_no_machine_holds_fails_on_the_first_row(self, workspace, tmp_path):
+        """A g2 model whose config and matrix header agree on a 2^31-1 wide
+        first layer: the reader builds each matrix from rows already parsed,
+        so it stops at the first row's width, never asking numpy for the
+        32 GiB the header declares. Run under a 1 GiB address-space cap, so
+        a reader that allocates first fails fast instead of committing memory."""
+        lines = (workspace / "g2.model").read_text().splitlines()
+        hidden = next(i for i, ln in enumerate(lines) if ln.startswith("hidden_layers = "))
+        lines[hidden] = "hidden_layers = 2147483647 16"
+        header = lines.index("[weights]") + 1
+        assert lines[header] == "matrix 0 2 16"
+        lines[header] = "matrix 0 2 2147483647"
+        bad = tmp_path / "g2.model"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = ["evaluate", "--g1", workspace / "g1.model", "--g2", bad,
+                "--data", workspace / "test.csv", "--out-dir", tmp_path / "eval",
+                "--m", 5, "--n", 2, "--bootstrap", 10]
+        done = run_capped(
+            "import sys\n"
+            "from hmdn import cli, dataio\n"
+            "from hmdn.errors import ParseError\n"
+            "try:\n"
+            f"    dataio.load_model({str(bad)!r})\n"
+            "except ParseError as err:\n"
+            "    print(err.path, err.line, err.key, err.message, sep='|')\n"
+            f"sys.exit(cli.main({[str(a) for a in argv]!r}))\n"
+        )
+        row = header + 2
+        assert done.stdout == f"{bad}|{row}|None|expected 2147483647 values, got 16\n"
+        assert done.returncode == 3
+        assert done.stderr == f"error: {bad}:{row}: expected 2147483647 values, got 16\n"
         assert not (tmp_path / "eval").exists()
 
     def test_truncated_or_incomplete_model_never_crashes(self, workspace, tmp_path, capsys):
@@ -975,7 +1004,7 @@ class TestMalformedDump:
              ":1: 'hmdn-predictions v1' dumps are no longer read; re-run `hmdn predict` to "
              "write 'hmdn-predictions v2'"),
             (lambda ls: ls[:1] + ls[2:],
-             ": dump header needs a '# master_seed <0..2^64-1>' line"),
+             ":2: expected '# master_seed <seed64>', got '# m 4 n 2'"),
         ],
         ids=["<lambda>-" + fault for fault in (
             "line 5: expected a 'record' line",
@@ -1026,6 +1055,25 @@ class TestMissingLuxColumns:
         assert run(command, "--data", data, *argv) == 3
         assert one_error_line(capsys) == f"error: {data}: no LUX_<condition> columns\n"
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestWapCountMismatch:
+    """A CSV with fewer WAP columns than g1 has inputs: exit 3 with one line
+    naming the CSV, before any output is made."""
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_exits_data_error_naming_the_csv(self, workspace, tmp_path, capsys, command):
+        rows = [line.split(",") for line in (workspace / "test.csv").read_text().splitlines()]
+        assert rows[0][:5] == ["WAP001", "WAP002", "WAP003", "WAP004", "LONGITUDE"]
+        data = tmp_path / "three_waps.csv"
+        data.write_text("".join(",".join(row[1:]) + "\n" for row in rows))
+        out = tmp_path / "out"
+        argv = ["--g1", workspace / "g1.model", "--g2", workspace / "g2.model", "--m", 5,
+                "--n", 2, "--out-dir", out, *(["--bootstrap", 10] if command == "evaluate" else [])]
+        assert run(command, "--data", data, *argv) == 3
+        expected = f"error: {data}: dataset has 3 WAP features, g1 expects 4\n"
+        assert one_error_line(capsys) == expected
+        assert not out.exists()
 
 
 class TestOutputPathIsAFile:

@@ -424,8 +424,8 @@ class TestModelPersistence:
          "must be g1 or g2, got 'g3'"),
         (lambda t: t.replace("recoding = log", "recoding = powed"), 4,
          "[preprocessing] recoding", "a g2 recoding is one of identity, log, got 'powed'"),
-        (lambda t: t.replace("recoding = log\n", ""), None, "[preprocessing] recoding",
-         "missing"),
+        (lambda t: t.replace("recoding = log\n", ""), 4, "[preprocessing] recoding",
+         "expected 'recoding = <value>', got '[config]'"),
     ], ids=["role", "recoding-of-the-other-role", "missing-recoding"])
     def test_bad_preprocessing_section_names_path(self, tmp_path, edit, line, key, message):
         path = tmp_path / "model.txt"
@@ -436,18 +436,20 @@ class TestModelPersistence:
 
     @pytest.mark.parametrize("edit, at, key, message", [
         (lambda t: t.replace("[config]\n", "[config]\nlearning_rat = 0.5\n"),
-         "learning_rat = 0.5", "[config] learning_rat", "no such key"),
-        (lambda t: t.replace("[config]\n", "[config]\nepochs = 7\n"),
-         "epochs = 40", "[config] epochs", "repeats line 6"),
+         "learning_rat = 0.5", "[config] input_dim",
+         "expected 'input_dim = <value>', got 'learning_rat = 0.5'"),
+        (lambda t: t.replace("epochs = 40\n", "epochs = 40\nepochs = 7\n"),
+         "epochs = 7", "[config] batch_size", "expected 'batch_size = <value>', got 'epochs = 7'"),
         (lambda t: t.replace("recoding = log\n", "recoding = log\nrole = g2\n"),
-         "role = g2", "[preprocessing] role", "repeats line 3"),
-        (lambda t: t.replace("std = ", "sd = "), "sd = ", "[standardize] sd", "no such key"),
+         "role = g2", None, "expected '[config]', got 'role = g2'"),
+        (lambda t: re.sub(r"^std = .*$", "sd = 1 1", t, flags=re.M), "sd = ",
+         "[standardize] std", "expected 'std = <value>', got 'sd = 1 1'"),
         (lambda t: t.replace("[training_log]", "[log]"), "[log]", None,
-         "'[log]' is not a model section"),
+         "expected '[training_log]', got '[log]'"),
         (lambda t: t.replace("[training_log]", "[weights]"), "[weights]", None,
-         "'[weights]' appears twice"),
+         "expected '[training_log]', got '[weights]'"),
         (lambda t: t.replace("hmdn-model v2\n", "hmdn-model v2\nstray\n"), "stray", None,
-         "'stray' is outside any section"),
+         "expected '[config]', got 'stray'"),
     ], ids=["unknown-key", "repeated-key", "repeated-preprocessing-key", "unknown-std-key",
             "unknown-section", "repeated-section", "outside-sections"])
     def test_unknown_or_repeated_key_or_section_names_path_and_line(self, tmp_path, edit, at,
@@ -460,6 +462,47 @@ class TestModelPersistence:
         line = max(i for i, ln in enumerate(lines, start=1) if ln.startswith(at))
         err = raised(SchemaError, load_model, path)
         assert where(err) == (path, line, None, key) and err.message == message
+
+    @staticmethod
+    def moved(lines, first, count, before):
+        """``lines`` with the ``count`` lines from ``first`` moved ahead of the
+        line that starts with ``before``."""
+        block = lines[first : first + count]
+        rest = lines[:first] + lines[first + count :]
+        at = next(i for i, ln in enumerate(rest) if ln.startswith(before))
+        return rest[:at] + block + rest[at:]
+
+    @pytest.mark.parametrize("edit, due, key", [
+        (lambda ls, i: TestModelPersistence.moved(ls, i("mean = "), 1, "[weights]"),
+         "'mean = <value>'", "[standardize] mean"),
+        (lambda ls, i: TestModelPersistence.moved(ls, i("batch_size = "), 1, "epochs = "),
+         "'epochs = <value>'", "[config] epochs"),
+        (lambda ls, i: TestModelPersistence.moved(ls, i("recoding = "), 1, "role = "),
+         "'role = <value>'", "[preprocessing] role"),
+        (lambda ls, i: TestModelPersistence.moved(ls, i("[standardize]"), 3, "[training_log]"),
+         "'[standardize]'", None),
+        (lambda ls, i: TestModelPersistence.moved(ls, i("[training_log]"), 2, "[weights]"),
+         "'[weights]'", None),
+        (lambda ls, i: ls[: i("[weights]") + 1] + [""] + ls[i("[weights]") + 1 :],
+         "'matrix 0 2 6'", None),
+        (lambda ls, i: ls[: i("[standardize]")] + [""] + ls[i("[standardize]") :],
+         "'[standardize]'", None),
+        (lambda ls, i: ls + [""], "the end of the file", None),
+    ], ids=["std-before-mean", "batch_size-before-epochs", "recoding-before-role",
+            "standardize-after-weights", "training_log-before-weights", "blank-in-weights",
+            "blank-between-sections", "blank-at-the-end"])
+    def test_reordered_or_blank_line_rejected_on_its_line(self, tmp_path, edit, due, key):
+        """The first line that is not the one save_model writes there is the
+        error's line, and its message names both."""
+        path = tmp_path / "model.txt"
+        save_model(dataclasses.replace(self.train_tiny(), preprocessing=("g2", "log")), path)
+        lines = path.read_text().splitlines()
+        bad = edit(lines, lambda start: next(i for i, ln in enumerate(lines) if ln.startswith(start)))
+        path.write_text("\n".join(bad) + "\n")
+        line = next(i for i, (a, b) in enumerate(zip(lines + [None], bad + [None]), 1) if a != b)
+        err = raised(SchemaError, load_model, path)
+        assert where(err) == (path, line, None, key)
+        assert err.message == f"expected {due}, got {bad[line - 1]!r}"
 
     def test_non_utf8_model_names_path_and_line(self, tmp_path):
         path = tmp_path / "model.txt"
@@ -477,32 +520,36 @@ class TestModelPersistence:
         header = lines.index("[weights]") + 1  # "matrix 0 2 6"
         row = header + 1
         bad = tmp_path / "bad.txt"
-        for edit, line_no in (
-            (lambda ls: ls[: row + 1], header + 1),  # block cut after one of two rows
-            (lambda ls: ls[:row] + [ls[row] + " 0.5"] + ls[row + 1 :], row + 1),
-            (lambda ls: ls[:header] + ["matrix 0 2 x"] + ls[header + 1 :], header + 1),
-            (lambda ls: ls[:row] + ["0.5 nan? 1 2 3 4"] + ls[row + 1 :], row + 1),
+        for edit, error, line_no, message in (
+            # block cut after one of two rows: the end of the file where a row is due
+            (lambda ls: ls[: row + 1], SchemaError, row + 2,
+             "expected '<6 numbers>', got the end of the file"),
+            (lambda ls: ls[:row] + [ls[row] + " 0.5"] + ls[row + 1 :], ParseError, row + 1,
+             "expected 6 values, got 7"),
+            (lambda ls: ls[:header] + ["matrix 0 2 x"] + ls[header + 1 :], SchemaError,
+             header + 1, "expected 'matrix 0 2 6', got 'matrix 0 2 x'"),
+            (lambda ls: ls[:row] + ["0.5 nan? 1 2 3 4"] + ls[row + 1 :], ParseError, row + 1,
+             "expected numbers, got '0.5 nan? 1 2 3 4'"),
         ):
             bad.write_text("\n".join(edit(list(lines))) + "\n")
-            assert where(raised(ParseError, load_model, bad)) == (bad, line_no, None, None)
+            err = raised(error, load_model, bad)
+            assert where(err) == (bad, line_no, None, None) and err.message == message
 
     @pytest.mark.parametrize("header, error, message", [
         ("matrix 0 2 4611686018427387904", SchemaError,
-         "expected matrix 0 2 6 for this config, got 'matrix 0 2 4611686018427387904'"),
+         "expected 'matrix 0 2 6', got 'matrix 0 2 4611686018427387904'"),
         ("matrix 0 4611686018427387904 6", SchemaError,
-         "expected matrix 0 2 6 for this config, got 'matrix 0 4611686018427387904 6'"),
-        ("matrix 7 2 6", SchemaError,
-         "expected matrix 0 2 6 for this config, got 'matrix 7 2 6'"),
-        ("matrix 0 6 2", SchemaError, "expected matrix 0 2 6 for this config, got 'matrix 0 6 2'"),
-        ("matrix x 2 6", ParseError,
-         "expected 'matrix <index> <rows> <cols>', got 'matrix x 2 6'"),
+         "expected 'matrix 0 2 6', got 'matrix 0 4611686018427387904 6'"),
+        ("matrix 7 2 6", SchemaError, "expected 'matrix 0 2 6', got 'matrix 7 2 6'"),
+        ("matrix 0 6 2", SchemaError, "expected 'matrix 0 2 6', got 'matrix 0 6 2'"),
+        ("matrix x 2 6", SchemaError, "expected 'matrix 0 2 6', got 'matrix x 2 6'"),
     ], ids=["cols-numpy-refuses", "rows-numpy-refuses", "index", "transposed",
             "index-not-a-number"])
     def test_matrix_header_checked_against_the_config_before_allocating(self, tmp_path, header,
                                                                         error, message):
-        """The first matrix header is checked against its position and the
-        config's layer shapes before numpy is asked for the matrix. The sizes
-        here are ones numpy refuses outright, so no run can commit memory."""
+        """The first matrix header must be the one the config shapes at its
+        position, so numpy is never asked for the size a header declares. The
+        sizes here are ones numpy refuses outright, so no run can commit memory."""
         path = tmp_path / "model.txt"
         save_model(self.train_tiny(), path)
         lines = path.read_text().splitlines()
@@ -521,7 +568,7 @@ class TestModelPersistence:
         path.write_text("\n".join(lines) + "\n")
         err = raised(SchemaError, load_model, path)
         assert where(err) == (path, line, None, None)
-        assert err.message == "expected the end of [weights] for this config, got 'matrix 4 1 6'"
+        assert err.message == "expected '[training_log]', got 'matrix 4 1 6'"
 
     def config_keys(self, path) -> list:
         lines = path.read_text().splitlines()
@@ -552,9 +599,11 @@ class TestModelPersistence:
         lines = path.read_text().splitlines()
         kept = [ln for ln in lines if not ln.startswith(f"{name} = ")]
         assert len(kept) == len(lines) - 1
+        line = next(i for i, ln in enumerate(lines, start=1) if ln.startswith(f"{name} = "))
         bad.write_text("\n".join(kept) + "\n")
         err = raised(SchemaError, load_model, bad)
-        assert where(err) == (bad, None, None, f"[config] {name}") and err.message == "missing"
+        assert where(err) == (bad, line, None, f"[config] {name}")
+        assert err.message == f"expected '{name} = <value>', got {kept[line - 1]!r}"
 
     @pytest.mark.parametrize("value", ["0", "2147483648", "-3"])
     def test_config_value_outside_its_domain_names_line_and_key(self, tmp_path, value):
@@ -567,6 +616,25 @@ class TestModelPersistence:
         err = raised(ParseError, load_model, path)
         assert where(err) == (path, line, None, "[config] epochs")
         assert err.message == f"{value} is not an integer in 1..2^31-1"
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("[config] epochs", "x", "invalid literal for int() with base 10: 'x'"),
+        ("[config] hidden_layers", "6 x", "invalid literal for int() with base 10: 'x'"),
+        ("[config] hidden_activation", "sigmoid", "must be one of ('tanh', 'relu')"),
+        ("[config] optimizer", "rmsprop", "must be one of ('adam', 'sgd')"),
+        ("[standardize] mean", "0", "expected 2 values, got 1"),
+        ("[standardize] std", "1 1 1", "expected 2 values, got 3"),
+    ], ids=["int", "width", "activation", "optimizer", "short-mean", "long-std"])
+    def test_bad_value_names_its_line_and_key(self, tmp_path, key, text, message):
+        path = tmp_path / "model.txt"
+        save_model(self.train_tiny(), path)
+        lines = path.read_text().splitlines()
+        name = key.split()[1]
+        line = next(i for i, ln in enumerate(lines, start=1) if ln.startswith(f"{name} = "))
+        lines[line - 1] = f"{name} = {text}"
+        path.write_text("\n".join(lines) + "\n")
+        err = raised(ParseError, load_model, path)
+        assert where(err) == (path, line, None, key) and err.message == message
 
     def test_malformed_standardization_names_line_and_key(self, tmp_path):
         path = tmp_path / "model.txt"
@@ -582,11 +650,14 @@ class TestModelPersistence:
     def test_missing_standardization_rejected(self, tmp_path):
         path, bad = tmp_path / "model.txt", tmp_path / "bad.txt"
         save_model(self.train_tiny(), path)
+        lines = path.read_text().splitlines()
         for name in ("mean", "std"):
-            kept = [ln for ln in path.read_text().splitlines() if not ln.startswith(f"{name} = ")]
+            line = next(i for i, ln in enumerate(lines, start=1) if ln.startswith(f"{name} = "))
+            kept = lines[: line - 1] + lines[line:]
             bad.write_text("\n".join(kept) + "\n")
             err = raised(SchemaError, load_model, bad)
-            assert where(err) == (bad, None, None, f"[standardize] {name}")
+            assert where(err) == (bad, line, None, f"[standardize] {name}")
+            assert err.message == f"expected '{name} = <value>', got {kept[line - 1]!r}"
 
     def test_values_the_model_rejects_name_the_path(self, tmp_path):
         path, bad = tmp_path / "model.txt", tmp_path / "bad.txt"
@@ -595,11 +666,12 @@ class TestModelPersistence:
         header = lines.index("[weights]") + 1  # "matrix 0 2 6"
         std = next(i for i, ln in enumerate(lines) if ln.startswith("std = "))
         last_matrix = max(i for i, ln in enumerate(lines) if ln.startswith("matrix "))
-        for edit, error in (
+        for edit, error, line in (
             (lambda ls: ls[: header + 1] + ["nan " + ls[header + 1].split(" ", 1)[1]] + ls[header + 2 :],
-             ParseError),
-            (lambda ls: ls[:std] + ["std = 0 1"] + ls[std + 1 :], ParseError),
-            (lambda ls: ls[:last_matrix] + ls[last_matrix + 2 :], SchemaError),  # last bias dropped
+             ParseError, None),
+            (lambda ls: ls[:std] + ["std = 0 1"] + ls[std + 1 :], ParseError, None),
+            # the last bias dropped: [training_log] where its header is due
+            (lambda ls: ls[:last_matrix] + ls[last_matrix + 2 :], SchemaError, last_matrix + 1),
         ):
             bad.write_text("\n".join(edit(list(lines))) + "\n")
-            assert where(raised(error, load_model, bad)) == (bad, None, None, None)
+            assert where(raised(error, load_model, bad)) == (bad, line, None, None)

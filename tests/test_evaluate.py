@@ -160,7 +160,8 @@ class TestMetricsFromDump:
         lines = path.read_text().splitlines(keepends=True)
         path.write_text(lines[0] + "".join(lines[2:]))
         err = raised(SchemaError, metrics_from_dump, path, 20)
-        assert where(err) == (path, None, None, None) and "'# master_seed" in err.message
+        assert where(err) == (path, 2, None, None)
+        assert err.message == "expected '# master_seed <seed64>', got '# m 4 n 2'"
 
     def test_reads_the_dump_once(self, tmp_path, monkeypatch):
         path = tmp_path / "dump.txt"

@@ -177,7 +177,6 @@ class TestPredict:
     def test_weighted_mean_extension(self):
         est = predict(self.pipe, [0.0], [2.0], Rng(11), weighted=True)
         plain = predict(self.pipe, [0.0], [2.0], Rng(11))
-        assert est.weighted and not plain.weighted
         assert np.array_equal(est.selected_indices, plain.selected_indices)
         assert not np.array_equal(est.estimate, plain.estimate)
         lo, hi = est.selected.min(axis=0), est.selected.max(axis=0)
@@ -388,12 +387,46 @@ class TestDumpRejectsMalformedFiles:
                    "'hmdn-predictions v1' dumps are no longer read; re-run `hmdn predict`")
 
     def test_header_without_m_and_n(self, tmp_path, lines):
-        self.check(tmp_path, lines[:2] + lines[3:], SchemaError, None, "'# m <candidates> n <selected>'")
+        self.check(tmp_path, lines[:2] + lines[3:], SchemaError, 3,
+                   "expected '# m <positive_int> n <positive_int>', got '# records 2'")
 
     @pytest.mark.parametrize("count", [None, "0", "-1", "two"])
     def test_header_without_a_record_count(self, tmp_path, lines, count):
         bad = lines[:3] + ([] if count is None else [f"# records {count}\n"]) + lines[4:]
-        self.check(tmp_path, bad, SchemaError, None, "'# records <count>' with count >= 1")
+        self.check(tmp_path, bad, SchemaError, 4,
+                   f"expected '# records <positive_int>', got {bad[3].rstrip()!r}")
+
+    @pytest.mark.parametrize("edit, line, message", [
+        (lambda ls: ls[:1] + [ls[2], ls[1]] + ls[3:], 2,
+         "expected '# master_seed <seed64>', got '# m 4 n 2'"),
+        (lambda ls: ls[:2] + [ls[3], ls[2]] + ls[4:], 3,
+         "expected '# m <positive_int> n <positive_int>', got '# records 2'"),
+        (lambda ls: ls[:2] + ["# n 2 m 4\n"] + ls[3:], 3,
+         "expected '# m <positive_int> n <positive_int>', got '# n 2 m 4'"),
+        (lambda ls: ls[:2] + ["# m 4 n 2 m 4\n"] + ls[3:], 3,
+         "expected '# m <positive_int> n <positive_int>', got '# m 4 n 2 m 4'"),
+        (lambda ls: ls[:4] + ["# comment\n"] + ls[4:], 5, "expected a 'record' line"),
+        (lambda ls: ls[:1] + ["# comment\n"] + ls[1:], 2,
+         "expected '# master_seed <seed64>', got '# comment'"),
+        (lambda ls: ls[:1] + ["\n"] + ls[1:], 2, "expected '# master_seed <seed64>', got ''"),
+        (lambda ls: ls[:2] + ["#  m 4 n 2\n"] + ls[3:], 3,
+         "expected '# m <positive_int> n <positive_int>', got '#  m 4 n 2'"),
+        (lambda ls: ls[:2] + ["# m 4 n 5\n"] + ls[3:], 3, "n 5 exceeds m 4"),
+        (lambda ls: ls[:1] + ["# master_seed 18446744073709551616\n"] + ls[2:], 2,
+         "expected '# master_seed <seed64>', got '# master_seed 18446744073709551616'"),
+        (lambda ls: ls[:3], 4, "expected '# records <positive_int>', got the end of the file"),
+    ], ids=["seed-after-m-n", "records-before-m-n", "n-before-m", "extra-field", "extra-line",
+            "comment-before-seed", "blank-line", "double-space", "n-exceeds-m", "seed-too-large",
+            "cut-in-the-header"])
+    def test_header_line_not_the_one_due_names_its_line(self, tmp_path, lines, edit, line,
+                                                        message):
+        """The three header lines are read as write_predictions writes them,
+        so a missing, extra or reordered header line fails on its own line."""
+        error = ParseError if message.startswith("expected a 'record'") else SchemaError
+        path = tmp_path / "bad.txt"
+        path.write_text("".join(edit(lines)))
+        err = raised(error, parse_predictions, path)
+        assert where(err) == (path, line, None, None) and err.message == message
 
     def test_non_numeric_and_non_finite_coordinates(self, tmp_path, lines):
         bad = lines.copy()

@@ -1,15 +1,21 @@
 """Shared helpers for the test suite: random model and record builders,
 the finite-difference gradient oracle, the reference training loop, the
-reference bootstrap and dump writer, the reference prediction loop, and
-the reference fingerprint CSV reader and writers."""
+reference bootstrap and dump writer, the reference prediction loop, the
+reference fingerprint CSV reader and writers, and a runner for code that
+must stay within a memory cap."""
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hmdn
 from hmdn.dataio import FingerprintTable
 from hmdn.errors import NumericError, ParseError, SchemaError
 from hmdn.mdn import (
@@ -448,7 +454,6 @@ def reference_predict(pipeline, x, z, rng: Rng, weighted=False):
         scores=scores,
         selected_indices=idx,
         underflow_fallback=fallback,
-        weighted=weighted,
     )
 
 
@@ -615,3 +620,16 @@ def reference_table_to_csv(table, path):
             row += [fmt17(table.coords[i, 0]), fmt17(table.coords[i, 1])]
             row += [table.metadata[c][i] for c in table.metadata]
             writer.writerow(row)
+
+
+def run_capped(code: str, limit: int = 1 << 30) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh Python whose address space is capped at
+    ``limit`` bytes (``RLIMIT_AS``), with this ``hmdn`` importable and one
+    BLAS thread. A size check that regresses then fails fast on a refused
+    allocation instead of committing memory."""
+    src = str(Path(hmdn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    cap = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+    return subprocess.run([sys.executable, "-c", cap + code], env=env, capture_output=True,
+                          text=True, timeout=120)
