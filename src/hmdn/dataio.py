@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ParseError, SchemaError, ShapeError, located
+from .errors import DomainError, ParseError, SchemaError, ShapeError, located
 from .mdn import MdnConfig, MdnModel
-from .numcore import FLOAT_SPEC, Rng, checked, fmt17, unit_fraction
+from .numcore import FLOAT_SPEC, Rng, checked, decimal, fmt17, unit_fraction
 
 # the fingerprint CSV layout load_csv reads and the writers write
 NOT_DETECTED = 100.0
@@ -46,10 +46,10 @@ _MODEL_FORMAT = "hmdn-model v2"
 # value is formatted and parsed; the fields are written group by group in
 # this order, each group in declaration order
 _CONFIG_TEXT = {
-    "int": (str, int),
+    "int": (str, decimal),
     "float": (fmt17, float),
     "str": (str, str),
-    "tuple": (lambda v: " ".join(map(str, v)), lambda text: tuple(map(int, text.split()))),
+    "tuple": (lambda v: " ".join(map(str, v)), lambda text: tuple(map(decimal, text.split()))),
 }
 _CONFIG_FIELDS = [
     (f.name, *_CONFIG_TEXT[f.type])
@@ -440,14 +440,17 @@ def save_model(model: MdnModel, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _numbers(text: str, count=None, **where) -> list:
-    """The floats of ``text``: ``count`` of them, unless that is None."""
+def _numbers(text: str, count=None, valid=None, **where) -> list:
+    """The floats of ``text``: ``count`` of them, unless that is None, each
+    passing ``valid``, a (test, message) pair, when one is given."""
     try:
         values = [float(t) for t in text.split()]
     except ValueError:
         raise ParseError(f"expected numbers, got {text!r}", **where) from None
     if count is not None and len(values) != count:
         raise ParseError(f"expected {count} values, got {len(values)}", **where)
+    if valid is not None and not all(map(valid[0], values)):
+        raise ParseError(valid[1], **where)
     return values
 
 
@@ -469,9 +472,9 @@ def load_model(path) -> MdnModel:
     has; so does a role or recoding outside ``RECODINGS``. A value raises
     ParseError: a byte that is not UTF-8, a number that does not parse, a
     [config] value its field rejects, and a row or statistics line of the
-    wrong width. Each matrix is built from rows already parsed, so no
-    array is larger than the file. A non-finite weight or mean and a
-    non-finite or non-positive std raise ParseError naming the file only.
+    wrong width, a non-finite weight or mean, and a non-finite or
+    non-positive std. Each matrix is built from rows already parsed, so no
+    array is larger than the file.
     """
     with located(path):
         lines = [m.group().rstrip("\r\n") for m in _LINE.finditer(_read_utf8(path))]
@@ -520,15 +523,19 @@ def load_model(path) -> MdnModel:
         except DomainError as err:  # keyed by the field
             raise ParseError(err.message, **raw[err.key][1]) from None
 
-        mean, std = (_numbers(text, config.input_dim, **where)
-                     for text, where in section("standardize"))
+        (mean, mean_at), (std, std_at) = section("standardize")
+        mean = _numbers(mean, config.input_dim,
+                        (math.isfinite, "standardization means must all be finite"), **mean_at)
+        std = _numbers(std, config.input_dim, (lambda v: 0.0 < v < math.inf,
+                       "standardization deviations must all be finite and > 0"), **std_at)
 
         section("weights")
         weights = []
         shapes = [(rows, cols) for fan_in, cols in config.layer_dims() for rows in (fan_in, 1)]
+        finite = (math.isfinite, "weight entries must all be finite")
         for i, (rows, cols) in enumerate(shapes):
             take(f"matrix {i} {rows} {cols}")
-            weights.append(np.array([_numbers(take(f"<{cols} numbers>", ""), cols, line=at)
+            weights.append(np.array([_numbers(take(f"<{cols} numbers>", ""), cols, finite, line=at)
                                      for _ in range(rows)]))
 
         ((nll, nll_at),) = section("training_log")
@@ -536,14 +543,11 @@ def load_model(path) -> MdnModel:
         if at < len(lines):
             raise SchemaError(f"expected the end of the file, got {lines[at]!r}", line=at + 1)
 
-        try:
-            return MdnModel(
-                config=config,
-                weights=tuple(weights),
-                input_mean=mean,
-                input_std=std,
-                training_log=training_log,
-                preprocessing=preprocessing,
-            )
-        except (DomainError, NumericError) as err:
-            raise ParseError(str(err)) from None
+        return MdnModel(
+            config=config,
+            weights=tuple(weights),
+            input_mean=mean,
+            input_std=std,
+            training_log=training_log,
+            preprocessing=preprocessing,
+        )

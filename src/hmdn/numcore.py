@@ -33,12 +33,23 @@ _INV_2_53 = 2.0 ** -53
 # types its flags with them, the library checks fields through ``checked``.
 
 
+def decimal(text) -> int:
+    """``int(text)`` for text of ASCII decimal digits after an optional
+    minus sign, as the writers spell integers (``int`` alone also takes
+    '1_0', ' 7 ' and other scripts' digits); a number goes to ``int`` as is."""
+    if isinstance(text, str):
+        digits = text.removeprefix("-")
+        if not (digits.isascii() and digits.isdecimal()):
+            raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def positive_int(text) -> int:
     """An integer in 1 .. 2^31 - 1: a count. Counts size float64 arrays
     beside a few widths (coordinates, access points, hidden units), and
     below 2^31 rows numpy can size every such array, so a count that is
     too large fails here instead of inside numpy halfway through a run."""
-    value = int(text)
+    value = decimal(text)
     if not 1 <= value < 2**31:
         raise ValueError(f"{text!r} is not an integer in 1..2^31-1")
     return value
@@ -62,7 +73,7 @@ def unit_fraction(text) -> float:
 
 def seed64(text) -> int:
     """A 64-bit unsigned integer: a seed."""
-    value = int(text)
+    value = decimal(text)
     if not 0 <= value <= _MASK64:
         raise ValueError(f"{text!r} is not a 64-bit unsigned integer")
     return value

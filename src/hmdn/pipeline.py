@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParseError, SchemaError, ShapeError, located
 from .mdn import MdnModel, _draw, _log_likelihoods, _mixtures, mixture_at, sample
-from .numcore import FLOAT_SPEC, Rng, positive_int, seed64
+from .numcore import FLOAT_SPEC, Rng, decimal, positive_int, seed64
 
 
 @dataclass(frozen=True)
@@ -244,6 +244,9 @@ _DUMP_HEADER = "# hmdn-predictions v2"
 # the header lines after the version line: each one's keys, with their values' domains
 _DUMP_FIELDS = ({"master_seed": seed64}, {"m": positive_int, "n": positive_int},
                 {"records": positive_int})
+# lines of record blocks the reader converts together: whole blocks, at
+# least one. Larger chunks read no faster and raise the peak memory.
+_CHUNK_LINES = 2048
 
 
 @dataclass(frozen=True)
@@ -304,104 +307,186 @@ def write_predictions(path, records, master_seed: int, m: int, n: int) -> None:
             fh.write(_render_record(r))
 
 
-def _read_block(start: int, parts, lines, m: int, n: int) -> PredictionRecord:
-    """Parse one record block: ``parts`` is its split ``record`` line (line
-    ``start`` of the file) and its other 2m + 2 lines are pulled from
-    ``lines``, an iterator of split lines.
+def _float(text: str) -> float:
+    """``float(text)`` for the float texts numpy's C reader takes: none with
+    '_', blanks or non-ASCII characters, which ``float`` alone forgives."""
+    if not text.isascii() or "_" in text or text.strip() != text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
+def _record_line(line: str) -> tuple:
+    """(id text, condition, dim, the (1, dim + dz) truth and z row) of a
+    ``record <id> <condition> truth <coords> z <values>`` line."""
+    parts = line.rstrip("\n").split(" ")
+    if parts[0] != "record":
+        raise ValueError("expected a 'record' line")
+    zi = parts.index("z", 5) if "z" in parts[5:] else 0
+    if parts[3:4] != ["truth"] or not 4 < zi < len(parts) - 1 or line.split() != parts:
+        raise ValueError("expected 'record <id> <condition> truth <coords> z <values>'")
+    decimal(parts[1])
+    head = np.array([[_float(t) for t in parts[4:zi] + parts[zi + 1 :]]])
+    if not np.isfinite(head).all():
+        raise ValueError("non-finite coordinate")
+    return parts[1], parts[2], zi - 4, head
+
+
+def _records(heads: list, base, samples, hmdn, cands, m: int, n: int) -> list:
+    """The PredictionRecords of consecutive blocks: their ``_record_line``
+    heads and their sections' arrays as ``_section`` returns them, the
+    blocks' rows one after the other. Raises ValueError for the first block
+    whose selection count is not n (m on a fallback record)."""
+    k, dim = len(heads), base.shape[1]
+    fallback = hmdn[:, dim] == 1
+    chosen = (cands[:, dim + 1] == 1).reshape(k, m)
+    scores = np.ascontiguousarray(cands[:, dim]).reshape(k, m)
+    coords = np.ascontiguousarray(cands[:, :dim]).reshape(k, m, dim)
+    samples = samples.reshape(k, m, dim)
+    records = []
+    for i, (rid, cond, _, head) in enumerate(heads):
+        selected = np.flatnonzero(chosen[i])
+        if selected.shape[0] != (m if fallback[i] else n):
+            raise ValueError(f"record {rid} {cond}: {selected.shape[0]} candidates selected, "
+                             f"expected {m if fallback[i] else n}")
+        if not fallback[i]:  # prediction's order: best score first, ties by index
+            selected = selected[np.argsort(-scores[i, selected], kind="stable")]
+        est = HmdnEstimate(
+            estimate=hmdn[i, :dim],
+            candidates=coords[i],
+            scores=scores[i],
+            selected_indices=selected,
+            underflow_fallback=bool(fallback[i]),
+        )
+        records.append(PredictionRecord(
+            record_id=int(rid),
+            condition=cond,
+            truth=head[0, :dim],
+            z=head[0, dim:],
+            baseline_samples=samples[i],
+            baseline_estimate=base[i],
+            hmdn=est,
+        ))
+    return records
+
+
+def _section(rows: list, head: str, dim: int, *marks: str) -> np.ndarray:
+    """The numbers of ``rows``, lines each spelled ``<head> <dim coordinates>``
+    and then `` <mark>=<number>`` per mark, the last mark's number a 0/1
+    flag: an array (len(rows), dim + len(marks)) of finite coordinates and
+    the marks' numbers. Raises ValueError at any other spelling.
+
+    The whole section is checked at once. Its bytes that separate fields
+    (space, '=', newline and every other control byte) must come in each
+    line's order, and counts of the head and mark words place them on every
+    line. What is left between separators goes to one call of numpy's C
+    text reader, which reads a float's text as ``float`` does, without the
+    '_' and blanks ``float`` also takes (none can be left)."""
+    text = "".join(rows)
+    seps = (" " * (1 + dim) + " =" * len(marks) + "\n").encode() * len(rows)
+    if (text.encode("ascii").translate(None, bytes(range(33, 61)) + bytes(range(62, 128))) != seps
+            or not text.startswith(head + " ") or text.count(f"\n{head} ") != len(rows) - 1
+            or any(text.count(f" {mark}=") != len(rows) for mark in marks[:-1])
+            or marks and sum(text.count(f" {marks[-1]}={v}\n") for v in "01") != len(rows)):
+        raise ValueError("not the writer's spelling")
+    values = np.loadtxt(text.replace("=", " ").splitlines() if marks else rows, comments=None,
+                        delimiter=" ", ndmin=2,
+                        usecols=[*range(2, 2 + dim), *range(3 + dim, 3 + dim + 2 * len(marks), 2)])
+    if not np.isfinite(values[:, :dim]).all():
+        raise ValueError("non-finite coordinate")
+    return values
+
+
+def _read_chunk(rows: list, k: int, m: int, n: int) -> list:
+    """The k records of ``rows``, each a block of 2m + 3 lines, read a
+    section at a time across the blocks by ``_section``. Raises ValueError,
+    without saying where, if ``rows`` is anything else."""
+    size = 2 * m + 3
+    if len(rows) != k * size:
+        raise ValueError("end of file")
+    if not rows[-1].endswith("\n"):  # the file's last line
+        rows[-1] += "\n"
+    starts = range(0, len(rows), size)
+    heads = [_record_line(rows[i]) for i in starts]
+    dim = heads[0][2]
+    if any(h[2] != dim for h in heads):
+        raise ValueError("records of more than one dimension")
+    return _records(
+        heads,
+        _section(rows[1::size], "baseline estimate", dim),
+        _section([r for i in starts for r in rows[i + 2 : i + m + 2]], "baseline sample", dim),
+        _section(rows[m + 2 :: size], "hmdn estimate", dim, "fallback"),
+        _section([r for i in starts for r in rows[i + m + 3 : i + size]], "hmdn candidate", dim,
+                 "score", "selected"),
+        m, n,
+    )
+
+
+def _read_block(start: int, rows: list, m: int, n: int) -> PredictionRecord:
+    """Parse one record block line by line, naming the line of its first
+    fault: ``rows`` are its lines, the first of them line ``start`` of the
+    file; fewer than 2m + 3 means the file ends inside the block.
 
     The layout is fixed, so every line's number follows from its offset in
-    the block. Lines are checked a section at a time, and each section's
-    coordinates are converted by one numpy call (numpy parses float text
-    exactly as ``float`` does); only a section that fails is walked line by
-    line to name the offending line.
+    the block. Lines are checked a section at a time, the kind, field and
+    width of every line of a section before its numbers, and the fault
+    named is the first in that order. It takes exactly the lines
+    ``_read_chunk`` takes, and gives the same records.
     """
     offset = 0
-
-    def coordinates(rows, cut: slice, first: int) -> np.ndarray:
-        nonlocal offset
-        try:
-            values = np.array([p[cut] for p in rows], dtype=np.float64)
-        except ValueError:
-            for offset, p in enumerate(rows, start=first):
-                list(map(float, p[cut]))
-            raise
-        bad = ~np.isfinite(values).all(axis=1)
-        if bad.any():
-            offset = first + int(np.argmax(bad))
-            raise ValueError("non-finite coordinate")
-        return values
-
+    lines = [r.rstrip("\n").split(" ") for r in rows]
     try:
-        zi = parts.index("z", 5) if "z" in parts[5:] else 0
-        if parts[3:4] != ["truth"] or not 4 < zi < len(parts) - 1:
-            raise ValueError("expected 'record <id> <condition> truth <coords> z <values>'")
-        rid, cond = parts[1], parts[2]
-        record_id, dim = int(rid), zi - 4
-        head = coordinates([parts[4:zi] + parts[zi + 1 :]], slice(None), 0)
+        head = _record_line(rows[0])
+        rid, cond, dim, _ = head
         sections = []
-        # (first offset, lines, kind, field, fields per line, coordinate fields)
-        for first, count, kind, field, width, cut in (
-            (1, 1, "baseline", "estimate", 2 + dim, slice(2, None)),
-            (2, m, "baseline", "sample", 2 + dim, slice(2, None)),
-            (m + 2, 1, "hmdn", "estimate", 3 + dim, slice(2, -1)),
-            (m + 3, m, "hmdn", "candidate", 4 + dim, slice(2, -2)),
+        for first, count, kind, field, width in (
+            (1, 1, "baseline", "estimate", 2 + dim),
+            (2, m, "baseline", "sample", 2 + dim),
+            (m + 2, 1, "hmdn", "estimate", 3 + dim),
+            (m + 3, m, "hmdn", "candidate", 4 + dim),
         ):
-            rows = list(islice(lines, count))
-            for offset, p in enumerate(rows, start=first):
+            got = lines[first : first + count]
+            for offset, p in enumerate(got, start=first):
                 if len(p) != width or p[0] != kind or p[1] != field:
                     raise ValueError(f"expected a '{kind} {field}' line of {width} fields")
-            if len(rows) < count:
-                offset = first + len(rows)
+            if len(got) < count:
+                offset = first + len(got)
                 raise ValueError(
                     f"end of file inside the block of record {rid} {cond} (line {start})"
                 )
-            sections.append((rows, coordinates(rows, cut, first)))
+            values = []
+            for offset, p in enumerate(got, start=first):
+                values.append([_float(t) for t in p[2 : 2 + dim]])
+            bad = ~np.isfinite(values).all(axis=1)
+            if bad.any():
+                offset = first + int(np.argmax(bad))
+                raise ValueError("non-finite coordinate")
+            sections.append(np.array(values))
 
-        (_, base), (_, samples), ((flags,), hmdn), (cand_rows, cands) = sections
+        base, samples, hmdn, cands = sections
         offset = m + 2
-        if flags[-1] not in ("fallback=0", "fallback=1"):
-            raise ValueError(f"expected fallback=<0|1>, got {flags[-1]!r}")
-        fallback = flags[-1] == "fallback=1"
-        scores, chosen = [], []
-        for offset, p in enumerate(cand_rows, start=m + 3):
+        flag = lines[offset][-1]
+        if flag not in ("fallback=0", "fallback=1"):
+            raise ValueError(f"expected fallback=<0|1>, got {flag!r}")
+        marks = []
+        for offset, p in enumerate(lines[m + 3 :], start=m + 3):
             if p[-2][:6] != "score=" or p[-1] not in ("selected=0", "selected=1"):
                 raise ValueError(
                     f"expected 'score=<log density> selected=<0|1>', got {p[-2]} {p[-1]}"
                 )
-            scores.append(float(p[-2][6:]))
-            chosen.append(p[-1] == "selected=1")
+            marks.append([_float(p[-2][6:]), float(p[-1][-1])])
         offset = 0
-        scores, selected = np.array(scores), np.flatnonzero(chosen)
-        if selected.shape[0] != (m if fallback else n):
-            raise ValueError(
-                f"record {rid} {cond}: {selected.shape[0]} candidates selected, "
-                f"expected {m if fallback else n}"
-            )
+        hmdn = np.column_stack([hmdn, [float(flag[-1])]])
+        return _records([head], base, samples, hmdn, np.column_stack([cands, marks]), m, n)[0]
     except ValueError as err:
         raise ParseError(str(err), line=start + offset) from None
 
-    if not fallback:  # prediction's order: best score first, ties by index
-        selected = selected[np.argsort(-scores[selected], kind="stable")]
-    est = HmdnEstimate(
-        estimate=hmdn[0],
-        candidates=cands,
-        scores=scores,
-        selected_indices=selected,
-        underflow_fallback=fallback,
-    )
-    return PredictionRecord(
-        record_id=record_id,
-        condition=cond,
-        truth=head[0, :dim],
-        z=head[0, dim:],
-        baseline_samples=samples,
-        baseline_estimate=base[0],
-        hmdn=est,
-    )
-
 
 def parse_predictions(path, header: dict = None) -> list:
-    """Re-read a dump file into PredictionRecord values, streaming it.
+    """Re-read a dump file into PredictionRecord values, streaming it a
+    chunk of record blocks at a time (as many as fit in ``_CHUNK_LINES``
+    lines): ``_read_chunk`` reads a chunk section by section, and only a
+    chunk it refuses is walked line by line by ``_read_block``, which names
+    the fault.
 
     The file must be laid out exactly as ``write_predictions`` writes it:
     the version line, then the three header lines ``# master_seed <seed64>``,
@@ -445,18 +530,20 @@ def parse_predictions(path, header: dict = None) -> list:
                 raise SchemaError(f"n {n} exceeds m {m}", line=3)
             if header is not None:
                 header.update(meta)
-            lines = map(str.split, fh)
-            parts, lineno = next(lines, None), lineno + 1
-            for _ in range(count):
-                if parts is None:
-                    raise ParseError(f"end of file after {len(records)} of the header's "
-                                     f"'# records {count}'", line=lineno)
-                if parts[0:1] != ["record"]:
-                    raise ParseError("expected a 'record' line", line=lineno)
-                records.append(_read_block(lineno, parts, lines, m, n))
-                lineno += 2 * m + 3
-                parts = next(lines, None)
-            if parts is not None:
+            size, lineno = 2 * m + 3, lineno + 1
+            while len(records) < count:
+                k = min(max(1, _CHUNK_LINES // size), count - len(records))
+                rows = list(islice(fh, k * size))
+                try:
+                    records += _read_chunk(rows, k, m, n)
+                except ValueError:  # walk the chunk line by line to name the fault
+                    for at in range(0, k * size, size):
+                        if at >= len(rows):
+                            raise ParseError(f"end of file after {len(records)} of the "
+                                             f"header's '# records {count}'", line=lineno + at)
+                        records.append(_read_block(lineno + at, rows[at : at + size], m, n))
+                lineno += k * size
+            if fh.readline():
                 raise ParseError("expected the end of the file after the header's "
                                  f"'# records {count}'", line=lineno)
         except UnicodeDecodeError as err:

@@ -389,6 +389,25 @@ def test_count_numpy_cannot_size_exits_2_naming_the_flag(tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value, domain", [
+    ("predict", "--m", "1_0", "positive_int"), ("evaluate", "--bootstrap", " 7 ", "positive_int"),
+    ("simulate", "--n-train", "\u0664", "positive_int"), ("simulate", "--seed", "1_0", "seed64"),
+    ("predict", "--seed", "+5", "seed64"),
+])
+def test_integer_flag_takes_ascii_decimal_only(tmp_path, capsys, command, flag, value, domain):
+    """``int`` reads each of these texts as a number; a flag takes only the
+    ASCII decimal digits the writers write, and exits 2 naming itself."""
+    out = tmp_path / "out"
+    inputs = ["--g1", tmp_path / "no-g1.model", "--g2", tmp_path / "no-g2.model",
+              "--data", tmp_path / "no.csv"]
+    code = run(command, *(inputs if command != "simulate" else []), "--out-dir", out,
+               f"{flag}={value}")
+    assert code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"hmdn {command}: error: argument {flag}: invalid {domain} value: {value!r}"
+    assert not out.exists()
+
+
 class TestEvaluate:
     def test_metrics_shape_and_recompute_agreement(self, workspace, tmp_path):
         out = tmp_path / "eval"
@@ -609,6 +628,7 @@ class TestConfigValues:
         ("train", {"epochs": None}, "expected a string or a number, got null"),
         ("simulate", {"seed": [1]}, "expected a string or a number, got [1]"),
         ("evaluate", {"m": 10.0}, "invalid positive_int value: '10.0'"),
+        ("simulate", {"seed": " 4 "}, "invalid seed64 value: ' 4 '"),
         ("train", {"components": None}, "expected a string or a number, got null"),
         ("train", {"which": "g3"}, "invalid choice: 'g3' (choose from 'g1', 'g2')"),
         ("simulate", {"n_train": True}, "expected a string or a number, got true"),
@@ -631,7 +651,7 @@ class TestConfigValues:
 
     def test_values_typed_as_their_flags(self, tmp_path):
         cfg, code = self.run_config(tmp_path, "simulate", {
-            "n_train": "12", "n_test": 3, "seed": " 4 ", "measurement_noise": False,
+            "n_train": "12", "n_test": 3, "seed": "4", "measurement_noise": False,
         }, "--out-dir", tmp_path / "out")
         assert code == 0
         header = (tmp_path / "out" / "train.csv").read_text().splitlines()

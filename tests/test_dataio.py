@@ -659,6 +659,50 @@ class TestModelPersistence:
             assert where(err) == (bad, line, None, f"[standardize] {name}")
             assert err.message == f"expected '{name} = <value>', got {kept[line - 1]!r}"
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("mean", "nan 0", "standardization means must all be finite"),
+        ("mean", "0 -inf", "standardization means must all be finite"),
+        ("std", "1 inf", "standardization deviations must all be finite and > 0"),
+        ("std", "nan 1", "standardization deviations must all be finite and > 0"),
+        ("std", "1 -2", "standardization deviations must all be finite and > 0"),
+    ])
+    def test_statistics_the_model_rejects_name_line_and_key(self, tmp_path, name, text,
+                                                            message):
+        path = tmp_path / "model.txt"
+        save_model(self.train_tiny(), path)
+        lines = path.read_text().splitlines()
+        line = next(i for i, ln in enumerate(lines, start=1) if ln.startswith(f"{name} = "))
+        lines[line - 1] = f"{name} = {text}"
+        path.write_text("\n".join(lines) + "\n")
+        err = raised(ParseError, load_model, path)
+        assert where(err) == (path, line, None, f"[standardize] {name}")
+        assert err.message == message
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e309"])
+    def test_non_finite_weight_names_its_row(self, tmp_path, value):
+        path = tmp_path / "model.txt"
+        save_model(self.train_tiny(), path)
+        lines = path.read_text().splitlines()
+        row = max(i for i, ln in enumerate(lines) if ln.startswith("matrix ")) + 1
+        lines[row] = lines[row].rsplit(" ", 1)[0] + f" {value}"
+        path.write_text("\n".join(lines) + "\n")
+        err = raised(ParseError, load_model, path)
+        assert where(err) == (path, row + 1, None, None)
+        assert err.message == "weight entries must all be finite"
+
+    @pytest.mark.parametrize("text", ["1_0", " 10", "١٠", "+10"])
+    def test_config_integer_in_ascii_decimal_only(self, tmp_path, text):
+        """``int`` takes each of these as 10; the writer only writes '10'."""
+        path = tmp_path / "model.txt"
+        save_model(self.train_tiny(), path)
+        lines = path.read_text().splitlines()
+        line = next(i for i, ln in enumerate(lines, start=1) if ln.startswith("epochs = "))
+        lines[line - 1] = f"epochs = {text}"
+        path.write_text("\n".join(lines) + "\n")
+        err = raised(ParseError, load_model, path)
+        assert where(err) == (path, line, None, "[config] epochs")
+        assert err.message == f"invalid literal for int() with base 10: {text!r}"
+
     def test_values_the_model_rejects_name_the_path(self, tmp_path):
         path, bad = tmp_path / "model.txt", tmp_path / "bad.txt"
         save_model(self.train_tiny(), path)
@@ -666,12 +710,14 @@ class TestModelPersistence:
         header = lines.index("[weights]") + 1  # "matrix 0 2 6"
         std = next(i for i, ln in enumerate(lines) if ln.startswith("std = "))
         last_matrix = max(i for i, ln in enumerate(lines) if ln.startswith("matrix "))
-        for edit, error, line in (
+        for edit, error, line, key in (
             (lambda ls: ls[: header + 1] + ["nan " + ls[header + 1].split(" ", 1)[1]] + ls[header + 2 :],
-             ParseError, None),
-            (lambda ls: ls[:std] + ["std = 0 1"] + ls[std + 1 :], ParseError, None),
+             ParseError, header + 2, None),
+            (lambda ls: ls[:std] + ["std = 0 1"] + ls[std + 1 :], ParseError, std + 1,
+             "[standardize] std"),
             # the last bias dropped: [training_log] where its header is due
-            (lambda ls: ls[:last_matrix] + ls[last_matrix + 2 :], SchemaError, last_matrix + 1),
+            (lambda ls: ls[:last_matrix] + ls[last_matrix + 2 :], SchemaError, last_matrix + 1,
+             None),
         ):
             bad.write_text("\n".join(edit(list(lines))) + "\n")
-            assert where(raised(error, load_model, bad)) == (bad, line, None, None)
+            assert where(raised(error, load_model, bad)) == (bad, line, None, key)

@@ -13,18 +13,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmdn import cli
-from hmdn.errors import LocatedError
 from hmdn.evaluate import metrics_from_dump
 from hmdn.numcore import fmt17
+from hmdn.errors import LocatedError, ParseError
 from hmdn.pipeline import (
     HmdnEstimate,
     PredictionRecord,
+    _read_block,
+    _read_chunk,
     _render_record,
     parse_predictions,
     write_predictions,
 )
 
-from util import make_dump_records, reference_select_top, reference_write_predictions
+from util import (
+    dump_outcome,
+    make_dump_records,
+    reference_parse_predictions,
+    reference_select_top,
+    reference_write_predictions,
+)
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
@@ -185,3 +193,62 @@ def test_corrupted_dump_exits_0_or_3_with_one_line(case):
         assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
         assert err == "" and kind not in ("truncate", "drop")
+
+
+@settings(max_examples=200)
+@given(mutated_dump())
+def test_corrupted_dump_reads_as_the_line_by_line_reader_reads_it(case):
+    """The chunked reader and the line-by-line reader it replaced return the
+    same records, or raise the same error class with the same line and
+    message, for every edit."""
+    _, lines = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dump.txt"
+        path.write_text("".join(lines))
+        assert dump_outcome(parse_predictions, path) == dump_outcome(
+            reference_parse_predictions, path)
+
+
+# texts put in place of one character, or of one whole field: float
+# spellings either reader might take or refuse, blanks, and separators
+CHARACTERS = [" ", "\t", "\x0c", "\x1f", "\xa0", "=", "_", "-", "+", ".", "e", "0", "1", "x",
+              "\u0661", "é", ""]
+FIELDS = ["1e5", "+1", "-0", ".5", "5.", "nan", "-nan", "inf", "-Infinity", "1_0", "0x10", "1e",
+          "", " 1", "1 ", "1\t", "score=1", "selected=1", "fallback=1", "\u0661", "7"]
+
+
+@st.composite
+def respelled_body(draw):
+    """BASE_DUMP's record blocks with one character or one field of one
+    line replaced; the number of lines stays the same."""
+    body = BASE_DUMP[4:]
+    k = draw(st.integers(0, len(body) - 1))
+    line = body[k].rstrip("\n")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from(CHARACTERS)) + line[at + 1 :]
+    else:
+        fields = line.split(" ")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(FIELDS))
+        line = " ".join(fields)
+    return body[:k] + [line + "\n"] + body[k + 1 :]
+
+
+@settings(max_examples=400)
+@given(respelled_body())
+def test_chunk_read_and_line_walk_accept_the_same_lines(body):
+    """``_read_chunk`` checks a chunk's spelling section by section and
+    ``_read_block`` line by line; each takes exactly the dumps the other
+    takes, with the same records."""
+    m, n, size = 4, 2, 11
+    try:
+        fast = _read_chunk(body.copy(), 2, m, n)
+    except ValueError:
+        fast = None
+    try:
+        walk = [_read_block(5 + at, body[at : at + size], m, n) for at in (0, size)]
+    except ParseError:
+        walk = None
+    assert (fast is None) == (walk is None), body
+    if fast is not None:
+        assert dump_outcome(lambda _: fast, None) == dump_outcome(lambda _: walk, None)

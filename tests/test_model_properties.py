@@ -1,7 +1,7 @@
 """Property tests of the model file reader: saved models of varied configs
 load back byte-identically, and mutants of them either load or are rejected
-with a SchemaError or ParseError that names the file, and the line of every
-fault in line structure."""
+with a SchemaError or ParseError that names the file and the line of
+every fault."""
 
 import dataclasses
 import tempfile
@@ -111,10 +111,10 @@ def mutants(draw):
 @given(mutants())
 def test_mutant_loads_or_is_rejected_on_its_line(case):
     """A mutant either loads, or raises SchemaError or ParseError with
-    ``path`` set and, for a structural edit, ``line`` set. The reader never
-    faults before the first line that differs from the saved file. Only a
-    number the model itself rejects (a non-finite weight or mean, a
-    non-finite or non-positive std) is named without a line."""
+    ``path`` and ``line`` set, for a structural edit and a value edit alike
+    (a non-finite weight or mean, a non-finite or non-positive std
+    included). The reader never faults before the first line that differs
+    from the saved file."""
     kind, base, lines = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.txt"
@@ -125,8 +125,6 @@ def test_mutant_loads_or_is_rejected_on_its_line(case):
         except (SchemaError, ParseError) as err:
             error = err
     assert error.path == path and error.column is None
-    if error.line is None:
-        assert kind == "number" and isinstance(error, ParseError), (kind, error)
-        return
+    assert error.line is not None, (kind, error)
     first = next(i for i, (a, b) in enumerate(zip(base + [None], lines + [None]), 1) if a != b)
     assert first <= error.line <= len(lines) + 1, (kind, error)

@@ -8,6 +8,8 @@ from hmdn.numcore import (
     Rng,
     log_sum_exp_cols,
     normals_from,
+    positive_int,
+    seed64,
     splitmix64,
     sum_rows,
     u64_rows,
@@ -202,3 +204,25 @@ class TestGaussianSample:
         a = sample(self.gaussian([1.0, 2.0], 0.5), 1, Rng(55))
         b = sample(self.gaussian([1.0, 2.0], 0.5), 1, Rng(55))
         assert np.array_equal(a, b)
+
+
+class TestIntegerDomains:
+    """Counts and seeds are read from ASCII decimal digits only; ``int``
+    alone also takes digit-group underscores, blanks, signs and other
+    scripts' digits, none of which a writer here writes."""
+
+    @pytest.mark.parametrize("domain", [positive_int, seed64])
+    @pytest.mark.parametrize("text", ["1_0", " 7 ", "7\n", "\u0664", "+7", "", "0x7", "7.0"])
+    def test_text_other_than_ascii_digits_rejected(self, domain, text):
+        with pytest.raises(ValueError):
+            domain(text)
+
+    @pytest.mark.parametrize("domain", [positive_int, seed64])
+    def test_ascii_digits_and_numbers_pass(self, domain):
+        assert domain("10") == domain(10) == domain(np.int64(10)) == 10
+
+    def test_out_of_range_named_by_range(self):
+        with pytest.raises(ValueError, match=r"'-3' is not an integer in 1..2\^31-1"):
+            positive_int("-3")
+        with pytest.raises(ValueError, match="'-1' is not a 64-bit unsigned integer"):
+            seed64("-1")

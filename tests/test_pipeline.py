@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hmdn.errors import ParseError, SchemaError, ShapeError
 from hmdn.mdn import MdnConfig, density, identity_model, mixture_at, nll
 from hmdn.numcore import Rng
 from hmdn.pipeline import (
+    _CHUNK_LINES,
     HmdnEstimate,
     HmdnPipeline,
     baseline_samples,
@@ -19,8 +21,10 @@ from hmdn.pipeline import (
 
 from util import (
     affine_model,
+    dump_outcome,
     make_dump_records,
     raised,
+    reference_parse_predictions,
     reference_select_top,
     reference_write_predictions,
     where,
@@ -415,9 +419,11 @@ class TestDumpRejectsMalformedFiles:
         (lambda ls: ls[:1] + ["# master_seed 18446744073709551616\n"] + ls[2:], 2,
          "expected '# master_seed <seed64>', got '# master_seed 18446744073709551616'"),
         (lambda ls: ls[:3], 4, "expected '# records <positive_int>', got the end of the file"),
+        (lambda ls: ls[:2] + ["# m 1_00 n 20\n"] + ls[3:], 3,
+         "expected '# m <positive_int> n <positive_int>', got '# m 1_00 n 20'"),
     ], ids=["seed-after-m-n", "records-before-m-n", "n-before-m", "extra-field", "extra-line",
             "comment-before-seed", "blank-line", "double-space", "n-exceeds-m", "seed-too-large",
-            "cut-in-the-header"])
+            "cut-in-the-header", "digit-group-underscore"])
     def test_header_line_not_the_one_due_names_its_line(self, tmp_path, lines, edit, line,
                                                         message):
         """The three header lines are read as write_predictions writes them,
@@ -441,3 +447,164 @@ class TestDumpRejectsMalformedFiles:
         i = next(i for i in range(11, 15) if bad[i].endswith("selected=1\n"))
         bad[i] = bad[i].replace("selected=1", "selected=0")
         self.check(tmp_path, bad, ParseError, 5, "1 candidates selected, expected 2")
+
+    @pytest.mark.parametrize("line, edit, message", [
+        (7, lambda ln: ln.replace(" ", "  ", 1), "expected a 'baseline sample' line of 4 fields"),
+        (9, lambda ln: "  ".join(ln.rsplit(" ", 1)),
+         "expected a 'baseline sample' line of 4 fields"),
+        (12, lambda ln: ln.replace(" score=", "\tscore="),
+         "expected a 'hmdn candidate' line of 6 fields"),
+        (6, lambda ln: ln[:-1] + " \n", "expected a 'baseline estimate' line of 4 fields"),
+        (11, lambda ln: ln[:-1] + " \n", "expected a 'hmdn estimate' line of 5 fields"),
+        (8, lambda ln: ln[:-1] + "\t\n", "could not convert string to float: "),
+        (10, lambda ln: ln.rsplit(" ", 1)[0] + " 1_0\n",
+         "could not convert string to float: '1_0'"),
+        (13, lambda ln: ln.split(" score=")[0] + " score=1_0 " + ln.rsplit(" ", 1)[1],
+         "could not convert string to float: '1_0'"),
+        (16, lambda ln: ln.replace(" ", "  ", 2),
+         "expected 'record <id> <condition> truth <coords> z <values>'"),
+        (16, lambda ln: ln.replace(" truth ", " truth\t"),
+         "expected 'record <id> <condition> truth <coords> z <values>'"),
+        (16, lambda ln: " " + ln, "expected a 'record' line"),
+        (16, lambda ln: ln.replace("record 1 ", "record 0_1 "),
+         "invalid literal for int() with base 10: '0_1'"),
+        (5, lambda ln: ln.replace(" z ", " z +"), None),
+    ], ids=["double-space-words", "double-space-coordinates", "tab-before-score",
+            "trailing-space", "trailing-space-flag", "trailing-tab", "underscore-coordinate",
+            "underscore-score", "double-space-record", "tab-record", "leading-space-record",
+            "underscore-record-id", "signed-z"])
+    def test_body_lines_in_the_writers_spelling(self, tmp_path, lines, line, edit, message):
+        """Fields are separated by one space and floats spelled as numpy's C
+        text reader takes them; the reader these tests pin also took each of
+        these edits (``str.split`` and ``float`` forgive them). A '+' sign is
+        a float spelling both take."""
+        bad = lines.copy()
+        bad[line - 1] = edit(bad[line - 1])
+        assert bad != lines
+        path = tmp_path / "bad.txt"
+        path.write_text("".join(bad))
+        assert len(reference_parse_predictions(path)) == 2
+        if message is None:
+            assert len(parse_predictions(path)) == 2
+        else:
+            self.check(tmp_path, bad, ParseError, line, message)
+
+    @pytest.mark.parametrize("newline, end", [("\r\n", "\r\n"), ("\n", ""), ("\r\n", "")],
+                             ids=["crlf", "no-final-newline", "crlf-no-final-newline"])
+    def test_crlf_and_unterminated_dumps_read_the_same(self, tmp_path, lines, newline, end):
+        good, other = tmp_path / "good.txt", tmp_path / "other.txt"
+        good.write_text("".join(lines))
+        text = "".join(lines).replace("\n", newline)
+        other.write_bytes((text[: -len(newline)] + end).encode())
+        assert dump_outcome(parse_predictions, other) == dump_outcome(parse_predictions, good)
+
+
+def repeated(records, count: int) -> list:
+    """``count`` records cycling through ``records``, with ids 0, 1, ..."""
+    return [dataclasses.replace(records[i % len(records)], record_id=i) for i in range(count)]
+
+
+class TestDumpMatchesReferenceReader:
+    """The chunked reader returns what the line-by-line reader it replaced
+    returns, bit for bit, and names the same line when a dump is corrupt."""
+
+    def assert_same(self, tmp_path, records, m, n):
+        path = tmp_path / "dump.txt"
+        write_predictions(path, records, master_seed=9, m=m, n=n)
+        got = dump_outcome(parse_predictions, path)
+        assert got == dump_outcome(reference_parse_predictions, path)
+        assert len(got) == len(records)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_dimensions(self, tmp_path, dim):
+        self.assert_same(tmp_path, make_dump_records(40 + dim, dim, m=12, n=4, count=3), 12, 4)
+
+    def test_one_candidate(self, tmp_path):
+        self.assert_same(tmp_path, make_dump_records(44, 2, m=1, n=1, count=3), 1, 1)
+
+    def test_fallback_tied_scores_and_conditions(self, tmp_path):
+        records = make_dump_records(45, 2, m=6, n=3, count=4)
+        all_scores = [np.full(6, -np.inf), np.array([-1.0, 0.5, -1.0, 0.5, 0.5, -np.inf]),
+                      np.full(6, 0.25), None]
+        conditions = ["sunny", "50%lit", "cloudy", "night_lights"]
+        rebuilt = []
+        for r, scores, cond in zip(records, all_scores, conditions):
+            if scores is not None:
+                idx, fallback = reference_select_top(scores, 3)
+                r = dataclasses.replace(r, hmdn=dataclasses.replace(
+                    r.hmdn, scores=scores, selected_indices=idx, underflow_fallback=fallback))
+            rebuilt.append(dataclasses.replace(r, condition=cond))
+        assert rebuilt[0].hmdn.underflow_fallback
+        self.assert_same(tmp_path, rebuilt, 6, 3)
+
+    # a chunk is as many blocks of 2m + 3 lines as fit in _CHUNK_LINES lines
+    @pytest.mark.parametrize("count", [1, _CHUNK_LINES // 27, _CHUNK_LINES // 27 + 1],
+                             ids=["one", "one-chunk", "one-chunk-and-one"])
+    def test_record_counts(self, tmp_path, count):
+        self.assert_same(tmp_path, repeated(make_dump_records(46, 2, m=12, n=4), count), 12, 4)
+
+    def test_records_of_two_dimensions_in_one_chunk(self, tmp_path):
+        """The sections of a chunk are read together only when its records
+        share a dimension; otherwise the chunk is read line by line."""
+        records = make_dump_records(47, 2, m=5, n=2) + make_dump_records(48, 3, m=5, n=2)
+        self.assert_same(tmp_path, records, 5, 2)
+
+    @pytest.mark.parametrize("line, edit, fault", [
+        (16, lambda ln: ln.replace(" cloudy ", " clo\tudy "), 16),
+        (16, lambda ln: ln.replace(" cloudy ", " clo\u00a0udy "), 16),
+        (16, lambda ln: ln.replace(" z ", " 1.5 z "), 17),
+        (5, lambda ln: ln.replace(" z ", " 1.5 z "), 6),
+    ], ids=["tab-in-condition", "nbsp-in-condition", "second-record-one-more-coordinate",
+            "first-record-one-more-coordinate"])
+    def test_edits_both_readers_reject_alike(self, tmp_path, line, edit, fault):
+        """A blank inside the condition splits the record line; a record
+        line of another dimension than its block's lines fails on the
+        first line of the block, though the chunk's other sections agree."""
+        path = tmp_path / "dump.txt"
+        write_predictions(path, make_dump_records(51, 2, m=4, n=2), master_seed=9, m=4, n=2)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line - 1] = edit(lines[line - 1])
+        path.write_text("".join(lines))
+        got = dump_outcome(parse_predictions, path)
+        assert got == dump_outcome(reference_parse_predictions, path)
+        assert got[:3] == (ParseError, path, fault), got
+
+    def test_faults_at_chunk_edges_name_their_lines(self, tmp_path):
+        m, n = 100, 20
+        size = 2 * m + 3
+        block = _CHUNK_LINES // size  # records in a chunk
+        path = tmp_path / "dump.txt"
+        write_predictions(path, repeated(make_dump_records(49, 2, m=m, n=n), 2 * block + 1),
+                          master_seed=9, m=m, n=n)
+        lines = path.read_text().splitlines(keepends=True)
+        first, last = 4 + block * size, 4 + 2 * block * size - 1  # indices
+        for index, edit, message in (
+            (first, lambda ln: ln.replace("record", "recrod", 1), "expected a 'record' line"),
+            (last, lambda ln: ln.replace("selected=0", "selected=x"),
+             "expected 'score=<log density> selected=<0|1>'"),
+            (len(lines) - 1, lambda ln: ln.replace(" score=", " score=x"),
+             "could not convert string to float: 'x"),
+        ):
+            bad = lines.copy()
+            bad[index] = edit(bad[index])
+            assert bad[index] != lines[index]
+            path.write_text("".join(bad))
+            got = dump_outcome(parse_predictions, path)
+            assert got == dump_outcome(reference_parse_predictions, path)
+            assert got[:4] == (ParseError, path, index + 1, None) and message in got[-1]
+
+    def test_memory_stays_one_chunk(self, tmp_path):
+        """Reading 2,000 records at m = 100 holds the records and one chunk's
+        text: well under the file's size, which reading it whole exceeds."""
+        path = tmp_path / "dump.txt"
+        write_predictions(path, repeated(make_dump_records(50, 2, m=100, n=20), 2000),
+                          master_seed=9, m=100, n=20)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            records = parse_predictions(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 2000
+        assert peak < 0.75 * size, (peak, size)

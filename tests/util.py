@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: random model and record builders,
 the finite-difference gradient oracle, the reference training loop, the
-reference bootstrap and dump writer, the reference prediction loop, the
-reference fingerprint CSV reader and writers, and a runner for code that
-must stay within a memory cap."""
+reference bootstrap, dump writer and dump reader, the reference
+prediction loop, the reference fingerprint CSV reader and writers, and a
+runner for code that must stay within a memory cap."""
 
 import csv
 import math
@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 
 import hmdn
 from hmdn.dataio import FingerprintTable
-from hmdn.errors import NumericError, ParseError, SchemaError
+from hmdn.errors import NumericError, ParseError, SchemaError, located
 from hmdn.mdn import (
     _PATIENCE,
     _STD_FLOOR,
@@ -30,6 +31,8 @@ from hmdn.mdn import (
 )
 from hmdn.numcore import Rng, fmt17
 from hmdn.pipeline import (
+    _DUMP_FIELDS,
+    _DUMP_HEADER,
     HmdnEstimate,
     HmdnPipeline,
     PredictionRecord,
@@ -355,6 +358,148 @@ def reference_write_predictions(path, records, master_seed: int, m: int, n: int)
         fh.write("\n".join(lines) + "\n")
 
 
+# The dump reader as it was before it read a chunk of records at a time: one
+# ``str.split`` per line, and one ``np.array`` over each section's split
+# lines. Its records are what the chunked reader must return bit for bit.
+# It takes the looser spelling the chunked reader refuses (doubled spaces,
+# tabs, trailing blanks, '1_0'), so compare them on writer-spelled dumps.
+
+
+def _reference_read_block(start: int, parts, lines, m: int, n: int) -> PredictionRecord:
+    offset = 0
+
+    def coordinates(rows, cut: slice, first: int) -> np.ndarray:
+        nonlocal offset
+        try:
+            values = np.array([p[cut] for p in rows], dtype=np.float64)
+        except ValueError:
+            for offset, p in enumerate(rows, start=first):
+                list(map(float, p[cut]))
+            raise
+        bad = ~np.isfinite(values).all(axis=1)
+        if bad.any():
+            offset = first + int(np.argmax(bad))
+            raise ValueError("non-finite coordinate")
+        return values
+
+    try:
+        zi = parts.index("z", 5) if "z" in parts[5:] else 0
+        if parts[3:4] != ["truth"] or not 4 < zi < len(parts) - 1:
+            raise ValueError("expected 'record <id> <condition> truth <coords> z <values>'")
+        rid, cond = parts[1], parts[2]
+        record_id, dim = int(rid), zi - 4
+        head = coordinates([parts[4:zi] + parts[zi + 1 :]], slice(None), 0)
+        sections = []
+        for first, count, kind, field, width, cut in (
+            (1, 1, "baseline", "estimate", 2 + dim, slice(2, None)),
+            (2, m, "baseline", "sample", 2 + dim, slice(2, None)),
+            (m + 2, 1, "hmdn", "estimate", 3 + dim, slice(2, -1)),
+            (m + 3, m, "hmdn", "candidate", 4 + dim, slice(2, -2)),
+        ):
+            rows = list(islice(lines, count))
+            for offset, p in enumerate(rows, start=first):
+                if len(p) != width or p[0] != kind or p[1] != field:
+                    raise ValueError(f"expected a '{kind} {field}' line of {width} fields")
+            if len(rows) < count:
+                offset = first + len(rows)
+                raise ValueError(
+                    f"end of file inside the block of record {rid} {cond} (line {start})"
+                )
+            sections.append((rows, coordinates(rows, cut, first)))
+
+        (_, base), (_, samples), ((flags,), hmdn), (cand_rows, cands) = sections
+        offset = m + 2
+        if flags[-1] not in ("fallback=0", "fallback=1"):
+            raise ValueError(f"expected fallback=<0|1>, got {flags[-1]!r}")
+        fallback = flags[-1] == "fallback=1"
+        scores, chosen = [], []
+        for offset, p in enumerate(cand_rows, start=m + 3):
+            if p[-2][:6] != "score=" or p[-1] not in ("selected=0", "selected=1"):
+                raise ValueError(
+                    f"expected 'score=<log density> selected=<0|1>', got {p[-2]} {p[-1]}"
+                )
+            scores.append(float(p[-2][6:]))
+            chosen.append(p[-1] == "selected=1")
+        offset = 0
+        scores, selected = np.array(scores), np.flatnonzero(chosen)
+        if selected.shape[0] != (m if fallback else n):
+            raise ValueError(
+                f"record {rid} {cond}: {selected.shape[0]} candidates selected, "
+                f"expected {m if fallback else n}"
+            )
+    except ValueError as err:
+        raise ParseError(str(err), line=start + offset) from None
+
+    if not fallback:
+        selected = selected[np.argsort(-scores[selected], kind="stable")]
+    est = HmdnEstimate(
+        estimate=hmdn[0],
+        candidates=cands,
+        scores=scores,
+        selected_indices=selected,
+        underflow_fallback=fallback,
+    )
+    return PredictionRecord(
+        record_id=record_id,
+        condition=cond,
+        truth=head[0, :dim],
+        z=head[0, dim:],
+        baseline_samples=samples,
+        baseline_estimate=base[0],
+        hmdn=est,
+    )
+
+
+def reference_parse_predictions(path, header: dict = None) -> list:
+    records = []
+    with located(path), open(path, "r", encoding="utf-8") as fh:
+        try:
+            first = fh.readline().rstrip("\n")
+            if first != _DUMP_HEADER:
+                why = f"not a predictions dump (no {_DUMP_HEADER!r})"
+                if first.startswith("# hmdn-predictions "):
+                    why = (f"{first[2:]!r} dumps are no longer read; re-run `hmdn predict` "
+                           f"to write {_DUMP_HEADER[2:]!r}")
+                raise SchemaError(why, line=1)
+            meta = {}
+            for lineno, fields in enumerate(_DUMP_FIELDS, start=2):
+                ln = fh.readline()
+                words = ln.rstrip("\n").split(" ")
+                keys, values = words[1::2], words[2::2]
+                try:
+                    if words[0] != "#" or keys != list(fields) or len(values) != len(keys):
+                        raise ValueError
+                    for domain, text in zip(fields.values(), values):
+                        domain(text)
+                except ValueError:
+                    due = "# " + " ".join(f"{key} <{dom.__name__}>" for key, dom in fields.items())
+                    got = repr(ln.rstrip("\n")) if ln else "the end of the file"
+                    raise SchemaError(f"expected {due!r}, got {got}", line=lineno) from None
+                meta.update(zip(keys, values))
+            m, n, count = (int(meta[key]) for key in ("m", "n", "records"))
+            if n > m:
+                raise SchemaError(f"n {n} exceeds m {m}", line=3)
+            if header is not None:
+                header.update(meta)
+            lines = map(str.split, fh)
+            parts, lineno = next(lines, None), lineno + 1
+            for _ in range(count):
+                if parts is None:
+                    raise ParseError(f"end of file after {len(records)} of the header's "
+                                     f"'# records {count}'", line=lineno)
+                if parts[0:1] != ["record"]:
+                    raise ParseError("expected a 'record' line", line=lineno)
+                records.append(_reference_read_block(lineno, parts, lines, m, n))
+                lineno += 2 * m + 3
+                parts = next(lines, None)
+            if parts is not None:
+                raise ParseError("expected the end of the file after the header's "
+                                 f"'# records {count}'", line=lineno)
+        except UnicodeDecodeError as err:
+            raise ParseError(f"not UTF-8 text ({err.reason})") from None
+    return records
+
+
 # --- reference prediction path --------------------------------------------------
 # Prediction as written before records were predicted in blocks: per
 # (record, condition), a one-row g1 forward for each of the two clouds, a
@@ -592,6 +737,25 @@ def load_outcome(loader, path):
         table.coords.view(np.uint64).tolist(),
         table.metadata,
     )
+
+
+def dump_outcome(reader, path) -> tuple:
+    """What a dump reader makes of a file: each record's fields, arrays as
+    dtype, shape, C-contiguity and bytes; or the class, location fields and
+    message of the error it raises."""
+    try:
+        records = reader(path)
+    except Exception as err:
+        return (type(err), *where(err), str(err))
+    out = []
+    for r in records:
+        est = r.hmdn
+        arrays = (r.truth, r.z, r.baseline_samples, r.baseline_estimate, est.estimate,
+                  est.candidates, est.scores, est.selected_indices)
+        out.append((r.record_id, r.condition, est.underflow_fallback,
+                    *((a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes())
+                      for a in arrays)))
+    return tuple(out)
 
 
 def reference_write_dataset_csv(path, wap_names, rssi, coords, extra=None):
