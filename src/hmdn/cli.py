@@ -24,7 +24,7 @@ import numpy as np
 from . import dataio, evaluate, mdn, pipeline, plots, scenario
 from .errors import (DomainError, LocatedError, NumericError, ParseError, SchemaError,
                      ShapeError, located)
-from .numcore import Rng, fmt17, positive_float, positive_int, seed64, unit_fraction
+from .numcore import Rng, decimal, fmt17, positive_float, positive_int, seed64, unit_fraction
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -407,7 +407,7 @@ def _parse_records(opts, n_records: int):
         return list(range(n_records))
     ids = _name_list(opts, "records", "record")
     try:
-        ids = [int(t) for t in ids]
+        ids = [decimal(t) for t in ids]
     except ValueError:
         raise UsageError(
             f"--records must be 'all' or comma-separated indices, got {opts['records']!r}"

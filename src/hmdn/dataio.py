@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError, SchemaError, ShapeError, located
 from .mdn import MdnConfig, MdnModel
-from .numcore import FLOAT_SPEC, Rng, checked, decimal, fmt17, unit_fraction
+from .numcore import FLOAT_SPEC, Rng, checked, decimal, float_rows, fmt17, real, unit_fraction
 
 # the fingerprint CSV layout load_csv reads and the writers write
 NOT_DETECTED = 100.0
@@ -47,9 +47,9 @@ _MODEL_FORMAT = "hmdn-model v2"
 # this order, each group in declaration order
 _CONFIG_TEXT = {
     "int": (str, decimal),
-    "float": (fmt17, float),
+    "float": (fmt17, real),
     "str": (str, str),
-    "tuple": (lambda v: " ".join(map(str, v)), lambda text: tuple(map(decimal, text.split()))),
+    "tuple": (lambda v: " ".join(map(str, v)), lambda t: tuple(map(decimal, t and t.split(" ")))),
 }
 _CONFIG_FIELDS = [
     (f.name, *_CONFIG_TEXT[f.type])
@@ -189,13 +189,14 @@ _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+\Z")
 
 
 def _read_utf8(path) -> str:
-    """The whole file as UTF-8 text, line endings as they are."""
+    """The whole file as UTF-8 text, line endings as they are. A byte that
+    is not UTF-8 raises ParseError on its line, lines split as ``_LINE`` does."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line = data.count(b"\n", 0, err.start) + 1
+    except UnicodeDecodeError as err:  # the lines before the byte's, and its own
+        line = len(_LINE.findall(data[: err.start].decode("utf-8") + "?"))
         raise ParseError(f"not UTF-8 text ({err.reason})", path=path, line=line) from None
 
 
@@ -440,41 +441,48 @@ def save_model(model: MdnModel, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _numbers(text: str, count=None, valid=None, **where) -> list:
-    """The floats of ``text``: ``count`` of them, unless that is None, each
-    passing ``valid``, a (test, message) pair, when one is given."""
-    try:
-        values = [float(t) for t in text.split()]
+def _numbers(rows: list, count: int, valid=None, *, line: int, key=None) -> np.ndarray:
+    """The floats of ``rows``, lines of the file from ``line`` on, as an
+    array (len(rows), count), each passing ``valid``, a (test of an array,
+    message) pair, when given: one ``float_rows`` call, or on a refusal a
+    walk of the rows with ``real`` that names the line, the key and the fault."""
+    lines = [r + "\n" for r in rows]
+    try:  # separators wider than the rows are never built
+        values = float_rows(lines, " " * min(count - 1, sum(map(len, lines))))
+        if valid is None or valid[0](values).all():
+            return values
     except ValueError:
-        raise ParseError(f"expected numbers, got {text!r}", **where) from None
-    if count is not None and len(values) != count:
-        raise ParseError(f"expected {count} values, got {len(values)}", **where)
-    if valid is not None and not all(map(valid[0], values)):
-        raise ParseError(valid[1], **where)
-    return values
+        pass
+    values = []
+    for at, row in enumerate(rows, start=line):
+        try:
+            values.append([real(t) for t in row.split(" ")] if row else [])
+        except ValueError:
+            raise ParseError(f"expected numbers, got {row!r}", line=at, key=key) from None
+        if len(values[-1]) != count:
+            raise ParseError(f"expected {count} values, got {len(values[-1])}", line=at, key=key)
+        if valid is not None and not valid[0](np.array(values[-1])).all():
+            raise ParseError(valid[1], line=at, key=key)
+    return np.array(values)
 
 
 def load_model(path) -> MdnModel:
     """Reload a model file; bit-exact inverse of save_model.
 
-    The file is read line by line in the layout save_model writes: the
-    version line, ``[preprocessing]`` if the model has one, then
-    ``[config]``, ``[standardize]``, ``[weights]`` and ``[training_log]``,
-    each with its lines in the order of ``_SECTION_KEYS``; in ``[weights]``
-    the ``matrix <index> <rows> <cols>`` header of each array the config
-    shapes, followed by its rows; then the end of the file.
+    The file is read line by line in the layout save_model writes (see
+    ``_SECTION_KEYS`` and docs/formats.md), each line the one the writer
+    puts there, and its numbers as the writer spells them: one space
+    apart, read by ``numcore.float_rows`` a line or a matrix at a time.
 
     Every error has ``path`` and ``line`` set, and an error about a
-    ``key = value`` line has ``key`` set to its ``[section] key``. The
-    first line that is not the line the writer puts there (a section, a
-    key, a matrix header, the end of the file, or the end of the file where
-    a line is due) raises SchemaError naming what was due and what the file
-    has; so does a role or recoding outside ``RECODINGS``. A value raises
-    ParseError: a byte that is not UTF-8, a number that does not parse, a
-    [config] value its field rejects, and a row or statistics line of the
-    wrong width, a non-finite weight or mean, and a non-finite or
-    non-positive std. Each matrix is built from rows already parsed, so no
-    array is larger than the file.
+    ``key = value`` line has ``key`` set to its ``[section] key``. A line
+    that is not the one due (the end of the file included), and a role or
+    recoding outside ``RECODINGS``, raise SchemaError naming what was due
+    and what the file has. A value raises ParseError: a byte that is not
+    UTF-8, a number that does not parse, a [config] value its field
+    rejects, a row or statistics line of the wrong width, a non-finite
+    weight or mean, and a non-finite or non-positive std. Each matrix is
+    built from rows of the file, so no array is larger than the file.
     """
     with located(path):
         lines = [m.group().rstrip("\r\n") for m in _LINE.finditer(_read_utf8(path))]
@@ -524,22 +532,25 @@ def load_model(path) -> MdnModel:
             raise ParseError(err.message, **raw[err.key][1]) from None
 
         (mean, mean_at), (std, std_at) = section("standardize")
-        mean = _numbers(mean, config.input_dim,
-                        (math.isfinite, "standardization means must all be finite"), **mean_at)
-        std = _numbers(std, config.input_dim, (lambda v: 0.0 < v < math.inf,
-                       "standardization deviations must all be finite and > 0"), **std_at)
+        (mean,) = _numbers([mean], config.input_dim,
+                           (np.isfinite, "standardization means must all be finite"), **mean_at)
+        (std,) = _numbers([std], config.input_dim, (lambda v: (0.0 < v) & (v < math.inf),
+                          "standardization deviations must all be finite and > 0"), **std_at)
 
         section("weights")
         weights = []
         shapes = [(rows, cols) for fan_in, cols in config.layer_dims() for rows in (fan_in, 1)]
-        finite = (math.isfinite, "weight entries must all be finite")
+        finite = (np.isfinite, "weight entries must all be finite")
         for i, (rows, cols) in enumerate(shapes):
             take(f"matrix {i} {rows} {cols}")
-            weights.append(np.array([_numbers(take(f"<{cols} numbers>", ""), cols, finite, line=at)
-                                     for _ in range(rows)]))
+            block = lines[at : at + rows]
+            weights.append(_numbers(block, cols, finite, line=at + 1))
+            at += len(block)
+            if len(block) < rows:
+                take(f"<{cols} numbers>", "")  # the end of the file
 
         ((nll, nll_at),) = section("training_log")
-        training_log = _numbers(nll, **nll_at)
+        training_log = _numbers([nll], nll.count(" ") + 1, **nll_at)[0] if nll else ()
         if at < len(lines):
             raise SchemaError(f"expected the end of the file, got {lines[at]!r}", line=at + 1)
 

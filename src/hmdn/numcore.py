@@ -44,6 +44,15 @@ def decimal(text) -> int:
     return int(text)
 
 
+def real(text) -> float:
+    """``float(text)`` for the float texts numpy's C reader takes, as the
+    writers spell floats (``float`` alone also takes '1_0', ' 7 ' and other
+    scripts' digits); a number goes to ``float`` as is."""
+    if isinstance(text, str) and (not text.isascii() or "_" in text or text.strip() != text):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def positive_int(text) -> int:
     """An integer in 1 .. 2^31 - 1: a count. Counts size float64 arrays
     beside a few widths (coordinates, access points, hidden units), and
@@ -57,7 +66,7 @@ def positive_int(text) -> int:
 
 def positive_float(text) -> float:
     """A finite float > 0."""
-    value = float(text)
+    value = real(text)
     if not 0.0 < value < math.inf:
         raise ValueError(f"{text!r} is not a finite number > 0")
     return value
@@ -65,7 +74,7 @@ def positive_float(text) -> float:
 
 def unit_fraction(text) -> float:
     """A float strictly inside (0, 1)."""
-    value = float(text)
+    value = real(text)
     if not 0.0 < value < 1.0:
         raise ValueError(f"{text!r} is not strictly inside (0, 1)")
     return value
@@ -228,6 +237,25 @@ FLOAT_SPEC = "%.17g"
 def fmt17(x) -> str:
     """A float as text in ``FLOAT_SPEC``."""
     return FLOAT_SPEC % float(x)
+
+
+# the bytes of float text that are not separators: printable ASCII but '='
+_FIELD_BYTES = bytes(range(33, 61)) + bytes(range(62, 128))
+
+
+def float_rows(lines: list, seps: str, usecols=None) -> np.ndarray:
+    """The floats of ``lines`` (one at least), each ending in a newline, as
+    an array (len(lines), fields), or of the columns ``usecols``. The bytes
+    that separate fields (space, '=', newline and every other control byte)
+    must be ``seps`` and the newline on every line; the rest goes to one
+    call of numpy's C text reader, which reads a float as ``real`` does.
+    Raises ValueError at any other spelling."""
+    text = "".join(lines)
+    if (text.encode("ascii").translate(None, _FIELD_BYTES) != (seps + "\n").encode() * len(lines)
+            or not lines or not seps and "\n" in lines):  # numpy skips blank lines
+        raise ValueError("not the writer's spelling")
+    return np.loadtxt(text.replace("=", " ").splitlines() if "=" in seps else lines,
+                      comments=None, delimiter=" ", ndmin=2, usecols=usecols)
 
 
 # numpy's add.reduce sums a contiguous run of this many float64 terms or

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import _read_utf8
 from .errors import ParseError, SchemaError, ShapeError, located
 from .mdn import MdnModel, _draw, _log_likelihoods, _mixtures, mixture_at, sample
-from .numcore import FLOAT_SPEC, Rng, decimal, positive_int, seed64
+from .numcore import FLOAT_SPEC, Rng, decimal, float_rows, positive_int, real, seed64
 
 
 @dataclass(frozen=True)
@@ -307,14 +308,6 @@ def write_predictions(path, records, master_seed: int, m: int, n: int) -> None:
             fh.write(_render_record(r))
 
 
-def _float(text: str) -> float:
-    """``float(text)`` for the float texts numpy's C reader takes: none with
-    '_', blanks or non-ASCII characters, which ``float`` alone forgives."""
-    if not text.isascii() or "_" in text or text.strip() != text:
-        raise ValueError(f"could not convert string to float: {text!r}")
-    return float(text)
-
-
 def _record_line(line: str) -> tuple:
     """(id text, condition, dim, the (1, dim + dz) truth and z row) of a
     ``record <id> <condition> truth <coords> z <values>`` line."""
@@ -325,17 +318,27 @@ def _record_line(line: str) -> tuple:
     if parts[3:4] != ["truth"] or not 4 < zi < len(parts) - 1 or line.split() != parts:
         raise ValueError("expected 'record <id> <condition> truth <coords> z <values>'")
     decimal(parts[1])
-    head = np.array([[_float(t) for t in parts[4:zi] + parts[zi + 1 :]]])
+    head = np.array([[real(t) for t in parts[4:zi] + parts[zi + 1 :]]])
     if not np.isfinite(head).all():
         raise ValueError("non-finite coordinate")
     return parts[1], parts[2], zi - 4, head
 
 
+def _layout(m: int) -> tuple:
+    """The sections of a record block after its ``record`` line, in order:
+    (offset of the first line, line count, head, marks). A line of one is
+    spelled ``<head> <dim coordinates>`` and then `` <mark>=<number>`` per
+    mark, the last mark's number a 0/1 flag."""
+    return ((1, 1, "baseline estimate", ()), (2, m, "baseline sample", ()),
+            (m + 2, 1, "hmdn estimate", ("fallback",)),
+            (m + 3, m, "hmdn candidate", ("score", "selected")))
+
+
 def _records(heads: list, base, samples, hmdn, cands, m: int, n: int) -> list:
     """The PredictionRecords of consecutive blocks: their ``_record_line``
-    heads and their sections' arrays as ``_section`` returns them, the
-    blocks' rows one after the other. Raises ValueError for the first block
-    whose selection count is not n (m on a fallback record)."""
+    heads and the arrays of their ``_layout`` sections, the blocks' rows one
+    after the other. Raises ValueError for the first block whose selection
+    count is not n (m on a fallback record)."""
     k, dim = len(heads), base.shape[1]
     fallback = hmdn[:, dim] == 1
     chosen = (cands[:, dim + 1] == 1).reshape(k, m)
@@ -350,55 +353,19 @@ def _records(heads: list, base, samples, hmdn, cands, m: int, n: int) -> list:
                              f"expected {m if fallback[i] else n}")
         if not fallback[i]:  # prediction's order: best score first, ties by index
             selected = selected[np.argsort(-scores[i, selected], kind="stable")]
-        est = HmdnEstimate(
-            estimate=hmdn[i, :dim],
-            candidates=coords[i],
-            scores=scores[i],
-            selected_indices=selected,
-            underflow_fallback=bool(fallback[i]),
-        )
+        est = HmdnEstimate(estimate=hmdn[i, :dim], candidates=coords[i], scores=scores[i],
+                           selected_indices=selected, underflow_fallback=bool(fallback[i]))
         records.append(PredictionRecord(
-            record_id=int(rid),
-            condition=cond,
-            truth=head[0, :dim],
-            z=head[0, dim:],
-            baseline_samples=samples[i],
-            baseline_estimate=base[i],
-            hmdn=est,
-        ))
+            record_id=int(rid), condition=cond, truth=head[0, :dim], z=head[0, dim:],
+            baseline_samples=samples[i], baseline_estimate=base[i], hmdn=est))
     return records
-
-
-def _section(rows: list, head: str, dim: int, *marks: str) -> np.ndarray:
-    """The numbers of ``rows``, lines each spelled ``<head> <dim coordinates>``
-    and then `` <mark>=<number>`` per mark, the last mark's number a 0/1
-    flag: an array (len(rows), dim + len(marks)) of finite coordinates and
-    the marks' numbers. Raises ValueError at any other spelling.
-
-    The whole section is checked at once. Its bytes that separate fields
-    (space, '=', newline and every other control byte) must come in each
-    line's order, and counts of the head and mark words place them on every
-    line. What is left between separators goes to one call of numpy's C
-    text reader, which reads a float's text as ``float`` does, without the
-    '_' and blanks ``float`` also takes (none can be left)."""
-    text = "".join(rows)
-    seps = (" " * (1 + dim) + " =" * len(marks) + "\n").encode() * len(rows)
-    if (text.encode("ascii").translate(None, bytes(range(33, 61)) + bytes(range(62, 128))) != seps
-            or not text.startswith(head + " ") or text.count(f"\n{head} ") != len(rows) - 1
-            or any(text.count(f" {mark}=") != len(rows) for mark in marks[:-1])
-            or marks and sum(text.count(f" {marks[-1]}={v}\n") for v in "01") != len(rows)):
-        raise ValueError("not the writer's spelling")
-    values = np.loadtxt(text.replace("=", " ").splitlines() if marks else rows, comments=None,
-                        delimiter=" ", ndmin=2,
-                        usecols=[*range(2, 2 + dim), *range(3 + dim, 3 + dim + 2 * len(marks), 2)])
-    if not np.isfinite(values[:, :dim]).all():
-        raise ValueError("non-finite coordinate")
-    return values
 
 
 def _read_chunk(rows: list, k: int, m: int, n: int) -> list:
     """The k records of ``rows``, each a block of 2m + 3 lines, read a
-    section at a time across the blocks by ``_section``. Raises ValueError,
+    ``_layout`` section at a time across the blocks: counts of the head and
+    mark words place them on every line of a section, and one ``float_rows``
+    call checks its separators and converts its numbers. Raises ValueError,
     without saying where, if ``rows`` is anything else."""
     size = 2 * m + 3
     if len(rows) != k * size:
@@ -410,27 +377,29 @@ def _read_chunk(rows: list, k: int, m: int, n: int) -> list:
     dim = heads[0][2]
     if any(h[2] != dim for h in heads):
         raise ValueError("records of more than one dimension")
-    return _records(
-        heads,
-        _section(rows[1::size], "baseline estimate", dim),
-        _section([r for i in starts for r in rows[i + 2 : i + m + 2]], "baseline sample", dim),
-        _section(rows[m + 2 :: size], "hmdn estimate", dim, "fallback"),
-        _section([r for i in starts for r in rows[i + m + 3 : i + size]], "hmdn candidate", dim,
-                 "score", "selected"),
-        m, n,
-    )
+    sections = []
+    for first, count, head, marks in _layout(m):
+        lines = [r for i in starts for r in rows[i + first : i + first + count]]
+        text = "".join(lines)
+        if (not text.startswith(head + " ") or text.count(f"\n{head} ") != len(lines) - 1
+                or any(text.count(f" {mark}=") != len(lines) for mark in marks[:-1])
+                or marks and sum(text.count(f" {marks[-1]}={v}\n") for v in "01") != len(lines)):
+            raise ValueError("not the writer's spelling")
+        values = float_rows(lines, " " * (1 + dim) + " =" * len(marks),
+                            [*range(2, 2 + dim), *range(3 + dim, 3 + dim + 2 * len(marks), 2)])
+        if not np.isfinite(values[:, :dim]).all():
+            raise ValueError("non-finite coordinate")
+        sections.append(values)
+    return _records(heads, *sections, m, n)
 
 
 def _read_block(start: int, rows: list, m: int, n: int) -> PredictionRecord:
     """Parse one record block line by line, naming the line of its first
     fault: ``rows`` are its lines, the first of them line ``start`` of the
-    file; fewer than 2m + 3 means the file ends inside the block.
-
-    The layout is fixed, so every line's number follows from its offset in
-    the block. Lines are checked a section at a time, the kind, field and
-    width of every line of a section before its numbers, and the fault
-    named is the first in that order. It takes exactly the lines
-    ``_read_chunk`` takes, and gives the same records.
+    file; fewer than 2m + 3 means the file ends inside the block. The
+    ``_layout`` sections are checked in order, the head and width of every
+    line of a section before its coordinates, then the marks line by line.
+    It takes exactly the lines ``_read_chunk`` takes, with the same records.
     """
     offset = 0
     lines = [r.rstrip("\n").split(" ") for r in rows]
@@ -438,67 +407,57 @@ def _read_block(start: int, rows: list, m: int, n: int) -> PredictionRecord:
         head = _record_line(rows[0])
         rid, cond, dim, _ = head
         sections = []
-        for first, count, kind, field, width in (
-            (1, 1, "baseline", "estimate", 2 + dim),
-            (2, m, "baseline", "sample", 2 + dim),
-            (m + 2, 1, "hmdn", "estimate", 3 + dim),
-            (m + 3, m, "hmdn", "candidate", 4 + dim),
-        ):
-            got = lines[first : first + count]
+        for first, count, words, marks in _layout(m):
+            width, got = 2 + dim + len(marks), lines[first : first + count]
             for offset, p in enumerate(got, start=first):
-                if len(p) != width or p[0] != kind or p[1] != field:
-                    raise ValueError(f"expected a '{kind} {field}' line of {width} fields")
+                if len(p) != width or p[:2] != words.split(" "):
+                    raise ValueError(f"expected a '{words}' line of {width} fields")
             if len(got) < count:
                 offset = first + len(got)
-                raise ValueError(
-                    f"end of file inside the block of record {rid} {cond} (line {start})"
-                )
+                raise ValueError(f"end of file inside the block of record {rid} {cond} "
+                                 f"(line {start})")
             values = []
             for offset, p in enumerate(got, start=first):
-                values.append([_float(t) for t in p[2 : 2 + dim]])
+                values.append([real(t) for t in p[2 : 2 + dim]])
             bad = ~np.isfinite(values).all(axis=1)
             if bad.any():
                 offset = first + int(np.argmax(bad))
                 raise ValueError("non-finite coordinate")
-            sections.append(np.array(values))
+            sections.append(values)
 
-        base, samples, hmdn, cands = sections
-        offset = m + 2
-        flag = lines[offset][-1]
-        if flag not in ("fallback=0", "fallback=1"):
-            raise ValueError(f"expected fallback=<0|1>, got {flag!r}")
-        marks = []
-        for offset, p in enumerate(lines[m + 3 :], start=m + 3):
-            if p[-2][:6] != "score=" or p[-1] not in ("selected=0", "selected=1"):
-                raise ValueError(
-                    f"expected 'score=<log density> selected=<0|1>', got {p[-2]} {p[-1]}"
-                )
-            marks.append([_float(p[-2][6:]), float(p[-1][-1])])
+        for (first, _, _, marks), values in zip(_layout(m), sections):
+            if not marks:
+                continue
+            for offset, (p, row) in enumerate(zip(lines[first:], values), start=first):
+                got = p[-len(marks) :]
+                if not (all(w.startswith(f"{mark}=") for w, mark in zip(got, marks))
+                        and got[-1] in (f"{marks[-1]}=0", f"{marks[-1]}=1")):
+                    if len(marks) == 1:
+                        raise ValueError(f"expected {marks[0]}=<0|1>, got {got[0]!r}")
+                    raise ValueError(f"expected '{marks[0]}=<log density> {marks[1]}=<0|1>', "
+                                     f"got {got[0]} {got[1]}")
+                row += [real(w[len(mark) + 1 :]) for w, mark in zip(got[:-1], marks)]
+                row.append(real(got[-1][-1]))
         offset = 0
-        hmdn = np.column_stack([hmdn, [float(flag[-1])]])
-        return _records([head], base, samples, hmdn, np.column_stack([cands, marks]), m, n)[0]
+        return _records([head], *map(np.array, sections), m, n)[0]
     except ValueError as err:
         raise ParseError(str(err), line=start + offset) from None
 
 
 def parse_predictions(path, header: dict = None) -> list:
-    """Re-read a dump file into PredictionRecord values, streaming it a
-    chunk of record blocks at a time (as many as fit in ``_CHUNK_LINES``
-    lines): ``_read_chunk`` reads a chunk section by section, and only a
-    chunk it refuses is walked line by line by ``_read_block``, which names
-    the fault.
+    """Re-read a dump file into PredictionRecord values, a chunk of record
+    blocks at a time (as many as fit in ``_CHUNK_LINES`` lines):
+    ``_read_chunk`` reads a chunk, and only a chunk it refuses is walked
+    line by line by ``_read_block``, which names the fault.
 
-    The file must be laid out exactly as ``write_predictions`` writes it:
-    the version line, then the three header lines ``# master_seed <seed64>``,
-    ``# m <positive_int> n <positive_int>`` with n <= m and ``# records
-    <positive_int>``, then that many record blocks, each with its lines in
-    the documented order, m baseline samples and m candidates, finite
-    coordinates of one dimension, and n selected candidates (all m on a
-    fallback record). A header line that is not the one due raises
-    SchemaError; any other deviation raises ParseError. Each has ``path``
-    set, and ``line`` where one line is at fault. A ``header`` dict, if
-    given, is filled with the header's values as text (``master_seed``,
-    ``m``, ``n``, ``records``), so a caller needing both reads the file once.
+    The file must be laid out exactly as ``write_predictions`` writes it
+    (docs/formats.md): the version line, the three header lines, and as
+    many record blocks as ``# records`` says. A header line that is not the
+    one due raises SchemaError; any other deviation raises ParseError. Each
+    has ``path`` set, and ``line`` where one line is at fault. A ``header``
+    dict, if given, is filled with the header's values as text
+    (``master_seed``, ``m``, ``n``, ``records``), so a caller needing both
+    reads the file once.
     """
     records = []
     with located(path), open(path, "r", encoding="utf-8") as fh:
@@ -547,5 +506,6 @@ def parse_predictions(path, header: dict = None) -> list:
                 raise ParseError("expected the end of the file after the header's "
                                  f"'# records {count}'", line=lineno)
         except UnicodeDecodeError as err:
+            _read_utf8(path)  # raises with the line of the first bad byte
             raise ParseError(f"not UTF-8 text ({err.reason})") from None
     return records

@@ -356,6 +356,18 @@ class TestPredict:
             "--data", workspace / "test.csv", "--out-dir", tmp_path, "--records", "99",
         ) == 2
 
+    def test_record_indices_in_ascii_decimal_only(self, workspace, tmp_path, capsys):
+        """``int`` reads '1_0', '٢' and '+1' as 10, 2 and 1; an index is
+        read as every other integer is."""
+        out = tmp_path / "pred"
+        assert run(
+            "predict", "--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
+            "--data", workspace / "test.csv", "--out-dir", out, "--records", "1_0, ٢ ,+1",
+        ) == 2
+        assert one_error_line(capsys) == ("error: --records must be 'all' or comma-separated "
+                                          "indices, got '1_0, ٢ ,+1'\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_n_above_m_exits_2_before_reading_a_file(tmp_path, capsys, command):
@@ -636,6 +648,10 @@ class TestConfigValues:
         ("train", {"hidden": "a"}, "invalid widths value: 'a'"),
         ("train", {"hidden": "16,0"}, "invalid widths value: '16,0'"),
         ("train", {"hidden": 1.5}, "invalid widths value: '1.5'"),
+        ("train", {"learning_rate": " 1e-3"}, "invalid positive_float value: ' 1e-3'"),
+        ("train", {"sigma_floor": "1_0"}, "invalid positive_float value: '1_0'"),
+        ("simulate", {"train_fraction": "0.5\t"}, "invalid unit_fraction value: '0.5\\t'"),
+        ("simulate", {"train_fraction": "٠.5"}, "invalid unit_fraction value: '٠.5'"),
         ("simulate", {"out_dir": "a\u0000b"}, "invalid text value: 'a\\x00b'"),
         ("predict", {"data": "test\u0000.csv"}, "invalid text value: 'test\\x00.csv'"),
     ]
@@ -648,6 +664,19 @@ class TestConfigValues:
         assert code == 2
         (key,) = doc
         assert one_error_line(capsys) == f"error: {cfg}: {key}: {message}\n"
+
+    @pytest.mark.parametrize("command, flag, text", [
+        ("simulate", "--train-fraction", "0.7_5"),
+        ("train", "--learning-rate", " 1e-3"),
+        ("train", "--sigma-floor", "1e-3\n"),
+    ])
+    def test_float_flag_in_the_writers_spelling_only(self, capsys, command, flag, text):
+        """``float`` also reads these; a float flag reads what numpy's C
+        reader reads, as every float the program reads back."""
+        assert run(command, f"{flag}={text}") == 2
+        domain = "unit_fraction" if flag == "--train-fraction" else "positive_float"
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: invalid {domain} value: {text!r}\n")
 
     def test_values_typed_as_their_flags(self, tmp_path):
         cfg, code = self.run_config(tmp_path, "simulate", {
@@ -1042,6 +1071,13 @@ class TestMalformedDump:
         code, err = self.reeval(tmp_path, capsys, cut(lines), "--bootstrap", 20)
         assert code == 3
         assert err == f"error: {tmp_path / 'bad.txt'}{message}\n"
+        assert not (tmp_path / "eval").exists()
+
+    def test_byte_not_utf8_names_its_line(self, tmp_path, capsys, lines):
+        path = tmp_path / "bad.txt"
+        path.write_bytes("".join(lines[:20]).encode() + b"hmdn\xff" + "".join(lines[20:]).encode())
+        assert run("evaluate", "--from-dump", path, "--out-dir", tmp_path / "eval") == 3
+        assert one_error_line(capsys) == f"error: {path}:21: not UTF-8 text (invalid start byte)\n"
         assert not (tmp_path / "eval").exists()
 
     def test_good_dump_still_evaluates(self, tmp_path, capsys, lines):

@@ -703,6 +703,56 @@ class TestModelPersistence:
         assert where(err) == (path, line, None, "[config] epochs")
         assert err.message == f"invalid literal for int() with base 10: {text!r}"
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("mean", "1_0\t 2", "expected numbers, got '1_0\\t 2'"),
+        ("mean", "1_0 2", "expected numbers, got '1_0 2'"),
+        ("std", " 1 2", "expected numbers, got ' 1 2'"),
+        ("learning_rate", "1_0e-3", "could not convert string to float: '1_0e-3'"),
+        ("sigma_floor", "0.001 ", "could not convert string to float: '0.001 '"),
+        ("hidden_layers", "6\t6", "invalid literal for int() with base 10: '6\\t6'"),
+        ("hidden_layers", "6  6", "invalid literal for int() with base 10: ''"),
+        ("hidden_layers", "6 ", "invalid literal for int() with base 10: ''"),
+    ])
+    def test_value_respelled_names_its_line_and_key(self, tmp_path, name, text, message):
+        """``float``, ``int`` and ``str.split`` read each of these; the writer
+        writes numbers one space apart, floats as numpy's C reader reads them."""
+        path = tmp_path / "model.txt"
+        save_model(self.train_tiny(), path)
+        lines = path.read_text().splitlines()
+        line = next(i for i, ln in enumerate(lines, start=1) if ln.startswith(f"{name} = "))
+        section = "standardize" if name in ("mean", "std") else "config"
+        lines[line - 1] = f"{name} = {text}"
+        path.write_text("\n".join(lines) + "\n")
+        err = raised(ParseError, load_model, path)
+        assert where(err) == (path, line, None, f"[{section}] {name}")
+        assert err.message == message
+
+    @pytest.mark.parametrize("edit", [
+        lambda row: row.replace(" ", "  ", 1), lambda row: row + " ", lambda row: " " + row,
+        lambda row: row.replace(" ", "\t", 1), lambda row: re.sub(r"(\d)(\d)", r"\1_\2", row, 1),
+    ], ids=["doubled-space", "trailing-blank", "leading-blank", "tab", "digit-group"])
+    @pytest.mark.parametrize("matrix", [0, -1], ids=["first-matrix", "last-matrix"])
+    def test_weight_row_respelled_names_its_line(self, tmp_path, edit, matrix):
+        path = tmp_path / "model.txt"
+        save_model(self.train_tiny(), path)
+        lines = path.read_text().splitlines()
+        row = [i for i, ln in enumerate(lines) if ln.startswith("matrix ")][matrix] + 1
+        lines[row] = edit(lines[row])
+        path.write_text("\n".join(lines) + "\n")
+        err = raised(ParseError, load_model, path)
+        assert where(err) == (path, row + 1, None, None)
+        assert err.message == f"expected numbers, got {lines[row]!r}"
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_non_utf8_line_counts_every_line_end(self, tmp_path, newline):
+        path = tmp_path / "model.txt"
+        save_model(self.train_tiny(), path)
+        text = path.read_text().replace("\n", newline)
+        line = text.split(newline).index("[standardize]") + 1
+        path.write_bytes(text.replace("[standardize]", "[standardize\udcff]").encode(
+            "utf-8", "surrogateescape"))
+        assert where(raised(ParseError, load_model, path)) == (path, line, None, None)
+
     def test_values_the_model_rejects_name_the_path(self, tmp_path):
         path, bad = tmp_path / "model.txt", tmp_path / "bad.txt"
         save_model(self.train_tiny(), path)

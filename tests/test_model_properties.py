@@ -1,19 +1,22 @@
 """Property tests of the model file reader: saved models of varied configs
-load back byte-identically, and mutants of them either load or are rejected
+load back byte-identically, mutants of them either load or are rejected
 with a SchemaError or ParseError that names the file and the line of
-every fault."""
+every fault, and a weight is spelled as a dump coordinate is."""
 
 import dataclasses
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmdn.dataio import load_model, save_model
 from hmdn.errors import ParseError, SchemaError
+from hmdn.pipeline import parse_predictions
 
+from test_dump_properties import BASE_DUMP, CHARACTERS, FIELDS
 from util import make_random_model
 
 
@@ -128,3 +131,44 @@ def test_mutant_loads_or_is_rejected_on_its_line(case):
     assert error.line is not None, (kind, error)
     first = next(i for i, (a, b) in enumerate(zip(base + [None], lines + [None]), 1) if a != b)
     assert first <= error.line <= len(lines) + 1, (kind, error)
+
+
+@st.composite
+def float_token(draw):
+    """A field of ``FIELDS``, or a written float with one character
+    replaced by one of ``CHARACTERS`` (or one appended)."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(FIELDS))
+    text = draw(st.sampled_from(["0.5", "-1.25e-07", "3", "1e+300", "-0"]))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(CHARACTERS)) + text[at + 1 :]
+
+
+def read_back(path, write: str, read):
+    """The float ``read`` finds in the file ``write`` makes, as its bytes, or
+    None when the reader rejects the file."""
+    path.write_text(write)
+    try:
+        return np.float64(read(path)).tobytes()
+    except (SchemaError, ParseError):
+        return None
+
+
+@settings(max_examples=400)
+@given(float_token())
+def test_weight_reads_as_a_dump_coordinate_reads(token):
+    """A token in a weight cell loads, with the same value, exactly when
+    the dump reader takes it as a coordinate: both files spell numbers
+    through ``numcore.float_rows``."""
+    lines = BASES["library"].splitlines(keepends=True)
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("matrix 0 ")) + 1
+    lines[row] = " ".join([token, *lines[row].split(" ")[1:]])
+    dump = BASE_DUMP.copy()
+    dump[6] = " ".join([*dump[6].split(" ")[:2], token, *dump[6].split(" ")[3:]])
+    assert dump[6].startswith("baseline sample ")
+    with tempfile.TemporaryDirectory() as tmp:
+        weight = read_back(Path(tmp) / "model.txt", "".join(lines),
+                           lambda path: load_model(path).weights[0][0, 0])
+        coordinate = read_back(Path(tmp) / "dump.txt", "".join(dump),
+                               lambda path: parse_predictions(path)[0].baseline_samples[0, 0])
+    assert weight == coordinate, token

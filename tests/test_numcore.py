@@ -6,14 +6,18 @@ import pytest
 from hmdn.mdn import MixtureParams, sample
 from hmdn.numcore import (
     Rng,
+    float_rows,
     log_sum_exp_cols,
     normals_from,
+    positive_float,
     positive_int,
+    real,
     seed64,
     splitmix64,
     sum_rows,
     u64_rows,
     uniforms_from,
+    unit_fraction,
 )
 
 from util import reference_log_sum_exp_rows, reference_normals, reference_uniform
@@ -226,3 +230,47 @@ class TestIntegerDomains:
             positive_int("-3")
         with pytest.raises(ValueError, match="'-1' is not a 64-bit unsigned integer"):
             seed64("-1")
+
+
+class TestFloatText:
+    """Floats are read back as numpy's C text reader reads them: ``real``
+    one token at a time, ``float_rows`` a block of lines in one call."""
+
+    @pytest.mark.parametrize("text", ["1_0", " 7 ", "7\n", "0.5\t", "\u0664", "\xa01", "", "x"])
+    def test_spellings_float_alone_forgives_rejected(self, text):
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            real(text)
+        with pytest.raises(ValueError):
+            float_rows([text + "\n"], "")
+
+    @pytest.mark.parametrize("text", ["1e5", "+1", "-0", ".5", "5.", "nan", "-Infinity", "1E-3"])
+    def test_writer_and_c_reader_spellings_pass(self, text):
+        assert np.float64(real(text)).tobytes() == float_rows([text + "\n"], "")[0, 0].tobytes()
+
+    def test_numbers_pass_as_they_are(self):
+        assert real(2) == real(np.float64(2.0)) == real("2") == 2.0
+        assert positive_float(1e-3) == 1e-3 and unit_fraction(0.5) == 0.5
+
+    @pytest.mark.parametrize("domain", [positive_float, unit_fraction])
+    @pytest.mark.parametrize("text", ["0.5_0", " 0.5", "0.5\t", "\u0660.5"])
+    def test_float_domains_read_the_same_spelling(self, domain, text):
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            domain(text)
+
+    def test_rows_and_marked_columns(self):
+        lines = ["a b 1 2 c=3\n", "a b -4 5e1 c=-inf\n"]
+        got = float_rows(lines, "    =", usecols=[2, 3, 5])
+        assert got.tolist() == [[1.0, 2.0, 3.0], [-4.0, 50.0, -np.inf]]
+        assert float_rows(["1\n", "2\n"], "").shape == (2, 1)
+
+    @pytest.mark.parametrize("lines, seps", [
+        (["1 2\n"], ""), (["1\n"], " "), (["1  2\n"], " "), (["1 2 \n"], " "),
+        (["1\n", "\n", "2\n"], ""), (["\n", "1\n"], ""), ([], ""), (["1\n2\n"], ""),
+        (["1=2\n"], " "), (["1 2\n"], "="), (["1\x1f\n"], ""), (["1 2\r\n"], " "),
+        (["1 2"], " "),
+    ], ids=["extra-field", "missing-field", "doubled-space", "trailing-space", "blank-line",
+            "leading-blank-line", "no-line", "two-lines-in-one", "mark-for-space",
+            "space-for-mark", "control-byte", "carriage-return", "no-newline"])
+    def test_other_separators_refused(self, lines, seps):
+        with pytest.raises(ValueError):
+            float_rows(lines, seps)

@@ -442,6 +442,19 @@ class TestDumpRejectsMalformedFiles:
         bad[16] = bad[16].rsplit(" ", 1)[0] + " nan\n"
         self.check(tmp_path, bad, ParseError, 17, "non-finite coordinate")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("line", [2, 5, 21])
+    def test_byte_not_utf8_names_its_line(self, tmp_path, lines, newline, line):
+        """The line is found once decoding has failed, counting line ends
+        as the reader's text file does: LF, CRLF and CR alike."""
+        path = tmp_path / "bad.txt"
+        before, after = ("".join(part).replace("\n", newline).encode()
+                         for part in (lines[: line - 1], lines[line - 1 :]))
+        path.write_bytes(before + b"\xff" + after)
+        err = raised(ParseError, parse_predictions, path)
+        assert where(err) == (path, line, None, None)
+        assert err.message == "not UTF-8 text (invalid start byte)"
+
     def test_wrong_selected_count(self, tmp_path, lines):
         bad = lines.copy()
         i = next(i for i in range(11, 15) if bad[i].endswith("selected=1\n"))
