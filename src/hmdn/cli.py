@@ -66,9 +66,9 @@ def _flag(key: str) -> str:
 
 def widths(spelling: str) -> tuple:
     """Hidden-layer widths from comma-separated positive integers; empty
-    text gives an affine network. Errors print the function's name, as in
-    ``invalid widths value: 'a,b'``."""
-    return tuple(positive_int(w) for w in spelling.split(",") if w.strip())
+    text, and only that, gives an affine network. Errors print the
+    function's name, as in ``invalid widths value: 'a,b'``."""
+    return tuple(positive_int(w) for w in spelling.split(",")) if spelling else ()
 
 
 _SEED = _opt("--seed", 0, type=seed64)
@@ -383,6 +383,10 @@ def _prediction_inputs(opts):
     columns = _condition_columns(table, opts)
     with located(opts["data"]):
         lux = _lux_columns(table, g2.preprocessing[1], columns)
+        for condition in lux:
+            if not condition or any(c.isspace() or c in ',"/' for c in condition):
+                raise SchemaError("a condition is not empty and has no whitespace, ',', "
+                                  f"'\"' or '/', got {condition!r}", key="LUX_" + condition)
     pipe = pipeline.HmdnPipeline(g1=g1, g2=g2, n_candidates=opts["m"], n_selected=opts["n"])
     return table, pipe, features, lux
 

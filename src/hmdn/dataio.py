@@ -445,7 +445,7 @@ def _numbers(rows: list, count: int, valid=None, *, line: int, key=None) -> np.n
     """The floats of ``rows``, lines of the file from ``line`` on, as an
     array (len(rows), count), each passing ``valid``, a (test of an array,
     message) pair, when given: one ``float_rows`` call, or on a refusal a
-    walk of the rows with ``real`` that names the line, the key and the fault."""
+    walk of the rows, each by ``float_rows`` alone, naming line, key and fault."""
     lines = [r + "\n" for r in rows]
     try:  # separators wider than the rows are never built
         values = float_rows(lines, " " * min(count - 1, sum(map(len, lines))))
@@ -454,14 +454,14 @@ def _numbers(rows: list, count: int, valid=None, *, line: int, key=None) -> np.n
     except ValueError:
         pass
     values = []
-    for at, row in enumerate(rows, start=line):
+    for at, row in enumerate(lines, start=line):
         try:
-            values.append([real(t) for t in row.split(" ")] if row else [])
+            values.append(float_rows([row], " " * row.count(" "))[0] if row != "\n" else [])
         except ValueError:
-            raise ParseError(f"expected numbers, got {row!r}", line=at, key=key) from None
+            raise ParseError(f"expected numbers, got {row[:-1]!r}", line=at, key=key) from None
         if len(values[-1]) != count:
             raise ParseError(f"expected {count} values, got {len(values[-1])}", line=at, key=key)
-        if valid is not None and not valid[0](np.array(values[-1])).all():
+        if valid is not None and not valid[0](values[-1]).all():
             raise ParseError(valid[1], line=at, key=key)
     return np.array(values)
 
@@ -481,11 +481,13 @@ def load_model(path) -> MdnModel:
     and what the file has. A value raises ParseError: a byte that is not
     UTF-8, a number that does not parse, a [config] value its field
     rejects, a row or statistics line of the wrong width, a non-finite
-    weight or mean, and a non-finite or non-positive std. Each matrix is
+    weight or mean, a non-finite or non-positive std, and a last line
+    without its newline (the file was cut inside it). Each matrix is
     built from rows of the file, so no array is larger than the file.
     """
     with located(path):
-        lines = [m.group().rstrip("\r\n") for m in _LINE.finditer(_read_utf8(path))]
+        text = _read_utf8(path)
+        lines = [m.group().rstrip("\r\n") for m in _LINE.finditer(text)]
         if lines[:1] != [_MODEL_FORMAT]:
             why = ""
             if lines[:1] == ["hmdn-model v1"]:
@@ -553,6 +555,8 @@ def load_model(path) -> MdnModel:
         training_log = _numbers([nll], nll.count(" ") + 1, **nll_at)[0] if nll else ()
         if at < len(lines):
             raise SchemaError(f"expected the end of the file, got {lines[at]!r}", line=at + 1)
+        if not text.endswith(("\n", "\r")):
+            raise ParseError("the file ends inside this line (no newline after it)", **nll_at)
 
         return MdnModel(
             config=config,

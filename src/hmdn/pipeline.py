@@ -327,11 +327,35 @@ def _record_line(line: str) -> tuple:
 def _layout(m: int) -> tuple:
     """The sections of a record block after its ``record`` line, in order:
     (offset of the first line, line count, head, marks). A line of one is
-    spelled ``<head> <dim coordinates>`` and then `` <mark>=<number>`` per
-    mark, the last mark's number a 0/1 flag."""
+    spelled ``<head> <dim coordinates>`` and then `` <mark>`` per mark, each
+    ``<name>=<number>``, the last mark's number a 0/1 flag."""
     return ((1, 1, "baseline estimate", ()), (2, m, "baseline sample", ()),
-            (m + 2, 1, "hmdn estimate", ("fallback",)),
-            (m + 3, m, "hmdn candidate", ("score", "selected")))
+            (m + 2, 1, "hmdn estimate", ("fallback=<0|1>",)),
+            (m + 3, m, "hmdn candidate", ("score=<log density>", "selected=<0|1>")))
+
+
+def _section(lines: list, dim: int, head: str, marks: tuple) -> np.ndarray:
+    """The numbers of ``lines``, each ending in a newline and spelled as a
+    line of the ``_layout`` section ``head``, ``marks`` with dim coordinates:
+    an array of the coordinates and the marks' numbers, a row per line. The
+    counts of the head and mark words and ``float_rows`` go line by line, so
+    a chunk's section passes exactly when each of its lines passes alone.
+    Raises ValueError naming the spelling due and the text refused."""
+    names = [mark[: mark.index("=") + 1] for mark in marks]
+    text = "".join(lines)
+    try:
+        if (not text.startswith(head + " ") or text.count(f"\n{head} ") != len(lines) - 1
+                or any(text.count(f" {name}") != len(lines) for name in names[:-1])
+                or names and sum(text.count(f" {names[-1]}{v}\n") for v in "01") != len(lines)):
+            raise ValueError
+        values = float_rows(lines, " " * (1 + dim) + " =" * len(marks),
+                            [*range(2, 2 + dim), *range(3 + dim, 3 + dim + 2 * len(marks), 2)])
+    except ValueError:
+        due = " ".join([head, f"<{dim} coordinates>", *marks])
+        raise ValueError(f"expected {due!r}, got {text[:-1]!r}") from None
+    if not np.isfinite(values[:, :dim]).all():
+        raise ValueError("non-finite coordinate")
+    return values
 
 
 def _records(heads: list, base, samples, hmdn, cands, m: int, n: int) -> list:
@@ -363,85 +387,48 @@ def _records(heads: list, base, samples, hmdn, cands, m: int, n: int) -> list:
 
 def _read_chunk(rows: list, k: int, m: int, n: int) -> list:
     """The k records of ``rows``, each a block of 2m + 3 lines, read a
-    ``_layout`` section at a time across the blocks: counts of the head and
-    mark words place them on every line of a section, and one ``float_rows``
-    call checks its separators and converts its numbers. Raises ValueError,
-    without saying where, if ``rows`` is anything else."""
+    ``_layout`` section at a time across the blocks, each section by one
+    ``_section`` call. Raises ValueError, without saying where, if ``rows``
+    is anything else."""
     size = 2 * m + 3
     if len(rows) != k * size:
         raise ValueError("end of file")
     if not rows[-1].endswith("\n"):  # the file's last line
-        rows[-1] += "\n"
+        rows = [*rows[:-1], rows[-1] + "\n"]
     starts = range(0, len(rows), size)
     heads = [_record_line(rows[i]) for i in starts]
     dim = heads[0][2]
     if any(h[2] != dim for h in heads):
         raise ValueError("records of more than one dimension")
-    sections = []
-    for first, count, head, marks in _layout(m):
-        lines = [r for i in starts for r in rows[i + first : i + first + count]]
-        text = "".join(lines)
-        if (not text.startswith(head + " ") or text.count(f"\n{head} ") != len(lines) - 1
-                or any(text.count(f" {mark}=") != len(lines) for mark in marks[:-1])
-                or marks and sum(text.count(f" {marks[-1]}={v}\n") for v in "01") != len(lines)):
-            raise ValueError("not the writer's spelling")
-        values = float_rows(lines, " " * (1 + dim) + " =" * len(marks),
-                            [*range(2, 2 + dim), *range(3 + dim, 3 + dim + 2 * len(marks), 2)])
-        if not np.isfinite(values[:, :dim]).all():
-            raise ValueError("non-finite coordinate")
-        sections.append(values)
+    sections = [_section([r for i in starts for r in rows[i + first : i + first + count]],
+                         dim, head, marks) for first, count, head, marks in _layout(m)]
     return _records(heads, *sections, m, n)
 
 
 def _read_block(start: int, rows: list, m: int, n: int) -> PredictionRecord:
-    """Parse one record block line by line, naming the line of its first
+    """Read one record block line by line, naming the line of its first
     fault: ``rows`` are its lines, the first of them line ``start`` of the
-    file; fewer than 2m + 3 means the file ends inside the block. The
-    ``_layout`` sections are checked in order, the head and width of every
-    line of a section before its coordinates, then the marks line by line.
-    It takes exactly the lines ``_read_chunk`` takes, with the same records.
-    """
+    file; fewer than 2m + 3 means the file ends inside the block. Each line
+    goes in file order through the check ``_read_chunk`` applies to it
+    (``_record_line``, or ``_section`` on the line alone), so the walk takes
+    exactly the lines the chunked read takes; ``_read_chunk`` then reads the
+    block, and the selection count is all it can refuse."""
     offset = 0
-    lines = [r.rstrip("\n").split(" ") for r in rows]
     try:
-        head = _record_line(rows[0])
-        rid, cond, dim, _ = head
-        sections = []
-        for first, count, words, marks in _layout(m):
-            width, got = 2 + dim + len(marks), lines[first : first + count]
-            for offset, p in enumerate(got, start=first):
-                if len(p) != width or p[:2] != words.split(" "):
-                    raise ValueError(f"expected a '{words}' line of {width} fields")
-            if len(got) < count:
-                offset = first + len(got)
-                raise ValueError(f"end of file inside the block of record {rid} {cond} "
-                                 f"(line {start})")
-            values = []
-            for offset, p in enumerate(got, start=first):
-                values.append([real(t) for t in p[2 : 2 + dim]])
-            bad = ~np.isfinite(values).all(axis=1)
-            if bad.any():
-                offset = first + int(np.argmax(bad))
-                raise ValueError("non-finite coordinate")
-            sections.append(values)
-
-        for (first, _, _, marks), values in zip(_layout(m), sections):
-            if not marks:
-                continue
-            for offset, (p, row) in enumerate(zip(lines[first:], values), start=first):
-                got = p[-len(marks) :]
-                if not (all(w.startswith(f"{mark}=") for w, mark in zip(got, marks))
-                        and got[-1] in (f"{marks[-1]}=0", f"{marks[-1]}=1")):
-                    if len(marks) == 1:
-                        raise ValueError(f"expected {marks[0]}=<0|1>, got {got[0]!r}")
-                    raise ValueError(f"expected '{marks[0]}=<log density> {marks[1]}=<0|1>', "
-                                     f"got {got[0]} {got[1]}")
-                row += [real(w[len(mark) + 1 :]) for w, mark in zip(got[:-1], marks)]
-                row.append(real(got[-1][-1]))
+        rid, cond, dim, _ = _record_line(rows[0])
+        for first, count, head, marks in _layout(m):
+            for offset in range(first, min(first + count, len(rows))):
+                _section([rows[offset].rstrip("\n") + "\n"], dim, head, marks)
+        if len(rows) < 2 * m + 3:
+            offset = len(rows)
+            raise ValueError(f"end of file inside the block of record {rid} {cond} (line {start})")
         offset = 0
-        return _records([head], *map(np.array, sections), m, n)[0]
+        return _read_chunk(rows, 1, m, n)[0]
     except ValueError as err:
-        raise ParseError(str(err), line=start + offset) from None
+        why = str(err)
+        if offset < len(rows) and not rows[offset].endswith("\n"):
+            why += " (the file ends inside this line)"
+        raise ParseError(why, line=start + offset) from None
 
 
 def parse_predictions(path, header: dict = None) -> list:

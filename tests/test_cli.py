@@ -1,4 +1,5 @@
 import ast
+import csv
 import dataclasses
 import hashlib
 import inspect
@@ -244,7 +245,8 @@ class TestTrain:
         assert one_error_line(capsys) == "error: --lux-columns must name at least one column\n"
         assert not (tmp_path / "m").exists()
 
-    @pytest.mark.parametrize("hidden", ["a,b", "16,0", "-4", "1.5"])
+    @pytest.mark.parametrize("hidden", ["a,b", "16,0", "-4", "1.5", ",", " ", "16,", "16,,8",
+                                        "16, 8"])
     def test_bad_hidden_widths_name_the_flag(self, workspace, tmp_path, capsys, hidden):
         code = run("train", "--which", "g1", "--data", workspace / "train.csv",
                    "--model-out", tmp_path / "m", f"--hidden={hidden}", "--epochs", 1)
@@ -1111,6 +1113,46 @@ class TestMissingLuxColumns:
         assert run(command, "--data", data, *argv) == 3
         assert one_error_line(capsys) == f"error: {data}: no LUX_<condition> columns\n"
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestConditionNames:
+    """A condition's name goes into the dump's record lines, the rows of
+    metrics.csv and the names of plot files, so a ``LUX_<condition>`` column
+    whose condition is empty or holds whitespace, ',', '"' or '/' exits 3
+    with one line naming the CSV and the column, before any output is made."""
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("name", ["", "sun ny", "sun\tny", "sun\u00a0ny", "sun,ny", 'sun"ny',
+                                      "sun/ny"],
+                             ids=["empty", "space", "tab", "nbsp", "comma", "quote", "slash"])
+    def test_exits_data_error_naming_the_column(self, workspace, tmp_path, capsys, command,
+                                                name):
+        lines = (workspace / "test.csv").read_text().splitlines(keepends=True)
+        header = next(csv.reader(lines[:1]))
+        header[header.index("LUX_sunny")] = "LUX_" + name
+        data = tmp_path / "renamed.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            fh.writelines(lines[1:])
+        out = tmp_path / "out"
+        argv = ["--g1", workspace / "g1.model", "--g2", workspace / "g2.model", "--m", 5,
+                "--n", 2, "--out-dir", out, *(["--bootstrap", 10] if command == "evaluate" else [])]
+        assert run(command, "--data", data, *argv) == 3
+        expected = (f"error: {data}: LUX_{name}: a condition is not empty and has no "
+                    f"whitespace, ',', '\"' or '/', got {name!r}\n")
+        assert one_error_line(capsys) == expected
+        assert not out.exists()
+
+    def test_other_punctuation_is_a_name(self, workspace, tmp_path):
+        text = (workspace / "test.csv").read_text()
+        data = tmp_path / "renamed.csv"
+        data.write_text(text.replace("LUX_sunny", "LUX_50%lit-2.b", 1))
+        out = tmp_path / "out"
+        assert run("predict", "--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
+                   "--data", data, "--m", 5, "--n", 2, "--out-dir", out) == 0
+        assert (out / "plot_r000_50%lit-2.b.svg").exists()
+        assert {r.condition for r in parse_predictions(out / "predictions.txt")} == {
+            "50%lit-2.b", "cloudy", "night_lights"}
 
 
 class TestWapCountMismatch:

@@ -394,6 +394,18 @@ class TestModelPersistence:
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("cut", [1, 2, 12], ids=["newline", "one-digit", "twelve-bytes"])
+    def test_file_cut_inside_its_last_line_names_it(self, tmp_path, cut):
+        """save_model ends the nll line with a newline, so a file that lacks
+        it was cut, though the shorter number left may still parse."""
+        path = tmp_path / "model.txt"
+        save_model(self.train_tiny(), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-cut])
+        err = raised(ParseError, load_model, path)
+        assert where(err) == (path, data.count(b"\n"), None, "[training_log] nll")
+        assert err.message == "the file ends inside this line (no newline after it)"
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "junk.txt"
         p.write_text("not a model\n")

@@ -237,9 +237,9 @@ def respelled_body(draw):
 @settings(max_examples=400)
 @given(respelled_body())
 def test_chunk_read_and_line_walk_accept_the_same_lines(body):
-    """``_read_chunk`` checks a chunk's spelling section by section and
-    ``_read_block`` line by line; each takes exactly the dumps the other
-    takes, with the same records."""
+    """``_read_chunk`` runs ``_section`` on a chunk's sections and
+    ``_read_block`` runs it on each line alone; each takes exactly the dumps
+    the other takes, with the same records."""
     m, n, size = 4, 2, 11
     try:
         fast = _read_chunk(body.copy(), 2, m, n)

@@ -30,6 +30,9 @@ from util import (
     where,
 )
 
+# the start of the message for a refused 'hmdn candidate' line of a 2-D dump
+CANDIDATE = "expected 'hmdn candidate <2 coordinates> score=<log density> selected=<0|1>', got "
+
 
 def bimodal_g1(mode_a=(2.0, 5.0), mode_b=(15.0, 5.0), spread=0.3, sigma_floor=1e-3):
     """Input-independent two-mode mixture over the plane (affine head, zero weights)."""
@@ -364,10 +367,12 @@ class TestDumpRejectsMalformedFiles:
     def test_dropped_or_reordered_sample_lines(self, tmp_path, lines):
         # one sample short: the fourth sample slot (line 10) holds the hmdn estimate
         bad = lines[:7] + lines[8:]
-        self.check(tmp_path, bad, ParseError, 10, "expected a 'baseline sample' line")
+        self.check(tmp_path, bad, ParseError, 10,
+                   f"expected 'baseline sample <2 coordinates>', got {lines[10][:-1]!r}")
         # a sample line moved ahead of the baseline estimate
         bad = lines[:5] + [lines[6], lines[5]] + lines[7:]
-        self.check(tmp_path, bad, ParseError, 6, "expected a 'baseline estimate' line")
+        self.check(tmp_path, bad, ParseError, 6,
+                   f"expected 'baseline estimate <2 coordinates>', got {lines[6][:-1]!r}")
 
     def test_header_only(self, tmp_path, lines):
         self.check(tmp_path, lines[:4], ParseError, 5,
@@ -437,7 +442,8 @@ class TestDumpRejectsMalformedFiles:
     def test_non_numeric_and_non_finite_coordinates(self, tmp_path, lines):
         bad = lines.copy()
         bad[5] = bad[5].rsplit(" ", 1)[0] + " x\n"
-        self.check(tmp_path, bad, ParseError, 6, "could not convert string to float: 'x'")
+        self.check(tmp_path, bad, ParseError, 6,
+                   f"expected 'baseline estimate <2 coordinates>', got {bad[5][:-1]!r}")
         bad = lines.copy()
         bad[16] = bad[16].rsplit(" ", 1)[0] + " nan\n"
         self.check(tmp_path, bad, ParseError, 17, "non-finite coordinate")
@@ -462,18 +468,17 @@ class TestDumpRejectsMalformedFiles:
         self.check(tmp_path, bad, ParseError, 5, "1 candidates selected, expected 2")
 
     @pytest.mark.parametrize("line, edit, message", [
-        (7, lambda ln: ln.replace(" ", "  ", 1), "expected a 'baseline sample' line of 4 fields"),
+        (7, lambda ln: ln.replace(" ", "  ", 1), "expected 'baseline sample <2 coordinates>', got "),
         (9, lambda ln: "  ".join(ln.rsplit(" ", 1)),
-         "expected a 'baseline sample' line of 4 fields"),
-        (12, lambda ln: ln.replace(" score=", "\tscore="),
-         "expected a 'hmdn candidate' line of 6 fields"),
-        (6, lambda ln: ln[:-1] + " \n", "expected a 'baseline estimate' line of 4 fields"),
-        (11, lambda ln: ln[:-1] + " \n", "expected a 'hmdn estimate' line of 5 fields"),
-        (8, lambda ln: ln[:-1] + "\t\n", "could not convert string to float: "),
+         "expected 'baseline sample <2 coordinates>', got "),
+        (12, lambda ln: ln.replace(" score=", "\tscore="), CANDIDATE),
+        (6, lambda ln: ln[:-1] + " \n", "expected 'baseline estimate <2 coordinates>', got "),
+        (11, lambda ln: ln[:-1] + " \n",
+         "expected 'hmdn estimate <2 coordinates> fallback=<0|1>', got "),
+        (8, lambda ln: ln[:-1] + "\t\n", "expected 'baseline sample <2 coordinates>', got "),
         (10, lambda ln: ln.rsplit(" ", 1)[0] + " 1_0\n",
-         "could not convert string to float: '1_0'"),
-        (13, lambda ln: ln.split(" score=")[0] + " score=1_0 " + ln.rsplit(" ", 1)[1],
-         "could not convert string to float: '1_0'"),
+         "expected 'baseline sample <2 coordinates>', got "),
+        (13, lambda ln: ln.split(" score=")[0] + " score=1_0 " + ln.rsplit(" ", 1)[1], CANDIDATE),
         (16, lambda ln: ln.replace(" ", "  ", 2),
          "expected 'record <id> <condition> truth <coords> z <values>'"),
         (16, lambda ln: ln.replace(" truth ", " truth\t"),
@@ -500,7 +505,31 @@ class TestDumpRejectsMalformedFiles:
         if message is None:
             assert len(parse_predictions(path)) == 2
         else:
+            if message.endswith(", got "):  # a body line: the spelling due, then the line
+                message += repr(bad[line - 1][:-1])
             self.check(tmp_path, bad, ParseError, line, message)
+
+    @pytest.mark.parametrize("line", [5, 6, 8, 11, 14, 16, 26],
+                             ids=["record", "baseline-estimate", "baseline-sample",
+                                  "hmdn-estimate", "hmdn-candidate", "second-record", "last"])
+    def test_cut_inside_a_line_says_the_file_ends_there(self, tmp_path, lines, line):
+        """A dump cut halfway through a line, or just before the flag that
+        ends a line with marks, fails on that line, and the message says the
+        file ends inside it."""
+        before, text = "".join(lines[: line - 1]), lines[line - 1]
+        for keep in [len(text) // 2] + ([len(text) - 2] if "=" in text else []):
+            path = tmp_path / "cut.txt"
+            path.write_text(before + text[:keep])
+            err = raised(ParseError, parse_predictions, path)
+            assert where(err) == (path, line, None, None)
+            assert err.message.endswith(" (the file ends inside this line)"), err
+
+    def test_cut_line_that_still_reads_is_followed_by_the_end_of_the_file(self, tmp_path, lines):
+        path = tmp_path / "cut.txt"
+        path.write_text("".join(lines[:5]) + lines[5][:-3])
+        err = raised(ParseError, parse_predictions, path)
+        assert where(err) == (path, 7, None, None)
+        assert err.message == "end of file inside the block of record 0 sunny (line 5)"
 
     @pytest.mark.parametrize("newline, end", [("\r\n", "\r\n"), ("\n", ""), ("\r\n", "")],
                              ids=["crlf", "no-final-newline", "crlf-no-final-newline"])
@@ -593,15 +622,15 @@ class TestDumpMatchesReferenceReader:
         first, last = 4 + block * size, 4 + 2 * block * size - 1  # indices
         for index, edit, message in (
             (first, lambda ln: ln.replace("record", "recrod", 1), "expected a 'record' line"),
-            (last, lambda ln: ln.replace("selected=0", "selected=x"),
-             "expected 'score=<log density> selected=<0|1>'"),
-            (len(lines) - 1, lambda ln: ln.replace(" score=", " score=x"),
-             "could not convert string to float: 'x"),
+            (last, lambda ln: ln.replace("selected=0", "selected=x"), CANDIDATE),
+            (len(lines) - 1, lambda ln: ln.replace(" score=", " score=x"), CANDIDATE),
         ):
             bad = lines.copy()
             bad[index] = edit(bad[index])
             assert bad[index] != lines[index]
             path.write_text("".join(bad))
+            if message == CANDIDATE:
+                message += repr(bad[index][:-1])
             got = dump_outcome(parse_predictions, path)
             assert got == dump_outcome(reference_parse_predictions, path)
             assert got[:4] == (ParseError, path, index + 1, None) and message in got[-1]

@@ -363,18 +363,25 @@ def reference_write_predictions(path, records, master_seed: int, m: int, n: int)
 # lines. Its records are what the chunked reader must return bit for bit.
 # It takes the looser spelling the chunked reader refuses (doubled spaces,
 # tabs, trailing blanks, '1_0'), so compare them on writer-spelled dumps.
+# A body line it refuses gets the chunked reader's message: the spelling
+# due there and the line.
 
 
 def _reference_read_block(start: int, parts, lines, m: int, n: int) -> PredictionRecord:
     offset = 0
 
-    def coordinates(rows, cut: slice, first: int) -> np.ndarray:
+    def coordinates(rows, cut: slice, first: int, due: str = None) -> np.ndarray:
         nonlocal offset
         try:
-            values = np.array([p[cut] for p in rows], dtype=np.float64)
+            values = np.array([p[cut] for _, p in rows], dtype=np.float64)
         except ValueError:
-            for offset, p in enumerate(rows, start=first):
-                list(map(float, p[cut]))
+            for offset, (line, p) in enumerate(rows, start=first):
+                try:
+                    list(map(float, p[cut]))
+                except ValueError:
+                    if due is None:
+                        raise
+                    refuse(due, line)
             raise
         bad = ~np.isfinite(values).all(axis=1)
         if bad.any():
@@ -382,43 +389,49 @@ def _reference_read_block(start: int, parts, lines, m: int, n: int) -> Predictio
             raise ValueError("non-finite coordinate")
         return values
 
+    def refuse(due: str, line: str):
+        raise ValueError(f"expected {due!r}, got {line.rstrip(chr(10))!r}")
+
     try:
         zi = parts.index("z", 5) if "z" in parts[5:] else 0
         if parts[3:4] != ["truth"] or not 4 < zi < len(parts) - 1:
             raise ValueError("expected 'record <id> <condition> truth <coords> z <values>'")
         rid, cond = parts[1], parts[2]
         record_id, dim = int(rid), zi - 4
-        head = coordinates([parts[4:zi] + parts[zi + 1 :]], slice(None), 0)
+        head = coordinates([(None, parts[4:zi] + parts[zi + 1 :])], slice(None), 0)
         sections = []
-        for first, count, kind, field, width, cut in (
-            (1, 1, "baseline", "estimate", 2 + dim, slice(2, None)),
-            (2, m, "baseline", "sample", 2 + dim, slice(2, None)),
-            (m + 2, 1, "hmdn", "estimate", 3 + dim, slice(2, -1)),
-            (m + 3, m, "hmdn", "candidate", 4 + dim, slice(2, -2)),
+        for first, count, kind, field, marks, cut in (
+            (1, 1, "baseline", "estimate", "", slice(2, None)),
+            (2, m, "baseline", "sample", "", slice(2, None)),
+            (m + 2, 1, "hmdn", "estimate", " fallback=<0|1>", slice(2, -1)),
+            (m + 3, m, "hmdn", "candidate", " score=<log density> selected=<0|1>", slice(2, -2)),
         ):
-            rows = list(islice(lines, count))
-            for offset, p in enumerate(rows, start=first):
-                if len(p) != width or p[0] != kind or p[1] != field:
-                    raise ValueError(f"expected a '{kind} {field}' line of {width} fields")
+            due = f"{kind} {field} <{dim} coordinates>{marks}"
+            rows = [(line, line.split()) for line in islice(lines, count)]
+            for offset, (line, p) in enumerate(rows, start=first):
+                if len(p) != 2 + dim + marks.count("=") or p[0] != kind or p[1] != field:
+                    refuse(due, line)
             if len(rows) < count:
                 offset = first + len(rows)
                 raise ValueError(
                     f"end of file inside the block of record {rid} {cond} (line {start})"
                 )
-            sections.append((rows, coordinates(rows, cut, first)))
+            sections.append((due, rows, coordinates(rows, cut, first, due)))
 
-        (_, base), (_, samples), ((flags,), hmdn), (cand_rows, cands) = sections
+        (_, _, base), (_, _, samples), (flag_due, ((flag_line, flags),), hmdn), \
+            (cand_due, cand_rows, cands) = sections
         offset = m + 2
         if flags[-1] not in ("fallback=0", "fallback=1"):
-            raise ValueError(f"expected fallback=<0|1>, got {flags[-1]!r}")
+            refuse(flag_due, flag_line)
         fallback = flags[-1] == "fallback=1"
         scores, chosen = [], []
-        for offset, p in enumerate(cand_rows, start=m + 3):
+        for offset, (line, p) in enumerate(cand_rows, start=m + 3):
             if p[-2][:6] != "score=" or p[-1] not in ("selected=0", "selected=1"):
-                raise ValueError(
-                    f"expected 'score=<log density> selected=<0|1>', got {p[-2]} {p[-1]}"
-                )
-            scores.append(float(p[-2][6:]))
+                refuse(cand_due, line)
+            try:
+                scores.append(float(p[-2][6:]))
+            except ValueError:
+                refuse(cand_due, line)
             chosen.append(p[-1] == "selected=1")
         offset = 0
         scores, selected = np.array(scores), np.flatnonzero(chosen)
@@ -481,17 +494,16 @@ def reference_parse_predictions(path, header: dict = None) -> list:
                 raise SchemaError(f"n {n} exceeds m {m}", line=3)
             if header is not None:
                 header.update(meta)
-            lines = map(str.split, fh)
-            parts, lineno = next(lines, None), lineno + 1
+            parts, lineno = next(map(str.split, fh), None), lineno + 1
             for _ in range(count):
                 if parts is None:
                     raise ParseError(f"end of file after {len(records)} of the header's "
                                      f"'# records {count}'", line=lineno)
                 if parts[0:1] != ["record"]:
                     raise ParseError("expected a 'record' line", line=lineno)
-                records.append(_reference_read_block(lineno, parts, lines, m, n))
+                records.append(_reference_read_block(lineno, parts, fh, m, n))
                 lineno += 2 * m + 3
-                parts = next(lines, None)
+                parts = next(map(str.split, fh), None)
             if parts is not None:
                 raise ParseError("expected the end of the file after the header's "
                                  f"'# records {count}'", line=lineno)
