@@ -24,7 +24,8 @@ import numpy as np
 from . import dataio, evaluate, mdn, pipeline, plots, scenario
 from .errors import (DomainError, LocatedError, NumericError, ParseError, SchemaError,
                      ShapeError, located)
-from .numcore import Rng, decimal, fmt17, positive_float, positive_int, seed64, unit_fraction
+from .numcore import (Rng, checked, decimal, fmt17, positive_float, positive_int, seed64,
+                      unit_fraction)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -358,10 +359,8 @@ def cmd_train(args) -> int:
 
     model = dataclasses.replace(mdn.train((X, Y), config), preprocessing=(which, recoding))
     dataio.save_model(model, model_out)
-    with open(log_out, "w", encoding="utf-8") as fh:
-        fh.write("epoch,nll\n")
-        for i, v in enumerate(model.training_log, start=1):
-            fh.write(f"{i},{fmt17(v)}\n")
+    epochs = np.arange(1, len(model.training_log) + 1)
+    dataio._write_csv(log_out, ("epoch", "nll"), np.column_stack([epochs, model.training_log]))
     print(f"{which}: trained {len(model.training_log)} epochs -> {model_out}")
     print(f"final nll {format(model.training_log[-1], '.6g')}")
     return EXIT_OK
@@ -384,9 +383,7 @@ def _prediction_inputs(opts):
     with located(opts["data"]):
         lux = _lux_columns(table, g2.preprocessing[1], columns)
         for condition in lux:
-            if not condition or any(c.isspace() or c in ',"/' for c in condition):
-                raise SchemaError("a condition is not empty and has no whitespace, ',', "
-                                  f"'\"' or '/', got {condition!r}", key="LUX_" + condition)
+            checked("LUX_" + condition, pipeline.condition_name, condition)
     pipe = pipeline.HmdnPipeline(g1=g1, g2=g2, n_candidates=opts["m"], n_selected=opts["n"])
     return table, pipe, features, lux
 
@@ -476,7 +473,7 @@ def cmd_evaluate(args) -> int:
         metrics = evaluate.compute_metrics(records, opts["seed"], n_boot)
 
     table_text = evaluate.format_metrics_table(metrics)
-    (out / "metrics.txt").write_text(table_text + "\n", encoding="utf-8")
+    dataio.write_text(out / "metrics.txt", [table_text + "\n"])
     evaluate.write_metrics_csv(metrics, out / "metrics.csv")
     print(table_text)
     return EXIT_OK

@@ -13,11 +13,14 @@ prediction applies in turn.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import os
 import re
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -363,6 +366,30 @@ def split(table: FingerprintTable, spec: SplitSpec):
     return table.take(train_idx), table.take(test_idx)
 
 
+# --- artifact files ---
+
+
+def write_text(path, chunks) -> None:
+    """The one writer of every artifact: the strings of ``chunks``, written
+    as they come, UTF-8 with each ``\\n`` as is, into ``.hmdn-<pid>.tmp`` in
+    ``path``'s directory (made as ``open(path, "w")`` makes a file), which
+    then replaces ``path``. So ``path`` holds the whole text or what it held
+    before. On any exception the temporary file is removed, and an OSError
+    names ``path``. No fsync: a crash of the machine may lose the text."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".hmdn-{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException as err:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(err, OSError) and err.errno is not None:
+            raise OSError(err.errno, err.strerror, path) from None
+        raise
+
+
 # --- dataset CSV export (the layout load_csv reads) ---
 
 
@@ -402,10 +429,9 @@ def _write_csv(path, header, values: np.ndarray, text_columns=()) -> None:
     become Python floats one at a time, which keeps memory at one row."""
     template = ",".join([FLOAT_SPEC] * values.shape[1])
     text_columns = [[_csv_cell(s) for s in col] for col in text_columns]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(map(_csv_cell, header)) + "\n")
-        for row, *cells in zip(values, *text_columns):
-            fh.write(",".join([template % tuple(row.tolist()), *cells]) + "\n")
+    rows = (",".join([template % tuple(row.tolist()), *cells]) + "\n"
+            for row, *cells in zip(values, *text_columns))
+    write_text(path, chain([",".join(map(_csv_cell, header)) + "\n"], rows))
 
 
 # --- model persistence ---
@@ -437,8 +463,7 @@ def save_model(model: MdnModel, path) -> None:
             for i, w in enumerate(model.weights):
                 lines.append(f"matrix {i} {w.shape[0]} {w.shape[1]}")
                 lines.extend(_floats(row) for row in w)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, ["\n".join(lines) + "\n"])
 
 
 def _numbers(rows: list, count: int, valid=None, *, line: int, key=None) -> np.ndarray:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import write_text
 from .numcore import Rng, fmt17
 from . import pipeline
 
@@ -176,5 +177,4 @@ def write_metrics_csv(metrics, path) -> None:
             f"{m.condition},hmdn,{m.n_records},{fmt17(m.hmdn_mean)},{fmt17(m.hmdn_median)},"
             f"{fmt17(m.improvement_pct)},{fmt17(m.ci_low)},{fmt17(m.ci_high)}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, ["\n".join(lines) + "\n"])

@@ -12,12 +12,12 @@ underflow in the tails, and only rank order matters for selection.
 from __future__ import annotations
 
 import warnings
-from itertools import islice
+from itertools import chain, islice
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import _read_utf8
+from .dataio import _read_utf8, write_text
 from .errors import ParseError, SchemaError, ShapeError, located
 from .mdn import MdnModel, _draw, _log_likelihoods, _mixtures, mixture_at, sample
 from .numcore import FLOAT_SPEC, Rng, decimal, float_rows, positive_int, real, seed64
@@ -301,23 +301,34 @@ def write_predictions(path, records, master_seed: int, m: int, n: int) -> None:
     ``baseline sample`` lines, one ``hmdn estimate`` line, and M ``hmdn
     candidate`` lines with score and selected flag, in index order.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_DUMP_HEADER}\n# master_seed {master_seed}\n# m {m} n {n}\n"
-                 f"# records {len(records)}\n")
-        for r in records:
-            fh.write(_render_record(r))
+    header = (f"{_DUMP_HEADER}\n# master_seed {master_seed}\n# m {m} n {n}\n"
+              f"# records {len(records)}\n")
+    write_text(path, chain([header], map(_render_record, records)))
+
+
+def condition_name(text: str) -> str:
+    """A condition as the dump's record lines, the rows of metrics.csv and
+    the names of plot files hold it: not empty, and no whitespace, ',', '"'
+    or '/'. Raises ValueError for any other text."""
+    if not text or any(c.isspace() or c in ',"/' for c in text):
+        raise ValueError("a condition is not empty and has no whitespace, ',', "
+                         f"'\"' or '/', got {text!r}")
+    return text
 
 
 def _record_line(line: str) -> tuple:
     """(id text, condition, dim, the (1, dim + dz) truth and z row) of a
-    ``record <id> <condition> truth <coords> z <values>`` line."""
-    parts = line.rstrip("\n").split(" ")
+    ``record <id> <condition> truth <coords> z <values>`` line, ending in
+    its newline."""
+    parts = line[:-1].split(" ")
     if parts[0] != "record":
         raise ValueError("expected a 'record' line")
     zi = parts.index("z", 5) if "z" in parts[5:] else 0
-    if parts[3:4] != ["truth"] or not 4 < zi < len(parts) - 1 or line.split() != parts:
+    if (parts[3:4] != ["truth"] or not 4 < zi < len(parts) - 1 or line.split() != parts
+            or not line.endswith("\n")):
         raise ValueError("expected 'record <id> <condition> truth <coords> z <values>'")
     decimal(parts[1])
+    condition_name(parts[2])
     head = np.array([[real(t) for t in parts[4:zi] + parts[zi + 1 :]]])
     if not np.isfinite(head).all():
         raise ValueError("non-finite coordinate")
@@ -351,8 +362,8 @@ def _section(lines: list, dim: int, head: str, marks: tuple) -> np.ndarray:
         values = float_rows(lines, " " * (1 + dim) + " =" * len(marks),
                             [*range(2, 2 + dim), *range(3 + dim, 3 + dim + 2 * len(marks), 2)])
     except ValueError:
-        due = " ".join([head, f"<{dim} coordinates>", *marks])
-        raise ValueError(f"expected {due!r}, got {text[:-1]!r}") from None
+        due, got = " ".join([head, f"<{dim} coordinates>", *marks]), text.removesuffix("\n")
+        raise ValueError(f"expected {due!r}, got {got!r}") from None
     if not np.isfinite(values[:, :dim]).all():
         raise ValueError("non-finite coordinate")
     return values
@@ -393,8 +404,6 @@ def _read_chunk(rows: list, k: int, m: int, n: int) -> list:
     size = 2 * m + 3
     if len(rows) != k * size:
         raise ValueError("end of file")
-    if not rows[-1].endswith("\n"):  # the file's last line
-        rows = [*rows[:-1], rows[-1] + "\n"]
     starts = range(0, len(rows), size)
     heads = [_record_line(rows[i]) for i in starts]
     dim = heads[0][2]
@@ -418,7 +427,7 @@ def _read_block(start: int, rows: list, m: int, n: int) -> PredictionRecord:
         rid, cond, dim, _ = _record_line(rows[0])
         for first, count, head, marks in _layout(m):
             for offset in range(first, min(first + count, len(rows))):
-                _section([rows[offset].rstrip("\n") + "\n"], dim, head, marks)
+                _section([rows[offset]], dim, head, marks)
         if len(rows) < 2 * m + 3:
             offset = len(rows)
             raise ValueError(f"end of file inside the block of record {rid} {cond} (line {start})")

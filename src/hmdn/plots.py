@@ -8,6 +8,7 @@ position (all as circles), and both estimates as cross marks.
 
 from __future__ import annotations
 
+from .dataio import write_text
 from .pipeline import PredictionRecord
 from .scenario import Scene
 
@@ -105,5 +106,4 @@ def render_scatter_svg(scene: Scene, record: PredictionRecord) -> str:
 
 
 def write_scatter_svg(path, scene: Scene, record: PredictionRecord) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_scatter_svg(scene, record))
+    write_text(path, [render_scatter_svg(scene, record)])

@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .dataio import COORD_COLUMNS, NOT_DETECTED, _read_utf8
+from .dataio import COORD_COLUMNS, NOT_DETECTED, _read_utf8, write_text
 from .errors import DomainError, ParseError, SchemaError
 from .numcore import Rng, checked, positive_int
 
@@ -405,9 +405,7 @@ def load_scene(path) -> Scene:
 
 
 def save_scene(scene: Scene, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(scene), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, [json.dumps(scene_to_dict(scene), indent=2, sort_keys=True) + "\n"])
 
 
 def paper_room_scene() -> Scene:

@@ -220,3 +220,72 @@ def test_location_scan_sees_every_spelling(tmp_path):
     assert [hit.split(":")[1] for hit in location_prefixed_errors(tmp_path)] == [
         "3", "4", "5", "6", "7", "8", "9",
     ]
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether a call writes a file: ``open`` (also ``io.open``, ``os.fdopen``
+    and a ``.open`` method) with a mode that is not a constant for reading,
+    ``os.open``, ``json.dump`` and a ``Path``'s ``write_text``/``write_bytes``;
+    not a call of ``dataio.write_text`` itself."""
+    name = ast.unparse(call.func)
+    if name in ("os.open", "json.dump") or name.endswith((".write_text", ".write_bytes")):
+        return name != "dataio.write_text"
+    if name not in ("open", "io.open", "os.fdopen") and not name.endswith(".open"):
+        return False
+    at = 1 if name in ("open", "io.open", "os.fdopen") else 0  # a method's mode comes first
+    mode = ([k.value for k in call.keywords if k.arg == "mode"] + call.args[at : at + 1])[:1]
+    return bool(mode) and not (isinstance(mode[0], ast.Constant)
+                               and set(str(mode[0].value)).isdisjoint("wxa+"))
+
+
+def file_writers(src: Path) -> list:
+    """``file:line:function`` of each call in ``src`` that writes a file
+    (see ``_writes``), with the innermost function around it."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # call -> function; ast.walk visits an inner function after its outer one
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update({id(node): scope.name for node in ast.walk(scope)})
+        found += [f"{path.name}:{node.lineno}:{owner.get(id(node), '<module>')}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Call) and _writes(node)]
+    return sorted(found, key=lambda hit: (hit.split(":")[0], int(hit.split(":")[1])))
+
+
+def test_one_function_writes_files():
+    """Every artifact goes through ``dataio.write_text``, which makes a file
+    complete or absent and writes line ends as they are; no other code in
+    the package opens a file for writing."""
+    hits = file_writers(ROOT / "src" / "hmdn")
+    assert [(hit.split(":")[0], hit.split(":")[2]) for hit in hits] == [("dataio.py", "write_text")]
+
+
+def test_writer_scan_sees_every_spelling(tmp_path):
+    """The scan flags each way to write a file and leaves reads alone."""
+    (tmp_path / "sample.py").write_text(textwrap.dedent('''
+        def writers(path, mode, doc, fh):
+            open(path, "w")
+            open(path, mode="a", encoding="utf-8")
+            io.open(path, "x")
+            open(path, "r+b")
+            open(path, mode)
+            path.open("w")
+            path.write_text("text")
+            path.write_bytes(b"")
+            json.dump(doc, fh)
+            os.open(path, os.O_WRONLY)
+            def inner():
+                os.fdopen(3, "wb")
+        def readers(path, doc):
+            open(path)
+            open(path, "r", encoding="utf-8")
+            open(path, mode="rb")
+            path.open()
+            json.dumps(doc)
+            path.read_text()
+    '''))
+    assert file_writers(tmp_path) == [f"sample.py:{line}:writers" for line in range(3, 13)] + [
+        "sample.py:14:inner"]
+    (tmp_path / "sample.py").write_text("dataio.write_text(path, chunks)\n")
+    assert file_writers(tmp_path) == []

@@ -17,7 +17,7 @@ from hmdn.errors import SchemaError
 from hmdn.mdn import nll
 from hmdn.pipeline import parse_predictions
 
-from util import make_dump_records, raised, run_capped
+from util import make_dump_records, raised, run_capped, run_cut
 
 
 def run(*argv):
@@ -1143,6 +1143,21 @@ class TestConditionNames:
         assert one_error_line(capsys) == expected
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["cloud,y", 'cloud"y', "cloud/y"],
+                             ids=["comma", "quote", "slash"])
+    def test_dump_condition_exits_data_error_on_its_record_line(self, tmp_path, capsys, name):
+        path = tmp_path / "renamed.txt"
+        pipeline.write_predictions(path, make_dump_records(3, 2, m=4, n=2), 55, m=4, n=2)
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[15].startswith("record 1 cloudy ")
+        lines[15] = lines[15].replace(" cloudy ", f" {name} ")
+        path.write_text("".join(lines))
+        out = tmp_path / "out"
+        assert run("evaluate", "--from-dump", path, "--out-dir", out, "--bootstrap", 10) == 3
+        assert one_error_line(capsys) == (f"error: {path}:16: a condition is not empty and has no "
+                                          f"whitespace, ',', '\"' or '/', got {name!r}\n")
+        assert not out.exists()
+
     def test_other_punctuation_is_a_name(self, workspace, tmp_path):
         text = (workspace / "test.csv").read_text()
         data = tmp_path / "renamed.csv"
@@ -1196,6 +1211,77 @@ class TestOutputPathIsAFile:
         assert run(command, *argv) == 3
         one_error_line(capsys, "taken")
         assert blocker.read_text() == "not a directory\n"
+
+
+class TestCutWriters:
+    """A stage whose write is cut short by a file-size cap exits 3 with one
+    line naming the artifact, and leaves no part of it: the artifact is
+    absent, or keeps the bytes it had before, and no temporary file is left.
+    Files the stage finished before the cut stay, complete: a failed stage
+    does not remove them. Every cut runs in one child process."""
+
+    CASES = ["simulate-empty", "simulate-half", "simulate-all-but-one-byte", "train-empty",
+             "train-half", "train-rewrite", "evaluate-empty", "evaluate-metrics-csv",
+             "predict-dump", "predict-plot", "predict-rewrite"]
+
+    @pytest.fixture(scope="class")
+    def cuts(self, workspace, tmp_path_factory):
+        """case -> (out dir, cut file, its old bytes or None, the files the
+        stage finished before the cut, (exit code, stderr))."""
+        root = tmp_path_factory.mktemp("cut")
+        inputs = ["--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
+                  "--data", workspace / "test.csv"]
+        simulate = ["simulate", "--n-train", 80, "--n-test", 10, "--seed", 5]
+        train = ["train", "--which", "g1", "--data", workspace / "train.csv", "--seed", 5,
+                 "--hidden", "16", "--epochs", 60]
+        evaluate_ = ["evaluate", *inputs, "--m", 5, "--n", 2, "--bootstrap", 10]
+        predict = ["predict", *inputs, "--m", 2, "--n", 1, "--records", 0, "--conditions",
+                   "sunny"]
+        assert run(*evaluate_, "--out-dir", root / "evaluate") == 0
+        assert run(*predict, "--out-dir", root / "predict") == 0
+        whole = {p.name: p.read_bytes() for p in [*(root / "evaluate").iterdir(),
+                                                  *(root / "predict").iterdir()]}
+        assert len(whole["metrics.csv"]) > len(whole["metrics.txt"])
+        assert len(whole["plot_r000_sunny.svg"]) > len(whole["predictions.txt"])
+        train_csv, g1 = (len((workspace / name).read_bytes()) for name in ("train.csv", "g1.model"))
+        # case -> argv, cap, the file cut, its old bytes, the files finished before it
+        plan = {
+            "simulate-empty": (simulate, 0, "train.csv", None, ()),
+            "simulate-half": (simulate, train_csv // 2, "train.csv", None, ()),
+            "simulate-all-but-one-byte": (simulate, train_csv - 1, "train.csv", None, ()),
+            "train-empty": (train, 0, "g1.model", None, ()),
+            "train-half": (train, g1 // 2, "g1.model", None, ()),
+            "train-rewrite": (train, g1 - 1, "g1.model", b"an older model\n", ()),
+            "evaluate-empty": (evaluate_, 0, "metrics.txt", None, ()),
+            "evaluate-metrics-csv": (evaluate_, len(whole["metrics.txt"]), "metrics.csv", None,
+                                     ("metrics.txt",)),
+            # the file-size probe of the roadmap: predict at M=100 under `ulimit -f 20`
+            "predict-dump": (["predict", *inputs, "--m", 100], 20 * 1024, "predictions.txt",
+                             None, ()),
+            "predict-plot": (predict, len(whole["predictions.txt"]), "plot_r000_sunny.svg", None,
+                             ("predictions.txt",)),
+            "predict-rewrite": (predict, 0, "predictions.txt", b"an older dump\n", ()),
+        }
+        assert list(plan) == self.CASES
+        runs = []
+        for case, (argv, cap, cut, old, _) in plan.items():
+            out = root / case
+            out.mkdir()
+            if old is not None:
+                (out / cut).write_bytes(old)
+            flag = "--model-out" if argv[0] == "train" else "--out-dir"
+            runs.append(([*argv, flag, out / cut if flag == "--model-out" else out], cap))
+        outcomes = run_cut(runs)
+        return {case: (root / case, cut, old, {name: whole[name] for name in done}, outcome)
+                for (case, (_, _, cut, old, done)), outcome in zip(plan.items(), outcomes)}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_leaves_no_part_of_the_artifact(self, cuts, case):
+        out, cut, old, done, (code, err) = cuts[case]
+        assert code == 3
+        assert err == f"error: [Errno 27] File too large: '{out / cut}'\n"
+        left = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert left == {**done, **({cut: old} if old is not None else {})}
 
 
 def test_main_has_no_catch_all():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 from pathlib import Path
 
@@ -363,6 +364,54 @@ class TestCsvRoundTrip:
         table = load_csv(path)
         assert table.n_records == 2
         assert table.metadata_floats("LUX_sunny").tolist() == [200.5, 300.25]
+
+
+class TestWriteText:
+    """``dataio.write_text``, the writer every artifact goes through."""
+
+    def test_writes_the_chunks_with_line_ends_as_they_are(self, tmp_path):
+        path, plain = tmp_path / "out.txt", tmp_path / "plain.txt"
+        dataio.write_text(path, iter(["a\n", "b\r\n", "", "\u00e9\n"]))
+        assert path.read_bytes() == "a\nb\r\n\u00e9\n".encode()
+        with open(plain, "w"):
+            pass
+        assert path.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
+
+    def test_replaces_a_file_and_a_symlink_itself(self, tmp_path):
+        path, target = tmp_path / "out.txt", tmp_path / "target.txt"
+        target.write_text("old\n")
+        path.symlink_to(target)
+        dataio.write_text(path, ["new\n"])
+        assert not path.is_symlink() and path.read_text() == "new\n"
+        assert target.read_text() == "old\n"
+
+    def test_a_name_of_the_longest_length_works(self, tmp_path):
+        path = tmp_path / ("n" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+        dataio.write_text(path, ["text\n"])
+        assert path.read_text() == "text\n"
+
+    def test_missing_directory_names_the_artifact(self, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        err = raised(FileNotFoundError, dataio.write_text, path, ["text\n"])
+        assert err.filename == str(path) and str(path) in str(err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["new", "existing"])
+    def test_a_failed_write_leaves_no_file_and_old_bytes(self, tmp_path, error, old):
+        path = tmp_path / "out.txt"
+        if old is not None:
+            path.write_bytes(old)
+
+        def chunks():
+            yield "first line\n"
+            raise error("cut")
+
+        with pytest.raises(error):
+            dataio.write_text(path, chunks())
+        left = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert left == ({} if old is None else {"out.txt": old})
 
 
 class TestModelPersistence:

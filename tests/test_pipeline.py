@@ -513,31 +513,23 @@ class TestDumpRejectsMalformedFiles:
                              ids=["record", "baseline-estimate", "baseline-sample",
                                   "hmdn-estimate", "hmdn-candidate", "second-record", "last"])
     def test_cut_inside_a_line_says_the_file_ends_there(self, tmp_path, lines, line):
-        """A dump cut halfway through a line, or just before the flag that
-        ends a line with marks, fails on that line, and the message says the
-        file ends inside it."""
+        """A dump cut inside a line fails on that line, and the message says
+        the file ends inside it: cut after its first byte, halfway, inside
+        its last number or flag (where a shorter number still reads), or
+        just before its newline, which on the last line is a whole dump
+        without its final newline."""
         before, text = "".join(lines[: line - 1]), lines[line - 1]
-        for keep in [len(text) // 2] + ([len(text) - 2] if "=" in text else []):
+        for keep in (1, len(text) // 2, len(text) - 3, len(text) - 2, len(text) - 1):
             path = tmp_path / "cut.txt"
             path.write_text(before + text[:keep])
             err = raised(ParseError, parse_predictions, path)
-            assert where(err) == (path, line, None, None)
+            assert where(err) == (path, line, None, None), keep
             assert err.message.endswith(" (the file ends inside this line)"), err
 
-    def test_cut_line_that_still_reads_is_followed_by_the_end_of_the_file(self, tmp_path, lines):
-        path = tmp_path / "cut.txt"
-        path.write_text("".join(lines[:5]) + lines[5][:-3])
-        err = raised(ParseError, parse_predictions, path)
-        assert where(err) == (path, 7, None, None)
-        assert err.message == "end of file inside the block of record 0 sunny (line 5)"
-
-    @pytest.mark.parametrize("newline, end", [("\r\n", "\r\n"), ("\n", ""), ("\r\n", "")],
-                             ids=["crlf", "no-final-newline", "crlf-no-final-newline"])
-    def test_crlf_and_unterminated_dumps_read_the_same(self, tmp_path, lines, newline, end):
+    def test_crlf_dump_reads_the_same(self, tmp_path, lines):
         good, other = tmp_path / "good.txt", tmp_path / "other.txt"
         good.write_text("".join(lines))
-        text = "".join(lines).replace("\n", newline)
-        other.write_bytes((text[: -len(newline)] + end).encode())
+        other.write_bytes("".join(lines).replace("\n", "\r\n").encode())
         assert dump_outcome(parse_predictions, other) == dump_outcome(parse_predictions, good)
 
 

@@ -1,10 +1,11 @@
 """Shared helpers for the test suite: random model and record builders,
 the finite-difference gradient oracle, the reference training loop, the
 reference bootstrap, dump writer and dump reader, the reference
-prediction loop, the reference fingerprint CSV reader and writers, and a
-runner for code that must stay within a memory cap."""
+prediction loop, the reference fingerprint CSV reader and writers, and
+runners for code that must stay within a memory cap or a file-size cap."""
 
 import csv
+import json
 import math
 import os
 import subprocess
@@ -362,7 +363,8 @@ def reference_write_predictions(path, records, master_seed: int, m: int, n: int)
 # ``str.split`` per line, and one ``np.array`` over each section's split
 # lines. Its records are what the chunked reader must return bit for bit.
 # It takes the looser spelling the chunked reader refuses (doubled spaces,
-# tabs, trailing blanks, '1_0'), so compare them on writer-spelled dumps.
+# tabs, trailing blanks, '1_0', a last line without its newline, a
+# condition holding ',', '"' or '/'), so compare them on writer-spelled dumps.
 # A body line it refuses gets the chunked reader's message: the spelling
 # due there and the line.
 
@@ -798,14 +800,51 @@ def reference_table_to_csv(table, path):
             writer.writerow(row)
 
 
+def _run_child(code: str, *args) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh Python with ``args`` as its ``sys.argv[1:]``,
+    this ``hmdn`` importable and one BLAS thread."""
+    src = str(Path(hmdn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 def run_capped(code: str, limit: int = 1 << 30) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh Python whose address space is capped at
     ``limit`` bytes (``RLIMIT_AS``), with this ``hmdn`` importable and one
     BLAS thread. A size check that regresses then fails fast on a refused
     allocation instead of committing memory."""
-    src = str(Path(hmdn.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
     cap = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-    return subprocess.run([sys.executable, "-c", cap + code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return _run_child(cap + code)
+
+
+_CUT_RUNS = """
+import contextlib, io, json, resource, sys
+from hmdn.cli import main
+_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+outcomes = []
+for argv, limit in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (hard, hard))
+    outcomes.append((code, err.getvalue()))
+print(json.dumps(outcomes))
+"""
+
+
+def run_cut(cases) -> list:
+    """Run ``hmdn.cli.main(argv)`` for each ``(argv, limit)`` of ``cases``, in
+    order and in one fresh Python started as ``run_capped`` starts it, each
+    run with the size of any file it writes capped at ``limit`` bytes
+    (``RLIMIT_FSIZE``, set in the child only). Python ignores SIGXFSZ, so a
+    write past the cap fails with EFBIG. Returns each run's (exit code,
+    stderr)."""
+    done = _run_child(_CUT_RUNS, json.dumps([([str(a) for a in argv], limit)
+                                             for argv, limit in cases]))
+    assert done.returncode == 0, done.stderr
+    return [tuple(outcome) for outcome in json.loads(done.stdout)]
