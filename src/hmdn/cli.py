@@ -232,18 +232,25 @@ def _lux_columns(table: dataio.FingerprintTable, transform: str, columns=None) -
     default every ``LUX_<condition>`` column, keyed by its condition, in CSV
     order. The caller sets the CSV's path on an error."""
     if columns is None:
-        columns = {c[len("LUX_") :]: c for c in table.metadata if c.startswith("LUX_")}
+        columns = _conditions(table)
         if not columns:
             raise SchemaError("no LUX_<condition> columns")
     return {k: dataio.lux_transform(table.metadata_floats(c), transform)
             for k, c in columns.items()}
 
 
-def _dataset_extra_columns(ds: scenario.SimulatedDataset) -> dict:
-    extra = {f"LUX_{name}": values for name, values in ds.lux.items()}
-    if ds.lux_noisy is not None:
-        extra |= {f"LUXN_{name}": values for name, values in ds.lux_noisy.items()}
-    return extra
+def _conditions(table: dataio.FingerprintTable) -> dict:
+    """condition -> its ``LUX_<condition>`` column, for each such column in CSV order."""
+    return {c.removeprefix(dataio.LUX_PREFIX): c for c in table.metadata
+            if c.startswith(dataio.LUX_PREFIX)}
+
+
+def _illuminance_columns(lux: dict, lux_noisy) -> dict:
+    """The ``LUX_<condition>`` column of each noiseless reading, then the
+    ``LUXN_<condition>`` column of each noisy one, if there are any."""
+    readings = ((dataio.LUX_PREFIX, lux), (dataio.LUXN_PREFIX, lux_noisy or {}))
+    return {prefix + name: values
+            for prefix, by_name in readings for name, values in by_name.items()}
 
 
 def cmd_simulate(args) -> int:
@@ -263,9 +270,8 @@ def cmd_simulate(args) -> int:
     ):
         ds = scenario.generate_dataset(scene, count, rng, measurement_noise=noise)
         path = out / f"{name}.csv"
-        dataio.write_dataset_csv(
-            path, ds.wap_names, ds.rssi, ds.positions, extra=_dataset_extra_columns(ds)
-        )
+        extra = _illuminance_columns(ds.lux, ds.lux_noisy)
+        dataio.write_dataset_csv(path, ds.wap_names, ds.rssi, ds.positions, extra=extra)
         print(f"{name}: {ds.n_records} records -> {path}")
     return EXIT_OK
 
@@ -279,18 +285,9 @@ def _simulate_augment(opts, scene, master: Rng, noise: bool) -> int:
     rng = master.spawn("simulate", "augment") if noise else None
     with located(opts["augment"]):
         mapped, lux, lux_noisy = scenario.augment_with_illuminance(table.coords, scene, rng)
-
-    def fmt_col(values):
-        return tuple(fmt17(v) for v in values)
-
-    metadata = dict(table.metadata)
-    for name, values in zip(dataio.COORD_COLUMNS, table.coords.T):
-        metadata["ORIG_" + name] = fmt_col(values)
-    for name, values in lux.items():
-        metadata[f"LUX_{name}"] = fmt_col(values)
-    if lux_noisy is not None:
-        for name, values in lux_noisy.items():
-            metadata[f"LUXN_{name}"] = fmt_col(values)
+    columns = {"ORIG_" + c: values for c, values in zip(dataio.COORD_COLUMNS, table.coords.T)}
+    columns |= _illuminance_columns(lux, lux_noisy)
+    metadata = {**table.metadata, **{c: tuple(map(fmt17, v)) for c, v in columns.items()}}
     augmented = dataio.FingerprintTable(
         wap_names=table.wap_names,
         rssi=table.rssi,
@@ -383,7 +380,7 @@ def _prediction_inputs(opts):
     with located(opts["data"]):
         lux = _lux_columns(table, g2.preprocessing[1], columns)
         for condition in lux:
-            checked("LUX_" + condition, pipeline.condition_name, condition)
+            checked(dataio.LUX_PREFIX + condition, pipeline.condition_name, condition)
     pipe = pipeline.HmdnPipeline(g1=g1, g2=g2, n_candidates=opts["m"], n_selected=opts["n"])
     return table, pipe, features, lux
 
@@ -394,10 +391,10 @@ def _condition_columns(table: dataio.FingerprintTable, opts):
     a usage error naming the CSV and listing the conditions it has."""
     if opts["conditions"] == "all":
         return None
-    columns = {c: "LUX_" + c for c in _name_list(opts, "conditions", "condition")}
+    columns = {c: dataio.LUX_PREFIX + c for c in _name_list(opts, "conditions", "condition")}
     missing = [c for c, column in columns.items() if column not in table.metadata]
     if missing:
-        has = sorted(c[len("LUX_") :] for c in table.metadata if c.startswith("LUX_"))
+        has = sorted(_conditions(table))
         raise UsageError(f"no LUX_{missing[0]} column for condition {missing[0]!r} (has {has})",
                          path=opts["data"])
     return columns
@@ -425,7 +422,6 @@ def cmd_predict(args) -> int:
     table, pipe, features, lux = _prediction_inputs(opts)
     record_ids = _parse_records(opts, table.n_records)
     scene = None if opts["no_plots"] else _load_scene(opts)
-    out = _out_dir(opts)
     master_seed = opts["seed"]
 
     records = pipeline.run_predictions(
@@ -437,6 +433,7 @@ def cmd_predict(args) -> int:
         master_seed,
         weighted=opts["weighted"],
     )
+    out = _out_dir(opts)
     dump_path = out / "predictions.txt"
     pipeline.write_predictions(
         dump_path, records, master_seed, pipe.n_candidates, pipe.n_selected
@@ -462,15 +459,14 @@ def cmd_evaluate(args) -> int:
 
     if opts["from_dump"]:
         metrics = evaluate.metrics_from_dump(opts["from_dump"], n_boot)
-        out = _out_dir(opts)
     else:
         _require(opts, "g1", "g2", "data")
         table, pipe, features, lux = _prediction_inputs(opts)
-        out = _out_dir(opts)
         records = pipeline.run_predictions(
             pipe, features, table.coords, lux, range(table.n_records), opts["seed"]
         )
         metrics = evaluate.compute_metrics(records, opts["seed"], n_boot)
+    out = _out_dir(opts)
 
     table_text = evaluate.format_metrics_table(metrics)
     dataio.write_text(out / "metrics.txt", [table_text + "\n"])

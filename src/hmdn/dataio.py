@@ -33,6 +33,8 @@ NOT_DETECTED = 100.0
 RSSI_FLOOR = -104.0
 RSSI_CEILING = 0.0
 WAP_PREFIX = "WAP"
+# illuminance columns: LUX_<condition> noiseless, LUXN_<condition> measured with noise
+LUX_PREFIX, LUXN_PREFIX = "LUX_", "LUXN_"
 COORD_COLUMNS = ("LONGITUDE", "LATITUDE")
 
 # exponent of the "powed" representation
@@ -164,7 +166,8 @@ def load_csv(path) -> FingerprintTable:
         meta_cols = [c for c in header if c not in ingested]
         # WAP cells, then the cells that must be finite numbers, in check order
         numeric = [(c, None) for c in wap_names] + [(c, "coordinate") for c in COORD_COLUMNS]
-        numeric += [(c, "illuminance") for c in meta_cols if c.startswith(("LUX_", "LUXN_"))]
+        numeric += [(c, "illuminance") for c in meta_cols
+                    if c.startswith((LUX_PREFIX, LUXN_PREFIX))]
         col_index = {c: i for i, c in enumerate(header)}
         layout = _Layout(
             n_cells=len(header),

@@ -147,34 +147,32 @@ def metrics_from_dump(path, n_resamples: int = N_RESAMPLES) -> list:
     return compute_metrics(records, int(meta["master_seed"]), n_resamples)
 
 
+def _rows(metrics):
+    """The rows of both metrics files: per condition its baseline row, whose
+    improvement and interval cells are None, and its hmdn row."""
+    for m in metrics:
+        yield (m.condition, "baseline", m.n_records, m.baseline_mean, m.baseline_median,
+               None, None, None)
+        yield (m.condition, "hmdn", m.n_records, m.hmdn_mean, m.hmdn_median, m.improvement_pct,
+               m.ci_low, m.ci_high)
+
+
 def format_metrics_table(metrics) -> str:
     """Human-readable fixed-width table."""
     lines = [
         f"{'condition':<14} {'method':<9} {'n':>4} {'mean_err':>9} {'median_err':>11} "
         f"{'improve%':>9} {'ci95_low':>9} {'ci95_high':>9}"
     ]
-    for m in metrics:
-        lines.append(
-            f"{m.condition:<14} {'baseline':<9} {m.n_records:>4} {m.baseline_mean:>9.4f} "
-            f"{m.baseline_median:>11.4f} {'':>9} {'':>9} {'':>9}"
-        )
-        lines.append(
-            f"{m.condition:<14} {'hmdn':<9} {m.n_records:>4} {m.hmdn_mean:>9.4f} "
-            f"{m.hmdn_median:>11.4f} {m.improvement_pct:>9.3f} {m.ci_low:>9.3f} {m.ci_high:>9.3f}"
-        )
+    for condition, method, n, mean, median, *tail in _rows(metrics):
+        tail = " ".join(" " * 9 if cell is None else f"{cell:>9.3f}" for cell in tail)
+        lines.append(f"{condition:<14} {method:<9} {n:>4} {mean:>9.4f} {median:>11.4f} {tail}")
     return "\n".join(lines)
 
 
 def write_metrics_csv(metrics, path) -> None:
     """Machine-readable export: one row per (condition, method)."""
     lines = ["condition,method,n_records,mean_error,median_error,improvement_pct,ci_low,ci_high"]
-    for m in metrics:
-        lines.append(
-            f"{m.condition},baseline,{m.n_records},{fmt17(m.baseline_mean)},"
-            f"{fmt17(m.baseline_median)},,,"
-        )
-        lines.append(
-            f"{m.condition},hmdn,{m.n_records},{fmt17(m.hmdn_mean)},{fmt17(m.hmdn_median)},"
-            f"{fmt17(m.improvement_pct)},{fmt17(m.ci_low)},{fmt17(m.ci_high)}"
-        )
+    for row in _rows(metrics):
+        lines.append(",".join("" if cell is None else fmt17(cell) if isinstance(cell, float)
+                              else str(cell) for cell in row))
     write_text(path, ["\n".join(lines) + "\n"])

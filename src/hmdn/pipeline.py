@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import _read_utf8, write_text
-from .errors import ParseError, SchemaError, ShapeError, located
+from .errors import NumericError, ParseError, SchemaError, ShapeError, located
 from .mdn import MdnModel, _draw, _log_likelihoods, _mixtures, mixture_at, sample
 from .numcore import FLOAT_SPEC, Rng, decimal, float_rows, positive_int, real, seed64
 
@@ -186,13 +186,17 @@ def run_predictions(
     blocks of ``max(1, 4096 // M)`` records through ``_predict_rows``, which
     bounds the working memory whatever the record count. Predictions that
     fell back to the mean of all candidates are reported with one
-    RuntimeWarning per condition.
+    RuntimeWarning per condition. A record whose g1 mixture, candidates or
+    baseline samples are not all finite, or whose two estimates lie at no
+    finite squared distance from its truth, raises NumericError naming the
+    first such (record, condition), before any record is returned.
     """
     ids = [int(rid) for rid in record_ids]
     if not ids:
         return []
     M, N = pipeline.n_candidates, pipeline.n_selected
     _check_z(pipeline.g2, np.zeros(1))  # each record observes one value
+    truths = np.asarray(truths, dtype=np.float64)
     mix = _mixtures(pipeline.g1, np.asarray(features, dtype=np.float64)[ids])
     block = max(1, _BLOCK_ROWS // M)
     records = []
@@ -204,11 +208,21 @@ def run_predictions(
             part_mix = [a[start : start + block] for a in mix]
             rngs = [prediction_rngs(master_seed, cond, rid) for rid in part]
             z = lux[part].reshape(-1, 1)
-            C, S, order, fallback, est = _predict_rows(
-                pipeline, part_mix, z, [r[0] for r in rngs], weighted
-            )
-            clouds = _draw(*part_mix, M, [r[1] for r in rngs])
-            cloud_means = clouds.mean(axis=1)
+            # a non-finite g1 is refused below; a non-finite g2 score falls back
+            with np.errstate(all="ignore"):
+                C, S, order, fallback, est = _predict_rows(
+                    pipeline, part_mix, z, [r[0] for r in rngs], weighted
+                )
+                clouds = _draw(*part_mix, M, [r[1] for r in rngs])
+                cloud_means = clouds.mean(axis=1)
+                finite = [np.isfinite(a.reshape(len(part), -1)).all(axis=1)
+                          for a in (*part_mix, C, clouds)]
+                finite += [np.isfinite(((e - truths[part]) ** 2).sum(axis=1))
+                           for e in (est, cloud_means)]
+            ok = np.logical_and.reduce(finite)
+            if not ok.all():
+                raise NumericError(f"g1 gives a non-finite mixture, sample or error for record "
+                                   f"{part[np.argmin(ok)]} under {cond}")
             fell_back += int(np.count_nonzero(fallback))
             for i, rid in enumerate(part):
                 hmdn = HmdnEstimate(
@@ -269,26 +283,27 @@ def _vec(k: int) -> str:
 
 
 def _render_record(r: PredictionRecord) -> str:
-    """One record's block of dump lines. Each section is one %-template
-    over ``.tolist()`` values, so every float goes through ``FLOAT_SPEC``."""
+    """One record's block of dump lines: its ``record`` line, then each
+    ``_layout`` section from one %-template over ``.tolist()`` values, so
+    every number is a ``FLOAT_SPEC`` but the last mark's, a %d flag."""
     est = r.hmdn
-    truth, z = np.ravel(r.truth).tolist(), np.ravel(r.z).tolist()
-    base, hest = np.ravel(r.baseline_estimate).tolist(), np.ravel(est.estimate).tolist()
-    samples = np.asarray(r.baseline_samples)
-    m, dim = est.candidates.shape
+    m = est.candidates.shape[0]
     flags = np.zeros(m)
     flags[np.asarray(est.selected_indices, dtype=np.intp)] = 1
-    candidates = np.column_stack([est.candidates, est.scores, flags])
+    truth, z = np.ravel(r.truth).tolist(), np.ravel(r.z).tolist()
     cond = r.condition.replace("%", "%%")
-    return "".join([
-        f"record {r.record_id} {cond} truth {_vec(len(truth))} z {_vec(len(z))}\n" % (*truth, *z),
-        f"baseline estimate {_vec(len(base))}\n" % tuple(base),
-        (f"baseline sample {_vec(samples.shape[1])}\n" * len(samples))
-        % tuple(samples.ravel().tolist()),
-        f"hmdn estimate {_vec(len(hest))} fallback=%d\n" % (*hest, est.underflow_fallback),
-        (f"hmdn candidate {_vec(dim)} score={FLOAT_SPEC} selected=%d\n" * m)
-        % tuple(candidates.ravel().tolist()),
-    ])
+    text = [f"record {r.record_id} {cond} truth {_vec(len(truth))} z {_vec(len(z))}\n"
+            % (*truth, *z)]
+    sections = (r.baseline_estimate, r.baseline_samples,
+                np.append(est.estimate, est.underflow_fallback),
+                np.column_stack([est.candidates, est.scores, flags]))
+    for (_, count, head, marks), values in zip(_layout(m), sections):
+        values = np.asarray(values, dtype=np.float64).reshape(count, -1)
+        spec = [name + FLOAT_SPEC for name, _ in marks[:-1]]
+        spec += [name + "%d" for name, _ in marks[-1:]]
+        template = " ".join([head, _vec(values.shape[1] - len(marks)), *spec]) + "\n"
+        text.append(template * count % tuple(values.ravel().tolist()))
+    return "".join(text)
 
 
 def write_predictions(path, records, master_seed: int, m: int, n: int) -> None:
@@ -301,9 +316,10 @@ def write_predictions(path, records, master_seed: int, m: int, n: int) -> None:
     ``baseline sample`` lines, one ``hmdn estimate`` line, and M ``hmdn
     candidate`` lines with score and selected flag, in index order.
     """
-    header = (f"{_DUMP_HEADER}\n# master_seed {master_seed}\n# m {m} n {n}\n"
-              f"# records {len(records)}\n")
-    write_text(path, chain([header], map(_render_record, records)))
+    values = {"master_seed": master_seed, "m": m, "n": n, "records": len(records)}
+    header = "".join(" ".join(["#", *(f"{key} {values[key]}" for key in fields)]) + "\n"
+                     for fields in _DUMP_FIELDS)
+    write_text(path, chain([_DUMP_HEADER + "\n", header], map(_render_record, records)))
 
 
 def condition_name(text: str) -> str:
@@ -338,11 +354,11 @@ def _record_line(line: str) -> tuple:
 def _layout(m: int) -> tuple:
     """The sections of a record block after its ``record`` line, in order:
     (offset of the first line, line count, head, marks). A line of one is
-    spelled ``<head> <dim coordinates>`` and then `` <mark>`` per mark, each
-    ``<name>=<number>``, the last mark's number a 0/1 flag."""
+    ``<head> <dim coordinates>`` and a `` <name>=<number>`` per mark, a
+    (``<name>=``, ``<number>``) pair, the last mark's number a 0/1 flag."""
     return ((1, 1, "baseline estimate", ()), (2, m, "baseline sample", ()),
-            (m + 2, 1, "hmdn estimate", ("fallback=<0|1>",)),
-            (m + 3, m, "hmdn candidate", ("score=<log density>", "selected=<0|1>")))
+            (m + 2, 1, "hmdn estimate", (("fallback=", "<0|1>"),)),
+            (m + 3, m, "hmdn candidate", (("score=", "<log density>"), ("selected=", "<0|1>"))))
 
 
 def _section(lines: list, dim: int, head: str, marks: tuple) -> np.ndarray:
@@ -352,7 +368,7 @@ def _section(lines: list, dim: int, head: str, marks: tuple) -> np.ndarray:
     counts of the head and mark words and ``float_rows`` go line by line, so
     a chunk's section passes exactly when each of its lines passes alone.
     Raises ValueError naming the spelling due and the text refused."""
-    names = [mark[: mark.index("=") + 1] for mark in marks]
+    names = [name for name, _ in marks]
     text = "".join(lines)
     try:
         if (not text.startswith(head + " ") or text.count(f"\n{head} ") != len(lines) - 1
@@ -362,7 +378,8 @@ def _section(lines: list, dim: int, head: str, marks: tuple) -> np.ndarray:
         values = float_rows(lines, " " * (1 + dim) + " =" * len(marks),
                             [*range(2, 2 + dim), *range(3 + dim, 3 + dim + 2 * len(marks), 2)])
     except ValueError:
-        due, got = " ".join([head, f"<{dim} coordinates>", *marks]), text.removesuffix("\n")
+        due = " ".join([head, f"<{dim} coordinates>", *map("".join, marks)])
+        got = text.removesuffix("\n")
         raise ValueError(f"expected {due!r}, got {got!r}") from None
     if not np.isfinite(values[:, :dim]).all():
         raise ValueError("non-finite coordinate")
@@ -396,17 +413,18 @@ def _records(heads: list, base, samples, hmdn, cands, m: int, n: int) -> list:
     return records
 
 
-def _read_chunk(rows: list, k: int, m: int, n: int) -> list:
-    """The k records of ``rows``, each a block of 2m + 3 lines, read a
-    ``_layout`` section at a time across the blocks, each section by one
-    ``_section`` call. Raises ValueError, without saying where, if ``rows``
-    is anything else."""
+def _read_chunk(rows: list, k: int, m: int, n: int, dim) -> list:
+    """The k records of ``rows``, each a block of 2m + 3 lines whose record
+    line has dim truth coordinates (the first one's count if dim is None),
+    read a ``_layout`` section at a time across the blocks, each section by
+    one ``_section`` call. Raises ValueError, without saying where, if
+    ``rows`` is anything else."""
     size = 2 * m + 3
     if len(rows) != k * size:
         raise ValueError("end of file")
     starts = range(0, len(rows), size)
     heads = [_record_line(rows[i]) for i in starts]
-    dim = heads[0][2]
+    dim = heads[0][2] if dim is None else dim
     if any(h[2] != dim for h in heads):
         raise ValueError("records of more than one dimension")
     sections = [_section([r for i in starts for r in rows[i + first : i + first + count]],
@@ -414,17 +432,21 @@ def _read_chunk(rows: list, k: int, m: int, n: int) -> list:
     return _records(heads, *sections, m, n)
 
 
-def _read_block(start: int, rows: list, m: int, n: int) -> PredictionRecord:
+def _read_block(start: int, rows: list, m: int, n: int, dim) -> PredictionRecord:
     """Read one record block line by line, naming the line of its first
     fault: ``rows`` are its lines, the first of them line ``start`` of the
     file; fewer than 2m + 3 means the file ends inside the block. Each line
     goes in file order through the check ``_read_chunk`` applies to it
-    (``_record_line``, or ``_section`` on the line alone), so the walk takes
-    exactly the lines the chunked read takes; ``_read_chunk`` then reads the
-    block, and the selection count is all it can refuse."""
+    (``_record_line`` and its count of dim truth coordinates, unless dim is
+    None, or ``_section`` on the line alone), so the walk takes exactly the
+    lines the chunked read takes; ``_read_chunk`` then reads the block, and
+    the selection count is all it can refuse."""
     offset = 0
     try:
-        rid, cond, dim, _ = _record_line(rows[0])
+        rid, cond, width, _ = _record_line(rows[0])
+        if dim is not None and width != dim:
+            raise ValueError(f"{width} truth coordinates, but the first record has {dim}")
+        dim = width
         for first, count, head, marks in _layout(m):
             for offset in range(first, min(first + count, len(rows))):
                 _section([rows[offset]], dim, head, marks)
@@ -432,7 +454,7 @@ def _read_block(start: int, rows: list, m: int, n: int) -> PredictionRecord:
             offset = len(rows)
             raise ValueError(f"end of file inside the block of record {rid} {cond} (line {start})")
         offset = 0
-        return _read_chunk(rows, 1, m, n)[0]
+        return _read_chunk(rows, 1, m, n, dim)[0]
     except ValueError as err:
         why = str(err)
         if offset < len(rows) and not rows[offset].endswith("\n"):
@@ -453,9 +475,10 @@ def parse_predictions(path, header: dict = None) -> list:
     has ``path`` set, and ``line`` where one line is at fault. A ``header``
     dict, if given, is filled with the header's values as text
     (``master_seed``, ``m``, ``n``, ``records``), so a caller needing both
-    reads the file once.
+    reads the file once. The first record line sets the number of
+    coordinates of every record.
     """
-    records = []
+    records, dim = [], None
     with located(path), open(path, "r", encoding="utf-8") as fh:
         try:
             first = fh.readline().rstrip("\n")
@@ -490,14 +513,15 @@ def parse_predictions(path, header: dict = None) -> list:
                 k = min(max(1, _CHUNK_LINES // size), count - len(records))
                 rows = list(islice(fh, k * size))
                 try:
-                    records += _read_chunk(rows, k, m, n)
+                    records += _read_chunk(rows, k, m, n, dim)
                 except ValueError:  # walk the chunk line by line to name the fault
                     for at in range(0, k * size, size):
                         if at >= len(rows):
                             raise ParseError(f"end of file after {len(records)} of the "
                                              f"header's '# records {count}'", line=lineno + at)
-                        records.append(_read_block(lineno + at, rows[at : at + size], m, n))
-                lineno += k * size
+                        records.append(_read_block(lineno + at, rows[at : at + size], m, n, dim))
+                        dim = records[0].truth.shape[0]
+                dim, lineno = records[0].truth.shape[0], lineno + k * size
             if fh.readline():
                 raise ParseError("expected the end of the file after the header's "
                                  f"'# records {count}'", line=lineno)

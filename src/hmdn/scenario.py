@@ -33,6 +33,12 @@ LIGHT_KINDS = ("window_point", "ceiling_point")
 DETECTION_THRESHOLD_DBM = -95.0
 
 _SCENE_FORMAT = "hmdn-scene v1"
+# a scene file's "room" keys, in the order the reader reads them, and the
+# Scene field of each
+_ROOM_KEYS = {"width": "room_width", "depth": "room_depth", "phone_height": "phone_height",
+              "ceiling_height": "ceiling_height"}
+# an access point's number keys, each its AccessPoint field, in reading order
+_ACCESS_POINT_NUMBERS = ("tx_power", "path_loss_exponent", "shadow_sigma")
 
 
 @dataclass(frozen=True)
@@ -286,24 +292,15 @@ def _lux_readings(scene: Scene, positions: np.ndarray, rng: Rng | None):
 def scene_to_dict(scene: Scene) -> dict:
     return {
         "format": _SCENE_FORMAT,
-        "room": {
-            "width": scene.room_width,
-            "depth": scene.room_depth,
-            "phone_height": scene.phone_height,
-            "ceiling_height": scene.ceiling_height,
-        },
+        "room": {key: getattr(scene, name) for key, name in _ROOM_KEYS.items()},
         "conditions": [{"name": c.name, "ambient": c.ambient} for c in scene.conditions],
         "lights": [
             {"kind": li.kind, "position": list(li.position), "intensity": dict(li.intensity)}
             for li in scene.lights
         ],
         "access_points": [
-            {
-                "position": list(ap.position),
-                "tx_power": ap.tx_power,
-                "path_loss_exponent": ap.path_loss_exponent,
-                "shadow_sigma": ap.shadow_sigma,
-            }
+            {"position": list(ap.position),
+             **{key: getattr(ap, key) for key in _ACCESS_POINT_NUMBERS}}
             for ap in scene.access_points
         ],
     }
@@ -345,10 +342,7 @@ def scene_from_dict(doc: dict) -> Scene:
     try:
         room = _typed(doc["room"], dict, "room")
         return Scene(
-            room_width=_finite(room["width"]),
-            room_depth=_finite(room["depth"]),
-            phone_height=_finite(room["phone_height"]),
-            ceiling_height=_finite(room["ceiling_height"]),
+            **{name: _finite(room[key]) for key, name in _ROOM_KEYS.items()},
             conditions=tuple(
                 Condition(name=c["name"], ambient=_finite(c["ambient"]))
                 for c in _objects(doc, "conditions")
@@ -367,9 +361,7 @@ def scene_from_dict(doc: dict) -> Scene:
             access_points=tuple(
                 AccessPoint(
                     position=_position(ap, f"access_points[{i}]"),
-                    tx_power=_finite(ap["tx_power"]),
-                    path_loss_exponent=_finite(ap["path_loss_exponent"]),
-                    shadow_sigma=_finite(ap["shadow_sigma"]),
+                    **{key: _finite(ap[key]) for key in _ACCESS_POINT_NUMBERS},
                 )
                 for i, ap in enumerate(_objects(doc, "access_points"))
             ),

@@ -289,3 +289,71 @@ def test_writer_scan_sees_every_spelling(tmp_path):
         "sample.py:14:inner"]
     (tmp_path / "sample.py").write_text("dataio.write_text(path, chunks)\n")
     assert file_writers(tmp_path) == []
+
+
+# what the writer and the readers of an artifact layout spell from one
+# definition: the dump's section heads, the illuminance column prefixes,
+# and the scene file's room and access-point number keys
+DUMP_HEADS = ("baseline estimate", "baseline sample", "hmdn estimate", "hmdn candidate")
+LUX_PREFIXES = ("LUX_", "LUXN_")
+SCENE_KEYS = ("width", "depth", "phone_height", "ceiling_height", "tx_power",
+              "path_loss_exponent", "shadow_sigma")
+
+
+def string_constants(src: Path) -> list:
+    """``(file, function, text)`` of each string constant in ``src``'s
+    modules, the parts of f-strings included, with the innermost function
+    around it. Docstrings and the text of a ``raise`` statement (the prose
+    of error messages) are left out."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip, owner = set(), {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if ast.get_docstring(node, clean=False) is not None:
+                    skip.add(id(node.body[0].value))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update({id(inner): node.name for inner in ast.walk(node)})
+            if isinstance(node, ast.Raise):
+                skip.update(id(inner) for inner in ast.walk(node))
+        found += [(path.name, owner.get(id(node), "<module>"), node.value)
+                  for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and id(node) not in skip]
+    return found
+
+
+def spelled(strings: list, word: str) -> list:
+    """The entries of ``strings`` whose text holds ``word`` as a whole word,
+    or, for a prefix ending in '_', at the start of one."""
+    pattern = re.compile(rf"(?<!\w){re.escape(word)}" + ("" if word.endswith("_") else r"(?!\w)"))
+    return [entry for entry in strings if pattern.search(entry[2])]
+
+
+def test_each_layout_is_spelled_in_one_place():
+    """The dump's section heads and the illuminance column prefixes are
+    each spelled once, and the scene file's writer and reader spell no room
+    or access-point key, so a layout changes in one place."""
+    strings = string_constants(ROOT / "src" / "hmdn")
+    for word in DUMP_HEADS + LUX_PREFIXES:
+        assert len(spelled(strings, word)) == 1, (word, spelled(strings, word))
+    in_scene = [text for _, function, text in strings
+                if function in ("scene_to_dict", "scene_from_dict")]
+    assert set(in_scene).isdisjoint(SCENE_KEYS), in_scene
+
+
+def test_layout_scan_sees_every_spelling(tmp_path):
+    """The scan reads f-string parts and keys, and skips docstrings and the
+    text of raise statements; a word inside a longer word is not spelled."""
+    (tmp_path / "sample.py").write_text(textwrap.dedent('''
+        """A module naming the hmdn candidate lines and LUX_ columns."""
+        def scene_to_dict(scene, name, line):
+            """The room's width."""
+            if not line:
+                raise ValueError(f"no LUX_{name} column, no baseline sample")
+            return {"width": scene.width, "col": f"LUX_{name}", "head": "hmdn estimates"}
+    '''))
+    strings = string_constants(tmp_path)
+    assert [text for _, _, text in spelled(strings, "LUX_")] == ["LUX_"]
+    assert spelled(strings, "hmdn estimate") == spelled(strings, "baseline sample") == []
+    assert ("sample.py", "scene_to_dict", "width") in strings

@@ -914,6 +914,46 @@ class TestMalformedCsv:
         self.check(capsys, code, f"error: {bad}:3: not UTF-8 text (invalid continuation byte)\n")
 
 
+def g1_edit(model, row: str):
+    """``model`` with one of the edits of ROADMAP item 2's g1 rows: every
+    ``a_sigma`` output bias 800, every ``a_mu`` output bias 1e300, a sigma
+    floor of 1e308, or input means of +-1e308."""
+    K = model.config.n_components
+    weights = [np.array(w) for w in model.weights]
+    if row == "a_sigma":
+        weights[-1][0, K : 2 * K] = 800.0
+    elif row == "a_mu":
+        weights[-1][0, 2 * K :] = 1e300
+    elif row == "sigma_floor":
+        return dataclasses.replace(model, config=dataclasses.replace(model.config,
+                                                                     sigma_floor=1e308))
+    else:
+        mean = np.array(model.input_mean)
+        mean[:2] = 1e308, -1e308
+        return dataclasses.replace(model, input_mean=mean)
+    return dataclasses.replace(model, weights=tuple(weights))
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("row", ["a_sigma", "a_mu", "sigma_floor", "mean"])
+def test_non_finite_g1_exits_numeric_before_making_out_dir(workspace, tmp_path, capsys, command,
+                                                            row):
+    """A g1 that loads but predicts non-finite numbers (or positions whose
+    error overflows): exit 4, one line naming g1, the record and the
+    condition, no numpy warning, and no output directory."""
+    g1 = tmp_path / "g1.model"
+    dataio.save_model(g1_edit(dataio.load_model(workspace / "g1.model"), row), g1)
+    argv = [command, "--g1", g1, "--g2", workspace / "g2.model", "--data", workspace / "test.csv",
+            "--m", 4, "--n", 2, "--conditions", "sunny", "--out-dir", tmp_path / "out"]
+    argv += ["--records", 0, "--no-plots"] if command == "predict" else ["--bootstrap", 10]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv) == 4
+    assert [str(w.message) for w in caught] == []
+    one_error_line(capsys, "g1 gives a non-finite mixture, sample or error for record 0 under sunny")
+    assert not (tmp_path / "out").exists()
+
+
 class TestMalformedModel:
     def evaluate(self, workspace, g1_path, out):
         return run(
@@ -1080,6 +1120,21 @@ class TestMalformedDump:
         path.write_bytes("".join(lines[:20]).encode() + b"hmdn\xff" + "".join(lines[20:]).encode())
         assert run("evaluate", "--from-dump", path, "--out-dir", tmp_path / "eval") == 3
         assert one_error_line(capsys) == f"error: {path}:21: not UTF-8 text (invalid start byte)\n"
+        assert not (tmp_path / "eval").exists()
+
+    def test_second_record_of_another_width_names_its_record_line(self, tmp_path, capsys, lines):
+        """The first record sets the dump's width: a third coordinate on
+        every line of the second record is refused on its record line."""
+        wider = []
+        for at, line in enumerate(lines):
+            words = line.split(" ")
+            if 15 <= at < 26:  # the second record's block, lines 16-26
+                words.insert(4 if words[0] == "record" else 2, "1.5")
+            wider.append(" ".join(words))
+        code, err = self.reeval(tmp_path, capsys, wider, "--bootstrap", 20)
+        assert code == 3
+        assert err == (f"error: {tmp_path / 'bad.txt'}:16: 3 truth coordinates, but the first "
+                       "record has 2\n")
         assert not (tmp_path / "eval").exists()
 
     def test_good_dump_still_evaluates(self, tmp_path, capsys, lines):

@@ -239,14 +239,16 @@ def respelled_body(draw):
 def test_chunk_read_and_line_walk_accept_the_same_lines(body):
     """``_read_chunk`` runs ``_section`` on a chunk's sections and
     ``_read_block`` runs it on each line alone; each takes exactly the dumps
-    the other takes, with the same records."""
+    the other takes, with the same records. The first record line sets
+    the dimension of both."""
     m, n, size = 4, 2, 11
     try:
-        fast = _read_chunk(body.copy(), 2, m, n)
+        fast = _read_chunk(body.copy(), 2, m, n, None)
     except ValueError:
         fast = None
     try:
-        walk = [_read_block(5 + at, body[at : at + size], m, n) for at in (0, size)]
+        walk = [_read_block(5, body[:size], m, n, None)]
+        walk.append(_read_block(5 + size, body[size:], m, n, walk[0].truth.shape[0]))
     except ParseError:
         walk = None
     assert (fast is None) == (walk is None), body

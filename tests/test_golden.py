@@ -2,12 +2,15 @@
 
 The tiny pipeline is simulate (120 training and 6 test points), 20 epochs
 for each network, then evaluate, predict and evaluate --from-dump at
-M=50, N=10. It runs through ``cli.main`` in a subprocess with one BLAS
+M=50, N=10. Beside it, simulate runs with --measurement-noise and with
+--augment over a small fingerprint CSV the test writes, and the bundled
+scene is saved. It runs through ``cli.main`` in a subprocess with one BLAS
 thread, and the sha256 of each file it writes is compared with
 ``tests/golden.json``:
 
-- the simulated CSVs, the SVGs and every ``metrics.txt`` are the same on
-  any platform (docs/numerics.md), so they are compared everywhere;
+- the simulated and augmented CSVs, the CSV the test writes, the scene
+  file, the SVGs and every ``metrics.txt`` are the same on any platform
+  (docs/numerics.md), so they are compared everywhere;
 - every other file depends on the BLAS kernel, so it is compared under a
   key made of the numpy version, the BLAS configuration and the OpenBLAS
   core name. Where golden.json has no entry for the key, that test skips
@@ -36,11 +39,24 @@ import pytest
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SEED, M, N = 5, 50, 10
+# the input of simulate --augment: UJIIndoorLoc columns, map coordinates
+FINGERPRINTS = """\
+WAP001,WAP002,WAP003,LONGITUDE,LATITUDE,FLOOR,BUILDINGID
+-71,100,-88,-7541.2643,4864921.9036,2,1
+-64,-97,100,-7536.6212,4864934.1500,2,1
+100,-80,-77,-7519.1524,4864949.8036,0,1
+-90,-55,-102,-7524.5704,4864934.2250,"3,4",0
+-45,100,-60,-7632.1436,4864982.2171,1,1
+-85,-83,100,-7533.8962,4864939.1015,2,1
+100,-71,-81,-7565.0000,4864910.5000,3,2
+-58,-66,-74,-7520.9999,4864976.0001,1,0
+"""
 
 
 def portable(name: str) -> bool:
     """Whether a file's bytes are the same under any BLAS kernel."""
-    return name in ("train.csv", "test.csv") or name.endswith((".svg", "/metrics.txt"))
+    return (name.split("/")[-1] in ("train.csv", "test.csv", "fingerprints.csv", "scene.json")
+            or name.endswith((".svg", "/metrics.txt")))
 
 
 def blas_key() -> str:
@@ -63,7 +79,7 @@ def blas_key() -> str:
 def run_pipeline(out: Path) -> dict:
     """Run the tiny pipeline into ``out`` in this process: {"key", "files"},
     the files as relative path -> sha256."""
-    from hmdn import cli
+    from hmdn import cli, scenario
 
     def run(*argv):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -79,6 +95,12 @@ def run_pipeline(out: Path) -> dict:
     run("evaluate", *live, "--out-dir", out / "eval")
     run("predict", *live, "--out-dir", out / "pred")
     run("evaluate", "--from-dump", out / "pred" / "predictions.txt", "--out-dir", out / "reeval")
+    run("simulate", "--out-dir", out / "noisy", "--n-train", 12, "--n-test", 3, "--seed", SEED,
+        "--measurement-noise")
+    (out / "fingerprints.csv").write_text(FINGERPRINTS)
+    run("simulate", "--augment", out / "fingerprints.csv", "--out-dir", out / "augment",
+        "--seed", SEED, "--measurement-noise")
+    scenario.save_scene(scenario.paper_room_scene(), out / "scene.json")
     files = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
              for p in sorted(out.rglob("*")) if p.is_file()}
     return {"key": blas_key(), "files": files}

@@ -577,23 +577,37 @@ class TestDumpMatchesReferenceReader:
     def test_record_counts(self, tmp_path, count):
         self.assert_same(tmp_path, repeated(make_dump_records(46, 2, m=12, n=4), count), 12, 4)
 
+    def assert_second_dimension_refused(self, tmp_path, first: int):
+        """``first`` records of 2 coordinates, then records of 3: both readers
+        refuse the first record line of 3, which names the first record's."""
+        records = repeated(make_dump_records(47, 2, m=5, n=2), first)
+        path = tmp_path / "dump.txt"
+        write_predictions(path, records + make_dump_records(48, 3, m=5, n=2), 9, m=5, n=2)
+        got = dump_outcome(parse_predictions, path)
+        assert got == dump_outcome(reference_parse_predictions, path)
+        assert got == (ParseError, path, 5 + 13 * first, None, None,
+                       f"{path}:{5 + 13 * first}: 3 truth coordinates, but the first record has 2")
+
     def test_records_of_two_dimensions_in_one_chunk(self, tmp_path):
-        """The sections of a chunk are read together only when its records
-        share a dimension; otherwise the chunk is read line by line."""
-        records = make_dump_records(47, 2, m=5, n=2) + make_dump_records(48, 3, m=5, n=2)
-        self.assert_same(tmp_path, records, 5, 2)
+        """The first record line sets the dimension of every record."""
+        self.assert_second_dimension_refused(tmp_path, 2)
+
+    def test_records_of_two_dimensions_across_chunks(self, tmp_path):
+        """A dimension that changes where a chunk starts is refused too."""
+        assert _CHUNK_LINES // 13 == 157  # records of m = 5 in a chunk
+        self.assert_second_dimension_refused(tmp_path, 157)
 
     @pytest.mark.parametrize("line, edit, fault", [
         (16, lambda ln: ln.replace(" cloudy ", " clo\tudy "), 16),
         (16, lambda ln: ln.replace(" cloudy ", " clo\u00a0udy "), 16),
-        (16, lambda ln: ln.replace(" z ", " 1.5 z "), 17),
+        (16, lambda ln: ln.replace(" z ", " 1.5 z "), 16),
         (5, lambda ln: ln.replace(" z ", " 1.5 z "), 6),
     ], ids=["tab-in-condition", "nbsp-in-condition", "second-record-one-more-coordinate",
             "first-record-one-more-coordinate"])
     def test_edits_both_readers_reject_alike(self, tmp_path, line, edit, fault):
-        """A blank inside the condition splits the record line; a record
-        line of another dimension than its block's lines fails on the
-        first line of the block, though the chunk's other sections agree."""
+        """A blank inside the condition splits the record line. The first
+        record line sets the dimension: a later record line of another fails
+        on itself, and the first one's block fails on its next line."""
         path = tmp_path / "dump.txt"
         write_predictions(path, make_dump_records(51, 2, m=4, n=2), master_seed=9, m=4, n=2)
         lines = path.read_text().splitlines(keepends=True)

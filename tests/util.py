@@ -366,10 +366,11 @@ def reference_write_predictions(path, records, master_seed: int, m: int, n: int)
 # tabs, trailing blanks, '1_0', a last line without its newline, a
 # condition holding ',', '"' or '/'), so compare them on writer-spelled dumps.
 # A body line it refuses gets the chunked reader's message: the spelling
-# due there and the line.
+# due there and the line. A record line whose truth coordinates are not as
+# many as the first record's is refused.
 
 
-def _reference_read_block(start: int, parts, lines, m: int, n: int) -> PredictionRecord:
+def _reference_read_block(start: int, parts, lines, m: int, n: int, width) -> PredictionRecord:
     offset = 0
 
     def coordinates(rows, cut: slice, first: int, due: str = None) -> np.ndarray:
@@ -401,6 +402,8 @@ def _reference_read_block(start: int, parts, lines, m: int, n: int) -> Predictio
         rid, cond = parts[1], parts[2]
         record_id, dim = int(rid), zi - 4
         head = coordinates([(None, parts[4:zi] + parts[zi + 1 :])], slice(None), 0)
+        if width is not None and dim != width:
+            raise ValueError(f"{dim} truth coordinates, but the first record has {width}")
         sections = []
         for first, count, kind, field, marks, cut in (
             (1, 1, "baseline", "estimate", "", slice(2, None)),
@@ -503,7 +506,8 @@ def reference_parse_predictions(path, header: dict = None) -> list:
                                      f"'# records {count}'", line=lineno)
                 if parts[0:1] != ["record"]:
                     raise ParseError("expected a 'record' line", line=lineno)
-                records.append(_reference_read_block(lineno, parts, fh, m, n))
+                width = records[0].truth.shape[0] if records else None
+                records.append(_reference_read_block(lineno, parts, fh, m, n, width))
                 lineno += 2 * m + 3
                 parts = next(map(str.split, fh), None)
             if parts is not None:
