@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import write_text
+from .errors import NumericError
 from .numcore import Rng, fmt17
 from . import pipeline
 
@@ -30,19 +31,26 @@ class ConditionMetrics:
 def paired_errors(records) -> dict:
     """condition -> (baseline errors, hmdn errors), paired record-by-record:
     the Euclidean distances of the two estimates to the truth, computed
-    for all of a condition's records at once (each sum runs over one
-    record's coordinates, so every error is the per-record value)."""
-    buckets: dict = {}
-    for r in records:
-        buckets.setdefault(r.condition, []).append(r)
-    out = {}
-    for cond, rs in buckets.items():
-        truth = np.array([r.truth for r in rs], dtype=np.float64)
-        out[cond] = tuple(
+    for all records at once (each sum runs over one record's coordinates,
+    so every error is the per-record value). Raises NumericError naming the
+    first record whose estimates do not both lie at a finite distance from
+    its truth (coordinates so large that the squares overflow)."""
+    truth = np.array([r.truth for r in records], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        b_err, h_err = (
             np.sqrt(np.sum((np.array(est, dtype=np.float64) - truth) ** 2, axis=-1))
-            for est in ([r.baseline_estimate for r in rs], [r.hmdn.estimate for r in rs])
+            for est in ([r.baseline_estimate for r in records],
+                        [r.hmdn.estimate for r in records])
         )
-    return out
+    finite = np.isfinite(b_err) & np.isfinite(h_err)
+    if not finite.all():
+        r = records[np.argmin(finite)]
+        raise NumericError(f"the estimates of record {r.record_id} under {r.condition} "
+                           "lie at no finite distance from its truth")
+    buckets: dict = {}
+    for i, r in enumerate(records):
+        buckets.setdefault(r.condition, []).append(i)
+    return {cond: (b_err[rows], h_err[rows]) for cond, rows in buckets.items()}
 
 
 def _improvement_pct(b_median, h_median):
@@ -51,19 +59,31 @@ def _improvement_pct(b_median, h_median):
     return np.where(b_median > 0, pct, 0.0)
 
 
-def _row_medians(a: np.ndarray) -> np.ndarray:
-    """``np.median(a, axis=1)``, bit for bit, from an in-place row sort.
+def _ranked(err: np.ndarray):
+    """Each error's int32 rank in a stable ascending sort of ``err`` (NaN
+    last), and the errors in rank order."""
+    order = np.argsort(err, kind="stable")
+    rank = np.empty(err.shape[0], dtype=np.int32)
+    rank[order] = np.arange(err.shape[0], dtype=np.int32)
+    return rank, err[order]
 
-    np.median partitions each row and takes ``np.mean`` of the middle one
-    or two entries; a sorted row holds the same values at those positions,
-    and numpy's vectorized sort beats its multi-pivot partition several
-    times over at these sizes. As in np.median, a row that holds a NaN
-    (sorted last) has median NaN.
+
+def _rank_medians(rank, by_rank, idx, keys) -> np.ndarray:
+    """``np.median(err[idx], axis=1)``, bit for bit, for ``_ranked(err)``
+    and a (k, n) index matrix, from an in-place sort of the rows of ranks
+    ``keys`` (k, n) instead of the errors.
+
+    An index of n reads rank n - 1 (``take``'s clip mode is the clamp).
+    A sorted rank row, mapped through ``by_rank``, is the sorted error row:
+    ranks order the drawn errors as the errors do, and tied ranks hold equal
+    errors. So, as in np.median, the median is ``np.mean`` of the middle one
+    or two of them, or NaN where the row's last rank maps to a NaN.
     """
-    a.sort(axis=1)
-    n = a.shape[1]
-    med = np.mean(a[:, n // 2 - 1 + n % 2 : n // 2 + 1], axis=1)
-    last = a[:, -1]
+    np.take(rank, idx, out=keys, mode="clip")
+    keys.sort(axis=1)
+    n = keys.shape[1]
+    med = np.mean(by_rank[keys[:, n // 2 - 1 + n % 2 : n // 2 + 1]], axis=1)
+    last = by_rank[keys[:, -1]]
     np.copyto(med, last, where=np.isnan(last))
     return med
 
@@ -93,15 +113,16 @@ def bootstrap_improvement(b_err, h_err, rng: Rng, n_resamples: int = N_RESAMPLES
             f"need n >= 1 paired errors and n_resamples >= 1, got {n} and {n_resamples}"
         )
     rows = max(1, _BLOCK_DRAWS // n)
+    ranked = (_ranked(b_err), _ranked(h_err))
+    idx = np.empty((rows, n), dtype=np.intp)
+    keys = np.empty((rows, n), dtype=np.int32)
     pct = np.empty(n_resamples)
     for start in range(0, n_resamples, rows):
         k = min(rows, n_resamples - start)
-        u = rng.uniform(k * n)
-        u *= n
-        idx = u.astype(int).reshape(k, n)
-        np.minimum(idx, n - 1, out=idx)
+        # floor(u * n) of each uniform u: u * n >= 0, so the cast truncates to it
+        np.multiply(rng.uniform(k * n).reshape(k, n), n, out=idx[:k], casting="unsafe")
         pct[start : start + k] = _improvement_pct(
-            _row_medians(b_err[idx]), _row_medians(h_err[idx])
+            *(_rank_medians(*r, idx[:k], keys[:k]) for r in ranked)
         )
     lo, hi = np.percentile(pct, [2.5, 97.5])
     return float(lo), float(hi)

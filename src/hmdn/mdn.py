@@ -407,22 +407,24 @@ def _as_xy(batch, input_dim: int, target_dim: int):
     return X, Y
 
 
-def _log_p(config: MdnConfig, weights, H, Yt, ws=None) -> np.ndarray:
+def _log_p(config: MdnConfig, weights, H, Yt, ws=None, acts=None) -> np.ndarray:
     """Per-sample log-density ln p(y | x) for standardized inputs H and
-    targets as columns Yt (D, N), in the buffers of ``ws`` when given. H may
-    be stacked, (R, B, input_dim): each of its R blocks goes through the
-    layers as its own B-row product, and Yt then holds the R*B targets."""
-    acts, head = (ws.acts, ws.head) if ws else (None, _UNBUFFERED)
+    targets as columns Yt (D, N), in the buffers of ``ws`` when given, else
+    with only the layer outputs in ``acts`` when given. H may be stacked,
+    (R, B, input_dim): each of its R blocks goes through the layers as its
+    own B-row product, and Yt then holds the R*B targets."""
+    acts, head = (ws.acts, ws.head) if ws else (acts, _UNBUFFERED)
     A = _forward(config.hidden_activation, weights, H, acts)
     A = A.reshape(-1, A.shape[-1])
     return _head_terms(A, Yt, config.n_components, config.sigma_floor, head)[-1]
 
 
-def _log_likelihoods(model: MdnModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _log_likelihoods(model: MdnModel, X: np.ndarray, Y: np.ndarray, acts=None) -> np.ndarray:
     """ln p(y_i | x_i) under the model for each row of X (2-D, or stacked
-    as in ``_log_p``) and of the 2-D Y."""
+    as in ``_log_p``) and of the 2-D Y, the layers writing into ``acts``
+    when given."""
     with np.errstate(all="ignore"):
-        return _log_p(model.config, model.weights, _standardize(model, X), Y.T)
+        return _log_p(model.config, model.weights, _standardize(model, X), Y.T, acts=acts)
 
 
 def _mean_nll(log_p: np.ndarray) -> float:

@@ -12,6 +12,7 @@ underflow in the tails, and only rank order matters for selection.
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 from itertools import chain, islice
 from dataclasses import dataclass
 
@@ -85,20 +86,23 @@ def _selected(order: np.ndarray, fallback, n: int) -> np.ndarray:
     return np.arange(order.shape[0]) if fallback else order[:n]
 
 
-def _predict_rows(pipeline: HmdnPipeline, mix, z: np.ndarray, rngs, weighted: bool):
+def _predict_rows(pipeline: HmdnPipeline, mix, z: np.ndarray, rngs, weighted: bool,
+                  layers=None):
     """Sample, score, select and average for R records at once.
 
     ``mix`` holds the records' g1 mixtures as rows (pi, sigma, mu), ``z``
     their observations (R, dz) and ``rngs`` their candidate streams. Each
     record's M candidates go through g2 as their own M-row product (a
-    stacked matmul), and every reduction runs within a record's row, so a
-    record comes out bit for bit as when predicted alone. Returns the
+    stacked matmul), its layer outputs written into the leading R rows of
+    ``layers`` when given, and every reduction runs within a record's row,
+    so a record comes out bit for bit as when predicted alone. Returns the
     candidates (R, M, D), scores (R, M), the ranked order of each row (R, M),
     the fallback mask (R,) and the estimates (R, D).
     """
     M, N = pipeline.n_candidates, pipeline.n_selected
     C = _draw(*mix, M, rngs)
-    S = _log_likelihoods(pipeline.g2, C, np.repeat(z, M, axis=0)).reshape(C.shape[:2])
+    acts = layers and [a[: C.shape[0]] for a in layers]
+    S = _log_likelihoods(pipeline.g2, C, np.repeat(z, M, axis=0), acts).reshape(C.shape[:2])
     order, fallback = _rank(S)
     top = order[:, :N]
     chosen = np.take_along_axis(C, top[:, :, None], axis=1)
@@ -184,7 +188,8 @@ def run_predictions(
 
     The g1 mixtures are computed once per call; each condition then runs
     blocks of ``max(1, 4096 // M)`` records through ``_predict_rows``, which
-    bounds the working memory whatever the record count. Predictions that
+    bounds the working memory whatever the record count, and every block
+    writes g2's layer outputs into one buffer set. Predictions that
     fell back to the mean of all candidates are reported with one
     RuntimeWarning per condition. A record whose g1 mixture, candidates or
     baseline samples are not all finite, or whose two estimates lie at no
@@ -199,6 +204,10 @@ def run_predictions(
     truths = np.asarray(truths, dtype=np.float64)
     mix = _mixtures(pipeline.g1, np.asarray(features, dtype=np.float64)[ids])
     block = max(1, _BLOCK_ROWS // M)
+    # (records, M, width) per layer at the first block's size; a shorter
+    # last block writes into their leading rows
+    widths = (*pipeline.g2.config.hidden_layers, pipeline.g2.config.output_width)
+    layers = [np.empty((min(block, len(ids)), M, w)) for w in widths]
     records = []
     for cond in lux_by_condition:
         lux = np.asarray(lux_by_condition[cond], dtype=np.float64)
@@ -211,7 +220,7 @@ def run_predictions(
             # a non-finite g1 is refused below; a non-finite g2 score falls back
             with np.errstate(all="ignore"):
                 C, S, order, fallback, est = _predict_rows(
-                    pipeline, part_mix, z, [r[0] for r in rngs], weighted
+                    pipeline, part_mix, z, [r[0] for r in rngs], weighted, layers
                 )
                 clouds = _draw(*part_mix, M, [r[1] for r in rngs])
                 cloud_means = clouds.mean(axis=1)
@@ -282,12 +291,25 @@ def _vec(k: int) -> str:
     return " ".join([FLOAT_SPEC] * k)
 
 
+@lru_cache(maxsize=8)
+def _section_templates(m: int, dim: int) -> tuple:
+    """The %-template of each ``_layout(m)`` section's lines for dim
+    coordinates: every number a ``FLOAT_SPEC`` but the last mark's, a %d
+    flag."""
+    templates = []
+    for _, count, head, marks in _layout(m):
+        spec = [name + FLOAT_SPEC for name, _ in marks[:-1]]
+        spec += [name + "%d" for name, _ in marks[-1:]]
+        templates.append((" ".join([head, _vec(dim), *spec]) + "\n") * count)
+    return tuple(templates)
+
+
 def _render_record(r: PredictionRecord) -> str:
     """One record's block of dump lines: its ``record`` line, then each
-    ``_layout`` section from one %-template over ``.tolist()`` values, so
-    every number is a ``FLOAT_SPEC`` but the last mark's, a %d flag."""
+    ``_layout`` section from its ``_section_templates`` template over
+    ``.tolist()`` values."""
     est = r.hmdn
-    m = est.candidates.shape[0]
+    m, dim = est.candidates.shape
     flags = np.zeros(m)
     flags[np.asarray(est.selected_indices, dtype=np.intp)] = 1
     truth, z = np.ravel(r.truth).tolist(), np.ravel(r.z).tolist()
@@ -297,12 +319,8 @@ def _render_record(r: PredictionRecord) -> str:
     sections = (r.baseline_estimate, r.baseline_samples,
                 np.append(est.estimate, est.underflow_fallback),
                 np.column_stack([est.candidates, est.scores, flags]))
-    for (_, count, head, marks), values in zip(_layout(m), sections):
-        values = np.asarray(values, dtype=np.float64).reshape(count, -1)
-        spec = [name + FLOAT_SPEC for name, _ in marks[:-1]]
-        spec += [name + "%d" for name, _ in marks[-1:]]
-        template = " ".join([head, _vec(values.shape[1] - len(marks)), *spec]) + "\n"
-        text.append(template * count % tuple(values.ravel().tolist()))
+    for template, values in zip(_section_templates(m, dim), sections):
+        text.append(template % tuple(np.ravel(values).tolist()))
     return "".join(text)
 
 

@@ -1142,6 +1142,25 @@ class TestMalformedDump:
         assert code == 0 and err == ""
         assert len((tmp_path / "eval" / "metrics.csv").read_text().splitlines()) == 1 + 2 * 2
 
+    def test_overflowing_errors_exit_numeric(self, tmp_path, capsys):
+        """Estimates near 1e300 parse, but their squared errors overflow:
+        exit 4, one line naming the first such record and its condition, no
+        numpy warning, and no output directory."""
+        records = make_dump_records(3, 2, m=4, n=2, count=3)
+        for r in records[1:]:
+            r.hmdn.estimate[:] = 1e300, -1e300
+        path = tmp_path / "far.txt"
+        pipeline.write_predictions(path, records, 55, m=4, n=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("evaluate", "--from-dump", path, "--out-dir", tmp_path / "eval",
+                       "--bootstrap", 20)
+        assert code == 4
+        assert [str(w.message) for w in caught] == []
+        assert one_error_line(capsys) == ("error: the estimates of record 1 under cloudy lie at "
+                                          "no finite distance from its truth\n")
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("count", [0, -5])
     def test_bootstrap_below_one_is_a_usage_error(self, tmp_path, capsys, lines, count):
         code, err = self.reeval(tmp_path, capsys, lines, "--bootstrap", count)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from hmdn import pipeline
-from hmdn.errors import SchemaError
+from hmdn.errors import NumericError, SchemaError
 from hmdn.evaluate import (
-    _row_medians,
+    _rank_medians,
+    _ranked,
     bootstrap_improvement,
     compute_metrics,
     format_metrics_table,
@@ -70,6 +71,17 @@ class TestMetrics:
             assert b.tobytes() == want_b.tobytes()
             assert h.tobytes() == want_h.tobytes()
 
+    def test_paired_errors_refuse_an_error_that_overflows(self):
+        records = [
+            make_record(0, "sunny", (0, 0), (3, 4), (0, 1)),
+            make_record(4, "cloudy", (0, 0), (1, 1), (1e300, 1e300)),
+            make_record(2, "sunny", (0, 0), (-1e300, 0), (0, 1)),
+        ]
+        with np.errstate(over="raise"):  # no numpy warning either
+            err = raised(NumericError, paired_errors, records)
+        assert str(err) == ("the estimates of record 4 under cloudy lie at no finite "
+                            "distance from its truth")
+
     def test_constant_errors_give_degenerate_interval(self):
         # every resample of constant arrays has the same medians, so the
         # interval collapses onto the exact improvement
@@ -115,7 +127,9 @@ class TestMetrics:
 class TestStreamingBootstrap:
     """Resamples drawn in blocks give the one-matrix interval bit for bit."""
 
-    @pytest.mark.parametrize("n", [1, 2, 47, 48, 1111])
+    # at n = 64, a power of two, u * n is exact; at any n < 2^53 a uniform
+    # u <= 1 - 2^-53 keeps floor(u * n) below n, so the clamp never acts
+    @pytest.mark.parametrize("n", [1, 2, 3, 47, 48, 64, 200, 1111])
     @pytest.mark.parametrize("n_resamples", [1, 57, 10_000])
     def test_matches_one_matrix_reference(self, n, n_resamples):
         rng = Rng(1000 + n)
@@ -124,6 +138,25 @@ class TestStreamingBootstrap:
         h = np.round(rng.uniform(n) * 6.0) / 2.0
         got = bootstrap_improvement(b, h, Rng(n_resamples), n_resamples)
         want = reference_bootstrap_improvement(b, h, Rng(n_resamples), n_resamples)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 64, 200])
+    @pytest.mark.parametrize("kind", ["inf", "nan", "ties"])
+    def test_matches_reference_on_inf_nan_and_ties(self, n, kind):
+        """A resample drawing an inf or a NaN, or drawing from a few distinct
+        values only, still gets np.median's double; a NaN median makes the
+        improvement NaN, which np.percentile then spreads as the reference
+        does."""
+        rng = Rng(2000 + n)
+        b = rng.uniform(n) * 4.0
+        h = np.round(rng.uniform(n) * 3.0)  # at most four distinct values
+        if kind == "ties":
+            b = np.round(b)
+        else:
+            b[n // 2] = h[0] = np.inf if kind == "inf" else np.nan
+        with np.errstate(invalid="ignore"):
+            got = bootstrap_improvement(b, h, Rng(n), 300)
+            want = reference_bootstrap_improvement(b, h, Rng(n), 300)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_peak_memory_is_bounded(self):
@@ -144,12 +177,17 @@ class TestStreamingBootstrap:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 301])
     def test_row_medians_match_np_median(self, n):
+        """Rows of draws from one error vector, each index drawn into a
+        row, give np.median's row medians, NaN and inf rows included."""
         rng = Rng(n)
-        a = np.round(rng.uniform(20 * n) * 8.0).reshape(20, n)
-        a[3, n // 2] = np.nan
-        a[5, 0] = np.inf
-        want = np.median(a, axis=1)
-        assert _row_medians(a.copy()).tobytes() == want.tobytes()
+        err = np.round(rng.uniform(3 * n) * 8.0)
+        err[n // 2] = np.nan
+        err[0] = np.inf
+        idx = np.minimum((rng.uniform(20 * n) * 3 * n).astype(np.int32), 3 * n - 1).reshape(20, n)
+        idx[3, n // 2], idx[5, 0] = n // 2, 0
+        want = np.median(err[idx], axis=1)
+        got = _rank_medians(*_ranked(err), idx, np.empty(idx.shape, dtype=np.int32))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMetricsFromDump:

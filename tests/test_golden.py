@@ -2,9 +2,12 @@
 
 The tiny pipeline is simulate (120 training and 6 test points), 20 epochs
 for each network, then evaluate, predict and evaluate --from-dump at
-M=50, N=10. Beside it, simulate runs with --measurement-noise and with
---augment over a small fingerprint CSV the test writes, and the bundled
-scene is saved. It runs through ``cli.main`` in a subprocess with one BLAS
+M=50, N=10. The same networks then evaluate, predict and re-evaluate 41
+other test points at M=100, N=20 with 2,000 bootstrap resamples, so that
+a short last block of records (41 = 40 + 1) and of resamples
+(2,000 = 1,598 + 402 at n = 41) are pinned too. Beside it, simulate runs
+with --measurement-noise and with --augment over a small fingerprint CSV
+the test writes, and the bundled scene is saved. It runs through ``cli.main`` in a subprocess with one BLAS
 thread, and the sha256 of each file it writes is compared with
 ``tests/golden.json``:
 
@@ -95,6 +98,13 @@ def run_pipeline(out: Path) -> dict:
     run("evaluate", *live, "--out-dir", out / "eval")
     run("predict", *live, "--out-dir", out / "pred")
     run("evaluate", "--from-dump", out / "pred" / "predictions.txt", "--out-dir", out / "reeval")
+    blocks = out / "blocks"
+    run("simulate", "--out-dir", blocks, "--n-train", 12, "--n-test", 41, "--seed", SEED)
+    live = (*live[:4], "--data", blocks / "test.csv", "--m", 100, "--n", 20, "--seed", SEED)
+    run("evaluate", *live, "--bootstrap", 2000, "--out-dir", blocks / "eval")
+    run("predict", *live, "--records", "all", "--no-plots", "--out-dir", blocks / "pred")
+    run("evaluate", "--from-dump", blocks / "pred" / "predictions.txt", "--bootstrap", 2000,
+        "--out-dir", blocks / "reeval")
     run("simulate", "--out-dir", out / "noisy", "--n-train", 12, "--n-test", 3, "--seed", SEED,
         "--measurement-noise")
     (out / "fingerprints.csv").write_text(FINGERPRINTS)

@@ -111,16 +111,22 @@ class TestMatchesReferenceLoop:
         # _BLOCK_ROWS // M records per block (40 at M = 100 and 4096 rows),
         # and 1 for any M above _BLOCK_ROWS; the CLI's layer shapes, where one
         # product over all the rows of several records would round
-        # differently from per-record products
+        # differently from per-record products. g2's layers are written into
+        # buffers sized by the first block, so a short last block uses their
+        # leading rows; record ``block``, alone in the last block of
+        # ``block + 1`` records, falls back under sunny.
         block = max(1, _BLOCK_ROWS // m)
         pipe = make_pipeline(7, 2, 5, "tanh", (64, 64), m=m, n=20, k2=3)
         n_records = 2 * block + 3
         inputs = make_inputs(7, n_records, 2)
-        for count in sorted({1, block - 1, block, block + 1, 2 * block + 3} - {0}):
-            got, want = run_both(pipe, inputs, range(count), weighted=False)
-            assert_records_identical(got, want)
-            assert_records_own_their_arrays(got)
-        assert_same_dump(tmp_path, got, want, m, 20)
+        inputs[2]["sunny"][block] = math.inf
+        for weighted in (False, True):
+            for count in sorted({1, block - 1, block, block + 1, 2 * block + 3} - {0}):
+                got, want = run_both(pipe, inputs, range(count), weighted)
+                assert_records_identical(got, want)
+                assert_records_own_their_arrays(got)
+                assert [r.hmdn.underflow_fallback for r in got].count(True) == (count > block)
+            assert_same_dump(tmp_path, got, want, m, 20)
 
     def test_mixtures_of_eight_or_more_components(self, tmp_path):
         # sums over 9 g1 and 8 g2 components, which numpy adds pairwise
