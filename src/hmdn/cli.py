@@ -413,6 +413,9 @@ def _parse_records(opts, n_records: int):
     bad = [i for i in ids if not 0 <= i < n_records]
     if bad:
         raise UsageError(f"record index {bad[0]} out of range (dataset has {n_records})")
+    if len(set(ids)) != len(ids):
+        repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
+        raise UsageError(f"record index {repeated} is given more than once")
     return ids
 
 

@@ -569,9 +569,8 @@ def load_model(path) -> MdnModel:
 
         section("weights")
         weights = []
-        shapes = [(rows, cols) for fan_in, cols in config.layer_dims() for rows in (fan_in, 1)]
         finite = (np.isfinite, "weight entries must all be finite")
-        for i, (rows, cols) in enumerate(shapes):
+        for i, (rows, cols) in enumerate(config.weight_shapes()):
             take(f"matrix {i} {rows} {cols}")
             block = lines[at : at + rows]
             weights.append(_numbers(block, cols, finite, line=at + 1))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -83,6 +84,10 @@ class MdnConfig:
         widths = [self.input_dim, *self.hidden_layers, self.output_width]
         return list(zip(widths[:-1], widths[1:]))
 
+    def weight_shapes(self) -> list:
+        """Shapes of ``[W0, b0, W1, b1, ...]``: per layer W (fan_in, fan_out), b (1, fan_out)."""
+        return [(rows, fan_out) for fan_in, fan_out in self.layer_dims() for rows in (fan_in, 1)]
+
 
 @dataclass(frozen=True)
 class MixtureParams:
@@ -125,19 +130,11 @@ class MdnModel:
     preprocessing: tuple = ()
 
     def __post_init__(self):
-        dims = self.config.layer_dims()
-        if len(self.weights) != 2 * len(dims):
-            raise ShapeError(
-                f"expected {2 * len(dims)} weight matrices for this config, got {len(self.weights)}"
-            )
         weights = tuple(np.array(w, dtype=np.float64, order="C") for w in self.weights)
-        for i, (fan_in, fan_out) in enumerate(dims):
-            w, b = weights[2 * i], weights[2 * i + 1]
-            if w.shape != (fan_in, fan_out) or b.shape != (1, fan_out):
-                raise ShapeError(
-                    f"layer {i}: expected ({fan_in}, {fan_out}) weights and (1, {fan_out}) bias, "
-                    f"got {w.shape} and {b.shape}"
-                )
+        for i, (w, shape) in enumerate(zip_longest(weights, self.config.weight_shapes())):
+            if getattr(w, "shape", None) != shape:
+                got = getattr(w, "shape", "none")
+                raise ShapeError(f"weight array {i}: expected {shape or 'none'}, got {got}")
         for w in weights:
             if not np.isfinite(w).all():
                 raise NumericError("weight entries must all be finite")
@@ -168,15 +165,19 @@ def identity_model(config: MdnConfig, weights) -> MdnModel:
     )
 
 
-def _layer_views(flat: np.ndarray, dims) -> list:
-    """Views ``[W0, b0, W1, b1, ...]`` into one flat buffer, laid out in that
-    order (the model-file weight order), each array row-major."""
+def _views(flat: np.ndarray, shapes) -> list:
+    """Views of the given shapes, row-major, laid out one after another in ``flat``."""
     views, start = [], 0
-    for fan_in, fan_out in dims:
-        for rows in (fan_in, 1):
-            views.append(flat[start : start + rows * fan_out].reshape(rows, fan_out))
-            start += rows * fan_out
+    for shape in shapes:
+        views.append(flat[start : start + math.prod(shape)].reshape(shape))
+        start += math.prod(shape)
     return views
+
+
+def _layer_outputs(config: MdnConfig, *rows) -> list:
+    """Each layer's output (*rows, width), input to output: views of one allocation."""
+    shapes = [(*rows, fan_out) for _, fan_out in config.layer_dims()]
+    return _views(np.empty(sum(map(math.prod, shapes))), shapes)
 
 
 class _HeadBuffers:
@@ -225,11 +226,10 @@ class _Workspace:
 
     def __init__(self, config: MdnConfig, B: int):
         K, D = config.n_components, config.target_dim
-        widths = [*config.hidden_layers, config.output_width]
         self.x = np.empty((B, config.input_dim))
         self.yt = np.empty((D, B))
-        self.acts = [np.empty((B, w)) for w in widths]
-        self.deltas = [np.empty((B, w)) for w in widths]
+        self.acts = _layer_outputs(config, B)
+        self.deltas = _layer_outputs(config, B)
         self.head = _HeadBuffers(B, K, D)
 
 
@@ -407,16 +407,29 @@ def _as_xy(batch, input_dim: int, target_dim: int):
     return X, Y
 
 
-def _log_p(config: MdnConfig, weights, H, Yt, ws=None, acts=None) -> np.ndarray:
+def _log_p(config: MdnConfig, weights, H, Yt, acts=None, head=_UNBUFFERED) -> np.ndarray:
     """Per-sample log-density ln p(y | x) for standardized inputs H and
-    targets as columns Yt (D, N), in the buffers of ``ws`` when given, else
-    with only the layer outputs in ``acts`` when given. H may be stacked,
-    (R, B, input_dim): each of its R blocks goes through the layers as its
-    own B-row product, and Yt then holds the R*B targets."""
-    acts, head = (ws.acts, ws.head) if ws else (acts, _UNBUFFERED)
+    targets as columns Yt (D, N), the layers writing into ``acts`` when
+    given and the head into ``head``. H may be stacked, (R, B, input_dim):
+    each of its R blocks goes through the layers as its own B-row product,
+    and Yt then holds the R*B targets."""
     A = _forward(config.hidden_activation, weights, H, acts)
     A = A.reshape(-1, A.shape[-1])
     return _head_terms(A, Yt, config.n_components, config.sigma_floor, head)[-1]
+
+
+def _finite_mixtures(config: MdnConfig, A: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Whether the M mixtures of each of R rows of output activations A
+    (R, M, W) are all finite, pi, sigma = exp(a_sigma) and mu, with every
+    mean at a finite squared distance from the row's target Y[r] (D,) when
+    that is finite. pi, the softmax of a_pi, is finite exactly where a_pi is."""
+    K, D = config.n_components, config.target_dim
+    with np.errstate(all="ignore"):
+        sigma = np.exp(A[..., K : 2 * K])
+        quad = np.square(A[..., 2 * K :].reshape(*A.shape[:2], K, D) - Y[:, None, None]).sum(-1)
+        parts = (A[..., :K], sigma, A[..., 2 * K :], quad)
+        finite = [np.isfinite(a).all(axis=(1, 2)) for a in parts]
+    return np.logical_and.reduce(finite[:3]) & (finite[3] | ~np.isfinite(Y).all(axis=1))
 
 
 def _log_likelihoods(model: MdnModel, X: np.ndarray, Y: np.ndarray, acts=None) -> np.ndarray:
@@ -424,7 +437,7 @@ def _log_likelihoods(model: MdnModel, X: np.ndarray, Y: np.ndarray, acts=None) -
     as in ``_log_p``) and of the 2-D Y, the layers writing into ``acts``
     when given."""
     with np.errstate(all="ignore"):
-        return _log_p(model.config, model.weights, _standardize(model, X), Y.T, acts=acts)
+        return _log_p(model.config, model.weights, _standardize(model, X), Y.T, acts)
 
 
 def _mean_nll(log_p: np.ndarray) -> float:
@@ -469,7 +482,7 @@ def gradients(model: MdnModel, batch) -> list:
     """Exact gradient of ``nll`` wrt every weight matrix, in weights order."""
     X, Y = _as_xy(batch, model.config.input_dim, model.config.target_dim)
     ws = _Workspace(model.config, X.shape[0])
-    grads = _layer_views(np.empty(sum(w.size for w in model.weights)), model.config.layer_dims())
+    grads = [np.empty_like(w) for w in model.weights]
     with np.errstate(all="ignore"):
         _backward(model.config, model.weights, _standardize(model, X, out=ws.x), Y.T, ws, grads)
     return grads
@@ -523,10 +536,9 @@ def train(dataset, config: MdnConfig) -> MdnModel:
     rng = Rng(config.seed)
     w_flat = np.concatenate([w.ravel() for w in _init_weights(config, Y, rng.spawn("init"))])
     rng_shuffle = rng.spawn("shuffle")
-    dims = config.layer_dims()
-    weights = _layer_views(w_flat, dims)
+    weights = _views(w_flat, config.weight_shapes())
     g_flat = np.empty_like(w_flat)
-    grads = _layer_views(g_flat, dims)
+    grads = _views(g_flat, config.weight_shapes())
     adam_m, adam_v = np.zeros_like(w_flat), np.zeros_like(w_flat)
     upd, scratch = np.empty_like(w_flat), np.empty_like(w_flat)
     step = 0
@@ -575,7 +587,7 @@ def train(dataset, config: MdnConfig) -> MdnModel:
                     w_flat -= upd
                 else:
                     w_flat -= np.multiply(lr, g_flat, out=upd)
-            epoch_nll = _mean_nll(_log_p(config, weights, H, Yt, full))
+            epoch_nll = _mean_nll(_log_p(config, weights, H, Yt, full.acts, full.head))
             log.append(epoch_nll)
             if epoch_nll < best:
                 best = epoch_nll

@@ -20,7 +20,8 @@ import numpy as np
 
 from .dataio import _read_utf8, write_text
 from .errors import NumericError, ParseError, SchemaError, ShapeError, located
-from .mdn import MdnModel, _draw, _log_likelihoods, _mixtures, mixture_at, sample
+from .mdn import (MdnModel, _draw, _finite_mixtures, _layer_outputs, _log_likelihoods, _mixtures,
+                  mixture_at, sample)
 from .numcore import FLOAT_SPEC, Rng, decimal, float_rows, positive_int, real, seed64
 
 
@@ -189,12 +190,15 @@ def run_predictions(
     The g1 mixtures are computed once per call; each condition then runs
     blocks of ``max(1, 4096 // M)`` records through ``_predict_rows``, which
     bounds the working memory whatever the record count, and every block
-    writes g2's layer outputs into one buffer set. Predictions that
-    fell back to the mean of all candidates are reported with one
-    RuntimeWarning per condition. A record whose g1 mixture, candidates or
-    baseline samples are not all finite, or whose two estimates lie at no
-    finite squared distance from its truth, raises NumericError naming the
-    first such (record, condition), before any record is returned.
+    writes g2's layer outputs into one ``_layer_outputs`` allocation.
+    Predictions that fell back to the mean of all candidates are reported
+    with one RuntimeWarning per condition. A record whose g1 mixture,
+    candidates or baseline samples are not all finite, or whose two
+    estimates lie at no finite squared distance from its truth, raises
+    NumericError naming g1 and the first such (record, condition); then one
+    with a candidate whose g2 mixture is not finite, or has a mean at no
+    finite squared distance from z, raises it naming g2. Both come before
+    any record is returned, so a -inf score that remains is underflow.
     """
     ids = [int(rid) for rid in record_ids]
     if not ids:
@@ -206,8 +210,7 @@ def run_predictions(
     block = max(1, _BLOCK_ROWS // M)
     # (records, M, width) per layer at the first block's size; a shorter
     # last block writes into their leading rows
-    widths = (*pipeline.g2.config.hidden_layers, pipeline.g2.config.output_width)
-    layers = [np.empty((min(block, len(ids)), M, w)) for w in widths]
+    layers = _layer_outputs(pipeline.g2.config, min(block, len(ids)), M)
     records = []
     for cond in lux_by_condition:
         lux = np.asarray(lux_by_condition[cond], dtype=np.float64)
@@ -217,7 +220,7 @@ def run_predictions(
             part_mix = [a[start : start + block] for a in mix]
             rngs = [prediction_rngs(master_seed, cond, rid) for rid in part]
             z = lux[part].reshape(-1, 1)
-            # a non-finite g1 is refused below; a non-finite g2 score falls back
+            # a non-finite g1 or g2 is refused below; an underflowing score falls back
             with np.errstate(all="ignore"):
                 C, S, order, fallback, est = _predict_rows(
                     pipeline, part_mix, z, [r[0] for r in rngs], weighted, layers
@@ -232,6 +235,10 @@ def run_predictions(
             if not ok.all():
                 raise NumericError(f"g1 gives a non-finite mixture, sample or error for record "
                                    f"{part[np.argmin(ok)]} under {cond}")
+            ok = _finite_mixtures(pipeline.g2.config, layers[-1][: len(part)], z)
+            if not ok.all():
+                raise NumericError("g2 gives a non-finite mixture, or a mean at no finite distance "
+                                   f"from z, for record {part[np.argmin(ok)]} under {cond}")
             fell_back += int(np.count_nonzero(fallback))
             for i, rid in enumerate(part):
                 hmdn = HmdnEstimate(

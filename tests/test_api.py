@@ -357,3 +357,36 @@ def test_layout_scan_sees_every_spelling(tmp_path):
     assert [text for _, _, text in spelled(strings, "LUX_")] == ["LUX_"]
     assert spelled(strings, "hmdn estimate") == spelled(strings, "baseline sample") == []
     assert ("sample.py", "scene_to_dict", "width") in strings
+
+
+def layout_reads(src: Path, names) -> list:
+    """``file:line:name`` of each attribute access of one of ``names`` in
+    ``src``'s modules but ``mdn.py``, sorted."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name != "mdn.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [f"{path.name}:{node.lineno}:{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in names]
+    return sorted(found)
+
+
+def test_mdn_alone_derives_the_array_layout():
+    """Weight shapes and layer widths come from ``MdnConfig.weight_shapes``
+    and ``mdn._layer_outputs``: no other module works them out from a
+    config, and the pipeline and the model file reader name no width."""
+    src = ROOT / "src" / "hmdn"
+    assert layout_reads(src, ("layer_dims", "output_width")) == []
+    for name in ("pipeline.py", "dataio.py"):
+        text = (src / name).read_text(encoding="utf-8")
+        assert re.findall(r"\b(?:hidden_layers|output_width|layer_dims)\b", text) == [], name
+
+
+def test_layout_scan_sees_every_read(tmp_path):
+    (tmp_path / "sample.py").write_text(textwrap.dedent('''
+        def widths(cfg, mdn):
+            return cfg.layer_dims(), mdn.MdnConfig(1, 1, 1).output_width, cfg.hidden_layers
+    '''))
+    (tmp_path / "mdn.py").write_text("def f(cfg):\n    return cfg.layer_dims()\n")
+    assert layout_reads(tmp_path, ("layer_dims", "output_width")) == [
+        "sample.py:3:layer_dims", "sample.py:3:output_width"]

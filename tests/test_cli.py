@@ -358,6 +358,17 @@ class TestPredict:
             "--data", workspace / "test.csv", "--out-dir", tmp_path, "--records", "99",
         ) == 2
 
+    def test_repeated_record_index_exits_usage(self, workspace, tmp_path, capsys):
+        """A repeated index would write its block twice, and a re-evaluation
+        of the dump would count the record twice."""
+        out = tmp_path / "pred"
+        assert run(
+            "predict", "--g1", workspace / "g1.model", "--g2", workspace / "g2.model",
+            "--data", workspace / "test.csv", "--out-dir", out, "--records", "1,0,2,0",
+        ) == 2
+        assert one_error_line(capsys) == "error: record index 0 is given more than once\n"
+        assert not out.exists()
+
     def test_record_indices_in_ascii_decimal_only(self, workspace, tmp_path, capsys):
         """``int`` reads '1_0', '٢' and '+1' as 10, 2 and 1; an index is
         read as every other integer is."""
@@ -714,6 +725,12 @@ class TestConfigValues:
         assert run("simulate", "--config", cfg, "--out-dir", tmp_path) == 2
         assert one_error_line(capsys) == f"error: {cfg}:2:13: not a JSON file: Expecting value\n"
 
+    def test_document_that_is_not_an_object_names_the_file(self, tmp_path, capsys):
+        cfg, code = self.run_config(tmp_path, "simulate", [], "--out-dir", tmp_path / "out")
+        assert code == 2
+        assert one_error_line(capsys) == f"error: {cfg}: config file must hold a JSON object\n"
+        assert not (tmp_path / "out").exists()
+
 
 def retyped(text: str, value, *path) -> str:
     """A scene's JSON text with the value at ``path`` replaced."""
@@ -745,11 +762,26 @@ class TestMalformedScene:
          "'lights[0].position' must be a JSON array, not 'str'"),
         (lambda t: retyped(t, {"position": [1, 2, 3]}, "access_points"),
          "'access_points' must be a JSON array, not 'dict'"),
+        (lambda t: retyped(t, -1.0, "lights", 0, "intensity", "sunny"),
+         "luminous intensity must be >= 0 for every condition"),
+        (lambda t: retyped(t, -0.5, "access_points", 0, "shadow_sigma"),
+         "shadow_sigma must be >= 0, got -0.5"),
+        (lambda t: retyped(t, 0.0, "room", "depth"), "all scene lengths must be positive"),
+        (lambda t: retyped(t, 4.0, "room", "phone_height"),
+         "phone_height must be below ceiling_height"),
+        (lambda t: retyped(t, [], "lights"), "scene needs at least one light"),
+        (lambda t: retyped(t, [], "access_points"), "scene needs at least one access point"),
+        (lambda t: retyped(t, [], "conditions"), "scene needs at least one condition"),
+        (lambda t: retyped(t, json.loads(t)["conditions"][:1] * 2, "conditions"),
+         "duplicate condition names: ['sunny', 'sunny']"),
     ], ids=["string-room", "top-level-list", "truncated", "nan-width", "overflowing-width",
-            "string-conditions", "string-condition", "string-light-position", "object-aps"])
+            "string-conditions", "string-condition", "string-light-position", "object-aps",
+            "negative-intensity", "negative-shadow-sigma", "zero-depth", "phone-at-ceiling",
+            "no-lights", "no-access-points", "no-conditions", "duplicate-condition"])
     def test_exits_data_error_naming_the_file(self, tmp_path, capsys, edit, message):
-        """A document that is not a scene names the file; text that is not
-        JSON names the file, line and column."""
+        """A document that is not a scene, or one whose values no scene may
+        hold, names the file; text that is not JSON names the file, line and
+        column."""
         scene = tmp_path / "scene.json"
         scenario.save_scene(scenario.paper_room_scene(), scene)
         scene.write_text(edit(scene.read_text()))
@@ -914,8 +946,8 @@ class TestMalformedCsv:
         self.check(capsys, code, f"error: {bad}:3: not UTF-8 text (invalid continuation byte)\n")
 
 
-def g1_edit(model, row: str):
-    """``model`` with one of the edits of ROADMAP item 2's g1 rows: every
+def broken_model(model, row: str):
+    """``model`` with one of the edits of ROADMAP item 2's rows: every
     ``a_sigma`` output bias 800, every ``a_mu`` output bias 1e300, a sigma
     floor of 1e308, or input means of +-1e308."""
     K = model.config.n_components
@@ -934,6 +966,20 @@ def g1_edit(model, row: str):
     return dataclasses.replace(model, weights=tuple(weights))
 
 
+def prediction_run(command, workspace, out, g1=None, g2=None) -> tuple:
+    """Exit code and warning messages of ``predict`` (record 0) or
+    ``evaluate`` under sunny, M=4, N=2, with the workspace's models unless
+    others are given."""
+    argv = [command, "--g1", g1 or workspace / "g1.model", "--g2", g2 or workspace / "g2.model",
+            "--data", workspace / "test.csv", "--m", 4, "--n", 2, "--conditions", "sunny",
+            "--out-dir", out]
+    argv += ["--records", 0, "--no-plots"] if command == "predict" else ["--bootstrap", 10]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(*argv)
+    return code, [str(w.message) for w in caught]
+
+
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 @pytest.mark.parametrize("row", ["a_sigma", "a_mu", "sigma_floor", "mean"])
 def test_non_finite_g1_exits_numeric_before_making_out_dir(workspace, tmp_path, capsys, command,
@@ -942,16 +988,45 @@ def test_non_finite_g1_exits_numeric_before_making_out_dir(workspace, tmp_path, 
     error overflows): exit 4, one line naming g1, the record and the
     condition, no numpy warning, and no output directory."""
     g1 = tmp_path / "g1.model"
-    dataio.save_model(g1_edit(dataio.load_model(workspace / "g1.model"), row), g1)
-    argv = [command, "--g1", g1, "--g2", workspace / "g2.model", "--data", workspace / "test.csv",
-            "--m", 4, "--n", 2, "--conditions", "sunny", "--out-dir", tmp_path / "out"]
-    argv += ["--records", 0, "--no-plots"] if command == "predict" else ["--bootstrap", 10]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run(*argv) == 4
-    assert [str(w.message) for w in caught] == []
+    dataio.save_model(broken_model(dataio.load_model(workspace / "g1.model"), row), g1)
+    assert prediction_run(command, workspace, tmp_path / "out", g1=g1) == (4, [])
     one_error_line(capsys, "g1 gives a non-finite mixture, sample or error for record 0 under sunny")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("row", ["a_sigma", "a_mu"])
+def test_non_finite_g2_exits_numeric_before_making_out_dir(workspace, tmp_path, capsys, command,
+                                                            row):
+    """A g2 whose sigmas overflow, or whose means lie at no finite squared
+    distance from z: every score is -inf, yet this is no underflow. Exit 4,
+    one line naming g2, the record and the condition, no warning, and no
+    output directory."""
+    g2 = tmp_path / "g2.model"
+    dataio.save_model(broken_model(dataio.load_model(workspace / "g2.model"), row), g2)
+    assert prediction_run(command, workspace, tmp_path / "out", g2=g2) == (4, [])
+    one_error_line(capsys, "g2 gives a non-finite mixture, or a mean at no finite distance from z, "
+                           "for record 0 under sunny")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_underflowing_g2_scores_fall_back(workspace, tmp_path, capsys, command):
+    """g2 means 1e153 from every z at the sigma floor: each mixture is
+    finite and each squared distance (about 1e306) too, but the distance
+    over the variance overflows, so every score is -inf. That is the
+    underflow fallback: exit 0, with its warning."""
+    model = dataio.load_model(workspace / "g2.model")
+    K = model.config.n_components
+    weights = [np.array(w) for w in model.weights]
+    weights[-1][0, K : 2 * K] = -50.0
+    weights[-1][0, 2 * K :] = 1e153
+    g2 = tmp_path / "g2.model"
+    dataio.save_model(dataclasses.replace(model, weights=tuple(weights)), g2)
+    count = 1 if command == "predict" else 10
+    assert prediction_run(command, workspace, tmp_path / "out", g2=g2) == (0, [
+        f"{count} of {count} predictions under sunny fell back to the mean of all candidates"])
+    assert capsys.readouterr().err == ""
 
 
 class TestMalformedModel:

@@ -57,6 +57,16 @@ class TestMdnModel:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(1, 3\)"):
             identity_model(m.config, ws)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ws: ws[:3], r"weight array 3: expected \(1, 8\), got none$"),
+        (lambda ws: ws + [np.zeros((1, 4))],
+         r"weight array 4: expected none, got \(1, 4\)$"),
+    ], ids=["too-few", "too-many"])
+    def test_array_count_mismatch_names_the_first_missing_or_extra_array(self, edit, message):
+        m = zero_model()
+        with pytest.raises(ShapeError, match=message):
+            identity_model(m.config, edit(list(m.weights)))
+
     def test_rejects_bad_standardization(self):
         m = zero_model()
         nan, inf = float("nan"), float("inf")

@@ -206,22 +206,34 @@ class TestMatchesReferenceLoop:
     def test_model_does_not_share_training_buffers(self, monkeypatch):
         flats = []
 
-        def recording(flat, dims):
+        def recording(flat, shapes):
             flats.append(flat)
-            return layer_views(flat, dims)
+            return views(flat, shapes)
 
-        layer_views = mdn._layer_views
-        monkeypatch.setattr(mdn, "_layer_views", recording)
+        views = mdn._views
+        monkeypatch.setattr(mdn, "_views", recording)
         X, Y = two_input_dataset(150, 1, 19)
         model = train((X, Y), MdnConfig(input_dim=2, target_dim=1, n_components=2,
                                          hidden_layers=(4,), epochs=2, seed=1))
-        assert len(flats) == 2  # weights and gradients
+        # weights and gradients, then the layer outputs and deltas of the
+        # full-data workspace and of the batch sizes 64 and 22
+        assert len(flats) == 2 + 2 * 3
         for a in (*model.weights, model.input_mean, model.input_std):
             assert not any(np.shares_memory(a, flat) for flat in flats)
             assert not np.shares_memory(a, X)
 
 
 class TestStepWorkspace:
+    def test_layer_outputs_and_deltas_are_one_allocation_each(self):
+        cfg = MdnConfig(input_dim=3, target_dim=2, n_components=4, hidden_layers=(5, 6))
+        ws = mdn._Workspace(cfg, 7)
+        assert [a.shape for a in ws.acts] == [(7, 5), (7, 6), (7, 2 * 4 + 4 * 2)]
+        for layers in (ws.acts, ws.deltas):
+            base = layers[0].base
+            assert base is not None and all(a.base is base for a in layers)
+            assert all(a.flags.c_contiguous for a in layers)
+        assert not np.shares_memory(ws.acts[0].base, ws.deltas[0].base)
+
     @pytest.mark.parametrize("K, D", [(5, 2), (3, 1), (9, 2), (3, 8)])
     def test_steady_state_step_allocates_no_batch_sized_array(self, K, D):
         """A step on a built workspace writes every batch-sized result into
